@@ -64,6 +64,7 @@ from .simulation import (
     ks_normality,
     mc_inference,
     mc_mse,
+    mc_sweep,
     rng_stream,
     standardized_estimates,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -38,8 +39,8 @@ from .inference import (
     v_hat_target,
     wald_test,
 )
-from .penalty import estimate_q, estimate_variance_sandwich
-from .simulation import SimConfig, fit_loglog_slopes, mc_mse
+from .penalty import estimate_derivative, estimate_q, estimate_variance_sandwich
+from .simulation import SimConfig, fit_loglog_slopes, mc_mse, mc_sweep
 
 __all__ = ["EstimateReport", "main"]
 
@@ -146,6 +147,10 @@ def _run_fit_pipeline(args) -> EstimateReport:
         raise ValueError("no source domains left after binning")
 
     fractions = _parse_fractions(args.split)
+    if len(fractions) < 2:
+        raise ValueError(
+            f"--split needs at least 2 parts (pilot, fine-tune), got {args.split!r}"
+        )
     rng = np.random.default_rng(args.seed)
     parts = dataio.split_target(target, fractions, rng)
     pilot_part, fine_part = parts[0], parts[1]
@@ -186,7 +191,10 @@ def _run_fit_pipeline(args) -> EstimateReport:
     ).h
     pen = estimate_q(
         sources, pilot_part, u0, h, args.order, args.beta, args.delta, family,
-        n0=fine_part.n, deriv_bandwidth=h_deriv, pilot_fit=pilot,
+        n0=fine_part.n, pilot_fit=pilot,
+        derivative=lambda: estimate_derivative(
+            [pilot_part, *sources], u0, h_deriv, int(args.beta), family
+        ),
     )
     tl = fit_tl(fine_part, pilot.theta, pen.q, family)
 
@@ -323,11 +331,9 @@ def cmd_simulate(args) -> int:
     if not grid:
         raise ValueError("simulate needs a bandwidth grid (--grid or config)")
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    rows = []
-    for h in grid:
-        for est in estimators:
-            r = mc_mse(config, est, h, threads=args.threads)
-            rows.append([float(h), est, r.mse, r.se, r.fails])
+    results = mc_sweep(config, grid, estimators, threads=args.threads)
+    cells = itertools.product(grid, estimators)
+    rows = [[float(h), est, r.mse, r.se, r.fails] for (h, est), r in zip(cells, results)]
     _write_table(args.out, ["h", "estimator", "mse", "se", "fails"], rows)
     return 0
 

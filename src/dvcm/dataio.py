@@ -133,7 +133,15 @@ def load_csv(
         raise ParseError(f"{path.name}: non-finite value in table")
 
     if u_expr is not None:
-        u = evaluate_column_expr(u_expr, headers, data)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u = evaluate_column_expr(u_expr, headers, data)
+        bad = np.flatnonzero(~np.isfinite(u))
+        if bad.size:
+            raise ParseError(
+                f"{path.name}: expression gives non-finite value {float(u[bad[0]])!r}",
+                row=int(bad[0]) + 2,
+                column=u_expr,
+            )
     else:
         u = data[:, index[u_column]]
     x = data[:, [index[c] for c in x_columns]]
@@ -170,7 +178,6 @@ def evaluate_column_expr(expr: str, headers: Sequence[str], data: np.ndarray) ->
         tokens.append(m.group(1))
         pos = m.end()
     tokens.append(None)  # sentinel
-    it = iter(range(len(tokens)))
     state = {"i": 0}
 
     def peek():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -107,11 +107,20 @@ def estimate_derivative(
 
     Extracts the last ``p``-block of the stacked coefficients, rescaled by
     ``h^{-beta}``.  The fit needs at least ``beta + 1`` distinct domain
-    identifiers inside the window; fit errors propagate.
+    identifiers inside the window; when there are fewer, the bandwidth is
+    widened to the smallest feasible distance.  Fit errors propagate.
     """
     if beta < 1 or int(beta) != beta:
         raise ValueError(f"derivative order must be a positive integer, got {beta}")
     beta = int(beta)
+    if _distinct_in_window(domains, u0, h) < beta + 1:
+        us = sorted({abs(dom.u - u0) for dom in domains})
+        if len(us) < beta + 1:
+            raise SingularSystemError(
+                f"derivative of order {beta} needs {beta + 1} distinct domain "
+                f"identifiers; only {len(us)} available"
+            )
+        h = us[beta] * (1.0 + 1e-9)
     fit = fit_dvcm(domains, u0, h, beta, family)
     p = fit.design.p
     return fit.alpha[beta * p :] / h**beta
@@ -125,15 +134,15 @@ def estimate_bias(
     beta: int,
     family: ModelFamily,
     *,
-    deriv_bandwidth: float | None = None,
+    derivative: Callable[[], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Plug-in bias of the order-``l`` pooled fit under smoothness ``beta``.
 
     ``[zeta_{0,1}^{-1} zeta_{beta,1}]_{1,1} * theta^(beta)(u0) * h^beta / beta!``
-    with the zeta moments of the main fit.  The derivative fit reuses the
-    main bandwidth unless ``deriv_bandwidth`` overrides it; when the
-    window holds fewer than ``beta + 1`` distinct identifiers the
-    derivative bandwidth is widened to the smallest feasible distance.
+    with the zeta moments of the main fit.  The derivative comes from
+    ``derivative``, a zero-argument callable, or else from
+    ``estimate_derivative`` at the main bandwidth; neither is evaluated
+    when the moment factor is zero.
     """
     if int(beta) != beta or beta < 1:
         raise ValueError(f"bias estimation needs a positive integer beta, got {beta}")
@@ -157,16 +166,10 @@ def estimate_bias(
     if factor == 0.0:
         return np.zeros(p)
 
-    h_d = deriv_bandwidth if deriv_bandwidth is not None else h
-    if _distinct_in_window(domains, u0, h_d) < beta + 1:
-        us = sorted({abs(dom.u - u0) for dom in domains})
-        if len(us) < beta + 1:
-            raise SingularSystemError(
-                f"derivative of order {beta} needs {beta + 1} distinct domain "
-                f"identifiers; only {len(us)} available"
-            )
-        h_d = us[beta] * (1.0 + 1e-9)
-    deriv = estimate_derivative(domains, u0, h_d, beta, family)
+    if derivative is None:
+        deriv = estimate_derivative(domains, u0, h, beta, family)
+    else:
+        deriv = derivative()
     return factor * deriv * h**beta / math.factorial(beta)
 
 
@@ -208,9 +211,9 @@ def estimate_q(
     family: ModelFamily,
     *,
     n0: int | None = None,
-    deriv_bandwidth: float | None = None,
     pilot_fit: LocalFit | None = None,
     theta_glr: np.ndarray | None = None,
+    derivative: Callable[[], np.ndarray] | None = None,
 ) -> PenaltyEstimate:
     """Assemble the data-driven shrinkage matrix from the pilot split.
 
@@ -227,13 +230,14 @@ def estimate_q(
         Sample size entering the ``scale / n0`` factor; defaults to the
         pilot-split size (the fine-tune split has the same size under the
         even-split protocol).
-    deriv_bandwidth : float, optional
-        Bandwidth of the order-``beta`` derivative fit inside the bias
-        plug-in.  Defaults to ``h``; callers sweeping ``h`` should pass a
-        rate-optimal bandwidth here, since the derivative of theta at
-        ``u0`` is a local quantity independent of the sweep.
     pilot_fit, theta_glr : optional
         Reuse of already-computed ingredients; recomputed when omitted.
+    derivative : callable, optional
+        Returns the order-``beta`` derivative plug-in of the bias (see
+        ``estimate_bias``); defaults to a derivative fit at ``h``.
+        Callers sweeping ``h`` should fit it at a rate-optimal bandwidth,
+        since the derivative of theta at ``u0`` is a local quantity
+        independent of the sweep.
     """
     if not 0.5 < delta < 2.0:
         raise ValueError(f"delta must lie in (0.5, 2), got {delta}")
@@ -252,8 +256,7 @@ def estimate_q(
         bias = np.zeros(target_pilot_split.p)
         diagnostics["bias_skipped_noninteger_beta"] = float(beta)
     else:
-        bias = estimate_bias(pooled, u0, h, l, int(beta), family,
-                             deriv_bandwidth=deriv_bandwidth)
+        bias = estimate_bias(pooled, u0, h, l, int(beta), family, derivative=derivative)
     var = estimate_variance_sandwich(pilot_fit, family)
 
     m_hat = np.outer(bias, bias) + var

@@ -7,13 +7,23 @@ parallelisable, and bit-reproducible.  The target domain always
 receives ``2 n0`` observations; the first half feeds the pooled pilot
 and the penalty matrix, the second half the fine-tuning step and the
 target-side covariance plug-ins.
+
+Experiments make one pass per replication over all of their cells
+(``mc_sweep``): the dataset is generated once, every fit that does not
+depend on the bandwidth is shared, and the pooled pilot is fitted once
+per bandwidth.  ``mc_mse`` and ``mc_inference`` are single-cell uses of
+the same runner, and a multi-threaded experiment runs in one process
+pool, chunked by replication.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,13 +36,14 @@ from .errors import DvcmError, ExperimentError, SingularSystemError
 from .estimators import fit_dvcm, fit_target_only, fit_tl
 from .families import get_family
 from .inference import psi_hat, sigma_tl, v_hat_target, wald_test
-from .penalty import estimate_q, estimate_variance_sandwich
+from .penalty import estimate_derivative, estimate_q, estimate_variance_sandwich
 
 __all__ = [
     "SimConfig",
     "TrueCoefficient",
     "rng_stream",
     "generate_dataset",
+    "mc_sweep",
     "mc_mse",
     "McMseResult",
     "mc_inference",
@@ -215,70 +226,130 @@ def _choose_h(config: SimConfig, sources, h: float | None) -> float:
     return choice.h
 
 
+def _once(fn: Callable) -> Callable:
+    """Memoise a zero-argument computation, a DvcmError outcome included."""
+    outcome: list = []
+
+    def call():
+        if not outcome:
+            try:
+                outcome.append((fn(), None))
+            except DvcmError as exc:
+                outcome.append((None, exc))
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return call
+
+
 def _replicate(
     config: SimConfig,
+    grid: tuple,
+    estimators: tuple,
     rep: int,
-    h: float | None,
     *,
-    want_dvcm: bool = True,
-    want_tl: bool = True,
+    q_matrices: Sequence | None = None,
     want_sigma: bool = False,
-    q_matrix: np.ndarray | None = None,
-) -> dict:
-    """Run one replication; returns estimates or raises DvcmError."""
+) -> list:
+    """One replication of every (h, estimator) cell, h outer; a failed cell holds None.
+
+    The dataset, the target-only fit and the h-independent ingredients of
+    the penalty (derivative bandwidth, pilot-half target-only fit,
+    derivative plug-in) are computed at most once; the pooled pilot once
+    per h, shared by its dvcm and tl cells.  A target-only failure fails
+    every cell, a pilot failure the dvcm and tl cells at its h, any later
+    failure the tl cell alone.  ``q_matrices`` holds the oracle Q per h;
+    with ``want_sigma`` a tl cell holds ``(theta_tl, Sigma_TL)``.
+    """
     family = get_family(config.family)
     target, sources = generate_dataset(config, rep)
     pilot_half, fine_half = _split_target_halves(target)
+    try:
+        theta_lr = fit_target_only(fine_half, family)
+    except DvcmError:
+        return [None] * (len(grid) * len(estimators))
 
-    out: dict = {"theta_true": config.theta(config.u0)}
-    out["theta_lr"] = fit_target_only(fine_half, family)
-    if not (want_dvcm or want_tl):
-        return out
+    pooled = [pilot_half, *sources]
+    # The derivative plug-in always runs at the rate-optimal bandwidth:
+    # theta^(beta)(u0) is a local quantity, independent of the swept h.
+    h_deriv = _once(lambda: select_bandwidth_median(
+        sources, config.u0, config.beta, config.gamma, config.e0, n_extra=config.n0,
+    ).h)
+    theta_glr = _once(lambda: fit_target_only(pilot_half, family))
+    derivative = _once(lambda: estimate_derivative(
+        pooled, config.u0, h_deriv(), int(config.beta), family
+    ))
+    fixed_q = {"zero": np.zeros((config.p, config.p)),
+               "infinity": 1e12 * np.eye(config.p)}.get(config.q_mode)
 
-    h_rep = _choose_h(config, sources, h)
-    out["h"] = h_rep
-    pooled_fit = fit_dvcm([pilot_half, *sources], config.u0, h_rep, config.order, family)
-    out["theta_dvcm"] = pooled_fit.theta
-    if not want_tl:
-        return out
-
-    if q_matrix is not None:
-        q = q_matrix
-    elif config.q_mode in ("estimate", "oracle"):
-        # oracle callers pass q_matrix; reaching here in oracle mode means
-        # the single-replication path, where the data-driven matrix stands in.
-        # The derivative plug-in always runs at the rate-optimal bandwidth:
-        # theta^(beta)(u0) is a local quantity, independent of the swept h.
-        h_deriv = select_bandwidth_median(
-            sources, config.u0, config.beta, config.gamma, config.e0,
-            n_extra=config.n0,
-        ).h
-        pen = estimate_q(
-            sources, pilot_half, config.u0, h_rep, config.order, config.beta,
-            config.delta, family, n0=fine_half.n, deriv_bandwidth=h_deriv,
-            pilot_fit=pooled_fit,
-        )
-        q = pen.q
-    elif config.q_mode == "zero":
-        q = np.zeros((config.p, config.p))
-    else:  # infinity
-        q = 1e12 * np.eye(config.p)
-    tl = fit_tl(fine_half, pooled_fit.theta, q, family)
-    out["theta_tl"] = tl.theta_tl
-    out["q"] = q
-
-    if want_sigma:
-        psi = psi_hat(fine_half, out["theta_lr"], family)
-        v_lr = v_hat_target(fine_half, out["theta_lr"], family)
-        v_dvcm = estimate_variance_sandwich(pooled_fit, family)
-        report = sigma_tl(psi, q, v_lr, v_dvcm)
-        diag = np.diag(report.sigma_tl)
-        # variances at round-off scale (noiseless data) make the
-        # standardisation meaningless: mark the replication failed
-        if np.any(~np.isfinite(diag)) or np.any(diag <= 1e-28):
-            raise SingularSystemError("degenerate Sigma_TL diagonal")
-        out["sigma_tl"] = report.sigma_tl
+    out = []
+    for i, h in enumerate(grid):
+        estimates = {"lr": theta_lr}
+        pilot = None
+        if estimators != ("lr",):
+            try:
+                h_rep = _choose_h(config, sources, h)
+                pilot = fit_dvcm(pooled, config.u0, h_rep, config.order, family)
+                estimates["dvcm"] = pilot.theta
+            except DvcmError:
+                pass
+        if pilot is not None and "tl" in estimators:
+            q = fixed_q if q_matrices is None else q_matrices[i]
+            try:
+                if q is None:
+                    # data-driven; oracle mode without its matrix (single-pass
+                    # callers such as mc_inference) falls back on it too
+                    h_deriv()
+                    q = estimate_q(
+                        sources, pilot_half, config.u0, h_rep, config.order,
+                        config.beta, config.delta, family, n0=fine_half.n,
+                        pilot_fit=pilot, theta_glr=theta_glr(), derivative=derivative,
+                    ).q
+                theta_tl = fit_tl(fine_half, pilot.theta, q, family).theta_tl
+                estimates["tl"] = (
+                    (theta_tl, _sigma_tl(fine_half, theta_lr, pilot, q, family))
+                    if want_sigma else theta_tl
+                )
+            except DvcmError:
+                pass
+        out.extend(estimates.get(est) for est in estimators)
     return out
+
+
+def _sigma_tl(fine_half, theta_lr, pilot, q, family) -> np.ndarray:
+    psi = psi_hat(fine_half, theta_lr, family)
+    v_lr = v_hat_target(fine_half, theta_lr, family)
+    v_dvcm = estimate_variance_sandwich(pilot, family)
+    sigma = sigma_tl(psi, q, v_lr, v_dvcm).sigma_tl
+    diag = np.diag(sigma)
+    # variances at round-off scale (noiseless data) make the
+    # standardisation meaningless: mark the replication failed
+    if np.any(~np.isfinite(diag)) or np.any(diag <= 1e-28):
+        raise SingularSystemError("degenerate Sigma_TL diagonal")
+    return sigma
+
+
+def _run(replicate: Callable[[int], list], reps: int, pool, threads: int) -> list:
+    """``replicate(rep)`` for every replication, in replication order.
+
+    Serial when ``pool`` is None; otherwise the replications are chunked
+    over the pool's ``threads`` workers.
+    """
+    if pool is None:
+        return [replicate(rep) for rep in range(reps)]
+    chunk = max(1, reps // (4 * threads))
+    return list(pool.map(replicate, range(reps), chunksize=chunk))
+
+
+def _pool(threads: int):
+    return ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+
+
+def _check_tolerance(fails: int, reps: int) -> None:
+    if fails > 0.2 * reps:
+        raise ExperimentError(f"{fails}/{reps} replications failed (> 20% tolerance)")
 
 
 @dataclass(frozen=True)
@@ -289,22 +360,21 @@ class McMseResult:
     n_success: int
 
 
-def _oracle_q_matrix(config: SimConfig, h: float | None) -> np.ndarray:
+def _oracle_q_matrix(config: SimConfig, pilots: Sequence) -> np.ndarray:
     """Empirical oracle penalty: true scale over the pilot's Monte-Carlo MSE.
 
-    First pass over all replications collects the pilot's error outer
-    products; their average replaces the unknown MSE matrix in the oracle
-    formula.  Only available in simulation, where theta(u0) is known.
+    ``pilots`` holds one replication's pooled pilot estimate each (None
+    where it failed); their error outer products, averaged, replace the
+    unknown MSE matrix in the oracle formula.  Only available in
+    simulation, where theta(u0) is known.
     """
     theta_true = config.theta(config.u0)
     m = np.zeros((config.p, config.p))
     count = 0
-    for rep in range(config.reps):
-        try:
-            r = _replicate(config, rep, h, want_tl=False)
-        except DvcmError:
+    for theta in pilots:
+        if theta is None:
             continue  # pilot infeasible this draw; the pass-2 replication fails too
-        err = r["theta_dvcm"] - theta_true
+        err = theta - theta_true
         m += np.outer(err, err)
         count += 1
     if count == 0:
@@ -314,19 +384,62 @@ def _oracle_q_matrix(config: SimConfig, h: float | None) -> np.ndarray:
     return config.delta * nu / config.n0 * np.linalg.inv(0.5 * (m + m.T))
 
 
-def _mse_worker(args) -> tuple[int, float | None]:
-    config, estimator, h, q_matrix, rep = args
-    try:
-        r = _replicate(
-            config, rep, h,
-            want_dvcm=(estimator != "lr"),
-            want_tl=(estimator == "tl"),
-            q_matrix=q_matrix,
-        )
-        err = r[f"theta_{estimator}"] - r["theta_true"]
-        return rep, float(err @ err)
-    except DvcmError:
-        return rep, None
+def _mse_result(config: SimConfig, estimates: Sequence) -> McMseResult:
+    theta_true = config.theta(config.u0)
+    errors = np.array([float((t - theta_true) @ (t - theta_true))
+                       for t in estimates if t is not None])
+    fails = config.reps - errors.size
+    _check_tolerance(fails, config.reps)
+    mse = float(np.mean(errors))
+    se = float(np.std(errors, ddof=1) / np.sqrt(errors.size))
+    return McMseResult(mse=mse, se=se, fails=fails, n_success=int(errors.size))
+
+
+def mc_sweep(
+    config: SimConfig,
+    grid: Sequence[float | None],
+    estimators: Sequence[str],
+    *,
+    threads: int = 1,
+) -> list[McMseResult]:
+    """Monte-Carlo MSE of every (h, estimator) cell, in one pass per replication.
+
+    Cells come back h outer; ``h=None`` uses the configured bandwidth
+    rule.  Every cell equals the same cell run alone by ``mc_mse``; the
+    first cell in grid order with more than 20% failed replications
+    aborts the sweep.  Results are averaged in replication order, so they
+    are bit-identical for any ``threads``.
+    """
+    grid, estimators = tuple(grid), tuple(estimators)
+    if not estimators or not set(estimators) <= set(_ESTIMATORS):
+        raise ValueError(f"estimator must be one of {_ESTIMATORS}")
+    if not grid:
+        raise ValueError("mc_sweep needs a nonempty grid")
+    if config.reps < 2:
+        raise ValueError("mc_mse needs at least 2 replications")
+
+    q_matrices, oracle_errors = None, {}
+    with _pool(threads) as pool:
+        if "tl" in estimators and config.q_mode == "oracle":
+            pilots = _run(functools.partial(_replicate, config, grid, ("dvcm",)),
+                          config.reps, pool, threads)
+            q_matrices = []
+            for k in range(len(grid)):
+                try:
+                    q_matrices.append(_oracle_q_matrix(config, [r[k] for r in pilots]))
+                except ExperimentError as exc:
+                    q_matrices.append(None)  # no pilot ever fits: every tl cell fails
+                    oracle_errors[k] = exc
+        outcomes = _run(functools.partial(_replicate, config, grid, estimators,
+                                          q_matrices=q_matrices),
+                        config.reps, pool, threads)
+
+    results = []
+    for cell, (k, est) in enumerate(itertools.product(range(len(grid)), estimators)):
+        if est == "tl" and k in oracle_errors:
+            raise oracle_errors[k]
+        results.append(_mse_result(config, [r[cell] for r in outcomes]))
+    return results
 
 
 def mc_mse(
@@ -334,34 +447,10 @@ def mc_mse(
 ) -> McMseResult:
     """Monte-Carlo mean of ||theta_hat - theta(u0)||^2 with its standard error.
 
-    Failed replications are skipped and counted; more than 20% failures
-    aborts the experiment.  Results are averaged in replication order, so
-    identical (config, seed) inputs give bit-identical outputs.
+    A one-cell ``mc_sweep``: failed replications are skipped and counted;
+    more than 20% failures aborts the experiment.
     """
-    if estimator not in _ESTIMATORS:
-        raise ValueError(f"estimator must be one of {_ESTIMATORS}")
-    if config.reps < 2:
-        raise ValueError("mc_mse needs at least 2 replications")
-    q_matrix = None
-    if estimator == "tl" and config.q_mode == "oracle":
-        q_matrix = _oracle_q_matrix(config, h)
-
-    jobs = [(config, estimator, h, q_matrix, rep) for rep in range(config.reps)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_mse_worker, jobs, chunksize=max(1, len(jobs) // (4 * threads))))
-    else:
-        results = [_mse_worker(j) for j in jobs]
-    results.sort(key=lambda t: t[0])
-    errors = np.array([v for _, v in results if v is not None])
-    fails = config.reps - errors.size
-    if fails > 0.2 * config.reps:
-        raise ExperimentError(
-            f"{fails}/{config.reps} replications failed (> 20% tolerance)"
-        )
-    mse = float(np.mean(errors))
-    se = float(np.std(errors, ddof=1) / np.sqrt(errors.size))
-    return McMseResult(mse=mse, se=se, fails=fails, n_success=int(errors.size))
+    return mc_sweep(config, [h], [estimator], threads=threads)[0]
 
 
 @dataclass(frozen=True)
@@ -386,14 +475,6 @@ class InferenceRecords:
         return np.mean(np.abs(self.standardized) <= z, axis=0)
 
 
-def _inference_worker(args) -> tuple[int, dict | None]:
-    config, h, rep = args
-    try:
-        return rep, _replicate(config, rep, h, want_sigma=True)
-    except DvcmError:
-        return rep, None
-
-
 def mc_inference(
     config: SimConfig, h: float | None = None, *, threads: int = 1
 ) -> InferenceRecords:
@@ -402,29 +483,23 @@ def mc_inference(
     Uses the configured bandwidth rule (undersmoothed, for the normality
     experiments) unless an explicit ``h`` is supplied.
     """
-    jobs = [(config, h, rep) for rep in range(config.reps)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_inference_worker, jobs, chunksize=max(1, len(jobs) // (4 * threads))))
-    else:
-        results = [_inference_worker(j) for j in jobs]
-    results.sort(key=lambda t: t[0])
+    with _pool(threads) as pool:
+        outcomes = _run(functools.partial(_replicate, config, (h,), ("tl",), want_sigma=True),
+                        config.reps, pool, threads)
 
     theta_true = config.theta(config.u0)
     thetas, ses, walds = [], [], []
     fails = 0
-    for _, r in results:
+    for (r,) in outcomes:
         if r is None:
             fails += 1
             continue
-        thetas.append(r["theta_tl"])
-        ses.append(np.sqrt(np.diag(r["sigma_tl"])))
-        stat, df, p = wald_test(r["theta_tl"], r["sigma_tl"], theta_true)
+        theta_tl, sigma = r
+        thetas.append(theta_tl)
+        ses.append(np.sqrt(np.diag(sigma)))
+        stat, df, p = wald_test(theta_tl, sigma, theta_true)
         walds.append(p)
-    if fails > 0.2 * config.reps:
-        raise ExperimentError(
-            f"{fails}/{config.reps} replications failed (> 20% tolerance)"
-        )
+    _check_tolerance(fails, config.reps)
     return InferenceRecords(
         theta_tl=np.array(thetas),
         se=np.array(ses),

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -211,3 +212,52 @@ class TestEstimateReport:
         back = EstimateReport.from_dict(json.loads(blob))
         assert back == report
         assert json.dumps(back.to_dict()) == blob
+
+
+class TestCliMisuse:
+    """Every misuse ends in exit 1 with one ``error:`` line and no traceback."""
+
+    @staticmethod
+    def _data(tmp_path):
+        path = write_constant_theta_csv(tmp_path / "c.csv", n=120)
+        lines = path.read_text().splitlines()
+        lines[0] += ",age,education"
+        # education 0 on the third data row (file row 4): age/education = inf
+        lines[1:] = [f"{row},{30 + i},{0 if i == 2 else 12}"
+                     for i, row in enumerate(lines[1:])]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    CASES = {
+        "split_with_one_part": (
+            lambda d, o: fit_args(d, o, ["--split", "1"]), "--split"),
+        "u_expr_not_finite": (
+            lambda d, o: ["fit", "--data", str(d), "--u-expr", "age/education",
+                          "--x-cols", "x1", "--y-col", "y", "--u0", "0.25",
+                          "--out", str(o)],
+            "'age/education'"),
+        "missing_column": (
+            lambda d, o: fit_args(d, o, ["--y-col", "wage"]), "wage"),
+        "empty_grid": (
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", ",",
+                          "--out", str(o)], "grid"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line(self, case, tmp_path, capsys):
+        argv, needle = self.CASES[case]
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv(self._data(tmp_path), out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err and needle in err
+        assert not caught, [str(w.message) for w in caught]
+        assert not out.exists()
+
+    def test_u_expr_error_names_the_row(self, tmp_path, capsys):
+        argv, _ = self.CASES["u_expr_not_finite"]
+        assert main(argv(self._data(tmp_path), tmp_path / "out")) == 1
+        assert "(row 4, column 'age/education')" in capsys.readouterr().err

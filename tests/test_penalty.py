@@ -179,6 +179,26 @@ class TestEstimateBias:
         b = estimate_bias(doms, 0.0, 0.1, 1, 2, GAUSSIAN)
         assert np.all(np.isfinite(b))
 
+    def test_derivative_callable_replaces_the_fit(self):
+        doms = _noiseless_domains(lambda u: math.sin(2.0 * u),
+                                  (-0.9, -0.5, -0.1, 0.25, 0.6, 0.85), seed=3)
+        deriv = np.array([-1.3])  # any plug-in value: the bias scales it
+        z01 = _zeta_oracle(doms, 0.0, 0.5, 1, 0, 1)
+        z21 = _zeta_oracle(doms, 0.0, 0.5, 1, 2, 1)
+        want = np.linalg.solve(z01, z21[:, 0])[0] * deriv * 0.5**2 / 2.0
+        got = estimate_bias(doms, 0.0, 0.5, 1, 2, GAUSSIAN, derivative=lambda: deriv)
+        assert np.allclose(got, want, rtol=1e-10)
+
+    def test_derivative_callable_skipped_when_factor_is_zero(self):
+        dom = make_domain(0.0, np.random.default_rng(0).normal(size=(8, 1)),
+                          np.zeros(8))
+
+        def never():
+            raise AssertionError("derivative evaluated for a zero moment factor")
+
+        assert np.allclose(estimate_bias([dom], 0.0, 1.0, 1, 2, GAUSSIAN,
+                                         derivative=never), 0.0)
+
 
 def _textbook_hc0(x, y):
     """Classical robust sandwich for OLS, coded independently."""

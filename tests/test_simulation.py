@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from dvcm.simulation import (
     ks_normality,
     mc_inference,
     mc_mse,
+    mc_sweep,
     rng_stream,
     standardized_estimates,
 )
@@ -145,6 +147,56 @@ class TestMcMse:
         serial = mc_mse(cfg, "tl", 0.5, threads=1)
         parallel = mc_mse(cfg, "tl", 0.5, threads=2)
         assert serial == parallel
+        grid, ests = [0.2, 0.5, 1.0], ["lr", "dvcm", "tl"]
+        cfg = tiny_config()  # 40 reps keep h=0.2 inside the failure tolerance
+        assert (mc_sweep(cfg, grid, ests, threads=2)
+                == mc_sweep(cfg, grid, ests, threads=1))
+
+
+SWEEP_GRID = (0.2, 0.5, 1.0)
+SWEEP_ESTIMATORS = ("lr", "dvcm", "tl")
+
+
+class TestMcSweep:
+    # sha256 of `dvcm simulate` on tiny_config() over SWEEP_GRID, recorded
+    # with the per-cell runner that preceded mc_sweep; h=0.2 loses 8 of 40
+    # replications (dvcm and tl for Gaussian, tl alone for logistic)
+    GOLDEN = {
+        "gaussian": "6965dcee164696bb1b7334eb6c9fbc7e0089ae79237c589538f9bd6aee8db7f5",
+        "logistic": "d99b33849ea69235c974ab2aacf8c87988d626a18715e71a4eb2ce428b1888f6",
+    }
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN))
+    def test_simulate_csv_golden(self, family, tmp_path):
+        from dvcm.cli import main
+
+        out = tmp_path / "sweep.csv"
+        rc = main(["simulate", "--family", family, "--p", "2", "--K", "3",
+                   "--n-bar", "40", "--n0", "24", "--gamma", "1.0", "--reps", "40",
+                   "--seed", "11", "--grid", ",".join(map(str, SWEEP_GRID)),
+                   "--estimators", ",".join(SWEEP_ESTIMATORS), "--threads", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[family]
+
+    @pytest.mark.parametrize("family,q_mode", [
+        ("gaussian", "estimate"), ("gaussian", "oracle"), ("gaussian", "zero"),
+        ("gaussian", "infinity"), ("logistic", "estimate"),
+    ])
+    def test_every_cell_equals_the_cell_run_alone(self, family, q_mode):
+        cfg = tiny_config(family=family, q_mode=q_mode)
+        sweep = mc_sweep(cfg, SWEEP_GRID, SWEEP_ESTIMATORS)
+        alone = [mc_mse(cfg, est, h) for h in SWEEP_GRID for est in SWEEP_ESTIMATORS]
+        assert sweep == alone
+        assert sum(r.fails for r in sweep) > 0  # the failure coupling is exercised
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            mc_sweep(tiny_config(), [], ["lr"])
+        with pytest.raises(ValueError):
+            mc_sweep(tiny_config(), [0.5], [])
+        with pytest.raises(ValueError):
+            mc_sweep(tiny_config(), [0.5], ["lr", "ridge"])
 
 
 class TestMcInference:
