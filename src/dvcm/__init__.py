@@ -42,6 +42,7 @@ from .inference import (
     contrast_test,
     psi_hat,
     sigma_tl,
+    transfer_covariance,
     v_hat_target,
     wald_test,
 )
@@ -58,7 +59,6 @@ from .simulation import (
     InferenceRecords,
     McMseResult,
     SimConfig,
-    TrueCoefficient,
     fit_loglog_slopes,
     generate_dataset,
     ks_normality,
@@ -66,7 +66,6 @@ from .simulation import (
     mc_mse,
     mc_sweep,
     rng_stream,
-    standardized_estimates,
 )
 
 __version__ = "0.1.0"

@@ -31,15 +31,8 @@ from .design import DomainSample
 from .errors import DvcmError, ParseError
 from .estimators import fit_dvcm, fit_target_only, fit_tl
 from .families import get_family
-from .inference import (
-    confidence_intervals,
-    contrast_test,
-    psi_hat,
-    sigma_tl,
-    v_hat_target,
-    wald_test,
-)
-from .penalty import estimate_derivative, estimate_q, estimate_variance_sandwich
+from .inference import confidence_intervals, contrast_test, transfer_covariance, wald_test
+from .penalty import estimate_derivative, estimate_q
 from .simulation import SimConfig, fit_loglog_slopes, mc_mse, mc_sweep
 
 __all__ = ["EstimateReport", "main"]
@@ -99,6 +92,8 @@ def _parse_fractions(text: str) -> list[float]:
         tok = tok.strip()
         if "/" in tok:
             num, den = tok.split("/")
+            if float(den) == 0:
+                raise ValueError(f"--split part {tok!r} has a zero denominator")
             out.append(float(num) / float(den))
         else:
             out.append(float(tok))
@@ -199,10 +194,7 @@ def _run_fit_pipeline(args) -> EstimateReport:
     tl = fit_tl(fine_part, pilot.theta, pen.q, family)
 
     theta_lr_fine = fit_target_only(fine_part, family)
-    psi = psi_hat(fine_part, theta_lr_fine, family)
-    v_lr = v_hat_target(fine_part, theta_lr_fine, family)
-    v_dvcm = estimate_variance_sandwich(pilot, family)
-    cov = sigma_tl(psi, pen.q, v_lr, v_dvcm)
+    cov = transfer_covariance(fine_part, theta_lr_fine, pilot, pen.q, family)
     se = np.sqrt(np.diag(cov.sigma_tl))
     ci = confidence_intervals(tl.theta_tl, cov.sigma_tl, args.level)
 

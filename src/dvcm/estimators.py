@@ -4,7 +4,10 @@ All three reduce to minimising a weighted sum of convex per-observation
 losses, optionally plus a quadratic penalty ``0.5 ||alpha - c||_Q^2``;
 :func:`newton_weighted` is the shared solver.  For the Gaussian family
 every problem is a linear system, solved exactly by symmetric
-positive-definite factorisation.
+positive-definite factorisation.  Every weighted Gram matrix
+``Z' diag(v) Z`` of the package is :func:`gram`, and every Cholesky
+factorisation is :func:`spd_factor`, which raises SingularSystemError
+rather than regularise (that would mask data problems).
 """
 
 from __future__ import annotations
@@ -51,28 +54,23 @@ class TLFit:
     converged: bool
 
 
-def _solve_spd(mat: np.ndarray, rhs: np.ndarray, jitter: bool = False) -> np.ndarray:
-    """Solve a symmetric positive-definite system, optionally jittered.
+def gram(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Weighted Gram matrix ``Z' diag(v) Z``."""
+    return (z * v[:, None]).T @ z
 
-    Raises SingularSystemError when the factorisation fails and jitter is
-    off (singularity is a hard error by default: silent regularisation
-    would mask data problems).
-    """
+
+def spd_factor(mat: np.ndarray, what: str):
+    """Lower Cholesky factor for ``cho_solve``; SingularSystemError names ``what``."""
     try:
-        return cho_solve(cho_factor(mat, lower=True), rhs)
+        return cho_factor(mat, lower=True)
     except LinAlgError:
-        if jitter:
-            eps = 1e-10 * np.trace(mat) / mat.shape[0]
-            if eps <= 0:
-                eps = 1e-10
-            try:
-                return cho_solve(cho_factor(mat + eps * np.eye(mat.shape[0]), lower=True), rhs)
-            except LinAlgError:
-                pass
         raise SingularSystemError(
-            "symmetric system is not positive definite",
-            cond=float(np.linalg.cond(mat)),
+            f"{what} is singular", cond=float(np.linalg.cond(mat))
         ) from None
+
+
+def _solve_spd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return cho_solve(spd_factor(mat, "symmetric system"), rhs)
 
 
 def newton_weighted(
@@ -82,20 +80,16 @@ def newton_weighted(
     family: ModelFamily,
     init: np.ndarray,
     penalty: tuple[np.ndarray, np.ndarray] | None = None,
-    *,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-    jitter: bool = False,
 ) -> tuple[np.ndarray, bool, int]:
     """Minimise ``sum_i w_i l(z_i' a, y_i) [+ 0.5 ||a - c||_Q^2]``.
 
     Newton iterations with backtracking step halving (factor 1/2, up to
     30 halvings) whenever the objective fails to decrease; convergence is
-    declared on gradient max-norm <= ``tol``.  For the Gaussian family the
-    first step solves the normal equations exactly.
+    declared on gradient max-norm <= ``NEWTON_TOL``.  For the Gaussian
+    family the first step solves the normal equations exactly.
 
-    Returns ``(solution, converged, iterations)``; when ``max_iter`` is
-    exhausted the best iterate is returned with ``converged=False``.
+    Returns ``(solution, converged, iterations)``; after ``NEWTON_MAX_ITER``
+    iterations the best iterate is returned with ``converged=False``.
     """
     z = np.asarray(design_rows, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -117,17 +111,17 @@ def newton_weighted(
 
     obj = objective(alpha)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, NEWTON_MAX_ITER + 1):
         eta = z @ alpha
         s1, s2, _ = family.loss_derivatives(eta, y)
         grad = z.T @ (w * s1)
-        hess = (z * (w * s2)[:, None]).T @ z
+        hess = gram(z, w * s2)
         if q is not None:
             grad = grad + q @ (alpha - center)
             hess = hess + q
-        if np.max(np.abs(grad)) <= tol:
+        if np.max(np.abs(grad)) <= NEWTON_TOL:
             return alpha, True, iterations - 1
-        step = _solve_spd(hess, grad, jitter=jitter)
+        step = _solve_spd(hess, grad)
         # backtracking: halve until the objective decreases; if no scale
         # helps (round-off floor), keep the current iterate
         accepted = False
@@ -149,18 +143,16 @@ def newton_weighted(
     grad = z.T @ (w * s1)
     if q is not None:
         grad = grad + q @ (alpha - center)
-    return alpha, bool(np.max(np.abs(grad)) <= tol), iterations
+    return alpha, bool(np.max(np.abs(grad)) <= NEWTON_TOL), iterations
 
 
-def fit_target_only(
-    target: DomainSample, family: ModelFamily, *, jitter: bool = False
-) -> np.ndarray:
+def fit_target_only(target: DomainSample, family: ModelFamily) -> np.ndarray:
     """Unpenalised target-domain estimate: OLS (Gaussian) or GLM MLE."""
     x, y = target.x, target.y
     if family.kind == "gaussian":
-        return _solve_spd(x.T @ x, x.T @ y, jitter=jitter)
+        return _solve_spd(x.T @ x, x.T @ y)
     w = np.full(target.n, 1.0 / target.n)
-    alpha, _, _ = newton_weighted(x, w, y, family, np.zeros(target.p), jitter=jitter)
+    alpha, _, _ = newton_weighted(x, w, y, family, np.zeros(target.p))
     return alpha
 
 
@@ -170,8 +162,6 @@ def fit_dvcm(
     h: float,
     l: int,
     family: ModelFamily,
-    *,
-    jitter: bool = False,
 ) -> LocalFit:
     """Pooled local-polynomial fit of order ``l`` at ``u0`` with bandwidth ``h``.
 
@@ -184,18 +174,16 @@ def fit_dvcm(
     dim = z.shape[1]
     if family.kind == "gaussian":
         zw = z * w[:, None]
-        alpha = _solve_spd(zw.T @ z, zw.T @ y, jitter=jitter)
+        alpha = _solve_spd(zw.T @ z, zw.T @ y)
         converged, iterations = True, 0
     else:
         init = np.zeros(dim)
         nearest = min(domains, key=lambda d: abs(d.u - u0))
         try:
-            init[: design.p] = fit_target_only(nearest, family, jitter=jitter)
+            init[: design.p] = fit_target_only(nearest, family)
         except SingularSystemError:
             pass
-        alpha, converged, iterations = newton_weighted(
-            z, w, y, family, init, jitter=jitter
-        )
+        alpha, converged, iterations = newton_weighted(z, w, y, family, init)
     return LocalFit(
         alpha=alpha,
         theta=alpha[: design.p].copy(),
@@ -210,8 +198,6 @@ def fit_tl(
     theta_pilot: np.ndarray,
     q: np.ndarray,
     family: ModelFamily,
-    *,
-    jitter: bool = False,
 ) -> TLFit:
     """Fine-tune a pilot estimate by ridge-penalised regression on the target.
 
@@ -224,11 +210,11 @@ def fit_tl(
     x, y = target_finetune.x, target_finetune.y
     n0 = target_finetune.n
     if family.kind == "gaussian":
-        theta = _solve_spd(x.T @ x / n0 + q, x.T @ y / n0 + q @ theta_pilot, jitter=jitter)
+        theta = _solve_spd(x.T @ x / n0 + q, x.T @ y / n0 + q @ theta_pilot)
         converged = True
     else:
         w = np.full(n0, 1.0 / n0)
         theta, converged, _ = newton_weighted(
-            x, w, y, family, theta_pilot.copy(), penalty=(q, theta_pilot), jitter=jitter
+            x, w, y, family, theta_pilot.copy(), penalty=(q, theta_pilot)
         )
     return TLFit(theta_tl=theta, theta_pilot=theta_pilot, q=q, converged=converged)

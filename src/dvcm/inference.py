@@ -8,8 +8,10 @@ fit and the pooled pilot, so its covariance combines both ingredients:
 
 ``V_LR`` is the robust sandwich of the target-only fit divided by ``n0``
 (estimator-variance scale, matching ``V_DVCM``), so Sigma_TL standardises
-``theta_TL - theta(u0)`` directly.  Tail probabilities use the
-regularised incomplete gamma and the error function.
+``theta_TL - theta(u0)`` directly; :func:`transfer_covariance` assembles
+it from a fit, on the ``gram`` / ``spd_factor`` primitives of
+:mod:`dvcm.estimators`.  Tail probabilities use ``scipy.special``
+(``scipy.stats`` would double the package import time).
 """
 
 from __future__ import annotations
@@ -17,18 +19,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.special import erfc, gammaincc, ndtri
 
 from .design import DomainSample
-from .errors import SingularSystemError
+from .estimators import LocalFit, gram, spd_factor
 from .families import ModelFamily
+from .penalty import estimate_variance_sandwich
 
 __all__ = [
     "CovarianceReport",
     "psi_hat",
     "v_hat_target",
     "sigma_tl",
+    "transfer_covariance",
     "wald_test",
     "contrast_test",
     "confidence_intervals",
@@ -72,7 +76,7 @@ def psi_hat(
     """Second-moment matrix (1/n0) sum b''(x' theta) x x' (Gaussian: b'' = 1)."""
     x = target.x
     w = family.b2(x @ np.asarray(theta_hat, dtype=float))
-    return (x * w[:, None]).T @ x / target.n
+    return gram(x, w) / target.n
 
 
 def v_hat_target(
@@ -88,13 +92,8 @@ def v_hat_target(
     theta_hat = np.asarray(theta_hat, dtype=float)
     psi = psi_hat(target, theta_hat, family)
     resid = target.y - family.b1(x @ theta_hat)
-    meat = (x * (resid**2)[:, None]).T @ x / target.n
-    try:
-        c = cho_factor(psi, lower=True)
-    except LinAlgError:
-        raise SingularSystemError(
-            "Psi_hat is singular", cond=float(np.linalg.cond(psi))
-        ) from None
+    meat = gram(x, resid**2) / target.n
+    c = spd_factor(psi, "Psi_hat")
     v = cho_solve(c, cho_solve(c, meat).T) / target.n
     return 0.5 * (v + v.T)
 
@@ -106,12 +105,7 @@ def sigma_tl(
     psi = np.asarray(psi, dtype=float)
     q = np.asarray(q, dtype=float)
     b_q = psi + q
-    try:
-        c = cho_factor(b_q, lower=True)
-    except LinAlgError:
-        raise SingularSystemError(
-            "B_Q = Psi_hat + Q_hat is singular", cond=float(np.linalg.cond(b_q))
-        ) from None
+    c = spd_factor(b_q, "B_Q = Psi_hat + Q_hat")
 
     def congruence(m, inner):
         # B^{-1} m inner m' B^{-1}
@@ -123,6 +117,21 @@ def sigma_tl(
     )
     sig = 0.5 * (sig + sig.T)
     return CovarianceReport(sigma_tl=sig, psi_hat=psi, v_lr=v_lr, v_dvcm=v_dvcm, b_q=b_q)
+
+
+def transfer_covariance(
+    fine: DomainSample, theta_lr: np.ndarray, pilot: LocalFit, q: np.ndarray,
+    family: ModelFamily,
+) -> CovarianceReport:
+    """Sigma_TL of a transfer fit that fine-tuned ``pilot`` on ``fine`` under ``q``.
+
+    ``theta_lr`` is the target-only fit on ``fine``; it gives ``Psi_hat``
+    and ``V_LR``.  The pilot's sandwich gives ``V_DVCM``.
+    """
+    psi = psi_hat(fine, theta_lr, family)
+    v_lr = v_hat_target(fine, theta_lr, family)
+    v_dvcm = estimate_variance_sandwich(pilot, family)
+    return sigma_tl(psi, q, v_lr, v_dvcm)
 
 
 def wald_test(
@@ -138,13 +147,7 @@ def wald_test(
     if theta_tl.shape != null_value.shape:
         raise ValueError("null vector dimension mismatch")
     diff = theta_tl - null_value
-    sigma = np.asarray(sigma, dtype=float)
-    try:
-        c = cho_factor(sigma, lower=True)
-    except LinAlgError:
-        raise SingularSystemError(
-            "Sigma_TL is singular", cond=float(np.linalg.cond(sigma))
-        ) from None
+    c = spd_factor(np.asarray(sigma, dtype=float), "Sigma_TL")
     stat = float(diff @ cho_solve(c, diff))
     df = theta_tl.size
     return stat, df, chi2_sf(stat, df)

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .design import DomainSample, domain_distances, poly_features, uniform_kernel
 from .errors import DegenerateVarianceError, SingularSystemError
-from .estimators import LocalFit, fit_dvcm, fit_target_only
+from .estimators import LocalFit, fit_dvcm, fit_target_only, gram, spd_factor
 from .families import ModelFamily
 
 __all__ = [
@@ -151,17 +151,13 @@ def estimate_bias(
     zb1 = zeta_hat(domains, u0, h, l, beta, 1)
     rhs = zb1[:, 0]
     try:
-        factor = float(cho_solve(cho_factor(z01, lower=True), rhs)[0])
-    except LinAlgError:
+        factor = float(cho_solve(spd_factor(z01, "zeta_{0,1} moment matrix"), rhs)[0])
+    except SingularSystemError:
         # singular moment matrix: a zero first column still has the exact
         # solution 0 (single-domain-at-center case); otherwise hard error
-        if np.max(np.abs(rhs)) <= 1e-14 * max(1.0, np.max(np.abs(z01))):
-            factor = 0.0
-        else:
-            raise SingularSystemError(
-                "zeta_{0,1} moment matrix is singular",
-                cond=float(np.linalg.cond(z01)),
-            ) from None
+        if np.max(np.abs(rhs)) > 1e-14 * max(1.0, np.max(np.abs(z01))):
+            raise
+        factor = 0.0
     p = domains[0].p
     if factor == 0.0:
         return np.zeros(p)
@@ -185,15 +181,9 @@ def estimate_variance_sandwich(fit: LocalFit, family: ModelFamily) -> np.ndarray
     z, y, kw = design.z, design.y, design.kernel_values
     nh = design.n_total * design.bandwidth
     s1, s2, _ = family.loss_derivatives(z @ fit.alpha, y)
-    delta = (z * ((s1 * kw) ** 2)[:, None]).T @ z / nh**2
-    lam = (z * (s2 * kw)[:, None]).T @ z / nh
-    try:
-        c = cho_factor(lam, lower=True)
-    except LinAlgError:
-        raise SingularSystemError(
-            "sandwich bread matrix Lambda is singular",
-            cond=float(np.linalg.cond(lam)),
-        ) from None
+    delta = gram(z, (s1 * kw) ** 2) / nh**2
+    lam = gram(z, s2 * kw) / nh
+    c = spd_factor(lam, "sandwich bread matrix Lambda")
     inner = cho_solve(c, cho_solve(c, delta).T)
     p = design.p
     v = inner[:p, :p]
@@ -261,13 +251,8 @@ def estimate_q(
 
     m_hat = np.outer(bias, bias) + var
     m_hat = 0.5 * (m_hat + m_hat.T)
-    try:
-        m_inv = cho_solve(cho_factor(m_hat, lower=True), np.eye(m_hat.shape[0]))
-    except LinAlgError:
-        raise SingularSystemError(
-            "pilot MSE matrix bias*bias' + V_hat is singular",
-            cond=float(np.linalg.cond(m_hat)),
-        ) from None
+    c = spd_factor(m_hat, "pilot MSE matrix bias*bias' + V_hat")
+    m_inv = cho_solve(c, np.eye(m_hat.shape[0]))
     q = delta * scale / n0 * m_inv
     q = 0.5 * (q + q.T)
     return PenaltyEstimate(

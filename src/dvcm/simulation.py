@@ -18,9 +18,7 @@ pool, chunked by replication.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -28,19 +26,18 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit, ndtr
+from scipy.special import expit
 
 from .bandwidth import select_bandwidth_median, select_bandwidth_undersmoothed
 from .design import DomainSample
 from .errors import DvcmError, ExperimentError, SingularSystemError
 from .estimators import fit_dvcm, fit_target_only, fit_tl
 from .families import get_family
-from .inference import psi_hat, sigma_tl, v_hat_target, wald_test
-from .penalty import estimate_derivative, estimate_q, estimate_variance_sandwich
+from .inference import normal_quantile, transfer_covariance, wald_test
+from .penalty import estimate_derivative, estimate_q
 
 __all__ = [
     "SimConfig",
-    "TrueCoefficient",
     "rng_stream",
     "generate_dataset",
     "mc_sweep",
@@ -48,7 +45,6 @@ __all__ = [
     "McMseResult",
     "mc_inference",
     "InferenceRecords",
-    "standardized_estimates",
     "fit_loglog_slopes",
     "ks_normality",
 ]
@@ -107,26 +103,14 @@ class SimConfig:
         object.__setattr__(self, "bandwidth_grid", tuple(self.bandwidth_grid))
 
     @property
-    def theta(self) -> "TrueCoefficient":
-        return TrueCoefficient.from_spec(self.theta_spec, self.p)
-
-
-@dataclass(frozen=True)
-class TrueCoefficient:
-    """Coefficient curve theta(u) used by the generators."""
-
-    evaluator: Callable[[float], np.ndarray]
-
-    @staticmethod
-    def from_spec(name: str, p: int) -> "TrueCoefficient":
-        if name == "paper_default":
-            return TrueCoefficient(lambda u: _theta_paper_default(u, p))
-        if name == "tanh_pair":
-            return TrueCoefficient(lambda u: np.full(p, math.tanh(8.0 * (u - 0.2))))
-        raise ValueError(f"unknown theta_spec {name!r}")
-
-    def __call__(self, u: float) -> np.ndarray:
-        return self.evaluator(u)
+    def theta(self) -> Callable[[float], np.ndarray]:
+        """The coefficient curve theta(u) named by ``theta_spec``."""
+        p = self.p
+        if self.theta_spec == "paper_default":
+            return lambda u: _theta_paper_default(u, p)
+        if self.theta_spec == "tanh_pair":
+            return lambda u: np.full(p, math.tanh(8.0 * (u - 0.2)))
+        raise ValueError(f"unknown theta_spec {self.theta_spec!r}")
 
 
 def _theta_paper_default(u: float, p: int) -> np.ndarray:
@@ -260,8 +244,9 @@ def _replicate(
     derivative plug-in) are computed at most once; the pooled pilot once
     per h, shared by its dvcm and tl cells.  A target-only failure fails
     every cell, a pilot failure the dvcm and tl cells at its h, any later
-    failure the tl cell alone.  ``q_matrices`` holds the oracle Q per h;
-    with ``want_sigma`` a tl cell holds ``(theta_tl, Sigma_TL)``.
+    failure the tl cell alone.  ``q_matrices`` holds the oracle Q per h
+    (``q_mode="oracle"`` only); with ``want_sigma`` a tl cell holds
+    ``(theta_tl, Sigma_TL)``.
     """
     family = get_family(config.family)
     target, sources = generate_dataset(config, rep)
@@ -296,11 +281,9 @@ def _replicate(
             except DvcmError:
                 pass
         if pilot is not None and "tl" in estimators:
-            q = fixed_q if q_matrices is None else q_matrices[i]
+            q = q_matrices[i] if config.q_mode == "oracle" else fixed_q
             try:
-                if q is None:
-                    # data-driven; oracle mode without its matrix (single-pass
-                    # callers such as mc_inference) falls back on it too
+                if q is None:  # data-driven
                     h_deriv()
                     q = estimate_q(
                         sources, pilot_half, config.u0, h_rep, config.order,
@@ -319,10 +302,7 @@ def _replicate(
 
 
 def _sigma_tl(fine_half, theta_lr, pilot, q, family) -> np.ndarray:
-    psi = psi_hat(fine_half, theta_lr, family)
-    v_lr = v_hat_target(fine_half, theta_lr, family)
-    v_dvcm = estimate_variance_sandwich(pilot, family)
-    sigma = sigma_tl(psi, q, v_lr, v_dvcm).sigma_tl
+    sigma = transfer_covariance(fine_half, theta_lr, pilot, q, family).sigma_tl
     diag = np.diag(sigma)
     # variances at round-off scale (noiseless data) make the
     # standardisation meaningless: mark the replication failed
@@ -360,28 +340,34 @@ class McMseResult:
     n_success: int
 
 
-def _oracle_q_matrix(config: SimConfig, pilots: Sequence) -> np.ndarray:
-    """Empirical oracle penalty: true scale over the pilot's Monte-Carlo MSE.
+def _oracle_q_matrices(config: SimConfig, grid: tuple, pool, threads: int) -> list:
+    """Empirical oracle penalty per h: true scale over the pilot's Monte-Carlo MSE.
 
-    ``pilots`` holds one replication's pooled pilot estimate each (None
-    where it failed); their error outer products, averaged, replace the
-    unknown MSE matrix in the oracle formula.  Only available in
-    simulation, where theta(u0) is known.
+    A first pass fits the pooled pilot of every replication at every h;
+    their error outer products, averaged, replace the unknown MSE matrix
+    in the oracle formula.  Only available in simulation, where theta(u0)
+    is known.  Raises ExperimentError when the pilot fails in every
+    replication at some h, since every tl cell there would fail too.
     """
+    pilots = _run(functools.partial(_replicate, config, grid, ("dvcm",)),
+                  config.reps, pool, threads)
     theta_true = config.theta(config.u0)
-    m = np.zeros((config.p, config.p))
-    count = 0
-    for theta in pilots:
-        if theta is None:
-            continue  # pilot infeasible this draw; the pass-2 replication fails too
-        err = theta - theta_true
-        m += np.outer(err, err)
-        count += 1
-    if count == 0:
-        raise ExperimentError("oracle pass: pilot failed in every replication")
-    m /= count
     nu = config.noise_sd**2 if config.family == "gaussian" else 1.0
-    return config.delta * nu / config.n0 * np.linalg.inv(0.5 * (m + m.T))
+    q_matrices = []
+    for k in range(len(grid)):
+        m = np.zeros((config.p, config.p))
+        count = 0
+        for r in pilots:
+            if r[k] is None:
+                continue  # pilot infeasible this draw; the pass-2 replication fails too
+            err = r[k] - theta_true
+            m += np.outer(err, err)
+            count += 1
+        if count == 0:
+            raise ExperimentError("oracle pass: pilot failed in every replication")
+        m /= count
+        q_matrices.append(config.delta * nu / config.n0 * np.linalg.inv(0.5 * (m + m.T)))
+    return q_matrices
 
 
 def _mse_result(config: SimConfig, estimates: Sequence) -> McMseResult:
@@ -407,8 +393,9 @@ def mc_sweep(
     Cells come back h outer; ``h=None`` uses the configured bandwidth
     rule.  Every cell equals the same cell run alone by ``mc_mse``; the
     first cell in grid order with more than 20% failed replications
-    aborts the sweep.  Results are averaged in replication order, so they
-    are bit-identical for any ``threads``.
+    aborts the sweep, as does an oracle pass (``q_mode="oracle"``) in
+    which some h never fits a pilot.  Results are averaged in replication
+    order, so they are bit-identical for any ``threads``.
     """
     grid, estimators = tuple(grid), tuple(estimators)
     if not estimators or not set(estimators) <= set(_ESTIMATORS):
@@ -418,28 +405,14 @@ def mc_sweep(
     if config.reps < 2:
         raise ValueError("mc_mse needs at least 2 replications")
 
-    q_matrices, oracle_errors = None, {}
+    q_matrices = None
     with _pool(threads) as pool:
         if "tl" in estimators and config.q_mode == "oracle":
-            pilots = _run(functools.partial(_replicate, config, grid, ("dvcm",)),
-                          config.reps, pool, threads)
-            q_matrices = []
-            for k in range(len(grid)):
-                try:
-                    q_matrices.append(_oracle_q_matrix(config, [r[k] for r in pilots]))
-                except ExperimentError as exc:
-                    q_matrices.append(None)  # no pilot ever fits: every tl cell fails
-                    oracle_errors[k] = exc
+            q_matrices = _oracle_q_matrices(config, grid, pool, threads)
         outcomes = _run(functools.partial(_replicate, config, grid, estimators,
                                           q_matrices=q_matrices),
                         config.reps, pool, threads)
-
-    results = []
-    for cell, (k, est) in enumerate(itertools.product(range(len(grid)), estimators)):
-        if est == "tl" and k in oracle_errors:
-            raise oracle_errors[k]
-        results.append(_mse_result(config, [r[cell] for r in outcomes]))
-    return results
+    return [_mse_result(config, cell) for cell in zip(*outcomes)]
 
 
 def mc_mse(
@@ -469,8 +442,6 @@ class InferenceRecords:
 
     def coverage(self, level: float = 0.95) -> np.ndarray:
         """Empirical per-coordinate CI coverage at the given level."""
-        from .inference import normal_quantile
-
         z = normal_quantile(0.5 + level / 2.0)
         return np.mean(np.abs(self.standardized) <= z, axis=0)
 
@@ -481,10 +452,15 @@ def mc_inference(
     """Replicate the full pipeline with its covariance for normality studies.
 
     Uses the configured bandwidth rule (undersmoothed, for the normality
-    experiments) unless an explicit ``h`` is supplied.
+    experiments) unless an explicit ``h`` is supplied, and the configured
+    ``q_mode`` (the oracle runs its first pass as in ``mc_sweep``).
     """
+    q_matrices = None
     with _pool(threads) as pool:
-        outcomes = _run(functools.partial(_replicate, config, (h,), ("tl",), want_sigma=True),
+        if config.q_mode == "oracle":
+            q_matrices = _oracle_q_matrices(config, (h,), pool, threads)
+        outcomes = _run(functools.partial(_replicate, config, (h,), ("tl",),
+                                          q_matrices=q_matrices, want_sigma=True),
                         config.reps, pool, threads)
 
     theta_true = config.theta(config.u0)
@@ -507,21 +483,6 @@ def mc_inference(
         wald_p=np.array(walds),
         fails=fails,
     )
-
-
-def standardized_estimates(
-    config: SimConfig, reps: int | None = None, *, threads: int = 1
-) -> tuple[np.ndarray, int]:
-    """Standardized transfer estimates (theta_tl - theta) / se per replication.
-
-    Returns ``(matrix, fail_count)`` where the matrix has one row per
-    successful replication; failures (including degenerate standard
-    errors) are dropped rather than propagated as NaN.
-    """
-    if reps is not None:
-        config = dataclasses.replace(config, reps=reps)
-    rec = mc_inference(config, threads=threads)
-    return rec.standardized, rec.fails
 
 
 def fit_loglog_slopes(
@@ -582,17 +543,14 @@ def fit_loglog_slopes(
 def ks_normality(samples: Sequence[float]) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov test against the standard normal.
 
-    Returns ``(D, p)`` with the p-value from the asymptotic Kolmogorov
-    series (100 terms).  Requires at least 8 samples.
+    Returns ``(D, p)`` with the asymptotic p-value of
+    ``scipy.stats.kstest``.  Requires at least 8 samples.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    if n < 8:
-        raise ValueError(f"KS test requires at least 8 samples, got {n}")
-    cdf = ndtr(x)
-    grid = np.arange(1, n + 1) / n
-    d = float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n))))
-    lam = np.sqrt(n) * d
-    j = np.arange(1, 101)
-    p = 2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * j**2 * lam**2))
-    return d, float(min(max(p, 0.0), 1.0))
+    # imported here: scipy.stats would more than double the package import time
+    from scipy.stats import kstest
+
+    x = np.asarray(samples, dtype=float)
+    if x.size < 8:
+        raise ValueError(f"KS test requires at least 8 samples, got {x.size}")
+    res = kstest(x, "norm", mode="asymp")
+    return float(res.statistic), float(res.pvalue)

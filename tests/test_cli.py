@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +38,18 @@ def write_wage_like_csv(path, n=900, seed=3):
     lines = ["age,education,female,logwage"]
     lines += [f"{float(age[i])!r},{float(edu[i])!r},{float(female[i])!r},"
               f"{float(wage[i])!r}" for i in range(n)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def write_binary_csv(path, n=800, seed=7):
+    """Binary-response panel: logit(P(y=1)) = -0.3 + (0.5 + u) x1."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0, 1, n)
+    x1 = rng.normal(size=n)
+    y = rng.binomial(1, 1.0 / (1.0 + np.exp(0.3 - (0.5 + u) * x1))).astype(float)
+    lines = ["u,x1,y"]
+    lines += [f"{float(u[i])!r},{float(x1[i])!r},{float(y[i])!r}" for i in range(n)]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -90,6 +107,38 @@ class TestCmdFit:
         err = capsys.readouterr().err
         assert err.startswith("error: dataio:")
         assert "wage" in err
+
+
+WAGE_ARGS = ["--u-expr", "age - education - 6", "--x-cols", "female,education",
+             "--y-col", "logwage", "--u0", "0.25", "--seed", "2"]
+
+
+class TestReportGolden:
+    """The fit/infer reports are pinned byte for byte (sha256 of the JSON)."""
+
+    CASES = {
+        "fit_gaussian_wage": (
+            write_wage_like_csv, ["fit", *WAGE_ARGS],
+            "160e7a205c9014c3445994a78870ccaf97eef342cc164638d9e737044b0cc523"),
+        "fit_logistic": (
+            write_binary_csv,
+            ["fit", "--u-col", "u", "--x-cols", "x1", "--y-col", "y", "--u0", "0.45",
+             "--family", "logistic", "--seed", "4"],
+            "1039c91351a0f820eca03b6e95d3ed9576b9e74951ef4257da9e8a1adb24187d"),
+        "infer_wage": (
+            write_wage_like_csv,
+            ["infer", *WAGE_ARGS, "--null-theta", "1,-0.3,0.08",
+             "--contrast", "0,1,0", "--zeta", "-0.3"],
+            "d0a61a1bf0021da950843d81b31b0ea6cd9f406d01d36443d635ecf8f9838577"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_sha256(self, case, tmp_path):
+        write, argv, digest = self.CASES[case]
+        data = write(tmp_path / "data.csv")
+        out = tmp_path / "report.json"
+        assert main([argv[0], "--data", str(data), *argv[1:], "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestCmdInfer:
@@ -231,6 +280,8 @@ class TestCliMisuse:
     CASES = {
         "split_with_one_part": (
             lambda d, o: fit_args(d, o, ["--split", "1"]), "--split"),
+        "split_zero_denominator": (
+            lambda d, o: fit_args(d, o, ["--split", "1/0,1"]), "'1/0'"),
         "u_expr_not_finite": (
             lambda d, o: ["fit", "--data", str(d), "--u-expr", "age/education",
                           "--x-cols", "x1", "--y-col", "y", "--u0", "0.25",
@@ -261,3 +312,15 @@ class TestCliMisuse:
         argv, _ = self.CASES["u_expr_not_finite"]
         assert main(argv(self._data(tmp_path), tmp_path / "out")) == 1
         assert "(row 4, column 'age/education')" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone takes longer to import than the whole package
+    import dvcm
+
+    code = "import sys, dvcm, dvcm.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(dvcm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

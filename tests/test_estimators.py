@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dvcm.design import DomainSample, build_local_design
 from dvcm.errors import SingularSystemError
-from dvcm.estimators import fit_dvcm, fit_target_only, fit_tl, newton_weighted
+from dvcm.estimators import LocalFit, fit_dvcm, fit_target_only, fit_tl, newton_weighted
 from dvcm.families import GAUSSIAN, LOGISTIC, POISSON
 
 
@@ -52,11 +52,9 @@ class TestNewtonWeighted:
     def test_singular_hessian_raises_without_jitter(self):
         z = np.array([[1.0, 1.0], [2.0, 2.0]])  # rank 1
         y = np.array([1.0, 2.0])
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularSystemError) as err:
             newton_weighted(z, np.ones(2), y, GAUSSIAN, np.zeros(2))
-        sol, _, _ = newton_weighted(z, np.ones(2), y, GAUSSIAN, np.zeros(2),
-                                    jitter=True)
-        assert np.all(np.isfinite(sol))
+        assert np.isfinite(err.value.cond)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -248,3 +246,36 @@ class TestFitTl:
         mu = 1.0 / (1.0 + np.exp(-(x @ fit.theta_tl)))
         grad = x.T @ (mu - y) / 40 + q @ (fit.theta_tl - pilot)
         assert np.max(np.abs(grad)) < 1e-8
+
+
+def _singular_cases():
+    """One singular input per Cholesky factorisation site."""
+    from dvcm.inference import sigma_tl, v_hat_target, wald_test
+    from dvcm.penalty import estimate_bias, estimate_q, estimate_variance_sandwich
+
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(30, 2))
+    clean = make_domain(0.3, x, x @ np.array([1.0, 2.0]))  # noiseless: V_hat = 0
+    flat = make_domain(0.0, np.ones((3, 2)), [1.0, 2.0, 3.0])  # rank-1 design
+    lone = build_local_design([clean], 0.0, 1.0, 1)  # z = [x, 0.3 x]: rank 2 of 4
+    pilot_split = make_domain(0.0, x[:10], x[:10] @ np.array([1.0, 2.0]))
+    return {
+        "normal_equations": lambda: fit_target_only(flat, GAUSSIAN),
+        "sandwich_bread": lambda: estimate_variance_sandwich(
+            LocalFit(np.zeros(4), np.zeros(2), lone, True, 0), GAUSSIAN),
+        "pilot_mse": lambda: estimate_q(
+            [clean], pilot_split, 0.0, 0.5, 0, 2, 1.0, GAUSSIAN,
+            derivative=lambda: np.ones(2)),
+        "zeta_moments": lambda: estimate_bias(
+            [clean], 0.0, 0.5, 1, 2, GAUSSIAN, derivative=lambda: np.ones(2)),
+        "psi_hat": lambda: v_hat_target(flat, np.zeros(2), GAUSSIAN),
+        "b_q": lambda: sigma_tl(np.ones((2, 2)), np.zeros((2, 2)), np.eye(2), np.eye(2)),
+        "sigma_tl": lambda: wald_test(np.zeros(2), np.ones((2, 2)), np.ones(2)),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(_singular_cases()))
+def test_every_factorisation_reports_singularity(site):
+    with pytest.raises(SingularSystemError) as err:
+        _singular_cases()[site]()
+    assert np.isfinite(err.value.cond) and "singular" in str(err.value)

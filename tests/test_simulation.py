@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -9,7 +10,6 @@ from dvcm.estimators import fit_dvcm
 from dvcm.families import GAUSSIAN
 from dvcm.simulation import (
     SimConfig,
-    TrueCoefficient,
     fit_loglog_slopes,
     generate_dataset,
     ks_normality,
@@ -17,13 +17,12 @@ from dvcm.simulation import (
     mc_mse,
     mc_sweep,
     rng_stream,
-    standardized_estimates,
 )
 
 
 class TestTrueCoefficient:
     def test_paper_default_at_02(self):
-        theta = TrueCoefficient.from_spec("paper_default", 4)(0.2)
+        theta = SimConfig(p=4, theta_spec="paper_default").theta(0.2)
         assert theta[0] == pytest.approx(0.2**3, rel=1e-12)          # tanh term 0
         assert theta[1] == pytest.approx(math.exp(3.5) / 100 - 0.5 + 0.2**3,
                                          rel=1e-12)
@@ -31,14 +30,18 @@ class TestTrueCoefficient:
         assert theta[3] == pytest.approx(0.25 * math.exp(0.4), rel=1e-12)
 
     def test_tanh_pair(self):
-        theta = TrueCoefficient.from_spec("tanh_pair", 2)(0.5)
+        theta = SimConfig(p=2, theta_spec="tanh_pair").theta(0.5)
         assert theta[0] == theta[1] == pytest.approx(math.tanh(8 * 0.3), rel=1e-12)
 
     def test_smooth_kink_term(self):
         # g(u) = u^3 sign(u) enters coordinates 0 and 1 symmetrically
-        th = TrueCoefficient.from_spec("paper_default", 2)
+        th = SimConfig(p=2, theta_spec="paper_default").theta
         assert th(-0.3)[0] - (-math.tanh(16 * (-0.5))) == pytest.approx(0.027,
                                                                         rel=1e-12)
+
+    def test_unknown_spec_rejected(self):
+        with pytest.raises(ValueError, match="nope"):
+            SimConfig(theta_spec="nope").theta
 
 
 class TestGenerateDataset:
@@ -215,7 +218,17 @@ class TestMcInference:
     def test_noiseless_degenerate_guarded(self):
         cfg = tiny_config(noise_sd=0.0, reps=10, bandwidth_rule="undersmoothed")
         with pytest.raises(ExperimentError):
-            standardized_estimates(cfg)
+            mc_inference(cfg).standardized
+
+    def test_oracle_q_mode_is_used(self):
+        cfg = SimConfig(p=2, K=6, n_bar=60, n0=30, gamma=0.5, reps=20, seed=3,
+                        bandwidth_rule="undersmoothed")
+        oracle_cfg = dataclasses.replace(cfg, q_mode="oracle")
+        estimate, oracle = mc_inference(cfg), mc_inference(oracle_cfg)
+        assert oracle.fails == 0
+        assert not np.array_equal(oracle.theta_tl, estimate.theta_tl)
+        sq_err = np.sum((oracle.theta_tl - oracle.theta_true) ** 2, axis=1)
+        assert np.mean(sq_err) == pytest.approx(mc_mse(oracle_cfg, "tl").mse, rel=1e-12)
 
 
 class TestLogLogSlopes:
