@@ -12,6 +12,7 @@ pipeline with a command-line front end (``dvcm``).
 from .bandwidth import (
     BandwidthChoice,
     gamma_moment_estimate,
+    select_bandwidth,
     select_bandwidth_median,
     select_bandwidth_undersmoothed,
 )
@@ -38,11 +39,11 @@ from .estimators import LocalFit, TLFit, fit_dvcm, fit_target_only, fit_tl, newt
 from .families import GAUSSIAN, LOGISTIC, POISSON, ModelFamily, get_family
 from .inference import (
     CovarianceReport,
+    TransferProblem,
     confidence_intervals,
     contrast_test,
     psi_hat,
     sigma_tl,
-    transfer_covariance,
     v_hat_target,
     wald_test,
 )

@@ -20,6 +20,7 @@ from .design import DomainSample, domain_distances
 
 __all__ = [
     "BandwidthChoice",
+    "select_bandwidth",
     "select_bandwidth_median",
     "select_bandwidth_undersmoothed",
     "gamma_moment_estimate",
@@ -129,3 +130,26 @@ def select_bandwidth_undersmoothed(
         beta=beta, gamma=gamma, n=n, c=c, epsilon=epsilon,
         feasible=feasible, clipped=clipped, diagnostics=diagnostics,
     )
+
+
+BANDWIDTH_RULES = ("median", "undersmoothed", "fixed")
+
+
+def select_bandwidth(
+    rule: str, sources: Sequence[DomainSample], u0: float, beta: float, gamma: float,
+    *, e0: float, c: float, epsilon: float, n_extra: int, h: float | None = None,
+) -> BandwidthChoice:
+    """Bandwidth of ``rule``: ``median`` (constant ``e0``), ``undersmoothed``
+    (``c``, ``epsilon``) or ``fixed`` (the given ``h``)."""
+    if rule == "median":
+        return select_bandwidth_median(sources, u0, beta, gamma, e0, n_extra=n_extra)
+    if rule == "undersmoothed":
+        return select_bandwidth_undersmoothed(
+            sources, u0, beta, gamma, c, epsilon, n_extra=n_extra
+        )
+    if rule != "fixed":
+        raise ValueError(f"bandwidth rule must be one of {BANDWIDTH_RULES}, got {rule!r}")
+    if h is None or not h > 0:
+        raise ValueError(f"bandwidth rule 'fixed' needs a positive h, got {h}")
+    _, d1, dK = domain_distances(sources, u0)
+    return BandwidthChoice(h=h, rule="fixed", rate_term=h, d1=d1, dK=dK)

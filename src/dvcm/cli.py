@@ -21,18 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .bandwidth import (
-    BandwidthChoice,
-    gamma_moment_estimate,
-    select_bandwidth_median,
-    select_bandwidth_undersmoothed,
-)
+from .bandwidth import (BANDWIDTH_RULES, BandwidthChoice, gamma_moment_estimate,
+                        select_bandwidth)
 from .design import DomainSample
 from .errors import DvcmError, ParseError
-from .estimators import fit_dvcm, fit_target_only, fit_tl
+from .estimators import fit_dvcm, fit_target_only
 from .families import get_family
-from .inference import confidence_intervals, contrast_test, transfer_covariance, wald_test
-from .penalty import estimate_derivative, estimate_q
+from .inference import TransferProblem, confidence_intervals, contrast_test, wald_test
 from .simulation import SimConfig, fit_loglog_slopes, mc_mse, mc_sweep
 
 __all__ = ["EstimateReport", "main"]
@@ -72,14 +67,17 @@ def _bandwidth_dict(choice: BandwidthChoice) -> dict:
     return {k: v for k, v in d.items() if v is not None}
 
 
-def _default_threads() -> int:
+def _threads(args) -> int:
+    """``--threads``, else ``DVCM_THREADS``, else the CPU count."""
+    if args.threads is not None:
+        return args.threads
     env = os.environ.get("DVCM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"DVCM_THREADS must be an integer, got {env!r}") from None
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -153,23 +151,12 @@ def _run_fit_pipeline(args) -> EstimateReport:
         diag["test_split_rows"] = int(sum(p.n for p in parts[2:]))
 
     gamma = args.gamma if args.gamma is not None else gamma_moment_estimate(sources)
-    if args.bandwidth == "auto":
-        choice = select_bandwidth_median(
-            sources, u0, args.beta, gamma, args.e0, n_extra=pilot_part.n
-        )
-    elif args.bandwidth == "undersmooth":
-        choice = select_bandwidth_undersmoothed(
-            sources, u0, args.beta, gamma, args.bw_c, args.epsilon,
-            n_extra=pilot_part.n,
-        )
-    else:
-        h = float(args.bandwidth)
-        if h <= 0:
-            raise ValueError(f"--bandwidth must be positive, got {h}")
-        from .design import domain_distances
-
-        _, d1, dK = domain_distances(sources, u0)
-        choice = BandwidthChoice(h=h, rule="fixed", rate_term=h, d1=d1, dK=dK)
+    rule = {"auto": "median", "undersmooth": "undersmoothed"}.get(args.bandwidth, "fixed")
+    choice = select_bandwidth(
+        rule, sources, u0, args.beta, gamma, e0=args.e0, c=args.bw_c,
+        epsilon=args.epsilon, n_extra=pilot_part.n,
+        h=float(args.bandwidth) if rule == "fixed" else None,
+    )
     h = choice.h
 
     train = DomainSample(
@@ -180,21 +167,14 @@ def _run_fit_pipeline(args) -> EstimateReport:
     theta_lr = fit_target_only(train, family)
     dvcm_all = fit_dvcm([train, *sources], u0, h, args.order, family)
 
-    pilot = fit_dvcm([pilot_part, *sources], u0, h, args.order, family)
-    h_deriv = select_bandwidth_median(
-        sources, u0, args.beta, gamma, args.e0, n_extra=pilot_part.n
-    ).h
-    pen = estimate_q(
-        sources, pilot_part, u0, h, args.order, args.beta, args.delta, family,
-        n0=fine_part.n, pilot_fit=pilot,
-        derivative=lambda: estimate_derivative(
-            [pilot_part, *sources], u0, h_deriv, int(args.beta), family
-        ),
+    problem = TransferProblem(
+        pilot_part, fine_part, sources, u0, family, order=args.order, beta=args.beta,
+        delta=args.delta, gamma=gamma, e0=args.e0,
     )
-    tl = fit_tl(fine_part, pilot.theta, pen.q, family)
-
-    theta_lr_fine = fit_target_only(fine_part, family)
-    cov = transfer_covariance(fine_part, theta_lr_fine, pilot, pen.q, family)
+    pilot = problem.pilot(h)
+    pen = problem.penalty(pilot)
+    tl = problem.fine_tune(pilot, pen.q)
+    cov = problem.covariance(pilot, pen.q)
     se = np.sqrt(np.diag(cov.sigma_tl))
     ci = confidence_intervals(tl.theta_tl, cov.sigma_tl, args.level)
 
@@ -217,17 +197,11 @@ def _run_fit_pipeline(args) -> EstimateReport:
         theta_lr=_listify(theta_lr),
         theta_dvcm=_listify(dvcm_all.theta),
         theta_tl=_listify(tl.theta_tl),
-        q_hat=[_listify(row) for row in pen.q],
+        q_hat=_listify(pen.q),
         bandwidth=_bandwidth_dict(choice),
-        covariance={
-            "sigma_tl": [_listify(r) for r in cov.sigma_tl],
-            "psi_hat": [_listify(r) for r in cov.psi_hat],
-            "v_lr": [_listify(r) for r in cov.v_lr],
-            "v_dvcm": [_listify(r) for r in cov.v_dvcm],
-            "b_q": [_listify(r) for r in cov.b_q],
-        },
+        covariance={k: _listify(v) for k, v in vars(cov).items()},
         se=_listify(se),
-        ci=[_listify(row) for row in ci],
+        ci=_listify(ci),
     )
 
 
@@ -318,12 +292,13 @@ def _write_table(path: str | None, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_simulate(args) -> int:
+    threads = _threads(args)
     config = _load_config(args)
     grid = _parse_float_list(args.grid) if args.grid else list(config.bandwidth_grid)
     if not grid:
         raise ValueError("simulate needs a bandwidth grid (--grid or config)")
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    results = mc_sweep(config, grid, estimators, threads=args.threads)
+    results = mc_sweep(config, grid, estimators, threads=threads)
     cells = itertools.product(grid, estimators)
     rows = [[float(h), est, r.mse, r.se, r.fails] for (h, est), r in zip(cells, results)]
     _write_table(args.out, ["h", "estimator", "mse", "se", "fails"], rows)
@@ -331,6 +306,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_phase(args) -> int:
+    threads = _threads(args)
     config = _load_config(args)
     grid = _parse_float_list(args.grid)
     if len(grid) < 2 * args.segments + 2:
@@ -345,7 +321,7 @@ def cmd_phase(args) -> int:
             cfg = dataclasses.replace(config, gamma=float(x))
         else:  # n: average source size
             cfg = dataclasses.replace(config, n_bar=int(round(x)))
-        r = mc_mse(cfg, "tl", None, threads=args.threads)
+        r = mc_mse(cfg, "tl", None, threads=threads)
         rows.append([float(x), "tl", r.mse, r.se, r.fails])
     _write_table(args.out, [args.vary, "estimator", "mse", "se", "fails"], rows)
 
@@ -427,9 +403,9 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q-mode", dest="q_mode", default=None,
                    choices=["estimate", "oracle", "zero", "infinity"])
     p.add_argument("--bandwidth-rule", dest="bandwidth_rule", default=None,
-                   choices=["fixed", "median", "undersmoothed"])
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="worker processes (env DVCM_THREADS)")
+                   choices=BANDWIDTH_RULES)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes (default: env DVCM_THREADS, else the CPU count)")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
 

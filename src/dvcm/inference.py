@@ -1,4 +1,8 @@
-"""Unified covariance of the transfer estimator, Wald tests, intervals.
+"""The transfer pipeline, its unified covariance, Wald tests, intervals.
+
+:class:`TransferProblem` is the one estimation chain (pooled pilot,
+penalty Q_hat, fine-tune, covariance), run by ``fit``/``infer`` and by
+every Monte-Carlo replication.
 
 The transfer estimator is a matrix-weighted combination of the target-only
 fit and the pooled pilot, so its covariance combines both ingredients:
@@ -8,8 +12,8 @@ fit and the pooled pilot, so its covariance combines both ingredients:
 
 ``V_LR`` is the robust sandwich of the target-only fit divided by ``n0``
 (estimator-variance scale, matching ``V_DVCM``), so Sigma_TL standardises
-``theta_TL - theta(u0)`` directly; :func:`transfer_covariance` assembles
-it from a fit, on the ``gram`` / ``spd_factor`` primitives of
+``theta_TL - theta(u0)`` directly; :meth:`TransferProblem.covariance`
+assembles it on the ``gram`` / ``spd_factor`` primitives of
 :mod:`dvcm.estimators`.  Tail probabilities use ``scipy.special``
 (``scipy.stats`` would double the package import time).
 """
@@ -17,22 +21,26 @@ it from a fit, on the ``gram`` / ``spd_factor`` primitives of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.special import erfc, gammaincc, ndtri
 
+from .bandwidth import select_bandwidth_median
 from .design import DomainSample
-from .estimators import LocalFit, gram, spd_factor
+from .estimators import LocalFit, TLFit, fit_dvcm, fit_target_only, fit_tl, gram, spd_factor
 from .families import ModelFamily
-from .penalty import estimate_variance_sandwich
+from .penalty import (PenaltyEstimate, estimate_derivative, estimate_q,
+                      estimate_variance_sandwich)
 
 __all__ = [
     "CovarianceReport",
+    "TransferProblem",
     "psi_hat",
     "v_hat_target",
     "sigma_tl",
-    "transfer_covariance",
     "wald_test",
     "contrast_test",
     "confidence_intervals",
@@ -88,9 +96,13 @@ def v_hat_target(
     trailing ``1/n0`` puts the plug-in limit covariance on the
     estimator-variance scale.
     """
-    x = target.x
     theta_hat = np.asarray(theta_hat, dtype=float)
-    psi = psi_hat(target, theta_hat, family)
+    return _target_sandwich(target, theta_hat, psi_hat(target, theta_hat, family), family)
+
+
+def _target_sandwich(target, theta_hat, psi, family) -> np.ndarray:
+    """``v_hat_target`` given its ``psi = psi_hat(target, theta_hat, family)``."""
+    x = target.x
     resid = target.y - family.b1(x @ theta_hat)
     meat = gram(x, resid**2) / target.n
     c = spd_factor(psi, "Psi_hat")
@@ -119,19 +131,69 @@ def sigma_tl(
     return CovarianceReport(sigma_tl=sig, psi_hat=psi, v_lr=v_lr, v_dvcm=v_dvcm, b_q=b_q)
 
 
-def transfer_covariance(
-    fine: DomainSample, theta_lr: np.ndarray, pilot: LocalFit, q: np.ndarray,
-    family: ModelFamily,
-) -> CovarianceReport:
-    """Sigma_TL of a transfer fit that fine-tuned ``pilot`` on ``fine`` under ``q``.
+@dataclass(frozen=True)
+class TransferProblem:
+    """Transfer fit of theta(u0) from a split target and the source domains.
 
-    ``theta_lr`` is the target-only fit on ``fine``; it gives ``Psi_hat``
-    and ``V_LR``.  The pilot's sandwich gives ``V_DVCM``.
+    ``pilot_part`` is pooled with ``sources`` for the pilot and feeds the
+    penalty; ``fine`` is fine-tuned on and gives Psi_hat and V_LR.  The
+    cached properties do not depend on the pilot bandwidth, so fits at
+    several bandwidths share them (a raised DvcmError is not cached).
     """
-    psi = psi_hat(fine, theta_lr, family)
-    v_lr = v_hat_target(fine, theta_lr, family)
-    v_dvcm = estimate_variance_sandwich(pilot, family)
-    return sigma_tl(psi, q, v_lr, v_dvcm)
+
+    pilot_part: DomainSample
+    fine: DomainSample
+    sources: Sequence[DomainSample]
+    u0: float
+    family: ModelFamily
+    order: int = 1
+    beta: float = 2.0
+    delta: float = 1.0
+    gamma: float = 1.0
+    e0: float = 1.0
+
+    @cached_property
+    def theta_lr(self) -> np.ndarray:
+        """Target-only fit on ``fine``."""
+        return fit_target_only(self.fine, self.family)
+
+    @cached_property
+    def theta_glr(self) -> np.ndarray:
+        """Target-only fit on ``pilot_part``, for the penalty's scale."""
+        return fit_target_only(self.pilot_part, self.family)
+
+    @cached_property
+    def h_deriv(self) -> float:
+        """Derivative-fit bandwidth: the median rule, whatever the pilot's h."""
+        return select_bandwidth_median(self.sources, self.u0, self.beta, self.gamma,
+                                       self.e0, n_extra=self.pilot_part.n).h
+
+    @cached_property
+    def derivative(self) -> np.ndarray:
+        """theta^(beta)(u0), for the penalty's bias."""
+        return estimate_derivative([self.pilot_part, *self.sources], self.u0,
+                                   self.h_deriv, int(self.beta), self.family)
+
+    def pilot(self, h: float) -> LocalFit:
+        return fit_dvcm([self.pilot_part, *self.sources], self.u0, h, self.order,
+                        self.family)
+
+    def penalty(self, pilot: LocalFit) -> PenaltyEstimate:
+        """Data-driven shrinkage matrix Q_hat at the pilot's bandwidth."""
+        self.h_deriv  # its argument checks run even when the bias needs no derivative
+        return estimate_q(self.sources, self.pilot_part, self.u0, pilot.design.bandwidth,
+                          self.order, self.beta, self.delta, self.family, n0=self.fine.n,
+                          pilot_fit=pilot, theta_glr=self.theta_glr,
+                          derivative=lambda: self.derivative)
+
+    def fine_tune(self, pilot: LocalFit, q: np.ndarray) -> TLFit:
+        return fit_tl(self.fine, pilot.theta, q, self.family)
+
+    def covariance(self, pilot: LocalFit, q: np.ndarray) -> CovarianceReport:
+        """Sigma_TL of ``fine_tune(pilot, q)``."""
+        psi = psi_hat(self.fine, self.theta_lr, self.family)
+        v_lr = _target_sandwich(self.fine, self.theta_lr, psi, self.family)
+        return sigma_tl(psi, q, v_lr, estimate_variance_sandwich(pilot, self.family))
 
 
 def wald_test(

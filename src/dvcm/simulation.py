@@ -9,11 +9,12 @@ and the penalty matrix, the second half the fine-tuning step and the
 target-side covariance plug-ins.
 
 Experiments make one pass per replication over all of their cells
-(``mc_sweep``): the dataset is generated once, every fit that does not
-depend on the bandwidth is shared, and the pooled pilot is fitted once
-per bandwidth.  ``mc_mse`` and ``mc_inference`` are single-cell uses of
-the same runner, and a multi-threaded experiment runs in one process
-pool, chunked by replication.
+(``mc_sweep``): the dataset is generated once and split into one
+``TransferProblem`` (the pipeline ``dvcm fit`` runs), which shares every
+fit that does not depend on the bandwidth; the pooled pilot is fitted
+once per bandwidth.  ``mc_mse`` and ``mc_inference`` are
+single-cell uses of the same runner, and a multi-threaded experiment
+runs in one process pool, chunked by replication.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .bandwidth import select_bandwidth_median, select_bandwidth_undersmoothed
+from .bandwidth import BANDWIDTH_RULES, select_bandwidth
 from .design import DomainSample
-from .errors import DvcmError, ExperimentError, SingularSystemError
-from .estimators import fit_dvcm, fit_target_only, fit_tl
+from .errors import DvcmError, ExperimentError
 from .families import get_family
-from .inference import normal_quantile, transfer_covariance, wald_test
-from .penalty import estimate_derivative, estimate_q
+from .inference import TransferProblem, normal_quantile, wald_test
 
 __all__ = [
     "SimConfig",
@@ -53,7 +52,6 @@ _ROLE_IDS = {"source_u": 0, "source_x": 1, "source_y": 2, "target_x": 3, "target
 
 _ESTIMATORS = ("lr", "dvcm", "tl")
 _Q_MODES = ("estimate", "oracle", "zero", "infinity")
-_BW_RULES = ("fixed", "median", "undersmoothed")
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,8 @@ class SimConfig:
             raise ValueError("cov_rho must lie in (-1, 1)")
         if self.q_mode not in _Q_MODES:
             raise ValueError(f"q_mode must be one of {_Q_MODES}")
-        if self.bandwidth_rule not in _BW_RULES:
-            raise ValueError(f"bandwidth_rule must be one of {_BW_RULES}")
+        if self.bandwidth_rule not in BANDWIDTH_RULES:
+            raise ValueError(f"bandwidth_rule must be one of {BANDWIDTH_RULES}")
         object.__setattr__(self, "bandwidth_grid", tuple(self.bandwidth_grid))
 
     @property
@@ -185,49 +183,6 @@ def generate_dataset(
     return target, sources
 
 
-def _split_target_halves(target: DomainSample) -> tuple[DomainSample, DomainSample]:
-    n0 = target.n // 2
-    pilot = DomainSample(u=target.u, x=target.x[:n0], y=target.y[:n0])
-    fine = DomainSample(u=target.u, x=target.x[n0:], y=target.y[n0:])
-    return pilot, fine
-
-
-def _choose_h(config: SimConfig, sources, h: float | None) -> float:
-    if h is not None:
-        return h
-    if config.bandwidth_rule == "median":
-        choice = select_bandwidth_median(
-            sources, config.u0, config.beta, config.gamma, config.e0,
-            n_extra=config.n0,
-        )
-    elif config.bandwidth_rule == "undersmoothed":
-        choice = select_bandwidth_undersmoothed(
-            sources, config.u0, config.beta, config.gamma, config.bw_c,
-            config.bw_epsilon, n_extra=config.n0,
-        )
-    else:
-        raise ValueError("bandwidth_rule 'fixed' requires an explicit h")
-    return choice.h
-
-
-def _once(fn: Callable) -> Callable:
-    """Memoise a zero-argument computation, a DvcmError outcome included."""
-    outcome: list = []
-
-    def call():
-        if not outcome:
-            try:
-                outcome.append((fn(), None))
-            except DvcmError as exc:
-                outcome.append((None, exc))
-        value, exc = outcome[0]
-        if exc is not None:
-            raise exc
-        return value
-
-    return call
-
-
 def _replicate(
     config: SimConfig,
     grid: tuple,
@@ -239,92 +194,55 @@ def _replicate(
 ) -> list:
     """One replication of every (h, estimator) cell, h outer; a failed cell holds None.
 
-    The dataset, the target-only fit and the h-independent ingredients of
-    the penalty (derivative bandwidth, pilot-half target-only fit,
-    derivative plug-in) are computed at most once; the pooled pilot once
+    The dataset is generated once and its ``TransferProblem`` shares the
+    h-independent fits across the grid; the pooled pilot is fitted once
     per h, shared by its dvcm and tl cells.  A target-only failure fails
     every cell, a pilot failure the dvcm and tl cells at its h, any later
     failure the tl cell alone.  ``q_matrices`` holds the oracle Q per h
     (``q_mode="oracle"`` only); with ``want_sigma`` a tl cell holds
     ``(theta_tl, Sigma_TL)``.
     """
-    family = get_family(config.family)
     target, sources = generate_dataset(config, rep)
-    pilot_half, fine_half = _split_target_halves(target)
+    n0 = target.n // 2
+    problem = TransferProblem(
+        DomainSample(u=target.u, x=target.x[:n0], y=target.y[:n0]),
+        DomainSample(u=target.u, x=target.x[n0:], y=target.y[n0:]),
+        sources, config.u0, get_family(config.family), order=config.order,
+        beta=config.beta, delta=config.delta, gamma=config.gamma, e0=config.e0,
+    )
     try:
-        theta_lr = fit_target_only(fine_half, family)
+        theta_lr = problem.theta_lr
     except DvcmError:
         return [None] * (len(grid) * len(estimators))
 
-    pooled = [pilot_half, *sources]
-    # The derivative plug-in always runs at the rate-optimal bandwidth:
-    # theta^(beta)(u0) is a local quantity, independent of the swept h.
-    h_deriv = _once(lambda: select_bandwidth_median(
-        sources, config.u0, config.beta, config.gamma, config.e0, n_extra=config.n0,
-    ).h)
-    theta_glr = _once(lambda: fit_target_only(pilot_half, family))
-    derivative = _once(lambda: estimate_derivative(
-        pooled, config.u0, h_deriv(), int(config.beta), family
-    ))
     fixed_q = {"zero": np.zeros((config.p, config.p)),
                "infinity": 1e12 * np.eye(config.p)}.get(config.q_mode)
-
     out = []
     for i, h in enumerate(grid):
         estimates = {"lr": theta_lr}
-        pilot = None
-        if estimators != ("lr",):
-            try:
-                h_rep = _choose_h(config, sources, h)
-                pilot = fit_dvcm(pooled, config.u0, h_rep, config.order, family)
+        try:  # a pilot failure empties the dvcm and tl cells, a later one the tl cell
+            if estimators != ("lr",):
+                if h is None:
+                    h = select_bandwidth(
+                        config.bandwidth_rule, sources, config.u0, config.beta,
+                        config.gamma, e0=config.e0, c=config.bw_c,
+                        epsilon=config.bw_epsilon, n_extra=n0,
+                    ).h
+                pilot = problem.pilot(h)
                 estimates["dvcm"] = pilot.theta
-            except DvcmError:
-                pass
-        if pilot is not None and "tl" in estimators:
-            q = q_matrices[i] if config.q_mode == "oracle" else fixed_q
-            try:
+            if "tl" in estimators:
+                q = q_matrices[i] if config.q_mode == "oracle" else fixed_q
                 if q is None:  # data-driven
-                    h_deriv()
-                    q = estimate_q(
-                        sources, pilot_half, config.u0, h_rep, config.order,
-                        config.beta, config.delta, family, n0=fine_half.n,
-                        pilot_fit=pilot, theta_glr=theta_glr(), derivative=derivative,
-                    ).q
-                theta_tl = fit_tl(fine_half, pilot.theta, q, family).theta_tl
+                    q = problem.penalty(pilot).q
+                theta_tl = problem.fine_tune(pilot, q).theta_tl
                 estimates["tl"] = (
-                    (theta_tl, _sigma_tl(fine_half, theta_lr, pilot, q, family))
+                    (theta_tl, problem.covariance(pilot, q).sigma_tl)
                     if want_sigma else theta_tl
                 )
-            except DvcmError:
-                pass
+        except DvcmError:
+            pass
         out.extend(estimates.get(est) for est in estimators)
     return out
-
-
-def _sigma_tl(fine_half, theta_lr, pilot, q, family) -> np.ndarray:
-    sigma = transfer_covariance(fine_half, theta_lr, pilot, q, family).sigma_tl
-    diag = np.diag(sigma)
-    # variances at round-off scale (noiseless data) make the
-    # standardisation meaningless: mark the replication failed
-    if np.any(~np.isfinite(diag)) or np.any(diag <= 1e-28):
-        raise SingularSystemError("degenerate Sigma_TL diagonal")
-    return sigma
-
-
-def _run(replicate: Callable[[int], list], reps: int, pool, threads: int) -> list:
-    """``replicate(rep)`` for every replication, in replication order.
-
-    Serial when ``pool`` is None; otherwise the replications are chunked
-    over the pool's ``threads`` workers.
-    """
-    if pool is None:
-        return [replicate(rep) for rep in range(reps)]
-    chunk = max(1, reps // (4 * threads))
-    return list(pool.map(replicate, range(reps), chunksize=chunk))
-
-
-def _pool(threads: int):
-    return ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
 
 
 def _check_tolerance(fails: int, reps: int) -> None:
@@ -340,34 +258,52 @@ class McMseResult:
     n_success: int
 
 
-def _oracle_q_matrices(config: SimConfig, grid: tuple, pool, threads: int) -> list:
+def _oracle_q_matrices(config: SimConfig, pilots: list) -> list:
     """Empirical oracle penalty per h: true scale over the pilot's Monte-Carlo MSE.
 
-    A first pass fits the pooled pilot of every replication at every h;
-    their error outer products, averaged, replace the unknown MSE matrix
-    in the oracle formula.  Only available in simulation, where theta(u0)
-    is known.  Raises ExperimentError when the pilot fails in every
-    replication at some h, since every tl cell there would fail too.
+    ``pilots`` is a first pass that fitted the pooled pilot of every
+    replication at every h; their error outer products, averaged, replace
+    the unknown MSE matrix in the oracle formula.  Only available in
+    simulation, where theta(u0) is known.  Raises ExperimentError when the
+    pilot fails in every replication at some h, since every tl cell there
+    would fail too.
     """
-    pilots = _run(functools.partial(_replicate, config, grid, ("dvcm",)),
-                  config.reps, pool, threads)
     theta_true = config.theta(config.u0)
     nu = config.noise_sd**2 if config.family == "gaussian" else 1.0
     q_matrices = []
-    for k in range(len(grid)):
-        m = np.zeros((config.p, config.p))
-        count = 0
-        for r in pilots:
-            if r[k] is None:
-                continue  # pilot infeasible this draw; the pass-2 replication fails too
-            err = r[k] - theta_true
-            m += np.outer(err, err)
-            count += 1
-        if count == 0:
+    for column in zip(*pilots):  # the pilot estimates at one h
+        # a draw whose pilot is infeasible fails its pass-2 replication too
+        errors = [theta - theta_true for theta in column if theta is not None]
+        if not errors:
             raise ExperimentError("oracle pass: pilot failed in every replication")
-        m /= count
+        m = np.zeros((config.p, config.p))
+        for err in errors:
+            m += np.outer(err, err)
+        m /= len(errors)
         q_matrices.append(config.delta * nu / config.n0 * np.linalg.inv(0.5 * (m + m.T)))
     return q_matrices
+
+
+def _outcomes(
+    config: SimConfig, grid: tuple, estimators: tuple, threads: int, *,
+    want_sigma: bool = False,
+) -> list:
+    """``_replicate`` of every replication, in order, after the oracle pass if tl
+    needs one; serial at one thread, else chunked over one pool for both passes."""
+    if threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads}")
+    reps, chunk = range(config.reps), max(1, config.reps // (4 * threads))
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        def run(ests, **kwargs):
+            replicate = functools.partial(_replicate, config, grid, ests, **kwargs)
+            if pool is None:
+                return [replicate(rep) for rep in reps]
+            return list(pool.map(replicate, reps, chunksize=chunk))
+
+        q_matrices = None
+        if "tl" in estimators and config.q_mode == "oracle":
+            q_matrices = _oracle_q_matrices(config, run(("dvcm",)))
+        return run(estimators, q_matrices=q_matrices, want_sigma=want_sigma)
 
 
 def _mse_result(config: SimConfig, estimates: Sequence) -> McMseResult:
@@ -403,15 +339,8 @@ def mc_sweep(
     if not grid:
         raise ValueError("mc_sweep needs a nonempty grid")
     if config.reps < 2:
-        raise ValueError("mc_mse needs at least 2 replications")
-
-    q_matrices = None
-    with _pool(threads) as pool:
-        if "tl" in estimators and config.q_mode == "oracle":
-            q_matrices = _oracle_q_matrices(config, grid, pool, threads)
-        outcomes = _run(functools.partial(_replicate, config, grid, estimators,
-                                          q_matrices=q_matrices),
-                        config.reps, pool, threads)
+        raise ValueError("mc_sweep needs at least 2 replications")
+    outcomes = _outcomes(config, grid, estimators, threads)
     return [_mse_result(config, cell) for cell in zip(*outcomes)]
 
 
@@ -455,24 +384,20 @@ def mc_inference(
     experiments) unless an explicit ``h`` is supplied, and the configured
     ``q_mode`` (the oracle runs its first pass as in ``mc_sweep``).
     """
-    q_matrices = None
-    with _pool(threads) as pool:
-        if config.q_mode == "oracle":
-            q_matrices = _oracle_q_matrices(config, (h,), pool, threads)
-        outcomes = _run(functools.partial(_replicate, config, (h,), ("tl",),
-                                          q_matrices=q_matrices, want_sigma=True),
-                        config.reps, pool, threads)
-
+    outcomes = _outcomes(config, (h,), ("tl",), threads, want_sigma=True)
     theta_true = config.theta(config.u0)
     thetas, ses, walds = [], [], []
     fails = 0
     for (r,) in outcomes:
-        if r is None:
+        variances = None if r is None else np.diag(r[1])
+        # variances at round-off scale (noiseless data) make the
+        # standardisation meaningless: the replication counts as failed
+        if variances is None or not np.all(np.isfinite(variances) & (variances > 1e-28)):
             fails += 1
             continue
         theta_tl, sigma = r
         thetas.append(theta_tl)
-        ses.append(np.sqrt(np.diag(sigma)))
+        ses.append(np.sqrt(variances))
         stat, df, p = wald_test(theta_tl, sigma, theta_true)
         walds.append(p)
     _check_tolerance(fails, config.reps)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dvcm.bandwidth import (
     gamma_moment_estimate,
+    select_bandwidth,
     select_bandwidth_median,
     select_bandwidth_undersmoothed,
 )
@@ -104,3 +105,29 @@ def test_gamma_moment_estimate_matches_uniform_length():
     est = gamma_moment_estimate(sources)
     assert est == pytest.approx(gamma, rel=0.05)
     assert est == pytest.approx(np.std(us, ddof=1) * np.sqrt(12.0), rel=1e-12)
+
+
+class TestSelectBandwidth:
+    KW = dict(e0=0.4, c=0.8, epsilon=0.3, n_extra=10)
+
+    def test_rules_dispatch_to_their_selectors(self):
+        src = sources_with()
+        assert select_bandwidth("median", src, 0.0, 2.0, 1.0, **self.KW) == \
+            select_bandwidth_median(src, 0.0, 2.0, 1.0, 0.4, n_extra=10)
+        assert select_bandwidth("undersmoothed", src, 0.0, 2.0, 1.0, **self.KW) == \
+            select_bandwidth_undersmoothed(src, 0.0, 2.0, 1.0, 0.8, 0.3, n_extra=10)
+
+    def test_fixed_keeps_h(self):
+        choice = select_bandwidth("fixed", sources_with(), 0.0, 2.0, 1.0, h=0.3,
+                                  **self.KW)
+        assert (choice.h, choice.rule, choice.rate_term) == (0.3, "fixed", 0.3)
+        assert (choice.d1, choice.dK) == (0.2, 0.7)
+
+    @pytest.mark.parametrize("h", [None, 0.0, -1.0, float("nan")])
+    def test_fixed_needs_positive_h(self, h):
+        with pytest.raises(ValueError, match="positive h"):
+            select_bandwidth("fixed", sources_with(), 0.0, 2.0, 1.0, h=h, **self.KW)
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(ValueError, match="auto"):
+            select_bandwidth("auto", sources_with(), 0.0, 2.0, 1.0, **self.KW)

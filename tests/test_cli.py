@@ -141,6 +141,15 @@ class TestReportGolden:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_fit_computes_psi_hat_once(tmp_path, count_calls):
+    from dvcm.inference import psi_hat
+
+    calls = count_calls(psi_hat)
+    data = write_constant_theta_csv(tmp_path / "c.csv", noise=0.3)
+    assert main(fit_args(data, tmp_path / "r.json")) == 0
+    assert calls[0] == 1
+
+
 class TestCmdInfer:
     def test_null_at_fit_gives_pvalue_one(self, tmp_path):
         data = write_constant_theta_csv(tmp_path / "c.csv", noise=0.3)
@@ -292,6 +301,12 @@ class TestCliMisuse:
         "empty_grid": (
             lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", ",",
                           "--out", str(o)], "grid"),
+        "threads_zero": (
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
+                          "--threads", "0", "--out", str(o)], "threads"),
+        "threads_negative": (
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
+                          "--threads", "-3", "--out", str(o)], "-3"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -307,6 +322,17 @@ class TestCliMisuse:
         assert "Traceback" not in err and needle in err
         assert not caught, [str(w.message) for w in caught]
         assert not out.exists()
+
+    def test_bad_thread_env_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DVCM_THREADS", "abc")
+        out = tmp_path / "out"
+        rc = main(["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
+                   "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: cli: DVCM_THREADS must be an integer, got 'abc'\n"
+        # fit runs no pool, so it does not read the variable
+        assert main(fit_args(self._data(tmp_path), tmp_path / "r.json")) == 0
 
     def test_u_expr_error_names_the_row(self, tmp_path, capsys):
         argv, _ = self.CASES["u_expr_not_finite"]

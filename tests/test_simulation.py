@@ -202,6 +202,20 @@ class TestMcSweep:
             mc_sweep(tiny_config(), [0.5], ["lr", "ridge"])
 
 
+def test_replication_fits_h_independent_pieces_once(count_calls):
+    from dvcm import estimators, penalty
+    from dvcm.simulation import _replicate
+
+    derivative = count_calls(penalty.estimate_derivative)
+    target_only = count_calls(estimators.fit_target_only)
+    pooled = count_calls(estimators.fit_dvcm)
+    cfg = SimConfig(p=4, K=5, n_bar=120, n0=50, gamma=1.0)
+    cells = _replicate(cfg, (0.3, 0.45, 0.6, 0.8, 1.0), ("lr", "dvcm", "tl"), 1)
+    assert len(cells) == 15 and all(cell is not None for cell in cells)
+    # lr and the pilot-half fit; 5 pilots and the one derivative fit
+    assert (derivative[0], target_only[0], pooled[0]) == (1, 2, 6)
+
+
 class TestMcInference:
     def test_records_shape_and_coverage(self):
         cfg = tiny_config(reps=30, bandwidth_rule="undersmoothed", bw_c=0.8,

@@ -1,0 +1,134 @@
+"""TransferProblem: the one transfer pipeline, and its metamorphic properties."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
+
+from dvcm.bandwidth import select_bandwidth_median
+from dvcm.design import DomainSample
+from dvcm.estimators import fit_dvcm, fit_target_only, fit_tl
+from dvcm.families import get_family
+from dvcm.inference import TransferProblem, psi_hat, sigma_tl, v_hat_target
+from dvcm.penalty import estimate_derivative, estimate_q, estimate_variance_sandwich
+
+H = 0.5  # pilot bandwidth of every fit below
+N_TARGET, N_SOURCE = 40, 40
+# Newton stops at gradient max-norm 1e-9, so GLM fits agree only to about that
+REL = {"gaussian": 1e-8, "logistic": 1e-6}
+
+
+def _theta(d):
+    return np.array([0.5 + 0.8 * d, -0.4 + 0.6 * d * d])
+
+
+def _draws(offsets, family, seed=0):
+    """(x, y) of the two target parts (offset 0) and of one source per offset."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n, d):
+        x = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        eta = x @ _theta(d)
+        if family == "gaussian":
+            return x, eta + 0.5 * rng.standard_normal(n)
+        return x, rng.binomial(1, expit(eta)).astype(float)
+
+    return [draw(N_TARGET, 0.0), draw(N_TARGET, 0.0)] + [draw(N_SOURCE, d) for d in offsets]
+
+
+def _problem(draws, offsets, family, u0=0.0, y_scale=1.0):
+    (xp, yp), (xf, yf), *sources = draws
+    sources = [DomainSample(u=u0 + d, x=x, y=y_scale * y)
+               for d, (x, y) in zip(offsets, sources)]
+    # e0 = 100 puts the derivative bandwidth at the farthest source, so the
+    # derivative window holds every domain
+    return TransferProblem(DomainSample(u=u0, x=xp, y=y_scale * yp),
+                           DomainSample(u=u0, x=xf, y=y_scale * yf),
+                           sources, u0, get_family(family), e0=100.0)
+
+
+def _fit(problem):
+    """theta_LR, theta_DVCM, theta_TL and Sigma_TL at the pilot bandwidth H."""
+    pilot = problem.pilot(H)
+    q = problem.penalty(pilot).q
+    return (problem.theta_lr, pilot.theta, problem.fine_tune(pilot, q).theta_tl,
+            problem.covariance(pilot, q).sigma_tl)
+
+
+def _close(got, want, rel):
+    """Norm-wise relative agreement: max |got - want| <= rel * max |want|."""
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+# five sources on distinct slots of a 0.1 grid over [-1, 1] (the target owns
+# slot 0), each jittered by at most 0.025: domains stay at least 0.05 apart
+offsets_st = st.tuples(
+    st.permutations([i for i in range(-10, 11) if i]),
+    st.lists(st.floats(-0.025, 0.025), min_size=5, max_size=5),
+).map(lambda slots_jitter: [0.1 * i + j for i, j in zip(*slots_jitter)])
+
+
+def _assume_well_posed(offsets):
+    # a source inside the pilot window, and none within 1e-6 * H of its
+    # edge, where rounding could move a domain across it
+    dist = np.abs(np.array(offsets))
+    assume(np.any(dist < H))
+    assume(np.all(np.abs(dist - H) > 1e-6 * H))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "logistic"])
+def test_chain_equals_the_hand_wired_pipeline(family):
+    offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
+    problem = _problem(_draws(offsets, family), offsets, family)
+    fam, part, fine = problem.family, problem.pilot_part, problem.fine
+    sources = problem.sources
+    pooled = [part, *sources]
+
+    pilot = fit_dvcm(pooled, 0.0, H, 1, fam)
+    h_deriv = select_bandwidth_median(sources, 0.0, 2.0, 1.0, 100.0, n_extra=part.n).h
+    pen = estimate_q(sources, part, 0.0, H, 1, 2.0, 1.0, fam, n0=fine.n, pilot_fit=pilot,
+                     derivative=lambda: estimate_derivative(pooled, 0.0, h_deriv, 2, fam))
+    theta_tl = fit_tl(fine, pilot.theta, pen.q, fam).theta_tl
+    theta_lr = fit_target_only(fine, fam)
+    cov = sigma_tl(psi_hat(fine, theta_lr, fam), pen.q, v_hat_target(fine, theta_lr, fam),
+                   estimate_variance_sandwich(pilot, fam))
+
+    for got, want in zip(_fit(problem), (theta_lr, pilot.theta, theta_tl, cov.sigma_tl)):
+        assert np.array_equal(got, want)
+    assert problem.h_deriv == h_deriv
+
+
+@pytest.mark.parametrize("family", ["gaussian", "logistic"])
+@given(offsets=offsets_st, c=st.floats(-5.0, 5.0))
+@settings(max_examples=25, deadline=None)
+def test_joint_shift_of_u_and_u0_changes_nothing(family, offsets, c):
+    _assume_well_posed(offsets)
+    draws = _draws(offsets, family)
+    shifted = _fit(_problem(draws, offsets, family, u0=c))
+    for got, want in zip(shifted, _fit(_problem(draws, offsets, family))):
+        assert _close(got, want, REL[family])
+
+
+@pytest.mark.parametrize("family", ["gaussian", "logistic"])
+@given(offsets=offsets_st, perm=st.permutations(range(5)))
+@settings(max_examples=25, deadline=None)
+def test_source_order_changes_nothing(family, offsets, perm):
+    _assume_well_posed(offsets)
+    draws = _draws(offsets, family)
+    permuted = draws[:2] + [draws[2 + i] for i in perm]
+    got_all = _fit(_problem(permuted, [offsets[i] for i in perm], family))
+    for got, want in zip(got_all, _fit(_problem(draws, offsets, family))):
+        assert _close(got, want, REL[family])
+
+
+@given(offsets=offsets_st, s=st.floats(0.01, 100.0))
+@settings(max_examples=25, deadline=None)
+def test_gaussian_y_scale_scales_estimates_and_sigma(offsets, s):
+    _assume_well_posed(offsets)
+    draws = _draws(offsets, "gaussian")
+    *thetas, sigma = _fit(_problem(draws, offsets, "gaussian"))
+    *thetas_s, sigma_s = _fit(_problem(draws, offsets, "gaussian", y_scale=s))
+    for got, want in zip(thetas_s, thetas):
+        assert _close(got, s * want, REL["gaussian"])
+    assert _close(sigma_s, s * s * sigma, REL["gaussian"])
