@@ -21,7 +21,6 @@ assembles it on the ``gram`` / ``spd_factor`` primitives of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ from scipy.special import erfc, gammaincc, ndtri
 
 from .bandwidth import select_bandwidth_median
 from .design import DomainSample
+from .errors import DvcmError
 from .estimators import LocalFit, TLFit, fit_dvcm, fit_target_only, fit_tl, gram, spd_factor
 from .families import ModelFamily
 from .penalty import (PenaltyEstimate, estimate_derivative, estimate_q,
@@ -131,6 +131,32 @@ def sigma_tl(
     return CovarianceReport(sigma_tl=sig, psi_hat=psi, v_lr=v_lr, v_dvcm=v_dvcm, b_q=b_q)
 
 
+class _cached_outcome:
+    """Like ``cached_property``, but a raised DvcmError is kept as well:
+    the first read computes, every later read returns the same value or
+    raises the same error."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.key = f"_{name}_outcome"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        if self.key not in obj.__dict__:
+            try:
+                obj.__dict__[self.key] = (self.compute(obj), None)
+            except DvcmError as exc:
+                obj.__dict__[self.key] = (None, exc)
+        value, exc = obj.__dict__[self.key]
+        if exc is not None:
+            raise exc
+        return value
+
+
 @dataclass(frozen=True)
 class TransferProblem:
     """Transfer fit of theta(u0) from a split target and the source domains.
@@ -138,7 +164,7 @@ class TransferProblem:
     ``pilot_part`` is pooled with ``sources`` for the pilot and feeds the
     penalty; ``fine`` is fine-tuned on and gives Psi_hat and V_LR.  The
     cached properties do not depend on the pilot bandwidth, so fits at
-    several bandwidths share them (a raised DvcmError is not cached).
+    several bandwidths share them, a raised DvcmError included.
     """
 
     pilot_part: DomainSample
@@ -152,23 +178,23 @@ class TransferProblem:
     gamma: float = 1.0
     e0: float = 1.0
 
-    @cached_property
+    @_cached_outcome
     def theta_lr(self) -> np.ndarray:
         """Target-only fit on ``fine``."""
         return fit_target_only(self.fine, self.family)
 
-    @cached_property
+    @_cached_outcome
     def theta_glr(self) -> np.ndarray:
         """Target-only fit on ``pilot_part``, for the penalty's scale."""
         return fit_target_only(self.pilot_part, self.family)
 
-    @cached_property
+    @_cached_outcome
     def h_deriv(self) -> float:
         """Derivative-fit bandwidth: the median rule, whatever the pilot's h."""
         return select_bandwidth_median(self.sources, self.u0, self.beta, self.gamma,
                                        self.e0, n_extra=self.pilot_part.n).h
 
-    @cached_property
+    @_cached_outcome
     def derivative(self) -> np.ndarray:
         """theta^(beta)(u0), for the penalty's bias."""
         return estimate_derivative([self.pilot_part, *self.sources], self.u0,

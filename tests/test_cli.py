@@ -286,6 +286,13 @@ class TestCliMisuse:
         path.write_text("\n".join(lines) + "\n")
         return path
 
+    @staticmethod
+    def _edited(path, edit):
+        """A copy of the CSV at ``path`` whose lines are ``edit(lines)``."""
+        out = path.with_name("edited.csv")
+        out.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        return out
+
     CASES = {
         "split_with_one_part": (
             lambda d, o: fit_args(d, o, ["--split", "1"]), "--split"),
@@ -307,6 +314,19 @@ class TestCliMisuse:
         "threads_negative": (
             lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
                           "--threads", "-3", "--out", str(o)], "-3"),
+        "header_only_csv": (
+            lambda d, o: fit_args(TestCliMisuse._edited(d, lambda ls: ls[:1]), o),
+            "sigma filter needs at least 2 values"),
+        "ragged_row": (  # file row 6 loses its last cell
+            lambda d, o: fit_args(TestCliMisuse._edited(
+                d, lambda ls: ls[:5] + [ls[5].rsplit(",", 1)[0]] + ls[6:]), o),
+            "(row 6, column None)"),
+        "non_numeric_cell": (  # x1 of file row 4 is not a number
+            lambda d, o: fit_args(TestCliMisuse._edited(
+                d, lambda ls: ls[:3] + [",".join(
+                    "abc" if j == 1 else c for j, c in enumerate(ls[3].split(",")))]
+                + ls[4:]), o),
+            "non-numeric cell 'abc' (row 4, column 'x1')"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

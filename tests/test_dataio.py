@@ -1,8 +1,12 @@
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dvcm import dataio
 from dvcm.dataio import (
     RawTable,
     bin_domains,
@@ -67,6 +71,130 @@ class TestLoadCsv:
     def test_missing_file(self):
         with pytest.raises(ParseError):
             load_csv("/nonexistent/file.csv", "u", ["x"], "y")
+
+
+def scan_reference(path):
+    """The per-cell scan of ``path``, the fallback ``load_csv`` falls back to."""
+    with open(path, newline="") as fh:
+        headers = [h.strip() for h in next(csv.reader(fh))]
+        return dataio._scan_cells(fh, path.name, headers)
+
+
+def load_in_file_order(path, width):
+    """``load_csv`` with u, x and y chosen so its rows keep the file's column order."""
+    names = [f"c{j}" for j in range(width)]
+    return load_csv(path, names[0], names[1:-1], names[-1], add_intercept=False)
+
+
+_number = st.one_of(
+    st.integers(-10**12, 10**12).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(lambda m, e, c: f"{m}{c}{e:+d}", st.integers(-999, 999),
+              st.integers(-300, 300), st.sampled_from("eE")),
+)
+_cell = st.builds(lambda a, v, b: a + v + b, st.sampled_from(["", " ", "  ", "\t"]),
+                  _number, st.sampled_from(["", " ", "\t "]))
+
+
+@st.composite
+def numeric_tables(draw):
+    """CSV text of a clean numeric table: header c0..c{w-1}, blank lines, LF or CRLF."""
+    width = draw(st.integers(2, 5))
+    lines = [",".join(f"c{j}" for j in range(width))]
+    for row in draw(st.lists(st.lists(_cell, min_size=width, max_size=width),
+                             min_size=1, max_size=12)):
+        lines.extend([""] * draw(st.integers(0, 2)) + [",".join(row)])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return width, eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
+
+
+class TestIngestPaths:
+    """numpy's C reader and the per-cell scan agree; the scan locates errors."""
+
+    @given(numeric_tables())
+    @settings(max_examples=80, deadline=None)
+    def test_fast_path_matches_scan_bitwise(self, tmp_path_factory, table):
+        width, text = table
+        path = tmp_path_factory.mktemp("ingest") / "t.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(dataio, "_scan_cells", wraps=dataio._scan_cells) as scan:
+            rows = load_in_file_order(path, width).rows
+        assert scan.call_count == 0
+        want = scan_reference(path)
+        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+
+    # (text, str(error), row, column) as raised before numpy's reader was added
+    MALFORMED = {
+        "ragged_row": ("u,x1,y\n0.1,2,3\n0.2,4\n",
+            "dataio: data.csv: expected 3 cells, found 2 (row 3, column None)", 3, None),
+        "empty_cell": ("u,x1,y\n0.1,,3\n",
+            "dataio: data.csv: non-numeric cell '' (row 2, column 'x1')", 2, "x1"),
+        "trailing_comma": ("u,x1,y\n0.1,2,3,\n",
+            "dataio: data.csv: expected 3 cells, found 4 (row 2, column None)", 2, None),
+        "word": ("u,x1,y\n0.1,2,3\n0.2,abc,5\n",
+            "dataio: data.csv: non-numeric cell 'abc' (row 3, column 'x1')", 3, "x1"),
+        "hash_is_not_a_comment": ("u,x1,y\n0.1,2 # c,3\n",
+            "dataio: data.csv: non-numeric cell '2 # c' (row 2, column 'x1')", 2, "x1"),
+        "hash_in_last_cell": ("u,x1,y\n0.1,2,3 # c\n",
+            "dataio: data.csv: non-numeric cell '3 # c' (row 2, column 'y')", 2, "y"),
+        "whitespace_only_line": ("u,x1,y\n0.1,2,3\n   \n0.2,3,4\n",
+            "dataio: data.csv: expected 3 cells, found 1 (row 3, column None)", 3, None),
+        "every_row_too_short": ("u,x1,y\n1,2\n3,4\n",
+            "dataio: data.csv: expected 3 cells, found 2 (row 2, column None)", 2, None),
+        "blank_lines_not_counted": ("u,x1,y\n\n0.1,2,3\n\n0.2,x,4\n",
+            "dataio: data.csv: non-numeric cell 'x' (row 3, column 'x1')", 3, "x1"),
+        "hex_literal_crlf": ("u,x1,y\r\n0.1,0x1,3\r\n",
+            "dataio: data.csv: non-numeric cell '0x1' (row 2, column 'x1')", 2, "x1"),
+        "nan": ("u,x1,y\n0.1,2,nan\n",
+            "dataio: data.csv: non-finite value in table", None, None),
+        "quoted_word": ('u,x1,y\n0.1,"2",3\n0.2,"b",4\n',
+            "dataio: data.csv: non-numeric cell 'b' (row 3, column 'x1')", 3, "x1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_error_unchanged(self, case, tmp_path):
+        text, message, row, column = self.MALFORMED[case]
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError) as err:
+            load_csv(path, "u", ["x1"], "y")
+        assert (str(err.value), err.value.row, err.value.column) == (message, row, column)
+
+    def test_clean_file_never_scanned(self, tmp_path, count_calls):
+        rng = np.random.default_rng(4)
+        path = tmp_path / "clean.csv"
+        path.write_text("c0,c1,c2\n" + "".join(
+            f"{a!r},{b!r},{c}\n" for a, b, c in
+            zip(rng.random(1000).tolist(), rng.normal(size=1000).tolist(),
+                rng.integers(0, 9, 1000).tolist())))
+        scans = count_calls(dataio._scan_cells)
+        assert load_in_file_order(path, 3).n == 1000
+        assert scans[0] == 0
+
+    def test_quoted_cell_scanned_to_same_numbers(self, tmp_path, count_calls):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("c0,c1,c2\n0.1,2,3\n0.25,4.5,7\n")
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text('c0,c1,c2\n0.1,2,3\n0.25,"4.5",7\n')
+        scans = count_calls(dataio._scan_cells)
+        want = load_in_file_order(plain, 3).rows
+        assert scans[0] == 0
+        got = load_in_file_order(quoted, 3).rows
+        assert scans[0] == 1
+        assert got.tobytes() == want.tobytes()
+
+    def test_float_literal_numpy_rejects_is_scanned(self, tmp_path, count_calls):
+        path = tmp_path / "u.csv"
+        path.write_text("c0,c1\n0.5,1_000\n")
+        scans = count_calls(dataio._scan_cells)
+        assert load_in_file_order(path, 2).rows.tolist() == [[0.5, 1000.0]]
+        assert scans[0] == 1
+
+    def test_header_only_loads_empty_without_warning(self, tmp_path, recwarn):
+        path = tmp_path / "h.csv"
+        path.write_text("u,x1,y\n\n")
+        assert load_csv(path, "u", ["x1"], "y").rows.shape == (0, 4)
+        assert len(recwarn) == 0
 
 
 class TestColumnExpr:

@@ -216,6 +216,19 @@ def test_replication_fits_h_independent_pieces_once(count_calls):
     assert (derivative[0], target_only[0], pooled[0]) == (1, 2, 6)
 
 
+def test_replication_keeps_a_failed_derivative(count_calls):
+    from dvcm import penalty
+    from dvcm.simulation import _replicate
+
+    derivative = count_calls(penalty.estimate_derivative)
+    # one source and the target give 2 distinct identifiers, too few for the
+    # order-2 derivative fit: it fails once and is replayed at every later h
+    cfg = SimConfig(p=2, K=1, n_bar=60, n0=30)
+    cells = _replicate(cfg, (0.3, 0.45, 0.6, 0.8, 1.0), ("lr", "dvcm", "tl"), 0)
+    assert len(cells) == 15 and cells[2::3] == [None] * 5
+    assert derivative[0] == 1
+
+
 class TestMcInference:
     def test_records_shape_and_coverage(self):
         cfg = tiny_config(reps=30, bandwidth_rule="undersmoothed", bw_c=0.8,
