@@ -165,7 +165,7 @@ def _run_fit_pipeline(args) -> EstimateReport:
         y=np.concatenate([pilot_part.y, fine_part.y]),
     )
     theta_lr = fit_target_only(train, family)
-    dvcm_all = fit_dvcm([train, *sources], u0, h, args.order, family)
+    dvcm_all = fit_dvcm([train, *sources], u0, h, args.order, family, theta_lr)
 
     problem = TransferProblem(
         pilot_part, fine_part, sources, u0, family, order=args.order, beta=args.beta,

@@ -95,7 +95,13 @@ def _scan_cells(fh, name: str, headers: Sequence[str]) -> np.ndarray:
     fh.seek(0)
     reader = csv.reader(fh)
     next(reader)
-    records = [row for row in reader if row]
+    records = []
+    try:
+        for row in reader:
+            if row:
+                records.append(row)
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise ParseError(f"{name}: {exc}", row=len(records) + 2) from None
     data = np.empty((len(records), width))
     for i, row in enumerate(records):
         if len(row) != width:
@@ -144,6 +150,8 @@ def load_csv(
             headers = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path.name}: {exc}", row=1) from None
         index = {h: i for i, h in enumerate(headers)}
 
         if (u_column is None) == (u_expr is None):

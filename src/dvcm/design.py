@@ -4,7 +4,10 @@ The local-polynomial estimators regress on rows ``Phi_l(t_k) (x) X_ki``
 where ``t_k = (U_k - u0) / h`` and ``(x)`` is the Kronecker product.
 :func:`build_local_design` assembles those rows for every observation
 whose domain falls inside the kernel window and normalises the kernel
-weights by their total mass ``S_h``.
+weights by their total mass ``S_h``.  :func:`kernel_window` is the one
+per-domain pass (window, ``t``, ``W(t)``, ``Phi_l(t)``, ``S_h``) that the
+design and the moment matrices of :mod:`dvcm.penalty` share; the design
+rows are then one broadcast product over the in-window covariates.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from .errors import EmptyWindowError
 __all__ = [
     "DomainSample",
     "LocalDesign",
+    "KernelWindow",
     "uniform_kernel",
     "poly_features",
+    "kernel_window",
     "build_local_design",
     "domain_distances",
 ]
@@ -99,6 +104,51 @@ def poly_features(t: float, l: int) -> np.ndarray:
     return np.array([t**j / math.factorial(j) for j in range(l + 1)])
 
 
+@dataclass(frozen=True)
+class KernelWindow:
+    """The domains with ``W(t_k) > 0``, ``t_k = (U_k - u0) / h``.
+
+    Per in-window domain, in input order: its position ``index`` in the
+    domain sequence, its size ``n``, ``t``, the kernel value ``w = W(t)``
+    and the features ``phi = Phi_l(t)`` (one row each).
+    ``s_h = sum n_k W(t_k)``; ``n_total`` counts every observation offered.
+    """
+
+    index: np.ndarray  # (D,)
+    n: np.ndarray      # (D,)
+    t: np.ndarray      # (D,)
+    w: np.ndarray      # (D,)
+    phi: np.ndarray    # (D, l+1)
+    s_h: float
+    n_total: int
+
+
+def kernel_window(
+    domains: Sequence[DomainSample], u0: float, h: float, l: int
+) -> KernelWindow:
+    """Locate the in-window domains of ``domains`` around ``u0``; may be empty.
+
+    ``phi`` is :func:`poly_features` of each Python-float ``t``: numpy's
+    vectorised power can differ from it in the last bit.
+    """
+    if h <= 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
+    if l < 0:
+        raise ValueError(f"polynomial order must be >= 0, got {l}")
+    sizes = np.array([d.n for d in domains], dtype=int)
+    t_all = (np.array([d.u for d in domains], dtype=float) - u0) / h
+    w_all = uniform_kernel(t_all)
+    index = np.flatnonzero(w_all)
+    t = t_all[index]
+    n = sizes[index]
+    w = w_all[index]
+    phi = np.array([poly_features(tk, l) for tk in t.tolist()])
+    return KernelWindow(
+        index=index, n=n, t=t, w=w, phi=phi.reshape(len(index), l + 1),
+        s_h=float(np.sum(w * n)), n_total=int(sizes.sum()),
+    )
+
+
 def build_local_design(
     domains: Sequence[DomainSample], u0: float, h: float, l: int
 ) -> LocalDesign:
@@ -118,52 +168,38 @@ def build_local_design(
         If no domain satisfies ``|U_k - u0| <= h``; the error carries the
         nearest domain distance as a bandwidth hint.
     """
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    if l < 0:
-        raise ValueError(f"polynomial order must be >= 0, got {l}")
     if not domains:
         raise ValueError("at least one domain is required")
     p = domains[0].p
     if any(d.p != p for d in domains):
         raise ValueError("all domains must share the same covariate dimension")
 
-    n_total = sum(d.n for d in domains)
-    z_blocks, y_blocks, w_blocks, idx_blocks = [], [], [], []
-    s_h = 0.0
-    for k, dom in enumerate(domains):
-        t = (dom.u - u0) / h
-        w = float(uniform_kernel(t))
-        if w == 0.0:
-            continue
-        s_h += w * dom.n
-        phi = poly_features(t, l)
-        # row-wise Kronecker: each row X_ki expands to (phi_0 x, ..., phi_l x)
-        z_blocks.append(np.kron(phi, dom.x))
-        y_blocks.append(dom.y)
-        w_blocks.append(np.full(dom.n, w))
-        idx_blocks.append(np.full(dom.n, k, dtype=int))
-
-    if not z_blocks:
-        dists = [abs(d.u - u0) for d in domains]
-        d1 = min(dists)
+    win = kernel_window(domains, u0, h, l)
+    if not win.index.size:
+        d1 = min(abs(d.u - u0) for d in domains)
         raise EmptyWindowError(
             f"no domain within bandwidth {h} of u0={u0}; nearest at distance {d1}",
             d1=d1,
         )
 
-    kernel_values = np.concatenate(w_blocks)
+    inside = [domains[k] for k in win.index.tolist()]
+    x = np.concatenate([d.x for d in inside])
+    # row-wise Kronecker product: each row X_ki expands to
+    # (phi_0 x, ..., phi_l x), one multiplication per entry
+    phi_rows = np.repeat(win.phi, win.n, axis=0)
+    z = (phi_rows[:, :, None] * x[:, None, :]).reshape(x.shape[0], (l + 1) * p)
+    kernel_values = np.repeat(win.w, win.n)
     return LocalDesign(
-        z=np.vstack(z_blocks),
-        y=np.concatenate(y_blocks),
-        weights=kernel_values / s_h,
+        z=z,
+        y=np.concatenate([d.y for d in inside]),
+        weights=kernel_values / win.s_h,
         kernel_values=kernel_values,
-        s_h=s_h,
+        s_h=win.s_h,
         order=l,
         bandwidth=h,
         center=u0,
-        row_domain=np.concatenate(idx_blocks),
-        n_total=n_total,
+        row_domain=np.repeat(win.index, win.n),
+        n_total=win.n_total,
         p=p,
     )
 

@@ -6,8 +6,12 @@ losses, optionally plus a quadratic penalty ``0.5 ||alpha - c||_Q^2``;
 every problem is a linear system, solved exactly by symmetric
 positive-definite factorisation.  Every weighted Gram matrix
 ``Z' diag(v) Z`` of the package is :func:`gram`, and every Cholesky
-factorisation is :func:`spd_factor`, which raises SingularSystemError
-rather than regularise (that would mask data problems).
+factorisation and solve is :func:`spd_factor` / :func:`spd_solve`, which
+call LAPACK ``dpotrf`` / ``dpotrs`` directly: the routines behind
+scipy's Cholesky helpers, so the bits are the same at a fraction of the
+call cost.  A non-finite matrix raises DomainError and a singular one
+SingularSystemError, never a regularised answer (that would mask data
+problems).
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .design import DomainSample, LocalDesign, build_local_design
-from .errors import SingularSystemError
+from .errors import DomainError, SingularSystemError
 from .families import ModelFamily
 
 __all__ = ["LocalFit", "TLFit", "newton_weighted", "fit_target_only", "fit_dvcm", "fit_tl"]
@@ -59,18 +63,39 @@ def gram(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (z * v[:, None]).T @ z
 
 
-def spd_factor(mat: np.ndarray, what: str):
-    """Lower Cholesky factor for ``cho_solve``; SingularSystemError names ``what``."""
-    try:
-        return cho_factor(mat, lower=True)
-    except LinAlgError:
-        raise SingularSystemError(
-            f"{what} is singular", cond=float(np.linalg.cond(mat))
-        ) from None
+def spd_factor(mat: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric positive-definite ``mat``.
+
+    LAPACK ``dpotrf`` on the lower triangle, the upper one left as given;
+    the result feeds :func:`spd_solve`.  A non-finite entry raises
+    DomainError and a matrix that is not positive definite
+    SingularSystemError, both naming ``what``.
+    """
+    a = np.asarray(mat, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} has a non-finite entry")
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise SingularSystemError(f"{what} is singular", cond=float(np.linalg.cond(a)))
+    return c
+
+
+def spd_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A x = rhs`` given ``factor = spd_factor(A, ...)`` (LAPACK ``dpotrs``)."""
+    b = np.asarray(rhs, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != factor.shape[0]:
+        raise ValueError(f"right-hand side of shape {b.shape} does not match a "
+                         f"{factor.shape[0]}-dimensional system")
+    if not np.isfinite(b).all():
+        raise DomainError("right-hand side has a non-finite entry")
+    x, _ = dpotrs(factor, b, lower=1)
+    return x
 
 
 def _solve_spd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return cho_solve(spd_factor(mat, "symmetric system"), rhs)
+    return spd_solve(spd_factor(mat, "symmetric system"), rhs)
 
 
 def newton_weighted(
@@ -162,12 +187,15 @@ def fit_dvcm(
     h: float,
     l: int,
     family: ModelFamily,
+    start: np.ndarray | None = None,
 ) -> LocalFit:
     """Pooled local-polynomial fit of order ``l`` at ``u0`` with bandwidth ``h``.
 
     Gaussian solves the weighted normal equations in closed form; other
-    families run the weighted Newton solver, initialised with the
-    target-only estimate of the nearest domain in the leading block.
+    families run the weighted Newton solver, initialised with ``start`` in
+    the leading block; it defaults to the target-only estimate of the
+    nearest domain (zeros when that system is singular), and callers that
+    already hold that estimate pass it.
     """
     design = build_local_design(domains, u0, h, l)
     z, w, y = design.z, design.weights, design.y
@@ -177,12 +205,14 @@ def fit_dvcm(
         alpha = _solve_spd(zw.T @ z, zw.T @ y)
         converged, iterations = True, 0
     else:
+        if start is None:
+            nearest = min(domains, key=lambda d: abs(d.u - u0))
+            try:
+                start = fit_target_only(nearest, family)
+            except SingularSystemError:
+                start = 0.0
         init = np.zeros(dim)
-        nearest = min(domains, key=lambda d: abs(d.u - u0))
-        try:
-            init[: design.p] = fit_target_only(nearest, family)
-        except SingularSystemError:
-            pass
+        init[: design.p] = start
         alpha, converged, iterations = newton_weighted(z, w, y, family, init)
     return LocalFit(
         alpha=alpha,

@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.special import erfc, gammaincc, ndtri
 
 from .bandwidth import select_bandwidth_median
 from .design import DomainSample
-from .errors import DvcmError
-from .estimators import LocalFit, TLFit, fit_dvcm, fit_target_only, fit_tl, gram, spd_factor
+from .errors import DvcmError, SingularSystemError
+from .estimators import (LocalFit, TLFit, fit_dvcm, fit_target_only, fit_tl, gram,
+                         spd_factor, spd_solve)
 from .families import ModelFamily
 from .penalty import (PenaltyEstimate, estimate_derivative, estimate_q,
                       estimate_variance_sandwich)
@@ -106,7 +106,7 @@ def _target_sandwich(target, theta_hat, psi, family) -> np.ndarray:
     resid = target.y - family.b1(x @ theta_hat)
     meat = gram(x, resid**2) / target.n
     c = spd_factor(psi, "Psi_hat")
-    v = cho_solve(c, cho_solve(c, meat).T) / target.n
+    v = spd_solve(c, spd_solve(c, meat).T) / target.n
     return 0.5 * (v + v.T)
 
 
@@ -121,7 +121,7 @@ def sigma_tl(
 
     def congruence(m, inner):
         # B^{-1} m inner m' B^{-1}
-        left = cho_solve(c, m)
+        left = spd_solve(c, m)
         return left @ inner @ left.T
 
     sig = congruence(q, np.asarray(v_dvcm, dtype=float)) + congruence(
@@ -198,11 +198,22 @@ class TransferProblem:
     def derivative(self) -> np.ndarray:
         """theta^(beta)(u0), for the penalty's bias."""
         return estimate_derivative([self.pilot_part, *self.sources], self.u0,
-                                   self.h_deriv, int(self.beta), self.family)
+                                   self.h_deriv, int(self.beta), self.family,
+                                   self._newton_start())
 
     def pilot(self, h: float) -> LocalFit:
         return fit_dvcm([self.pilot_part, *self.sources], self.u0, h, self.order,
-                        self.family)
+                        self.family, self._newton_start())
+
+    def _newton_start(self) -> np.ndarray | None:
+        """``theta_glr`` as the Newton start of the pooled fits, whose nearest
+        domain is ``pilot_part``; zeros if singular, None (unused) for Gaussian."""
+        if self.family.kind == "gaussian":
+            return None
+        try:
+            return self.theta_glr
+        except SingularSystemError:
+            return np.zeros(self.pilot_part.p)
 
     def penalty(self, pilot: LocalFit) -> PenaltyEstimate:
         """Data-driven shrinkage matrix Q_hat at the pilot's bandwidth."""
@@ -236,7 +247,7 @@ def wald_test(
         raise ValueError("null vector dimension mismatch")
     diff = theta_tl - null_value
     c = spd_factor(np.asarray(sigma, dtype=float), "Sigma_TL")
-    stat = float(diff @ cho_solve(c, diff))
+    stat = float(diff @ spd_solve(c, diff))
     df = theta_tl.size
     return stat, df, chi2_sf(stat, df)
 

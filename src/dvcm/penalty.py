@@ -4,7 +4,10 @@ The penalty ``Q_hat = delta * (nu_hat / n0) * M_hat^{-1}`` mimics the
 oracle inverse-MSE weighting of the pilot estimator, where
 ``M_hat = bias bias' + V_hat`` combines a plug-in bias estimate with a
 sandwich variance estimate.  The scale ``nu_hat`` comes from Pearson
-residuals of the target-only fit on the pilot split.
+residuals of the target-only fit on the pilot split.  The bias's moment
+matrices ``zeta`` are sums over one :func:`dvcm.design.kernel_window`,
+shared by both of them, and every factorisation and solve runs on the
+LAPACK core of :mod:`dvcm.estimators` (``spd_factor`` / ``spd_solve``).
 """
 
 from __future__ import annotations
@@ -14,11 +17,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .design import DomainSample, domain_distances, poly_features, uniform_kernel
+from .design import DomainSample, KernelWindow, kernel_window
 from .errors import DegenerateVarianceError, SingularSystemError
-from .estimators import LocalFit, fit_dvcm, fit_target_only, gram, spd_factor
+from .estimators import LocalFit, fit_dvcm, fit_target_only, gram, spd_factor, spd_solve
 from .families import ModelFamily
 
 __all__ = [
@@ -77,18 +79,21 @@ def zeta_hat(
     kernel window contribute nothing, so the zero matrix is a legal
     output.
     """
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    n = sum(d.n for d in domains)
-    out = np.zeros((l + 1, l + 1))
-    for dom in domains:
-        t = (dom.u - u0) / h
-        w = float(uniform_kernel(t))
-        if w == 0.0:
-            continue
-        phi = poly_features(t, l)
-        out += dom.n * (t**r) * (w**s) * np.outer(phi, phi)
-    return out / (n * h)
+    return _zeta(kernel_window(domains, u0, h, l), h, r, s)
+
+
+def _zeta(win: KernelWindow, h: float, r: int, s: int) -> np.ndarray:
+    """``zeta_hat`` over an already located kernel window."""
+    # scalar weights as Python floats and the terms added in domain order,
+    # so the result is bit-identical to a per-domain loop
+    coef = [n * (t**r) * (w**s) for n, t, w in
+            zip(win.n.tolist(), win.t.tolist(), win.w.tolist())]
+    phi = win.phi
+    terms = np.array(coef).reshape(-1, 1, 1) * (phi[:, :, None] * phi[:, None, :])
+    out = np.zeros(phi.shape[1:] * 2)
+    for term in terms:
+        out += term
+    return out / (win.n_total * h)
 
 
 def _distinct_in_window(domains: Sequence[DomainSample], u0: float, h: float) -> int:
@@ -102,13 +107,15 @@ def estimate_derivative(
     h: float,
     beta: int,
     family: ModelFamily,
+    start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Estimate the beta-th derivative of theta at u0 by an order-beta local fit.
 
     Extracts the last ``p``-block of the stacked coefficients, rescaled by
     ``h^{-beta}``.  The fit needs at least ``beta + 1`` distinct domain
     identifiers inside the window; when there are fewer, the bandwidth is
-    widened to the smallest feasible distance.  Fit errors propagate.
+    widened to the smallest feasible distance.  ``start`` is the Newton
+    start of ``fit_dvcm``.  Fit errors propagate.
     """
     if beta < 1 or int(beta) != beta:
         raise ValueError(f"derivative order must be a positive integer, got {beta}")
@@ -121,7 +128,7 @@ def estimate_derivative(
                 f"identifiers; only {len(us)} available"
             )
         h = us[beta] * (1.0 + 1e-9)
-    fit = fit_dvcm(domains, u0, h, beta, family)
+    fit = fit_dvcm(domains, u0, h, beta, family, start)
     p = fit.design.p
     return fit.alpha[beta * p :] / h**beta
 
@@ -147,11 +154,12 @@ def estimate_bias(
     if int(beta) != beta or beta < 1:
         raise ValueError(f"bias estimation needs a positive integer beta, got {beta}")
     beta = int(beta)
-    z01 = zeta_hat(domains, u0, h, l, 0, 1)
-    zb1 = zeta_hat(domains, u0, h, l, beta, 1)
+    win = kernel_window(domains, u0, h, l)
+    z01 = _zeta(win, h, 0, 1)
+    zb1 = _zeta(win, h, beta, 1)
     rhs = zb1[:, 0]
     try:
-        factor = float(cho_solve(spd_factor(z01, "zeta_{0,1} moment matrix"), rhs)[0])
+        factor = float(spd_solve(spd_factor(z01, "zeta_{0,1} moment matrix"), rhs)[0])
     except SingularSystemError:
         # singular moment matrix: a zero first column still has the exact
         # solution 0 (single-domain-at-center case); otherwise hard error
@@ -184,7 +192,7 @@ def estimate_variance_sandwich(fit: LocalFit, family: ModelFamily) -> np.ndarray
     delta = gram(z, (s1 * kw) ** 2) / nh**2
     lam = gram(z, s2 * kw) / nh
     c = spd_factor(lam, "sandwich bread matrix Lambda")
-    inner = cho_solve(c, cho_solve(c, delta).T)
+    inner = spd_solve(c, spd_solve(c, delta).T)
     p = design.p
     v = inner[:p, :p]
     return 0.5 * (v + v.T)
@@ -252,7 +260,7 @@ def estimate_q(
     m_hat = np.outer(bias, bias) + var
     m_hat = 0.5 * (m_hat + m_hat.T)
     c = spd_factor(m_hat, "pilot MSE matrix bias*bias' + V_hat")
-    m_inv = cho_solve(c, np.eye(m_hat.shape[0]))
+    m_inv = spd_solve(c, np.eye(m_hat.shape[0]))
     q = delta * scale / n0 * m_inv
     q = 0.5 * (q + q.T)
     return PenaltyEstimate(

@@ -129,14 +129,24 @@ def rng_stream(seed: int, rep: int, role: str) -> np.random.Generator:
     )
 
 
-def _draw_x(rng: np.random.Generator, n: int, p: int, rho: float) -> np.ndarray:
-    """Intercept column plus N(0, Sigma) covariates with Sigma_ij = rho^|i-j|."""
-    x = np.ones((n, p))
+def _draw_x(
+    rng: np.random.Generator, n: int, p: int, rho: float, blocks: int = 1
+) -> np.ndarray:
+    """``blocks`` stacked designs of ``n`` rows: an intercept column plus
+    N(0, Sigma) covariates with Sigma_ij = rho^|i-j|.
+
+    The normals come from one draw; each block is transformed on its own,
+    so every block has the bits of a separate ``n``-row draw (a
+    single-row product would otherwise take another BLAS path).
+    """
+    x = np.ones((blocks * n, p))
     if p > 1:
         q = p - 1
         idx = np.arange(q)
-        cov = rho ** np.abs(idx[:, None] - idx[None, :])
-        x[:, 1:] = rng.standard_normal((n, q)) @ np.linalg.cholesky(cov).T
+        chol_t = np.linalg.cholesky(rho ** np.abs(idx[:, None] - idx[None, :])).T
+        normals = rng.standard_normal((blocks * n, q))
+        for k in range(0, blocks * n, n):
+            x[k : k + n, 1:] = normals[k : k + n] @ chol_t
     return x
 
 
@@ -163,16 +173,16 @@ def generate_dataset(
     """
     theta = config.theta
     u_rng = rng_stream(config.seed, rep, "source_u")
-    us = u_rng.uniform(-config.gamma / 2.0, config.gamma / 2.0, config.K)
+    us = u_rng.uniform(-config.gamma / 2.0, config.gamma / 2.0, config.K).tolist()
 
-    sx_rng = rng_stream(config.seed, rep, "source_x")
-    sy_rng = rng_stream(config.seed, rep, "source_y")
-    sources = []
-    for u in us:
-        x = _draw_x(sx_rng, config.n_bar, config.p, config.cov_rho)
-        eta = x @ theta(float(u))
-        y = _draw_y(sy_rng, eta, config.family, config.noise_sd)
-        sources.append(DomainSample(u=float(u), x=x, y=y))
+    # one draw per role for all K sources: the streams are consumed in the
+    # same order as K per-source draws, so every value is the same
+    xs = np.split(_draw_x(rng_stream(config.seed, rep, "source_x"), config.n_bar,
+                          config.p, config.cov_rho, blocks=config.K), config.K)
+    eta = np.concatenate([x @ theta(u) for x, u in zip(xs, us)])
+    ys = np.split(_draw_y(rng_stream(config.seed, rep, "source_y"), eta, config.family,
+                          config.noise_sd), config.K)
+    sources = [DomainSample(u=u, x=x, y=y) for u, x, y in zip(us, xs, ys)]
 
     tx_rng = rng_stream(config.seed, rep, "target_x")
     ty_rng = rng_stream(config.seed, rep, "target_y")

@@ -141,6 +141,19 @@ class TestReportGolden:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_logistic_fit_computes_each_target_only_fit_once(tmp_path, count_calls):
+    from dvcm.estimators import fit_target_only
+
+    calls = count_calls(fit_target_only)
+    data = write_binary_csv(tmp_path / "b.csv")
+    assert main(["fit", "--data", str(data), "--u-col", "u", "--x-cols", "x1",
+                 "--y-col", "y", "--u0", "0.45", "--family", "logistic",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    # the whole training target, the pilot split and the fine-tune split; the
+    # pooled fits start from the first two instead of refitting them
+    assert calls[0] == 3
+
+
 def test_fit_computes_psi_hat_once(tmp_path, count_calls):
     from dvcm.inference import psi_hat
 
@@ -327,6 +340,12 @@ class TestCliMisuse:
                     "abc" if j == 1 else c for j, c in enumerate(ls[3].split(",")))]
                 + ls[4:]), o),
             "non-numeric cell 'abc' (row 4, column 'x1')"),
+        "oversized_cell": (  # x1 of file row 3 exceeds csv.field_size_limit()
+            lambda d, o: fit_args(TestCliMisuse._edited(
+                d, lambda ls: ls[:2] + [",".join(
+                    "9" * 200_000 + "x" if j == 1 else c
+                    for j, c in enumerate(ls[2].split(",")))] + ls[3:]), o),
+            "field larger than field limit (131072) (row 3, column None)"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -7,6 +7,7 @@ from dvcm.design import (
     DomainSample,
     build_local_design,
     domain_distances,
+    kernel_window,
     poly_features,
     uniform_kernel,
 )
@@ -124,6 +125,70 @@ class TestBuildLocalDesign:
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError):
             build_local_design([make_domain(0.0, [[1.0]])], 0.0, 0.0, 1)
+
+
+def _kron_design(domains, u0, h, l):
+    """The per-domain construction: one ``np.kron`` block per in-window domain."""
+    z, y, kv, idx, s_h = [], [], [], [], 0.0
+    for k, dom in enumerate(domains):
+        t = (dom.u - u0) / h
+        w = float(uniform_kernel(t))
+        if w == 0.0:
+            continue
+        s_h += w * dom.n
+        z.append(np.kron(poly_features(t, l), dom.x))
+        y.append(dom.y)
+        kv.append(np.full(dom.n, w))
+        idx.append(np.full(dom.n, k, dtype=int))
+    kv = np.concatenate(kv)
+    return dict(z=np.vstack(z), y=np.concatenate(y), weights=kv / s_h,
+                kernel_values=kv, row_domain=np.concatenate(idx), s_h=s_h)
+
+
+@st.composite
+def _panels(draw):
+    """Domains around a dyadic ``u0`` and ``h``; some sit exactly at |t| = 1."""
+    u0 = draw(st.sampled_from([0.0, 0.25, -0.5, 0.375]))
+    h = draw(st.sampled_from([0.125, 0.5, 1.0, 0.3]))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = draw(st.lists(
+        st.one_of(st.sampled_from([-1.0, 1.0, 0.0, -0.5, 0.75, 1.25]),
+                  st.floats(-1.5, 1.5, allow_nan=False)),
+        min_size=1, max_size=7))
+    if draw(st.booleans()):
+        offsets[0] = 1.0  # on the boundary, which the window includes
+    domains = []
+    for off in offsets:
+        n = int(rng.integers(1, 6))
+        domains.append(DomainSample(u=u0 + off * h, x=rng.normal(size=(n, p)),
+                                    y=rng.normal(size=n)))
+    return domains, u0, h
+
+
+class TestDesignEqualsKroneckerOracle:
+    @given(_panels(), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical(self, panel, l):
+        domains, u0, h = panel
+        try:
+            want = _kron_design(domains, u0, h, l)
+        except ValueError:  # no domain in the window: nothing to concatenate
+            with pytest.raises(EmptyWindowError):
+                build_local_design(domains, u0, h, l)
+            return
+        got = build_local_design(domains, u0, h, l)
+        for name in ("z", "y", "weights", "kernel_values", "row_domain"):
+            a, b = getattr(got, name), want[name]
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert a.tobytes() == b.tobytes(), name  # signed zeros too
+        assert got.s_h == want["s_h"]
+
+    def test_boundary_domains_are_kept(self):
+        doms = [make_domain(u, [[1.0, 2.0]], [0.0]) for u in (-0.5, 0.5, 0.75)]
+        win = kernel_window(doms, 0.0, 0.5, 2)
+        assert win.index.tolist() == [0, 1] and win.t.tolist() == [-1.0, 1.0]
+        assert build_local_design(doms, 0.0, 0.5, 2).row_domain.tolist() == [0, 1]
 
 
 class TestDomainDistances:

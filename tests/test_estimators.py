@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import cho_factor, cho_solve
+
 from dvcm.design import DomainSample, build_local_design
-from dvcm.errors import SingularSystemError
-from dvcm.estimators import LocalFit, fit_dvcm, fit_target_only, fit_tl, newton_weighted
+from dvcm.errors import DomainError, DvcmError, SingularSystemError
+from dvcm.estimators import (LocalFit, fit_dvcm, fit_target_only, fit_tl, newton_weighted,
+                             spd_factor, spd_solve)
 from dvcm.families import GAUSSIAN, LOGISTIC, POISSON
 
 
@@ -181,6 +184,77 @@ class TestFitDvcm:
                 np.zeros(design.z.shape[1]))
             assert converged
             assert np.max(np.abs(fit.alpha - alpha)) < 1e-10
+
+    def test_given_start_is_the_default_start(self, count_calls):
+        rng = np.random.default_rng(8)
+        doms = [DomainSample(u=u, x=rng.normal(size=(30, 2)),
+                             y=rng.integers(0, 2, 30).astype(float))
+                for u in (0.0, -0.3, 0.4)]
+        start = fit_target_only(doms[0], LOGISTIC)
+        calls = count_calls(fit_target_only)
+        default = fit_dvcm(doms, 0.0, 1.0, 1, LOGISTIC)
+        assert calls[0] == 1
+        given = fit_dvcm(doms, 0.0, 1.0, 1, LOGISTIC, start)
+        assert calls[0] == 1
+        assert given.alpha.tobytes() == default.alpha.tobytes()
+
+    def test_singular_nearest_domain_starts_at_zero(self):
+        rng = np.random.default_rng(9)
+        flat = DomainSample(u=0.0, x=np.ones((4, 2)), y=np.array([0.0, 1.0, 1.0, 1.0]))
+        other = DomainSample(u=0.5, x=rng.normal(size=(40, 2)),
+                             y=rng.integers(0, 2, 40).astype(float))
+        with pytest.raises(SingularSystemError):
+            fit_target_only(flat, LOGISTIC)
+        default = fit_dvcm([flat, other], 0.0, 1.0, 0, LOGISTIC)
+        zero = fit_dvcm([flat, other], 0.0, 1.0, 0, LOGISTIC, np.zeros(2))
+        assert default.alpha.tobytes() == zero.alpha.tobytes()
+
+
+class TestSpdCore:
+    """spd_factor / spd_solve against scipy's Cholesky helpers, bit for bit."""
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(0, 3))
+    @settings(max_examples=120, deadline=None)
+    def test_bit_identical_to_scipy(self, n, seed, ncols):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(n + 3, n))
+        a = g.T @ g + 1e-3 * np.eye(n)
+        ref = cho_factor(a, lower=True)
+        c = spd_factor(a, "test matrix")
+        assert c.tobytes() == ref[0].tobytes()
+        rhs = rng.normal(size=n) if ncols == 0 else rng.normal(size=(ncols, n)).T
+        assert spd_solve(c, rhs).tobytes() == cho_solve(ref, rhs).tobytes()
+        # the transposed-solve pattern of the sandwich estimators
+        inner = spd_solve(c, spd_solve(c, a).T)
+        assert inner.tobytes() == cho_solve(ref, cho_solve(ref, a).T).tobytes()
+
+    def test_singular_matrix_reports_its_condition(self):
+        with pytest.raises(SingularSystemError) as err:
+            spd_factor(np.ones((3, 3)), "all-ones matrix")
+        assert "all-ones matrix is singular" in str(err.value)
+        assert err.value.cond is not None and err.value.cond > 1e15
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_a_typed_error(self, bad):
+        a = np.eye(3)
+        a[0, 2] = bad  # upper triangle: the lower factorisation never reads it
+        with pytest.raises(DomainError, match="Sigma_TL has a non-finite entry") as err:
+            spd_factor(a, "Sigma_TL")
+        assert isinstance(err.value, DvcmError) and isinstance(err.value, ValueError)
+
+    def test_non_finite_right_hand_side_is_a_typed_error(self):
+        c = spd_factor(np.eye(2), "identity")
+        with pytest.raises(DomainError):
+            spd_solve(c, np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            spd_factor(np.ones(shape), "m")
+
+    def test_mismatched_right_hand_side_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            spd_solve(spd_factor(np.eye(2), "identity"), np.ones(3))
 
 
 class TestFitTl:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dvcm.design import DomainSample
+from dvcm.design import DomainSample, poly_features, uniform_kernel
 from dvcm.errors import DegenerateVarianceError, SingularSystemError
 from dvcm.estimators import fit_dvcm, fit_target_only
 from dvcm.families import GAUSSIAN, LOGISTIC
@@ -58,7 +60,31 @@ def _zeta_oracle(domains, u0, h, l, r, s):
     return out / (n * h)
 
 
+def _zeta_loop(domains, u0, h, l, r, s):
+    """The per-domain accumulation, in domain order."""
+    n = sum(d.n for d in domains)
+    out = np.zeros((l + 1, l + 1))
+    for dom in domains:
+        t = (dom.u - u0) / h
+        w = float(uniform_kernel(t))
+        if w == 0.0:
+            continue
+        phi = poly_features(t, l)
+        out += dom.n * (t**r) * (w**s) * np.outer(phi, phi)
+    return out / (n * h)
+
+
 class TestZetaHat:
+    @given(st.lists(st.tuples(st.floats(-1.2, 1.2, allow_nan=False), st.integers(1, 9)),
+                    min_size=1, max_size=9),
+           st.integers(0, 3), st.integers(0, 4), st.integers(1, 2),
+           st.sampled_from([0.25, 0.6, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_domain_loop(self, specs, l, r, s, h):
+        doms = [make_domain(u, np.ones((n, 1)), np.zeros(n)) for u, n in specs]
+        got = zeta_hat(doms, 0.1, h, l, r, s)
+        assert got.tobytes() == _zeta_loop(doms, 0.1, h, l, r, s).tobytes()
+
     def test_single_domain_at_center(self):
         dom = make_domain(0.0, np.ones((7, 1)), np.zeros(7))
         for h in (0.5, 1.0, 2.0):

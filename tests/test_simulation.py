@@ -90,6 +90,53 @@ class TestGenerateDataset:
             assert check(sources[0].y)
 
 
+def _per_source_dataset(config, rep):
+    """The per-source construction: each source draws its own x and y in turn."""
+    from scipy.special import expit
+
+    def draw_x(rng, n):
+        x = np.ones((n, config.p))
+        if config.p > 1:
+            idx = np.arange(config.p - 1)
+            cov = config.cov_rho ** np.abs(idx[:, None] - idx[None, :])
+            x[:, 1:] = rng.standard_normal((n, config.p - 1)) @ np.linalg.cholesky(cov).T
+        return x
+
+    def draw_y(rng, eta):
+        if config.family == "gaussian":
+            return eta + config.noise_sd * rng.standard_normal(eta.shape[0])
+        if config.family == "logistic":
+            return rng.binomial(1, expit(eta)).astype(float)
+        return rng.poisson(np.exp(eta)).astype(float)
+
+    us = rng_stream(config.seed, rep, "source_u").uniform(
+        -config.gamma / 2.0, config.gamma / 2.0, config.K)
+    sx, sy = rng_stream(config.seed, rep, "source_x"), rng_stream(config.seed, rep, "source_y")
+    sources = []
+    for u in us:
+        x = draw_x(sx, config.n_bar)
+        sources.append((float(u), x, draw_y(sy, x @ config.theta(float(u)))))
+    x0 = draw_x(rng_stream(config.seed, rep, "target_x"), 2 * config.n0)
+    y0 = draw_y(rng_stream(config.seed, rep, "target_y"), x0 @ config.theta(config.u0))
+    return (config.u0, x0, y0), sources
+
+
+@pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("K,n_bar", [(1, 7), (5, 1), (5, 40), (181, 3)])
+def test_dataset_is_bit_identical_to_per_source_draws(family, p, K, n_bar):
+    cfg = SimConfig(family=family, p=p, K=K, n_bar=n_bar, n0=6, gamma=0.8, reps=1,
+                    seed=11, theta_spec="paper_default" if family == "gaussian"
+                    else "tanh_pair")
+    target, sources = generate_dataset(cfg, 2)
+    (u0, x0, y0), want = _per_source_dataset(cfg, 2)
+    assert target.u == u0 and target.x.tobytes() == x0.tobytes()
+    assert target.y.tobytes() == y0.tobytes()
+    assert len(sources) == len(want)
+    for got, (u, x, y) in zip(sources, want):
+        assert got.u == u and got.x.tobytes() == x.tobytes() and got.y.tobytes() == y.tobytes()
+
+
 class TestRngStreams:
     def test_role_independence(self):
         a = rng_stream(0, 0, "source_u").uniform(size=4)
@@ -214,6 +261,19 @@ def test_replication_fits_h_independent_pieces_once(count_calls):
     assert len(cells) == 15 and all(cell is not None for cell in cells)
     # lr and the pilot-half fit; 5 pilots and the one derivative fit
     assert (derivative[0], target_only[0], pooled[0]) == (1, 2, 6)
+
+
+def test_logistic_replication_fits_each_target_half_once(count_calls):
+    from dvcm import estimators
+    from dvcm.simulation import _replicate
+
+    target_only = count_calls(estimators.fit_target_only)
+    cfg = SimConfig(family="logistic", p=4, K=5, n_bar=120, n0=50, gamma=1.0)
+    cells = _replicate(cfg, (0.3, 0.45, 0.6, 0.8, 1.0), ("lr", "dvcm", "tl"), 1)
+    assert all(cell is not None for cell in cells)
+    # theta_lr and theta_glr; the 5 pilots and the derivative fit start from
+    # the cached theta_glr instead of refitting it
+    assert target_only[0] == 2
 
 
 def test_replication_keeps_a_failed_derivative(count_calls):
