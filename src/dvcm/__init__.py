@@ -19,6 +19,7 @@ from .bandwidth import (
 from .design import (
     DomainSample,
     LocalDesign,
+    Panel,
     build_local_design,
     domain_distances,
     poly_features,

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import DomainSample, domain_distances
+from .design import DomainSample, Panel, domain_distances
 
 __all__ = [
     "BandwidthChoice",
@@ -47,7 +47,7 @@ class BandwidthChoice:
     diagnostics: dict = field(default_factory=dict)
 
 
-def gamma_moment_estimate(sources: Sequence[DomainSample]) -> float:
+def gamma_moment_estimate(sources: Panel | Sequence[DomainSample]) -> float:
     """Plug-in for the domain-dispersion scale: sd of the U_k times sqrt(12).
 
     Matches the length of a uniform distribution with the same variance.
@@ -63,7 +63,7 @@ def gamma_moment_estimate(sources: Sequence[DomainSample]) -> float:
 
 
 def select_bandwidth_median(
-    sources: Sequence[DomainSample],
+    sources: Panel | Sequence[DomainSample],
     u0: float,
     beta: float,
     gamma: float,
@@ -89,7 +89,7 @@ def select_bandwidth_median(
 
 
 def select_bandwidth_undersmoothed(
-    sources: Sequence[DomainSample],
+    sources: Panel | Sequence[DomainSample],
     u0: float,
     beta: float,
     gamma: float,
@@ -136,7 +136,8 @@ BANDWIDTH_RULES = ("median", "undersmoothed", "fixed")
 
 
 def select_bandwidth(
-    rule: str, sources: Sequence[DomainSample], u0: float, beta: float, gamma: float,
+    rule: str, sources: Panel | Sequence[DomainSample], u0: float, beta: float,
+    gamma: float,
     *, e0: float, c: float, epsilon: float, n_extra: int, h: float | None = None,
 ) -> BandwidthChoice:
     """Bandwidth of ``rule``: ``median`` (constant ``e0``), ``undersmoothed``

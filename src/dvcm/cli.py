@@ -129,7 +129,7 @@ def _run_fit_pipeline(args) -> EstimateReport:
     family = get_family(args.family)
     panel, diag = _ingest(args)
 
-    mids = np.array([d.u for d in panel.domains])
+    mids = panel.domains.u
     j = int(np.argmin(np.abs(mids - args.u0)))
     if abs(mids[j] - args.u0) > 1e-9:
         diag["u0_snapped_to_bin"] = float(mids[j])
@@ -165,7 +165,7 @@ def _run_fit_pipeline(args) -> EstimateReport:
         y=np.concatenate([pilot_part.y, fine_part.y]),
     )
     theta_lr = fit_target_only(train, family)
-    dvcm_all = fit_dvcm([train, *sources], u0, h, args.order, family, theta_lr)
+    theta_dvcm = fit_dvcm([train, *sources], u0, h, args.order, family, theta_lr).theta
 
     problem = TransferProblem(
         pilot_part, fine_part, sources, u0, family, order=args.order, beta=args.beta,
@@ -195,7 +195,7 @@ def _run_fit_pipeline(args) -> EstimateReport:
         u0=u0,
         family=family.kind,
         theta_lr=_listify(theta_lr),
-        theta_dvcm=_listify(dvcm_all.theta),
+        theta_dvcm=_listify(theta_dvcm),
         theta_tl=_listify(tl.theta_tl),
         q_hat=_listify(pen.q),
         bandwidth=_bandwidth_dict(choice),

@@ -13,12 +13,14 @@ call rejects, or one with no data rows or a width unlike the header's,
 is scanned again cell by cell with ``csv`` and ``float()``; that scan
 accepts what ``float()`` accepts (quoted cells, ``1_000``) or raises the
 ParseError naming the first bad row and column.  Both give the same
-floats for a cell both accept.
+floats for a cell both accept.  A ParseError's row is the line number in
+the file, blank lines included; a clean file is never mapped to lines.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import DomainSample
+from .design import DomainSample, Panel
 from .errors import DegenerateScaleError, ParseError, SchemaError
 
 __all__ = [
@@ -78,9 +80,27 @@ class RawTable:
 class BinnedPanel:
     """Domains produced by binning scaled identifiers to bin midpoints."""
 
-    domains: tuple[DomainSample, ...]
+    domains: Panel
     bin_edges: np.ndarray
     u_raw: np.ndarray
+
+
+def _records(fh, name: str):
+    """``(line, cells)`` of every non-blank record of ``fh`` after the header,
+    read from the start of the file; ``line`` is the file line it starts on."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    while True:
+        line = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+            raise ParseError(f"{name}: {exc}", row=line) from None
+        if row:
+            yield line, row
 
 
 def _scan_cells(fh, name: str, headers: Sequence[str]) -> np.ndarray:
@@ -92,21 +112,12 @@ def _scan_cells(fh, name: str, headers: Sequence[str]) -> np.ndarray:
     the column of a bad cell.
     """
     width = len(headers)
-    fh.seek(0)
-    reader = csv.reader(fh)
-    next(reader)
-    records = []
-    try:
-        for row in reader:
-            if row:
-                records.append(row)
-    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-        raise ParseError(f"{name}: {exc}", row=len(records) + 2) from None
+    records = list(_records(fh, name))
     data = np.empty((len(records), width))
-    for i, row in enumerate(records):
+    for i, (line, row) in enumerate(records):
         if len(row) != width:
             raise ParseError(
-                f"{name}: expected {width} cells, found {len(row)}", row=i + 2
+                f"{name}: expected {width} cells, found {len(row)}", row=line
             )
         for j, cell in enumerate(row):
             try:
@@ -114,7 +125,7 @@ def _scan_cells(fh, name: str, headers: Sequence[str]) -> np.ndarray:
             except ValueError:
                 raise ParseError(
                     f"{name}: non-numeric cell {cell!r}",
-                    row=i + 2,
+                    row=line,
                     column=headers[j],
                 ) from None
     return data
@@ -140,7 +151,8 @@ def load_csv(
     parsed (and checked finite) whether or not it is used, by numpy's C
     reader when it can take the file, else by a per-cell scan that names
     the row and column of the first bad cell.  Blank lines are skipped;
-    a reported row counts the header as row 1 and blank lines not at all.
+    a reported row is the line number in the file (the header is line 1,
+    blank lines count).
     """
     path = Path(path)
     if not path.exists():
@@ -178,9 +190,11 @@ def load_csv(
             u = evaluate_column_expr(u_expr, headers, data)
         bad = np.flatnonzero(~np.isfinite(u))
         if bad.size:
+            with open(path, newline="") as fh:
+                line, _ = next(itertools.islice(_records(fh, path.name), int(bad[0]), None))
             raise ParseError(
                 f"{path.name}: expression gives non-finite value {float(u[bad[0]])!r}",
-                row=int(bad[0]) + 2,
+                row=line,
                 column=u_expr,
             )
     else:
@@ -298,7 +312,7 @@ def bin_domains(table: RawTable, n_bins: int = 10) -> BinnedPanel:
 
     The first bin is closed ``[0, 1/n_bins]``; the rest are left-open
     ``(a, b]``, matching midpoints ``(j - 0.5) / n_bins``.  Occupied bins
-    become DomainSample objects at their midpoints.
+    become the domains of one panel, at their midpoints and in bin order.
     """
     if n_bins < 2:
         raise ValueError(f"need at least 2 bins, got {n_bins}")
@@ -316,13 +330,10 @@ def bin_domains(table: RawTable, n_bins: int = 10) -> BinnedPanel:
     idx = idx.astype(np.min_scalar_type(n_bins))
     order = np.argsort(idx, kind="stable")
     bounds = np.searchsorted(idx[order], np.arange(n_bins + 1))
-    x, y = table.x, table.y
-    domains = []
-    for b in range(n_bins):
-        rows = order[bounds[b] : bounds[b + 1]]
-        if rows.size:
-            domains.append(DomainSample(u=(b + 0.5) / n_bins, x=x[rows], y=y[rows]))
-    return BinnedPanel(domains=tuple(domains), bin_edges=edges, u_raw=u.copy())
+    occupied = np.flatnonzero(np.diff(bounds))
+    domains = Panel(x=table.x[order], y=table.y[order], u=(occupied + 0.5) / n_bins,
+                    offsets=np.append(bounds[occupied], bounds[-1]))
+    return BinnedPanel(domains=domains, bin_edges=edges, u_raw=u.copy())
 
 
 def split_target(

@@ -1,20 +1,30 @@
-"""Kernel weights, polynomial features, and the stacked local design.
+"""Domains, kernel weights, polynomial features, and the stacked local design.
+
+A :class:`Panel` holds every domain of a fit in one array each: covariates
+``x (N, p)``, responses ``y (N,)``, one identifier per domain ``u (D,)``
+and row ``offsets (D+1,)``, so domain ``k`` owns rows
+``offsets[k]:offsets[k+1]``.  Its shape and finiteness checks run once, at
+construction.  A :class:`DomainSample` is one validated domain, and
+indexing a panel gives one as a view.  Every public function here and in
+the estimators takes a panel or any sequence of domains and converts it
+once, at its boundary (:meth:`Panel.of`).
 
 The local-polynomial estimators regress on rows ``Phi_l(t_k) (x) X_ki``
 where ``t_k = (U_k - u0) / h`` and ``(x)`` is the Kronecker product.
-:func:`build_local_design` assembles those rows for every observation
-whose domain falls inside the kernel window and normalises the kernel
-weights by their total mass ``S_h``.  :func:`kernel_window` is the one
-per-domain pass (window, ``t``, ``W(t)``, ``Phi_l(t)``, ``S_h``) that the
-design and the moment matrices of :mod:`dvcm.penalty` share; the design
-rows are then one broadcast product over the in-window covariates.
+:func:`kernel_window` locates the in-window domains from the panel's
+arrays (``t``, ``W(t)``, ``Phi_l(t)``, ``S_h``); :func:`build_local_design`
+takes their rows, the stacked arrays themselves when every domain is
+inside, and forms the Kronecker rows with one broadcast product.  The
+design keeps its window, which the moment matrices of
+:mod:`dvcm.penalty` reuse instead of locating it again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +32,7 @@ from .errors import EmptyWindowError
 
 __all__ = [
     "DomainSample",
+    "Panel",
     "LocalDesign",
     "KernelWindow",
     "uniform_kernel",
@@ -54,6 +65,20 @@ class DomainSample:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
+    @classmethod
+    def _view(cls, u: float, x: np.ndarray, y: np.ndarray) -> "DomainSample":
+        """A domain over arrays that were validated already, not checked again."""
+        view = object.__new__(cls)
+        view.__dict__.update(u=u, x=x, y=y)
+        return view
+
+    def rows(self, start: int, stop: int | None = None) -> "DomainSample":
+        """Observations ``start:stop`` as a domain viewing this one's arrays."""
+        x = self.x[start:stop]
+        if x.shape[0] < 1:
+            raise ValueError("a domain needs at least one observation")
+        return DomainSample._view(self.u, x, self.y[start:stop])
+
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -61,6 +86,97 @@ class DomainSample:
     @property
     def p(self) -> int:
         return self.x.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class Panel:
+    """Domains stacked in one array each: domain ``k`` owns rows
+    ``offsets[k]:offsets[k+1]``.
+
+    A sequence of domains: ``panel[k]`` is domain ``k`` as a DomainSample
+    view, ``panel[a:b]`` a panel viewing domains ``a`` to ``b - 1``, and
+    iteration yields the views in order.  Construction checks the shapes,
+    the finiteness of every value and that each domain has a row.
+    """
+
+    x: np.ndarray        # (N, p)
+    y: np.ndarray        # (N,)
+    u: np.ndarray        # (D,)
+    offsets: np.ndarray  # (D+1,) integers, 0 = offsets[0] < ... < offsets[D] = N
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        u = np.asarray(self.u, dtype=float)
+        offsets = np.asarray(self.offsets)
+        if x.ndim != 2 or y.ndim != 1 or u.ndim != 1:
+            raise ValueError("a panel needs x of shape (N, p), y (N,) and u (D,)")
+        if x.shape[0] != y.shape[0]:
+            raise ValueError(f"x has {x.shape[0]} rows but y has {y.shape[0]} entries")
+        if not u.size:
+            raise ValueError("at least one domain is required")
+        if (offsets.shape != (u.size + 1,) or not np.issubdtype(offsets.dtype, np.integer)
+                or offsets[0] != 0 or offsets[-1] != x.shape[0]
+                or np.any(np.diff(offsets) < 1)):
+            raise ValueError("offsets must rise from 0 to the row count, "
+                             "at least one row per domain")
+        if not all(np.isfinite(a).all() for a in (u, x, y)):
+            raise ValueError("non-finite value in domain sample")
+        self.__dict__.update(x=x, y=y, u=u, offsets=offsets)
+
+    @classmethod
+    def of(cls, domains: "Panel | Iterable[DomainSample]") -> "Panel":
+        """``domains`` itself if it is a panel, else its domains stacked in order."""
+        if isinstance(domains, Panel):
+            return domains
+        domains = list(domains)
+        if not domains:
+            raise ValueError("at least one domain is required")
+        p = domains[0].p
+        if any(d.p != p for d in domains):
+            raise ValueError("all domains must share the same covariate dimension")
+        # every DomainSample validated its arrays when it was made
+        panel = object.__new__(cls)
+        panel.__dict__.update(x=np.concatenate([d.x for d in domains]),
+                              y=np.concatenate([d.y for d in domains]),
+                              u=np.array([d.u for d in domains], dtype=float),
+                              offsets=np.cumsum([0] + [d.n for d in domains]))
+        return panel
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Observations per domain, (D,)."""
+        return np.diff(self.offsets)
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.x.shape[1]
+
+    def __len__(self) -> int:
+        return self.u.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):  # a view of domains start:stop
+            start, stop, step = k.indices(len(self))
+            if step != 1 or start >= stop:
+                raise ValueError("a panel view takes a nonempty run of domains")
+            o = self.offsets[start : stop + 1]
+            view = object.__new__(Panel)
+            view.__dict__.update(x=self.x[o[0] : o[-1]], y=self.y[o[0] : o[-1]],
+                                 u=self.u[start:stop], offsets=o - o[0])
+            return view
+        k = range(len(self))[k]
+        a, b = self.offsets[k], self.offsets[k + 1]
+        return DomainSample._view(float(self.u[k]), self.x[a:b], self.y[a:b])
+
+    def __iter__(self) -> Iterator[DomainSample]:
+        o = self.offsets.tolist()
+        for k, u in enumerate(self.u.tolist()):
+            yield DomainSample._view(u, self.x[o[k] : o[k + 1]], self.y[o[k] : o[k + 1]])
 
 
 @dataclass(frozen=True)
@@ -71,7 +187,8 @@ class LocalDesign:
     still counts every observation that was offered, which is the ``n``
     entering the ``(nh)`` scalings of the variance estimators.
     ``weights`` are normalised by ``s_h`` and sum to one;
-    ``kernel_values`` keep the raw ``W(t_k)`` per kept row.
+    ``kernel_values`` keep the raw ``W(t_k)`` per kept row.  ``window``
+    is the kernel window the rows were taken from.
     """
 
     z: np.ndarray              # (N_eff, (l+1) p)
@@ -85,6 +202,7 @@ class LocalDesign:
     row_domain: np.ndarray     # (N_eff,) index into the input domain sequence
     n_total: int
     p: int
+    window: KernelWindow
 
     @property
     def n_rows(self) -> int:
@@ -97,20 +215,24 @@ def uniform_kernel(t):
     return np.where(np.abs(t) <= 1.0, 0.5, 0.0)
 
 
+def _powers(t: float, l: int) -> list[float]:
+    return [t**j / math.factorial(j) for j in range(l + 1)]
+
+
 def poly_features(t: float, l: int) -> np.ndarray:
     """Polynomial feature map (1, t, t^2/2!, ..., t^l/l!)."""
     if l < 0:
         raise ValueError(f"polynomial order must be >= 0, got {l}")
-    return np.array([t**j / math.factorial(j) for j in range(l + 1)])
+    return np.array(_powers(t, l))
 
 
 @dataclass(frozen=True)
 class KernelWindow:
-    """The domains with ``W(t_k) > 0``, ``t_k = (U_k - u0) / h``.
+    """The domains of ``panel`` with ``W(t_k) > 0``, ``t_k = (U_k - u0) / h``.
 
-    Per in-window domain, in input order: its position ``index`` in the
-    domain sequence, its size ``n``, ``t``, the kernel value ``w = W(t)``
-    and the features ``phi = Phi_l(t)`` (one row each).
+    Per in-window domain, in panel order: its position ``index`` in the
+    panel, its size ``n``, ``t``, the kernel value ``w = W(t)`` and the
+    features ``phi = Phi_l(t)`` (one row each).
     ``s_h = sum n_k W(t_k)``; ``n_total`` counts every observation offered.
     """
 
@@ -121,10 +243,11 @@ class KernelWindow:
     phi: np.ndarray    # (D, l+1)
     s_h: float
     n_total: int
+    panel: Panel
 
 
 def kernel_window(
-    domains: Sequence[DomainSample], u0: float, h: float, l: int
+    domains: Panel | Sequence[DomainSample], u0: float, h: float, l: int
 ) -> KernelWindow:
     """Locate the in-window domains of ``domains`` around ``u0``; may be empty.
 
@@ -135,28 +258,28 @@ def kernel_window(
         raise ValueError(f"bandwidth must be positive, got {h}")
     if l < 0:
         raise ValueError(f"polynomial order must be >= 0, got {l}")
-    sizes = np.array([d.n for d in domains], dtype=int)
-    t_all = (np.array([d.u for d in domains], dtype=float) - u0) / h
+    panel = Panel.of(domains)
+    t_all = (panel.u - u0) / h
     w_all = uniform_kernel(t_all)
     index = np.flatnonzero(w_all)
     t = t_all[index]
-    n = sizes[index]
+    n = panel.sizes[index]
     w = w_all[index]
-    phi = np.array([poly_features(tk, l) for tk in t.tolist()])
+    phi = np.array([_powers(tk, l) for tk in t.tolist()])
     return KernelWindow(
         index=index, n=n, t=t, w=w, phi=phi.reshape(len(index), l + 1),
-        s_h=float(np.sum(w * n)), n_total=int(sizes.sum()),
+        s_h=float((w * n).sum()), n_total=panel.n, panel=panel,
     )
 
 
 def build_local_design(
-    domains: Sequence[DomainSample], u0: float, h: float, l: int
+    domains: Panel | Sequence[DomainSample], u0: float, h: float, l: int
 ) -> LocalDesign:
     """Stack ``Phi_l((U_k - u0)/h) (x) X_ki`` over all in-window observations.
 
     Parameters
     ----------
-    domains : sequence of DomainSample
+    domains : Panel or sequence of DomainSample
         Every domain contributing to the pooled fit (target split included
         when the caller pools it).
     u0, h, l : float, float, int
@@ -168,30 +291,30 @@ def build_local_design(
         If no domain satisfies ``|U_k - u0| <= h``; the error carries the
         nearest domain distance as a bandwidth hint.
     """
-    if not domains:
-        raise ValueError("at least one domain is required")
-    p = domains[0].p
-    if any(d.p != p for d in domains):
-        raise ValueError("all domains must share the same covariate dimension")
-
-    win = kernel_window(domains, u0, h, l)
+    panel = Panel.of(domains)
+    win = kernel_window(panel, u0, h, l)
     if not win.index.size:
-        d1 = min(abs(d.u - u0) for d in domains)
+        d1 = float(np.min(np.abs(panel.u - u0)))
         raise EmptyWindowError(
             f"no domain within bandwidth {h} of u0={u0}; nearest at distance {d1}",
             d1=d1,
         )
 
-    inside = [domains[k] for k in win.index.tolist()]
-    x = np.concatenate([d.x for d in inside])
+    if win.index.size == len(panel):
+        x, y = panel.x, panel.y
+    else:
+        inside = np.zeros(len(panel), dtype=bool)
+        inside[win.index] = True
+        rows = np.repeat(inside, panel.sizes)
+        x, y = panel.x[rows], panel.y[rows]
     # row-wise Kronecker product: each row X_ki expands to
     # (phi_0 x, ..., phi_l x), one multiplication per entry
     phi_rows = np.repeat(win.phi, win.n, axis=0)
-    z = (phi_rows[:, :, None] * x[:, None, :]).reshape(x.shape[0], (l + 1) * p)
+    z = (phi_rows[:, :, None] * x[:, None, :]).reshape(x.shape[0], (l + 1) * panel.p)
     kernel_values = np.repeat(win.w, win.n)
     return LocalDesign(
         z=z,
-        y=np.concatenate([d.y for d in inside]),
+        y=y,
         weights=kernel_values / win.s_h,
         kernel_values=kernel_values,
         s_h=win.s_h,
@@ -200,12 +323,13 @@ def build_local_design(
         center=u0,
         row_domain=np.repeat(win.index, win.n),
         n_total=win.n_total,
-        p=p,
+        p=panel.p,
+        window=win,
     )
 
 
 def domain_distances(
-    domains: Sequence[DomainSample], u0: float
+    domains: Panel | Sequence[DomainSample], u0: float
 ) -> tuple[np.ndarray, float, float]:
     """Sorted distances |u0 - U_k| over source domains, with d_(1) and d_(K).
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .design import DomainSample, LocalDesign, build_local_design
+from .design import DomainSample, LocalDesign, Panel, build_local_design
 from .errors import DomainError, SingularSystemError
 from .families import ModelFamily
 
@@ -138,7 +138,7 @@ def newton_weighted(
     iterations = 0
     for iterations in range(1, NEWTON_MAX_ITER + 1):
         eta = z @ alpha
-        s1, s2, _ = family.loss_derivatives(eta, y)
+        s1, s2 = family.score_curvature(eta, y)
         grad = z.T @ (w * s1)
         hess = gram(z, w * s2)
         if q is not None:
@@ -164,7 +164,7 @@ def newton_weighted(
         obj = cand_obj
 
     eta = z @ alpha
-    s1, _, _ = family.loss_derivatives(eta, y)
+    s1, _ = family.score_curvature(eta, y)
     grad = z.T @ (w * s1)
     if q is not None:
         grad = grad + q @ (alpha - center)
@@ -182,7 +182,7 @@ def fit_target_only(target: DomainSample, family: ModelFamily) -> np.ndarray:
 
 
 def fit_dvcm(
-    domains: Sequence[DomainSample],
+    domains: Panel | Sequence[DomainSample],
     u0: float,
     h: float,
     l: int,
@@ -197,7 +197,8 @@ def fit_dvcm(
     nearest domain (zeros when that system is singular), and callers that
     already hold that estimate pass it.
     """
-    design = build_local_design(domains, u0, h, l)
+    panel = Panel.of(domains)
+    design = build_local_design(panel, u0, h, l)
     z, w, y = design.z, design.weights, design.y
     dim = z.shape[1]
     if family.kind == "gaussian":
@@ -206,7 +207,7 @@ def fit_dvcm(
         converged, iterations = True, 0
     else:
         if start is None:
-            nearest = min(domains, key=lambda d: abs(d.u - u0))
+            nearest = panel[int(np.argmin(np.abs(panel.u - u0)))]
             try:
                 start = fit_target_only(nearest, family)
             except SingularSystemError:
@@ -223,24 +224,33 @@ def fit_dvcm(
     )
 
 
+def fine_tune_moments(target_finetune: DomainSample) -> tuple[np.ndarray, np.ndarray]:
+    """``(X'X/n0, X'y/n0)`` of the fine-tune split: the Gaussian ``fit_tl`` data term."""
+    x, y, n0 = target_finetune.x, target_finetune.y, target_finetune.n
+    return x.T @ x / n0, x.T @ y / n0
+
+
 def fit_tl(
     target_finetune: DomainSample,
     theta_pilot: np.ndarray,
     q: np.ndarray,
     family: ModelFamily,
+    moments: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TLFit:
     """Fine-tune a pilot estimate by ridge-penalised regression on the target.
 
     Minimises ``(1/n0) sum_i l(x_i' a, y_i) + 0.5 ||a - pilot||_Q^2``;
     for the Gaussian family this is the closed form
-    ``(X'X/n0 + Q)^{-1} (X'y/n0 + Q pilot)``.
+    ``(X'X/n0 + Q)^{-1} (X'y/n0 + Q pilot)``, whose ``(X'X/n0, X'y/n0)``
+    callers fine-tuning one target at several Q pass as ``moments``.
     """
     theta_pilot = np.asarray(theta_pilot, dtype=float)
     q = np.asarray(q, dtype=float)
     x, y = target_finetune.x, target_finetune.y
     n0 = target_finetune.n
     if family.kind == "gaussian":
-        theta = _solve_spd(x.T @ x / n0 + q, x.T @ y / n0 + q @ theta_pilot)
+        xtx, xty = fine_tune_moments(target_finetune) if moments is None else moments
+        theta = _solve_spd(xtx + q, xty + q @ theta_pilot)
         converged = True
     else:
         w = np.full(n0, 1.0 / n0)

@@ -6,7 +6,9 @@ log-likelihood ``l(eta, y) = b(eta) - y * eta`` (Gaussian uses the exact
 squared-error form ``(eta - y)^2 / 2``, which differs only by a term
 constant in ``eta``, so that least-squares closed forms hold with
 equality).  The mean function ``b'`` doubles as the inverse canonical
-link.  All functions are vectorised and stateless.
+link.  All functions are vectorised and stateless.  The solvers use the
+first two loss derivatives alone (``score_curvature``); b''' is computed
+only when all three are asked for (``loss_derivatives``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ __all__ = ["ModelFamily", "GAUSSIAN", "LOGISTIC", "POISSON", "get_family"]
 
 def _check_finite(*arrays) -> None:
     for a in arrays:
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise DomainError("non-finite value in loss input")
 
 
@@ -79,15 +81,24 @@ class ModelFamily:
             return 0.5 * d * d
         return self.b(eta) - np.asarray(y, dtype=float) * np.asarray(eta, dtype=float)
 
+    def score_curvature(self, eta, y):
+        """First two eta-derivatives of the loss: ``(b'(eta) - y, b''(eta))``."""
+        _check_finite(eta, y)
+        eta = np.asarray(eta, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if self.kind == "logistic":
+            # one expit for both: b1 and b2 compute these same values
+            mu = expit(eta)
+            return mu - y, mu * (1.0 - mu)
+        return self.b1(eta) - y, self.b2(eta)
+
     def loss_derivatives(self, eta, y):
         """First three eta-derivatives of the loss: (s1, s2, s3).
 
         ``s1 = b'(eta) - y``, ``s2 = b''(eta)``, ``s3 = b'''(eta)``.
         """
-        _check_finite(eta, y)
-        eta = np.asarray(eta, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return self.b1(eta) - y, self.b2(eta), self.b3(eta)
+        s1, s2 = self.score_curvature(eta, y)
+        return s1, s2, self.b3(np.asarray(eta, dtype=float))
 
 
 GAUSSIAN = ModelFamily(

@@ -2,7 +2,11 @@
 
 :class:`TransferProblem` is the one estimation chain (pooled pilot,
 penalty Q_hat, fine-tune, covariance), run by ``fit``/``infer`` and by
-every Monte-Carlo replication.
+every Monte-Carlo replication.  It stacks its pooled panel once and
+keeps every ingredient that does not depend on the pilot bandwidth (the
+target-only fits, the Pearson scale, the derivative plug-in, the
+Gaussian fine-tune Gram), so each bandwidth fits the pilot, locates its
+kernel window once and reuses it in the penalty.
 
 The transfer estimator is a matrix-weighted combination of the target-only
 fit and the pooled pilot, so its covariance combines both ingredients:
@@ -21,18 +25,19 @@ assembles it on the ``gram`` / ``spd_factor`` primitives of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from scipy.special import erfc, gammaincc, ndtri
 
 from .bandwidth import select_bandwidth_median
-from .design import DomainSample
+from .design import DomainSample, Panel
 from .errors import DvcmError, SingularSystemError
-from .estimators import (LocalFit, TLFit, fit_dvcm, fit_target_only, fit_tl, gram,
-                         spd_factor, spd_solve)
+from .estimators import (LocalFit, TLFit, fine_tune_moments, fit_dvcm, fit_target_only,
+                         fit_tl, gram, spd_factor, spd_solve)
 from .families import ModelFamily
-from .penalty import (PenaltyEstimate, estimate_derivative, estimate_q,
+from .penalty import (PenaltyEstimate, estimate_derivative, estimate_q, estimate_scale,
                       estimate_variance_sandwich)
 
 __all__ = [
@@ -163,13 +168,14 @@ class TransferProblem:
 
     ``pilot_part`` is pooled with ``sources`` for the pilot and feeds the
     penalty; ``fine`` is fine-tuned on and gives Psi_hat and V_LR.  The
-    cached properties do not depend on the pilot bandwidth, so fits at
-    several bandwidths share them, a raised DvcmError included.
+    pooled panel is stacked once.  The cached properties do not depend on
+    the pilot bandwidth, so fits at several bandwidths share them, a
+    raised DvcmError included.
     """
 
     pilot_part: DomainSample
     fine: DomainSample
-    sources: Sequence[DomainSample]
+    sources: Panel | Sequence[DomainSample]
     u0: float
     family: ModelFamily
     order: int = 1
@@ -177,6 +183,15 @@ class TransferProblem:
     delta: float = 1.0
     gamma: float = 1.0
     e0: float = 1.0
+
+    @cached_property
+    def pooled(self) -> Panel:
+        """``pilot_part`` followed by ``sources``: the panel of every pooled fit."""
+        return Panel.of([self.pilot_part, *self.sources])
+
+    @cached_property
+    def _source_panel(self) -> Panel:
+        return self.pooled[1:]
 
     @_cached_outcome
     def theta_lr(self) -> np.ndarray:
@@ -189,21 +204,30 @@ class TransferProblem:
         return fit_target_only(self.pilot_part, self.family)
 
     @_cached_outcome
+    def scale(self) -> float:
+        """Pearson scale of ``theta_glr`` on ``pilot_part``, for the penalty."""
+        return estimate_scale(self.pilot_part, self.theta_glr, self.family)
+
+    @_cached_outcome
     def h_deriv(self) -> float:
         """Derivative-fit bandwidth: the median rule, whatever the pilot's h."""
-        return select_bandwidth_median(self.sources, self.u0, self.beta, self.gamma,
+        return select_bandwidth_median(self._source_panel, self.u0, self.beta, self.gamma,
                                        self.e0, n_extra=self.pilot_part.n).h
 
     @_cached_outcome
     def derivative(self) -> np.ndarray:
         """theta^(beta)(u0), for the penalty's bias."""
-        return estimate_derivative([self.pilot_part, *self.sources], self.u0,
-                                   self.h_deriv, int(self.beta), self.family,
-                                   self._newton_start())
+        return estimate_derivative(self.pooled, self.u0, self.h_deriv, int(self.beta),
+                                   self.family, self._newton_start())
+
+    @cached_property
+    def _fine_moments(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The Gaussian fine-tune's data term on ``fine``; None for other families."""
+        return fine_tune_moments(self.fine) if self.family.kind == "gaussian" else None
 
     def pilot(self, h: float) -> LocalFit:
-        return fit_dvcm([self.pilot_part, *self.sources], self.u0, h, self.order,
-                        self.family, self._newton_start())
+        return fit_dvcm(self.pooled, self.u0, h, self.order, self.family,
+                        self._newton_start())
 
     def _newton_start(self) -> np.ndarray | None:
         """``theta_glr`` as the Newton start of the pooled fits, whose nearest
@@ -218,13 +242,13 @@ class TransferProblem:
     def penalty(self, pilot: LocalFit) -> PenaltyEstimate:
         """Data-driven shrinkage matrix Q_hat at the pilot's bandwidth."""
         self.h_deriv  # its argument checks run even when the bias needs no derivative
-        return estimate_q(self.sources, self.pilot_part, self.u0, pilot.design.bandwidth,
-                          self.order, self.beta, self.delta, self.family, n0=self.fine.n,
-                          pilot_fit=pilot, theta_glr=self.theta_glr,
+        return estimate_q(self._source_panel, self.pilot_part, self.u0,
+                          pilot.design.bandwidth, self.order, self.beta, self.delta,
+                          self.family, n0=self.fine.n, pilot_fit=pilot, scale=self.scale,
                           derivative=lambda: self.derivative)
 
     def fine_tune(self, pilot: LocalFit, q: np.ndarray) -> TLFit:
-        return fit_tl(self.fine, pilot.theta, q, self.family)
+        return fit_tl(self.fine, pilot.theta, q, self.family, self._fine_moments)
 
     def covariance(self, pilot: LocalFit, q: np.ndarray) -> CovarianceReport:
         """Sigma_TL of ``fine_tune(pilot, q)``."""

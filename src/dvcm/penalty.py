@@ -4,21 +4,25 @@ The penalty ``Q_hat = delta * (nu_hat / n0) * M_hat^{-1}`` mimics the
 oracle inverse-MSE weighting of the pilot estimator, where
 ``M_hat = bias bias' + V_hat`` combines a plug-in bias estimate with a
 sandwich variance estimate.  The scale ``nu_hat`` comes from Pearson
-residuals of the target-only fit on the pilot split.  The bias's moment
-matrices ``zeta`` are sums over one :func:`dvcm.design.kernel_window`,
-shared by both of them, and every factorisation and solve runs on the
-LAPACK core of :mod:`dvcm.estimators` (``spd_factor`` / ``spd_solve``).
+residuals of the target-only fit on the pilot split.  The bias's two
+moment matrices ``zeta`` come from one pass over a
+:func:`dvcm.design.kernel_window`: the pilot design's own window when the
+pilot was fitted on the same pooled domains at the same ``u0``, ``h`` and
+order, so the window is located once per bandwidth.  Every factorisation
+and solve runs on the LAPACK core of :mod:`dvcm.estimators`
+(``spd_factor`` / ``spd_solve``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .design import DomainSample, KernelWindow, kernel_window
+from .design import DomainSample, KernelWindow, LocalDesign, Panel, kernel_window
 from .errors import DegenerateVarianceError, SingularSystemError
 from .estimators import LocalFit, fit_dvcm, fit_target_only, gram, spd_factor, spd_solve
 from .families import ModelFamily
@@ -71,7 +75,7 @@ def estimate_scale(
 
 
 def zeta_hat(
-    domains: Sequence[DomainSample], u0: float, h: float, l: int, r: int, s: int
+    domains: Panel | Sequence[DomainSample], u0: float, h: float, l: int, r: int, s: int
 ) -> np.ndarray:
     """Sample moment matrix (nh)^{-1} sum_k n_k Phi_l(t_k) Phi_l(t_k)' t_k^r W(t_k)^s.
 
@@ -79,30 +83,25 @@ def zeta_hat(
     kernel window contribute nothing, so the zero matrix is a legal
     output.
     """
-    return _zeta(kernel_window(domains, u0, h, l), h, r, s)
+    return _zetas(kernel_window(domains, u0, h, l), h, (r, s))[0]
 
 
-def _zeta(win: KernelWindow, h: float, r: int, s: int) -> np.ndarray:
-    """``zeta_hat`` over an already located kernel window."""
+def _zetas(win: KernelWindow, h: float, *moments: tuple[int, int]) -> list[np.ndarray]:
+    """``zeta_hat`` for each ``(r, s)`` of ``moments`` over one located window."""
     # scalar weights as Python floats and the terms added in domain order,
-    # so the result is bit-identical to a per-domain loop
-    coef = [n * (t**r) * (w**s) for n, t, w in
-            zip(win.n.tolist(), win.t.tolist(), win.w.tolist())]
-    phi = win.phi
-    terms = np.array(coef).reshape(-1, 1, 1) * (phi[:, :, None] * phi[:, None, :])
-    out = np.zeros(phi.shape[1:] * 2)
-    for term in terms:
-        out += term
-    return out / (win.n_total * h)
-
-
-def _distinct_in_window(domains: Sequence[DomainSample], u0: float, h: float) -> int:
-    us = {dom.u for dom in domains if abs(dom.u - u0) <= h}
-    return len(us)
+    # so each result is bit-identical to a per-domain loop
+    n, t, w = win.n.tolist(), win.t.tolist(), win.w.tolist()
+    coef = np.array([[nk * (tk**r) * (wk**s) for nk, tk, wk in zip(n, t, w)]
+                     for r, s in moments]).reshape(len(moments), len(n), 1, 1)
+    terms = coef * (win.phi[:, :, None] * win.phi[:, None, :])
+    acc = np.zeros((len(moments),) + terms.shape[2:])
+    for k in range(len(n)):
+        acc += terms[:, k]
+    return list(acc / (win.n_total * h))
 
 
 def estimate_derivative(
-    domains: Sequence[DomainSample],
+    domains: Panel | Sequence[DomainSample],
     u0: float,
     h: float,
     beta: int,
@@ -120,21 +119,23 @@ def estimate_derivative(
     if beta < 1 or int(beta) != beta:
         raise ValueError(f"derivative order must be a positive integer, got {beta}")
     beta = int(beta)
-    if _distinct_in_window(domains, u0, h) < beta + 1:
-        us = sorted({abs(dom.u - u0) for dom in domains})
+    panel = Panel.of(domains)
+    dist = np.abs(panel.u - u0)
+    if len(set(panel.u[dist <= h].tolist())) < beta + 1:
+        us = sorted(set(dist.tolist()))
         if len(us) < beta + 1:
             raise SingularSystemError(
                 f"derivative of order {beta} needs {beta + 1} distinct domain "
                 f"identifiers; only {len(us)} available"
             )
         h = us[beta] * (1.0 + 1e-9)
-    fit = fit_dvcm(domains, u0, h, beta, family, start)
+    fit = fit_dvcm(panel, u0, h, beta, family, start)
     p = fit.design.p
     return fit.alpha[beta * p :] / h**beta
 
 
 def estimate_bias(
-    domains: Sequence[DomainSample],
+    domains: Panel | Sequence[DomainSample],
     u0: float,
     h: float,
     l: int,
@@ -142,21 +143,24 @@ def estimate_bias(
     family: ModelFamily,
     *,
     derivative: Callable[[], np.ndarray] | None = None,
+    window: KernelWindow | None = None,
 ) -> np.ndarray:
     """Plug-in bias of the order-``l`` pooled fit under smoothness ``beta``.
 
     ``[zeta_{0,1}^{-1} zeta_{beta,1}]_{1,1} * theta^(beta)(u0) * h^beta / beta!``
-    with the zeta moments of the main fit.  The derivative comes from
-    ``derivative``, a zero-argument callable, or else from
+    with the zeta moments of the main fit, over ``window`` when the caller
+    holds ``kernel_window(domains, u0, h, l)`` (a pilot's
+    ``design.window``), else over a window located here.  The derivative
+    comes from ``derivative``, a zero-argument callable, or else from
     ``estimate_derivative`` at the main bandwidth; neither is evaluated
     when the moment factor is zero.
     """
     if int(beta) != beta or beta < 1:
         raise ValueError(f"bias estimation needs a positive integer beta, got {beta}")
     beta = int(beta)
-    win = kernel_window(domains, u0, h, l)
-    z01 = _zeta(win, h, 0, 1)
-    zb1 = _zeta(win, h, beta, 1)
+    panel = Panel.of(domains)
+    win = kernel_window(panel, u0, h, l) if window is None else window
+    z01, zb1 = _zetas(win, h, (0, 1), (beta, 1))
     rhs = zb1[:, 0]
     try:
         factor = float(spd_solve(spd_factor(z01, "zeta_{0,1} moment matrix"), rhs)[0])
@@ -166,12 +170,11 @@ def estimate_bias(
         if np.max(np.abs(rhs)) > 1e-14 * max(1.0, np.max(np.abs(z01))):
             raise
         factor = 0.0
-    p = domains[0].p
     if factor == 0.0:
-        return np.zeros(p)
+        return np.zeros(panel.p)
 
     if derivative is None:
-        deriv = estimate_derivative(domains, u0, h, beta, family)
+        deriv = estimate_derivative(panel, u0, h, beta, family)
     else:
         deriv = derivative()
     return factor * deriv * h**beta / math.factorial(beta)
@@ -188,7 +191,7 @@ def estimate_variance_sandwich(fit: LocalFit, family: ModelFamily) -> np.ndarray
     design = fit.design
     z, y, kw = design.z, design.y, design.kernel_values
     nh = design.n_total * design.bandwidth
-    s1, s2, _ = family.loss_derivatives(z @ fit.alpha, y)
+    s1, s2 = family.score_curvature(z @ fit.alpha, y)
     delta = gram(z, (s1 * kw) ** 2) / nh**2
     lam = gram(z, s2 * kw) / nh
     c = spd_factor(lam, "sandwich bread matrix Lambda")
@@ -198,8 +201,25 @@ def estimate_variance_sandwich(fit: LocalFit, family: ModelFamily) -> np.ndarray
     return 0.5 * (v + v.T)
 
 
+def _pooled_window(
+    design: LocalDesign, target: DomainSample, sources: Panel, u0: float, h: float, l: int
+) -> KernelWindow | None:
+    """``design.window`` if it was located over ``target`` followed by
+    ``sources`` at ``(u0, h, l)``, else None.
+
+    A window depends on the domains' identifiers and sizes alone, so
+    equal ones give the window a fresh location would.
+    """
+    located = design.window.panel
+    same = (design.center == u0 and design.bandwidth == h and design.order == l
+            and located.p == target.p
+            and located.u.tolist() == [target.u, *sources.u.tolist()]
+            and located.sizes.tolist() == [target.n, *sources.sizes.tolist()])
+    return design.window if same else None
+
+
 def estimate_q(
-    domains: Sequence[DomainSample],
+    domains: Panel | Sequence[DomainSample],
     target_pilot_split: DomainSample,
     u0: float,
     h: float,
@@ -210,16 +230,16 @@ def estimate_q(
     *,
     n0: int | None = None,
     pilot_fit: LocalFit | None = None,
-    theta_glr: np.ndarray | None = None,
+    scale: float | None = None,
     derivative: Callable[[], np.ndarray] | None = None,
 ) -> PenaltyEstimate:
     """Assemble the data-driven shrinkage matrix from the pilot split.
 
     Parameters
     ----------
-    domains : sequence of DomainSample
-        Source domains; the pooled pilot fit uses them plus
-        ``target_pilot_split``.
+    domains : Panel or sequence of DomainSample
+        Source domains; the pooled pilot fit uses ``target_pilot_split``
+        followed by them.
     target_pilot_split : DomainSample
         Target observations reserved for the pilot step; they feed the
         scale estimate so the penalty stays independent of the
@@ -228,8 +248,13 @@ def estimate_q(
         Sample size entering the ``scale / n0`` factor; defaults to the
         pilot-split size (the fine-tune split has the same size under the
         even-split protocol).
-    pilot_fit, theta_glr : optional
-        Reuse of already-computed ingredients; recomputed when omitted.
+    pilot_fit, scale : optional
+        Reuse of already-computed ingredients, recomputed when omitted:
+        the pooled pilot fit at ``h`` and the Pearson scale
+        ``estimate_scale`` of the target-only fit on ``target_pilot_split``.
+        The bias's moments reuse ``pilot_fit.design.window`` when that
+        window was located over the same pooled domains at the same
+        ``u0``, ``h`` and ``l``, and locate their own otherwise.
     derivative : callable, optional
         Returns the order-``beta`` derivative plug-in of the bias (see
         ``estimate_bias``); defaults to a derivative fit at ``h``.
@@ -239,22 +264,29 @@ def estimate_q(
     """
     if not 0.5 < delta < 2.0:
         raise ValueError(f"delta must lie in (0.5, 2), got {delta}")
-    pooled = [target_pilot_split, *domains]
+    sources = Panel.of(domains)
+    pooled = functools.cache(lambda: Panel.of([target_pilot_split, *sources]))
     if pilot_fit is None:
-        pilot_fit = fit_dvcm(pooled, u0, h, l, family)
-    if theta_glr is None:
-        theta_glr = fit_target_only(target_pilot_split, family)
+        pilot_fit = fit_dvcm(pooled(), u0, h, l, family)
+    if scale is None:
+        scale = estimate_scale(target_pilot_split,
+                               fit_target_only(target_pilot_split, family), family)
     if n0 is None:
         n0 = target_pilot_split.n
 
-    scale = estimate_scale(target_pilot_split, theta_glr, family)
     diagnostics: dict = {}
     if int(beta) != beta:
         # no plug-in bias form exists for fractional smoothness
         bias = np.zeros(target_pilot_split.p)
         diagnostics["bias_skipped_noninteger_beta"] = float(beta)
     else:
-        bias = estimate_bias(pooled, u0, h, l, int(beta), family, derivative=derivative)
+        win = _pooled_window(pilot_fit.design, target_pilot_split, sources, u0, h, l)
+        if win is None:
+            win = kernel_window(pooled(), u0, h, l)
+        if derivative is None:
+            derivative = lambda: estimate_derivative(pooled(), u0, h, int(beta), family)
+        bias = estimate_bias(win.panel, u0, h, l, int(beta), family,
+                             derivative=derivative, window=win)
     var = estimate_variance_sandwich(pilot_fit, family)
 
     m_hat = np.outer(bias, bias) + var

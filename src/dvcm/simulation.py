@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import expit
 
 from .bandwidth import BANDWIDTH_RULES, select_bandwidth
-from .design import DomainSample
+from .design import DomainSample, Panel
 from .errors import DvcmError, ExperimentError
 from .families import get_family
 from .inference import TransferProblem, normal_quantile, wald_test
@@ -129,21 +129,26 @@ def rng_stream(seed: int, rep: int, role: str) -> np.random.Generator:
     )
 
 
+def _covariate_factor(p: int, rho: float) -> np.ndarray:
+    """Transposed Cholesky factor of Sigma_ij = rho^|i-j| over the p - 1
+    non-intercept covariates."""
+    idx = np.arange(p - 1)
+    return np.linalg.cholesky(rho ** np.abs(idx[:, None] - idx[None, :])).T
+
+
 def _draw_x(
-    rng: np.random.Generator, n: int, p: int, rho: float, blocks: int = 1
+    rng: np.random.Generator, n: int, chol_t: np.ndarray, blocks: int = 1
 ) -> np.ndarray:
     """``blocks`` stacked designs of ``n`` rows: an intercept column plus
-    N(0, Sigma) covariates with Sigma_ij = rho^|i-j|.
+    N(0, Sigma) covariates, ``chol_t = _covariate_factor(p, rho)``.
 
     The normals come from one draw; each block is transformed on its own,
     so every block has the bits of a separate ``n``-row draw (a
     single-row product would otherwise take another BLAS path).
     """
-    x = np.ones((blocks * n, p))
-    if p > 1:
-        q = p - 1
-        idx = np.arange(q)
-        chol_t = np.linalg.cholesky(rho ** np.abs(idx[:, None] - idx[None, :])).T
+    q = chol_t.shape[0]
+    x = np.ones((blocks * n, q + 1))
+    if q:
         normals = rng.standard_normal((blocks * n, q))
         for k in range(0, blocks * n, n):
             x[k : k + n, 1:] = normals[k : k + n] @ chol_t
@@ -162,10 +167,8 @@ def _draw_y(
     raise ValueError(f"unknown family {family_kind!r}")
 
 
-def generate_dataset(
-    config: SimConfig, rep: int
-) -> tuple[DomainSample, list[DomainSample]]:
-    """Draw one replication: target domain of size 2 n0 plus K sources.
+def generate_dataset(config: SimConfig, rep: int) -> tuple[DomainSample, Panel]:
+    """Draw one replication: target domain of size 2 n0 plus a panel of K sources.
 
     Source identifiers are uniform on (-gamma/2, gamma/2); the target sits
     at ``u0``.  Streams are derived from (config.seed, rep) per role, so
@@ -173,20 +176,22 @@ def generate_dataset(
     """
     theta = config.theta
     u_rng = rng_stream(config.seed, rep, "source_u")
-    us = u_rng.uniform(-config.gamma / 2.0, config.gamma / 2.0, config.K).tolist()
+    us = u_rng.uniform(-config.gamma / 2.0, config.gamma / 2.0, config.K)
+    chol_t = _covariate_factor(config.p, config.cov_rho)
 
     # one draw per role for all K sources: the streams are consumed in the
     # same order as K per-source draws, so every value is the same
-    xs = np.split(_draw_x(rng_stream(config.seed, rep, "source_x"), config.n_bar,
-                          config.p, config.cov_rho, blocks=config.K), config.K)
-    eta = np.concatenate([x @ theta(u) for x, u in zip(xs, us)])
-    ys = np.split(_draw_y(rng_stream(config.seed, rep, "source_y"), eta, config.family,
-                          config.noise_sd), config.K)
-    sources = [DomainSample(u=u, x=x, y=y) for u, x, y in zip(us, xs, ys)]
+    x = _draw_x(rng_stream(config.seed, rep, "source_x"), config.n_bar, chol_t, config.K)
+    starts = range(0, config.K * config.n_bar, config.n_bar)
+    eta = np.concatenate([x[a : a + config.n_bar] @ theta(u)
+                          for a, u in zip(starts, us.tolist())])
+    y = _draw_y(rng_stream(config.seed, rep, "source_y"), eta, config.family,
+                config.noise_sd)
+    sources = Panel(x=x, y=y, u=us, offsets=np.arange(config.K + 1) * config.n_bar)
 
     tx_rng = rng_stream(config.seed, rep, "target_x")
     ty_rng = rng_stream(config.seed, rep, "target_y")
-    x0 = _draw_x(tx_rng, 2 * config.n0, config.p, config.cov_rho)
+    x0 = _draw_x(tx_rng, 2 * config.n0, chol_t)
     eta0 = x0 @ theta(config.u0)
     y0 = _draw_y(ty_rng, eta0, config.family, config.noise_sd)
     target = DomainSample(u=config.u0, x=x0, y=y0)
@@ -215,10 +220,9 @@ def _replicate(
     target, sources = generate_dataset(config, rep)
     n0 = target.n // 2
     problem = TransferProblem(
-        DomainSample(u=target.u, x=target.x[:n0], y=target.y[:n0]),
-        DomainSample(u=target.u, x=target.x[n0:], y=target.y[n0:]),
-        sources, config.u0, get_family(config.family), order=config.order,
-        beta=config.beta, delta=config.delta, gamma=config.gamma, e0=config.e0,
+        target.rows(0, n0), target.rows(n0), sources, config.u0, get_family(config.family),
+        order=config.order, beta=config.beta, delta=config.delta, gamma=config.gamma,
+        e0=config.e0,
     )
     try:
         theta_lr = problem.theta_lr

@@ -340,6 +340,12 @@ class TestCliMisuse:
                     "abc" if j == 1 else c for j, c in enumerate(ls[3].split(",")))]
                 + ls[4:]), o),
             "non-numeric cell 'abc' (row 4, column 'x1')"),
+        "blank_line_before_bad_cell": (  # a blank file row 2 puts x1 'abc' on row 5
+            lambda d, o: fit_args(TestCliMisuse._edited(
+                d, lambda ls: ls[:1] + [""] + ls[1:3] + [",".join(
+                    "abc" if j == 1 else c for j, c in enumerate(ls[3].split(",")))]
+                + ls[4:]), o),
+            "non-numeric cell 'abc' (row 5, column 'x1')"),
         "oversized_cell": (  # x1 of file row 3 exceeds csv.field_size_limit()
             lambda d, o: fit_args(TestCliMisuse._edited(
                 d, lambda ls: ls[:2] + [",".join(

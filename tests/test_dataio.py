@@ -123,7 +123,8 @@ class TestIngestPaths:
         want = scan_reference(path)
         assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
 
-    # (text, str(error), row, column) as raised before numpy's reader was added
+    # (text, str(error), row, column) as raised before numpy's reader was added,
+    # except that a row now counts blank lines: it is the line in the file
     MALFORMED = {
         "ragged_row": ("u,x1,y\n0.1,2,3\n0.2,4\n",
             "dataio: data.csv: expected 3 cells, found 2 (row 3, column None)", 3, None),
@@ -141,8 +142,11 @@ class TestIngestPaths:
             "dataio: data.csv: expected 3 cells, found 1 (row 3, column None)", 3, None),
         "every_row_too_short": ("u,x1,y\n1,2\n3,4\n",
             "dataio: data.csv: expected 3 cells, found 2 (row 2, column None)", 2, None),
-        "blank_lines_not_counted": ("u,x1,y\n\n0.1,2,3\n\n0.2,x,4\n",
-            "dataio: data.csv: non-numeric cell 'x' (row 3, column 'x1')", 3, "x1"),
+        "blank_lines_counted": ("u,x1,y\n\n0.1,2,3\n\n0.2,x,4\n",
+            "dataio: data.csv: non-numeric cell 'x' (row 5, column 'x1')", 5, "x1"),
+        "oversized_cell_after_blank_line": ("u,x1,y\n\n0.1," + "9" * 200_000 + "x,3\n",
+            "dataio: data.csv: field larger than field limit (131072) (row 3, column None)",
+            3, None),
         "hex_literal_crlf": ("u,x1,y\r\n0.1,0x1,3\r\n",
             "dataio: data.csv: non-numeric cell '0x1' (row 2, column 'x1')", 2, "x1"),
         "nan": ("u,x1,y\n0.1,2,nan\n",
@@ -159,6 +163,13 @@ class TestIngestPaths:
         with pytest.raises(ParseError) as err:
             load_csv(path, "u", ["x1"], "y")
         assert (str(err.value), err.value.row, err.value.column) == (message, row, column)
+
+    def test_u_expr_error_row_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("age,edu,x1,y\n30,12,1,0\n\n\n40,0,1,1\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path, None, ["x1"], "y", u_expr="age / edu")
+        assert (err.value.row, err.value.column) == (5, "age / edu")
 
     def test_clean_file_never_scanned(self, tmp_path, count_calls):
         rng = np.random.default_rng(4)

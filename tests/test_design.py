@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dvcm.design import (
     DomainSample,
+    Panel,
     build_local_design,
     domain_distances,
     kernel_window,
@@ -189,6 +190,135 @@ class TestDesignEqualsKroneckerOracle:
         win = kernel_window(doms, 0.0, 0.5, 2)
         assert win.index.tolist() == [0, 1] and win.t.tolist() == [-1.0, 1.0]
         assert build_local_design(doms, 0.0, 0.5, 2).row_domain.tolist() == [0, 1]
+
+
+def _list_window(domains, u0, h, l):
+    """The list-of-domains window: per-domain Python reads of ``u`` and ``n``."""
+    sizes = np.array([d.n for d in domains], dtype=int)
+    t_all = (np.array([d.u for d in domains], dtype=float) - u0) / h
+    w_all = uniform_kernel(t_all)
+    index = np.flatnonzero(w_all)
+    phi = np.array([poly_features(tk, l) for tk in t_all[index].tolist()])
+    return dict(index=index, n=sizes[index], t=t_all[index], w=w_all[index],
+                phi=phi.reshape(len(index), l + 1),
+                s_h=float(np.sum(w_all[index] * sizes[index])), n_total=int(sizes.sum()))
+
+
+class TestPanelEqualsDomainListOracle:
+    """The panel route is bit-identical to the per-domain list route."""
+
+    @given(_panels(), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_window_bit_identical(self, panel, l):
+        domains, u0, h = panel
+        want = _list_window(domains, u0, h, l)
+        for given_as in (domains, Panel.of(domains)):
+            win = kernel_window(given_as, u0, h, l)
+            for name in ("index", "n", "t", "w", "phi"):
+                a, b = getattr(win, name), want[name]
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert (win.s_h, win.n_total) == (want["s_h"], want["n_total"])
+
+    @given(_panels(), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_design_from_panel_bit_identical(self, panel, l):
+        domains, u0, h = panel
+        stacked = Panel.of(domains)
+        try:
+            want = _kron_design(domains, u0, h, l)
+        except ValueError:
+            with pytest.raises(EmptyWindowError):
+                build_local_design(stacked, u0, h, l)
+            return
+        got = build_local_design(stacked, u0, h, l)
+        for name in ("z", "y", "weights", "kernel_values", "row_domain"):
+            a, b = getattr(got, name), want[name]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.s_h == want["s_h"] and got.window.panel is stacked
+
+    @pytest.mark.parametrize("offsets,inside", [
+        ((1.5, -2.0, 3.0), []),                # empty window
+        ((0.0, 2.0, -1.0, 0.5), [0, 2, 3]),    # partial, boundary domain at t = -1
+        ((0.0, 1.0, -1.0), [0, 1, 2]),         # full, both boundaries
+    ])
+    def test_empty_partial_and_full_windows(self, offsets, inside):
+        rng = np.random.default_rng(5)
+        domains = [make_domain(0.25 + 0.5 * off, rng.normal(size=(n, 2)), rng.normal(size=n))
+                   for off, n in zip(offsets, (3, 1, 4, 2))]
+        stacked = Panel.of(domains)
+        assert kernel_window(stacked, 0.25, 0.5, 1).index.tolist() == inside
+        if not inside:
+            with pytest.raises(EmptyWindowError):
+                build_local_design(stacked, 0.25, 0.5, 1)
+            return
+        got = build_local_design(stacked, 0.25, 0.5, 1)
+        want = _kron_design(domains, 0.25, 0.5, 1)
+        assert got.z.tobytes() == want["z"].tobytes()
+        assert got.y.tobytes() == want["y"].tobytes()
+        # a full window takes the stacked rows as they are
+        assert (got.y is stacked.y) == (len(inside) == len(domains))
+
+
+class TestPanel:
+    @staticmethod
+    def _domains():
+        rng = np.random.default_rng(2)
+        return [make_domain(u, rng.normal(size=(n, 3)), rng.normal(size=n))
+                for u, n in ((0.1, 2), (-0.4, 1), (0.7, 4))]
+
+    def test_stacks_in_order_and_views_each_domain(self):
+        domains = self._domains()
+        panel = Panel.of(domains)
+        assert (len(panel), panel.n, panel.p) == (3, 7, 3)
+        assert panel.offsets.tolist() == [0, 2, 3, 7] and panel.sizes.tolist() == [2, 1, 4]
+        assert Panel.of(panel) is panel
+        for k, (view, dom) in enumerate(zip(panel, domains)):
+            for got in (view, panel[k]):
+                assert type(got.u) is float and got.u == dom.u
+                assert got.x.tobytes() == dom.x.tobytes() and got.y.tobytes() == dom.y.tobytes()
+                assert np.shares_memory(got.x, panel.x)
+        assert panel[-1].n == 4
+
+    def test_slice_is_a_panel_view(self):
+        panel = Panel.of(self._domains())
+        tail = panel[1:]
+        assert tail.offsets.tolist() == [0, 1, 5] and tail.u.tolist() == [-0.4, 0.7]
+        assert np.shares_memory(tail.x, panel.x)
+        assert tail[1].x.tobytes() == panel[2].x.tobytes()
+        for bad in (slice(2, 1), slice(None, None, 2)):
+            with pytest.raises(ValueError):
+                panel[bad]
+
+    @pytest.mark.parametrize("change", [
+        dict(x=np.array([[1.0, np.nan]] * 3)),  # non-finite
+        dict(u=[0.0, np.inf]),
+        dict(y=np.zeros(2)),                    # rows of x and y differ
+        dict(x=np.ones(3)),                     # x not (N, p)
+        dict(offsets=[0, 3, 3]),                # a domain without rows
+        dict(offsets=[0, 1, 2]),                # offsets end before N
+        dict(offsets=[0, 3]),                   # one offset per domain missing
+        dict(offsets=[0.0, 1.0, 3.0]),          # offsets not integers
+        dict(u=[], offsets=[0]),                # no domain
+    ])
+    def test_construction_checks_shapes_and_values(self, change):
+        args = dict(x=np.ones((3, 2)), y=np.zeros(3), u=[0.0, 1.0], offsets=[0, 1, 3])
+        assert len(Panel(**args)) == 2
+        with pytest.raises(ValueError):
+            Panel(**{**args, **change})
+
+    def test_of_rejects_mixed_dimensions_and_no_domains(self):
+        with pytest.raises(ValueError, match="same covariate dimension"):
+            Panel.of([make_domain(0.0, np.ones((2, 2))), make_domain(0.1, np.ones((2, 3)))])
+        with pytest.raises(ValueError, match="at least one domain"):
+            Panel.of([])
+
+    def test_domain_rows_are_views(self):
+        dom = make_domain(0.3, np.arange(8.0).reshape(4, 2), np.arange(4.0))
+        head, rest = dom.rows(0, 1), dom.rows(1)
+        assert (head.n, rest.n, head.u) == (1, 3, 0.3)
+        assert np.shares_memory(rest.x, dom.x) and rest.y.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            dom.rows(4)
 
 
 class TestDomainDistances:

@@ -86,6 +86,21 @@ def test_loss_convexity(family, eta1, eta2, lam, y):
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
+def test_score_curvature_is_b1_and_b2_bit_for_bit(family):
+    rng = np.random.default_rng(3)
+    eta = np.concatenate([rng.uniform(-40.0, 40.0, 500), [0.0, -0.0, 1e-300, 36.0]])
+    y = rng.integers(0, 2, eta.size).astype(float)
+    s1, s2 = family.score_curvature(eta, y)
+    assert s1.tobytes() == (family.b1(eta) - y).tobytes()
+    assert s2.tobytes() == family.b2(eta).tobytes()
+    t1, t2, t3 = family.loss_derivatives(eta, y)
+    assert (t1.tobytes(), t2.tobytes()) == (s1.tobytes(), s2.tobytes())
+    assert t3.tobytes() == family.b3(eta).tobytes()
+    with pytest.raises(DomainError):
+        family.score_curvature(np.array([0.0, np.nan]), np.zeros(2))
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
 def test_b2_nonnegative(family):
     etas = np.linspace(-50, 50, 201)
     assert np.all(family.b2(etas) >= 0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dvcm.design import DomainSample, poly_features, uniform_kernel
 from dvcm.errors import DegenerateVarianceError, SingularSystemError
 from dvcm.estimators import fit_dvcm, fit_target_only
-from dvcm.families import GAUSSIAN, LOGISTIC
+from dvcm.families import GAUSSIAN, LOGISTIC, POISSON
 from dvcm.penalty import (
     estimate_bias,
     estimate_derivative,
@@ -363,3 +363,83 @@ class TestEstimateQ:
         pen = estimate_q(sources, pilot, 0.0, 1.0, 1, 1.5, 1.0, GAUSSIAN)
         assert np.allclose(pen.bias_vec, 0.0)
         assert "bias_skipped_noninteger_beta" in pen.diagnostics
+
+
+def _glm_problem(family, seed, K, p=2, n=30):
+    """A pilot split at u0 = 0 and K sources on (-0.6, 0.6) of one family."""
+    rng = np.random.default_rng(seed)
+
+    def domain(u, size):
+        x = np.column_stack([np.ones(size), rng.normal(size=(size, p - 1))])
+        eta = x @ np.array([0.3 + 0.5 * u, -0.4 + 0.2 * u])
+        y = {"gaussian": lambda: eta + 0.5 * rng.normal(size=size),
+             "logistic": lambda: rng.binomial(1, 1.0 / (1.0 + np.exp(-eta))).astype(float),
+             "poisson": lambda: rng.poisson(np.exp(eta)).astype(float)}[family.kind]()
+        return DomainSample(u=u, x=x, y=y)
+
+    sources = [domain(float(u), n) for u in rng.uniform(-0.6, 0.6, K)]
+    return domain(0.0, n), sources
+
+
+def _penalty_bytes(pen):
+    return (pen.q.tobytes(), pen.bias_vec.tobytes(), pen.var_mat.tobytes(), pen.scale)
+
+
+class TestEstimateQReusesThePilotWindow:
+    """The pilot design's window gives the bytes a freshly located one gives."""
+
+    @given(st.sampled_from([GAUSSIAN, LOGISTIC, POISSON]), st.integers(0, 2**32 - 1),
+           st.integers(1, 4), st.sampled_from([0.2, 0.35, 0.7, 2.0]), st.integers(0, 2),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_to_a_fresh_window(self, family, seed, K, h, l, fit_derivative):
+        from unittest import mock
+
+        from dvcm import penalty
+        from dvcm.errors import DvcmError
+
+        split, sources = _glm_problem(family, seed, K)
+        kwargs = dict(derivative=None if fit_derivative else (lambda: np.array([0.7, -1.3])))
+        try:
+            pilot = fit_dvcm([split, *sources], 0.0, h, l, family)
+        except DvcmError:
+            return  # no pilot, nothing to reuse
+        fresh_window = penalty.kernel_window([split, *sources], 0.0, h, l)
+        try:
+            with mock.patch.object(penalty, "_pooled_window", return_value=None):
+                fresh = estimate_q(sources, split, 0.0, h, l, 2, 1.0, family,
+                                   pilot_fit=pilot, **kwargs)
+        except DvcmError as exc:
+            with pytest.raises(type(exc)):
+                estimate_q(sources, split, 0.0, h, l, 2, 1.0, family, pilot_fit=pilot,
+                           **kwargs)
+            return
+        with mock.patch.object(penalty, "kernel_window", wraps=penalty.kernel_window) as spy:
+            reused = estimate_q(sources, split, 0.0, h, l, 2, 1.0, family, pilot_fit=pilot,
+                                **kwargs)
+        assert spy.call_count == 0
+        assert _penalty_bytes(reused) == _penalty_bytes(fresh)
+        assert pilot.design.window.phi.tobytes() == fresh_window.phi.tobytes()
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, LOGISTIC, POISSON])
+    def test_foreign_pilot_gives_the_fresh_result(self, family, count_calls):
+        from unittest import mock
+
+        from dvcm import penalty
+
+        split, sources = _glm_problem(family, 3, 4)
+        h = 0.7
+        other_h = fit_dvcm([split, *sources], 0.0, 2.0, 1, family)
+        # same identifiers and sizes, other responses: its window is the right one,
+        # but the default derivative must still be fitted on the given data
+        shuffled = [DomainSample(u=d.u, x=d.x, y=d.y[::-1]) for d in sources]
+        other_data = fit_dvcm([split, *shuffled], 0.0, h, 1, family)
+        # windows located: the bias's own (other h only) and the derivative fit's
+        for foreign, located in ((other_h, 2), (other_data, 1)):
+            with mock.patch.object(penalty, "_pooled_window", return_value=None):
+                want = estimate_q(sources, split, 0.0, h, 1, 2, 1.0, family,
+                                  pilot_fit=foreign)
+            windows = count_calls(penalty.kernel_window)
+            got = estimate_q(sources, split, 0.0, h, 1, 2, 1.0, family, pilot_fit=foreign)
+            assert _penalty_bytes(got) == _penalty_bytes(want)
+            assert windows[0] == located

@@ -276,6 +276,34 @@ def test_logistic_replication_fits_each_target_half_once(count_calls):
     assert target_only[0] == 2
 
 
+def test_replication_locates_one_window_per_bandwidth(count_calls):
+    from dvcm import design, penalty
+    from dvcm.simulation import _replicate
+
+    windows = count_calls(design.kernel_window)
+    scales = count_calls(penalty.estimate_scale)
+    cfg = SimConfig(p=4, K=5, n_bar=120, n0=50, gamma=1.0)
+    cells = _replicate(cfg, (0.3, 0.45, 0.6, 0.8, 1.0), ("lr", "dvcm", "tl"), 1)
+    assert all(cell is not None for cell in cells)
+    # each pilot's window serves its penalty; one more for the derivative fit
+    assert (windows[0], scales[0]) == (6, 1)
+
+
+def test_dataset_validates_no_source_on_its_own(monkeypatch):
+    from dvcm.design import DomainSample
+
+    made = [0]
+    post_init = DomainSample.__post_init__
+
+    def counted(self):
+        made[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(DomainSample, "__post_init__", counted)
+    target, sources = generate_dataset(SimConfig(p=3, K=7, n_bar=20, n0=10), 0)
+    assert len(sources) == 7 and made[0] == 1  # the target alone
+
+
 def test_replication_keeps_a_failed_derivative(count_calls):
     from dvcm import penalty
     from dvcm.simulation import _replicate

@@ -132,3 +132,18 @@ def test_gaussian_y_scale_scales_estimates_and_sigma(offsets, s):
     for got, want in zip(thetas_s, thetas):
         assert _close(got, s * want, REL["gaussian"])
     assert _close(sigma_s, s * s * sigma, REL["gaussian"])
+
+
+def test_pipeline_never_evaluates_the_third_derivative():
+    import dataclasses
+
+    def b3(eta):
+        raise AssertionError("the third cumulant derivative was evaluated")
+
+    offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
+    draws = _draws(offsets, "logistic")
+    plain = _problem(draws, offsets, "logistic")
+    fam = dataclasses.replace(plain.family, b3=b3)
+    problem = TransferProblem(plain.pilot_part, plain.fine, plain.sources, 0.0, fam, e0=100.0)
+    for got, want in zip(_fit(problem), _fit(plain)):
+        assert np.array_equal(got, want)
