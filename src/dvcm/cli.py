@@ -112,13 +112,16 @@ def _ingest(args) -> tuple[dataio.BinnedPanel, dict]:
         add_intercept=not args.no_intercept,
         u_expr=args.u_expr,
     )
+    rows_read, headers, rows = table.n, table.headers, table.rows
     mask = dataio.sigma_filter(table.u, k=args.sigma_k)
-    kept = table.keep(mask)
-    scaled = kept.replace_u(dataio.minmax_scale(kept.u))
-    panel = dataio.bin_domains(scaled, n_bins=args.bins)
+    del table  # ingest owns `rows`: gather only when rows drop, scale u in place
+    if not mask.all():
+        rows = rows[mask]
+    rows[:, 0] = dataio.minmax_scale(rows[:, 0])
+    panel = dataio.bin_domains(dataio.RawTable(headers, rows), n_bins=args.bins)
     diag = {
-        "rows_read": table.n,
-        "rows_kept": kept.n,
+        "rows_read": rows_read,
+        "rows_kept": rows.shape[0],
         "bins_occupied": len(panel.domains),
         "bin_counts": {str(d.u): d.n for d in panel.domains},
     }
@@ -151,6 +154,14 @@ def _run_fit_pipeline(args) -> EstimateReport:
         diag["test_split_rows"] = int(sum(p.n for p in parts[2:]))
 
     gamma = args.gamma if args.gamma is not None else gamma_moment_estimate(sources)
+    problem = TransferProblem(
+        pilot_part, fine_part, sources, u0, family, order=args.order, beta=args.beta,
+        delta=args.delta, gamma=gamma, e0=args.e0,
+    )
+    # the problem stacked its own copy of the sources: let the binned panel go
+    del panel, target
+    sources = problem.sources
+
     rule = {"auto": "median", "undersmooth": "undersmoothed"}.get(args.bandwidth, "fixed")
     choice = select_bandwidth(
         rule, sources, u0, args.beta, gamma, e0=args.e0, c=args.bw_c,
@@ -167,14 +178,10 @@ def _run_fit_pipeline(args) -> EstimateReport:
     theta_lr = fit_target_only(train, family)
     theta_dvcm = fit_dvcm([train, *sources], u0, h, args.order, family, theta_lr).theta
 
-    problem = TransferProblem(
-        pilot_part, fine_part, sources, u0, family, order=args.order, beta=args.beta,
-        delta=args.delta, gamma=gamma, e0=args.e0,
-    )
     pilot = problem.pilot(h)
     pen = problem.penalty(pilot)
     tl = problem.fine_tune(pilot, pen.q)
-    cov = problem.covariance(pilot, pen.q)
+    cov = problem.covariance(pilot, pen.q, pen.var_mat)
     se = np.sqrt(np.diag(cov.sigma_tl))
     ci = confidence_intervals(tl.theta_tl, cov.sigma_tl, args.level)
 

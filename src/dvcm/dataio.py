@@ -15,6 +15,13 @@ accepts what ``float()`` accepts (quoted cells, ``1_000``) or raises the
 ParseError naming the first bad row and column.  Both give the same
 floats for a cell both accept.  A ParseError's row is the line number in
 the file, blank lines included; a clean file is never mapped to lines.
+
+Every column of the file is parsed and checked finite, used or not.
+Ingest then holds the parsed table plus one projected copy: ``load_csv``
+writes ``(u, [1,] x..., y)`` straight from the parsed columns into one
+preallocated array and releases the parsed table before it returns.
+The caller owns that array, so the sigma filter gathers kept rows only
+when it drops some, and the scaled identifier is written back in place.
 """
 
 from __future__ import annotations
@@ -67,14 +74,6 @@ class RawTable:
     def y(self) -> np.ndarray:
         return self.rows[:, -1]
 
-    def replace_u(self, values: np.ndarray) -> "RawTable":
-        rows = self.rows.copy()
-        rows[:, 0] = values
-        return RawTable(headers=self.headers, rows=rows)
-
-    def keep(self, mask: np.ndarray) -> "RawTable":
-        return RawTable(headers=self.headers, rows=self.rows[mask])
-
 
 @dataclass(frozen=True)
 class BinnedPanel:
@@ -82,7 +81,6 @@ class BinnedPanel:
 
     domains: Panel
     bin_edges: np.ndarray
-    u_raw: np.ndarray
 
 
 def _records(fh, name: str):
@@ -153,6 +151,10 @@ def load_csv(
     the row and column of the first bad cell.  Blank lines are skipped;
     a reported row is the line number in the file (the header is line 1,
     blank lines count).
+
+    The used columns are copied once, into the returned table's rows;
+    the parsed table is released before this returns, so the caller
+    holds one copy of the data and may modify it.
     """
     path = Path(path)
     if not path.exists():
@@ -199,10 +201,14 @@ def load_csv(
             )
     else:
         u = data[:, index[u_column]]
-    x = data[:, [index[c] for c in x_columns]]
+    first = 2 if add_intercept else 1
+    rows = np.empty((data.shape[0], first + len(x_columns) + 1))
+    rows[:, 0] = u
     if add_intercept:
-        x = np.column_stack([np.ones(data.shape[0]), x])
-    y = data[:, index[y_column]]
+        rows[:, 1] = 1.0
+    for j, name in enumerate(x_columns, start=first):
+        rows[:, j] = data[:, index[name]]
+    rows[:, -1] = data[:, index[y_column]]
 
     out_headers = (
         ("u",)
@@ -210,7 +216,7 @@ def load_csv(
         + tuple(x_columns)
         + (y_column,)
     )
-    return RawTable(headers=out_headers, rows=np.column_stack([u, x, y]))
+    return RawTable(headers=out_headers, rows=rows)
 
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+\.?\d*(?:[eE][+-]?\d+)?|[-+*/()])")
@@ -223,7 +229,6 @@ def evaluate_column_expr(expr: str, headers: Sequence[str], data: np.ndarray) ->
     to table columns.  A tiny recursive-descent parser keeps this free of
     eval().
     """
-    index = {h: i for i, h in enumerate(headers)}
     tokens = []
     pos = 0
     while pos < len(expr):
@@ -233,55 +238,67 @@ def evaluate_column_expr(expr: str, headers: Sequence[str], data: np.ndarray) ->
         tokens.append(m.group(1))
         pos = m.end()
     tokens.append(None)  # sentinel
-    state = {"i": 0}
+    parser = _ExprParser(expr, tokens, {h: i for i, h in enumerate(headers)}, data)
+    result = parser.parse_sum()
+    if parser.peek() is not None:
+        raise ValueError(f"trailing tokens in expression {expr!r}")
+    return np.broadcast_to(np.asarray(result, dtype=float), (data.shape[0],)).copy()
 
-    def peek():
-        return tokens[state["i"]]
 
-    def advance():
-        tok = tokens[state["i"]]
-        state["i"] += 1
+class _ExprParser:
+    """The recursive descent of ``evaluate_column_expr`` over one token list.
+
+    Methods, not nested closures: closures that call each other form a
+    reference cycle, which would keep ``data`` alive until the cyclic
+    garbage collector happens to run.
+    """
+
+    def __init__(self, expr: str, tokens: list, index: dict, data: np.ndarray):
+        self.expr, self.tokens, self.index, self.data = expr, tokens, index, data
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
         return tok
 
-    def parse_atom():
-        tok = advance()
+    def parse_atom(self):
+        tok = self.advance()
         if tok == "(":
-            val = parse_sum()
-            if advance() != ")":
-                raise ValueError(f"unbalanced parentheses in {expr!r}")
+            val = self.parse_sum()
+            if self.advance() != ")":
+                raise ValueError(f"unbalanced parentheses in {self.expr!r}")
             return val
         if tok == "-":
-            return -parse_atom()
+            return -self.parse_atom()
         if tok == "+":
-            return parse_atom()
+            return self.parse_atom()
         if tok is None:
-            raise ValueError(f"unexpected end of expression in {expr!r}")
+            raise ValueError(f"unexpected end of expression in {self.expr!r}")
         if tok[0].isdigit() or tok[0] == ".":
             return float(tok)
-        if tok in index:
-            return data[:, index[tok]]
-        raise SchemaError(f"unknown column {tok!r} in expression {expr!r}")
+        if tok in self.index:
+            return self.data[:, self.index[tok]]
+        raise SchemaError(f"unknown column {tok!r} in expression {self.expr!r}")
 
-    def parse_term():
-        val = parse_atom()
-        while peek() in ("*", "/"):
-            op = advance()
-            rhs = parse_atom()
+    def parse_term(self):
+        val = self.parse_atom()
+        while self.peek() in ("*", "/"):
+            op = self.advance()
+            rhs = self.parse_atom()
             val = val * rhs if op == "*" else val / rhs
         return val
 
-    def parse_sum():
-        val = parse_term()
-        while peek() in ("+", "-"):
-            op = advance()
-            rhs = parse_term()
+    def parse_sum(self):
+        val = self.parse_term()
+        while self.peek() in ("+", "-"):
+            op = self.advance()
+            rhs = self.parse_term()
             val = val + rhs if op == "+" else val - rhs
         return val
-
-    result = parse_sum()
-    if peek() is not None:
-        raise ValueError(f"trailing tokens in expression {expr!r}")
-    return np.broadcast_to(np.asarray(result, dtype=float), (data.shape[0],)).copy()
 
 
 def sigma_filter(values: Sequence[float], k: float = 3.0) -> np.ndarray:
@@ -333,7 +350,7 @@ def bin_domains(table: RawTable, n_bins: int = 10) -> BinnedPanel:
     occupied = np.flatnonzero(np.diff(bounds))
     domains = Panel(x=table.x[order], y=table.y[order], u=(occupied + 0.5) / n_bins,
                     offsets=np.append(bounds[occupied], bounds[-1]))
-    return BinnedPanel(domains=domains, bin_edges=edges, u_raw=u.copy())
+    return BinnedPanel(domains=domains, bin_edges=edges)
 
 
 def split_target(

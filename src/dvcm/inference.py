@@ -24,7 +24,7 @@ assembles it on the ``gram`` / ``spd_factor`` primitives of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -168,9 +168,11 @@ class TransferProblem:
 
     ``pilot_part`` is pooled with ``sources`` for the pilot and feeds the
     penalty; ``fine`` is fine-tuned on and gives Psi_hat and V_LR.  The
-    pooled panel is stacked once.  The cached properties do not depend on
-    the pilot bandwidth, so fits at several bandwidths share them, a
-    raised DvcmError included.
+    pooled panel, ``pilot_part`` followed by ``sources``, is stacked once,
+    at construction, and ``sources`` then views it: the problem keeps no
+    reference to the caller's source arrays.  The cached properties do
+    not depend on the pilot bandwidth, so fits at several bandwidths
+    share them, a raised DvcmError included.
     """
 
     pilot_part: DomainSample
@@ -183,15 +185,11 @@ class TransferProblem:
     delta: float = 1.0
     gamma: float = 1.0
     e0: float = 1.0
+    pooled: Panel = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def pooled(self) -> Panel:
-        """``pilot_part`` followed by ``sources``: the panel of every pooled fit."""
-        return Panel.of([self.pilot_part, *self.sources])
-
-    @cached_property
-    def _source_panel(self) -> Panel:
-        return self.pooled[1:]
+    def __post_init__(self):
+        pooled = Panel.of([self.pilot_part, *self.sources])
+        self.__dict__.update(pooled=pooled, sources=pooled[1:])
 
     @_cached_outcome
     def theta_lr(self) -> np.ndarray:
@@ -211,7 +209,7 @@ class TransferProblem:
     @_cached_outcome
     def h_deriv(self) -> float:
         """Derivative-fit bandwidth: the median rule, whatever the pilot's h."""
-        return select_bandwidth_median(self._source_panel, self.u0, self.beta, self.gamma,
+        return select_bandwidth_median(self.sources, self.u0, self.beta, self.gamma,
                                        self.e0, n_extra=self.pilot_part.n).h
 
     @_cached_outcome
@@ -242,7 +240,7 @@ class TransferProblem:
     def penalty(self, pilot: LocalFit) -> PenaltyEstimate:
         """Data-driven shrinkage matrix Q_hat at the pilot's bandwidth."""
         self.h_deriv  # its argument checks run even when the bias needs no derivative
-        return estimate_q(self._source_panel, self.pilot_part, self.u0,
+        return estimate_q(self.sources, self.pilot_part, self.u0,
                           pilot.design.bandwidth, self.order, self.beta, self.delta,
                           self.family, n0=self.fine.n, pilot_fit=pilot, scale=self.scale,
                           derivative=lambda: self.derivative)
@@ -250,11 +248,15 @@ class TransferProblem:
     def fine_tune(self, pilot: LocalFit, q: np.ndarray) -> TLFit:
         return fit_tl(self.fine, pilot.theta, q, self.family, self._fine_moments)
 
-    def covariance(self, pilot: LocalFit, q: np.ndarray) -> CovarianceReport:
-        """Sigma_TL of ``fine_tune(pilot, q)``."""
+    def covariance(self, pilot: LocalFit, q: np.ndarray,
+                   v_dvcm: np.ndarray | None = None) -> CovarianceReport:
+        """Sigma_TL of ``fine_tune(pilot, q)``; ``v_dvcm`` is the pilot's
+        sandwich when already known (``penalty(pilot).var_mat``)."""
         psi = psi_hat(self.fine, self.theta_lr, self.family)
         v_lr = _target_sandwich(self.fine, self.theta_lr, psi, self.family)
-        return sigma_tl(psi, q, v_lr, estimate_variance_sandwich(pilot, self.family))
+        if v_dvcm is None:
+            v_dvcm = estimate_variance_sandwich(pilot, self.family)
+        return sigma_tl(psi, q, v_lr, v_dvcm)
 
 
 def wald_test(

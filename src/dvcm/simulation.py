@@ -246,11 +246,13 @@ def _replicate(
                 estimates["dvcm"] = pilot.theta
             if "tl" in estimators:
                 q = q_matrices[i] if config.q_mode == "oracle" else fixed_q
-                if q is None:  # data-driven
-                    q = problem.penalty(pilot).q
+                v_dvcm = None
+                if q is None:  # data-driven; its penalty holds the pilot's sandwich
+                    pen = problem.penalty(pilot)
+                    q, v_dvcm = pen.q, pen.var_mat
                 theta_tl = problem.fine_tune(pilot, q).theta_tl
                 estimates["tl"] = (
-                    (theta_tl, problem.covariance(pilot, q).sigma_tl)
+                    (theta_tl, problem.covariance(pilot, q, v_dvcm).sigma_tl)
                     if want_sigma else theta_tl
                 )
         except DvcmError:

@@ -1,4 +1,7 @@
+import contextlib
 import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,3 +30,31 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def traced_peak():
+    """``with traced_peak() as mem:`` traces the allocations of the block.
+
+    On exit ``mem.peak`` is the largest traced size the block reached and
+    ``mem.live`` what it left allocated, both in bytes above the traced
+    size at entry.  Tracing stops afterwards unless it was already on.
+    """
+
+    @contextlib.contextmanager
+    def trace():
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        mem = SimpleNamespace(peak=None, live=None)
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            yield mem
+            live, peak = tracemalloc.get_traced_memory()
+            mem.peak, mem.live = peak - base, live - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return trace

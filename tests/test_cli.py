@@ -163,6 +163,16 @@ def test_fit_computes_psi_hat_once(tmp_path, count_calls):
     assert calls[0] == 1
 
 
+def test_fit_computes_the_pilot_sandwich_once(tmp_path, count_calls):
+    from dvcm.penalty import estimate_variance_sandwich
+
+    # the penalty's V_hat is the covariance's V_DVCM: one pilot, one sandwich
+    calls = count_calls(estimate_variance_sandwich)
+    data = write_constant_theta_csv(tmp_path / "c.csv", noise=0.3)
+    assert main(fit_args(data, tmp_path / "r.json")) == 0
+    assert calls[0] == 1
+
+
 class TestCmdInfer:
     def test_null_at_fit_gives_pvalue_one(self, tmp_path):
         data = write_constant_theta_csv(tmp_path / "c.csv", noise=0.3)

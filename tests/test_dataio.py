@@ -1,4 +1,7 @@
 import csv
+import gc
+import re
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvcm import dataio
+from dvcm import cli, dataio
 from dvcm.dataio import (
     RawTable,
     bin_domains,
@@ -153,6 +156,10 @@ class TestIngestPaths:
             "dataio: data.csv: non-finite value in table", None, None),
         "quoted_word": ('u,x1,y\n0.1,"2",3\n0.2,"b",4\n',
             "dataio: data.csv: non-numeric cell 'b' (row 3, column 'x1')", 3, "x1"),
+        "word_in_unused_column": ("u,x1,y,z\n0.1,2,3,4\n0.2,3,4,abc\n",
+            "dataio: data.csv: non-numeric cell 'abc' (row 3, column 'z')", 3, "z"),
+        "nan_in_unused_column": ("u,z,x1,y\n0.1,2,3,4\n0.2,nan,4,5\n",
+            "dataio: data.csv: non-finite value in table", None, None),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -206,6 +213,177 @@ class TestIngestPaths:
         path.write_text("u,x1,y\n\n")
         assert load_csv(path, "u", ["x1"], "y").rows.shape == (0, 4)
         assert len(recwarn) == 0
+
+
+def ingest_args(path, *extra):
+    """``dvcm fit`` arguments for ``cli._ingest``: the fit options keep their defaults."""
+    return cli.build_parser().parse_args(["fit", "--data", str(path), "--u0", "0.25", *extra])
+
+
+def write_wage_csv(path, rows, seed=0):
+    """A wage-like table of six columns, experience = age - education - 6."""
+    rng = np.random.default_rng(seed)
+    education = rng.integers(8, 21, rows)
+    age = education + 6 + rng.integers(0, 46, rows)
+    female = rng.integers(0, 2, rows)
+    hours = rng.normal(40.0, 8.0, rows)
+    logwage = rng.normal(3.0, 0.5, rows)
+    highwage = (logwage > 3.2).astype(int)
+    path.write_text("age,education,female,hours,logwage,highwage\n" + "".join(
+        f"{a},{e},{f},{h!r},{w!r},{y}\n" for a, e, f, h, w, y in
+        zip(age.tolist(), education.tolist(), female.tolist(), hours.tolist(),
+            logwage.tolist(), highwage.tolist())))
+    return path
+
+
+WAGE_FIT = ("--u-expr", "age - education - 6", "--x-cols", "female,education",
+            "--y-col", "highwage")
+
+
+@pytest.fixture
+def gc_off():
+    """Only reference counting frees objects: whatever a cycle holds stays alive."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+class TestParsedTableReleased:
+    """Once ingest is done with the parsed table, nothing keeps it alive."""
+
+    def test_expression_keeps_no_reference_to_data(self, gc_off):
+        data = np.array([[30.0, 10.0], [40.0, 12.0]])
+        ref = weakref.ref(data)
+        u = evaluate_column_expr("-(edu - age) / 2 - -1", ["age", "edu"], data)
+        del data
+        assert ref() is None
+        assert u.tolist() == [11.0, 15.0]
+
+    def test_load_csv_releases_the_parsed_table(self, gc_off, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        path.write_text("age,edu,x1,y\n30,10,1,2\n40,12,3,4\n")
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def recording_loadtxt(*args, **kwargs):
+            out = loadtxt(*args, **kwargs)
+            parsed.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+        table = load_csv(path, None, ["x1"], "y", u_expr="age - edu - 6")
+        assert len(parsed) == 1 and parsed[0]() is None
+        assert table.rows.tolist() == [[14.0, 1.0, 1.0, 2.0], [22.0, 1.0, 3.0, 4.0]]
+
+
+class TestIngestMemory:
+    def test_ingest_holds_one_projected_copy(self, tmp_path, traced_peak):
+        rows = 20_000
+        args = ingest_args(write_wage_csv(tmp_path / "wage.csv", rows), *WAGE_FIT)
+        cli._ingest(args)  # lazy imports and caches stay out of the measurement
+        with traced_peak() as mem:
+            panel, diag = cli._ingest(args)
+        parsed_bytes = rows * 6 * 8
+        assert diag["rows_kept"] == rows
+        assert mem.peak <= 3 * parsed_bytes
+        assert mem.live <= parsed_bytes
+
+
+def old_ingest(path, u_col, u_expr, x_cols, y_col, intercept, sigma_k, bins):
+    """The ingest chain as it was before the single projection, kept as an oracle.
+
+    A per-cell parse, the ``column_stack`` projection, the ``RawTable.keep``
+    and ``replace_u`` copies, and rows grouped bin by bin in file order.
+    ``u_expr`` is evaluated by Python over the columns.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        headers = [h.strip() for h in next(reader)]
+        data = np.array([[float(c) for c in row] for row in reader if row])
+    n = data.shape[0]
+    cols = {h: data[:, j] for j, h in enumerate(headers)}
+    if u_expr is None:
+        u = cols[u_col]
+    else:
+        u = np.broadcast_to(eval(u_expr, {"__builtins__": {}}, cols), (n,)).copy()
+    x = data[:, [headers.index(c) for c in x_cols]]
+    if intercept:
+        x = np.column_stack([np.ones(n), x])
+    rows = np.column_stack([u, x, cols[y_col]])
+    kept = rows[sigma_filter(rows[:, 0], k=sigma_k)]
+    scaled = kept.copy()
+    scaled[:, 0] = minmax_scale(kept[:, 0])
+    idx = np.clip(np.ceil(scaled[:, 0] * bins).astype(int) - 1, 0, bins - 1)
+    occupied = [j for j in range(bins) if np.any(idx == j)]
+    counts = [int(np.count_nonzero(idx == j)) for j in occupied]
+    mids = (np.array(occupied) + 0.5) / bins
+    diag = {"rows_read": n, "rows_kept": kept.shape[0], "bins_occupied": len(occupied),
+            "bin_counts": {str(float(m)): c for m, c in zip(mids, counts)}}
+    return (np.concatenate([scaled[idx == j, 1:-1] for j in occupied]),
+            np.concatenate([scaled[idx == j, -1] for j in occupied]),
+            mids, np.cumsum([0] + counts), diag)
+
+
+@st.composite
+def ingest_cases(draw, drops):
+    """A table a,b,c,y,z (z unused) and the ingest options to run on it.
+
+    When ``drops`` the first row's ``a`` is an outlier the one-sigma filter
+    removes; otherwise the filter is at 100 sigma and keeps every row.
+    """
+    n = draw(st.integers(4, 30))
+    value = st.one_of(st.integers(-50, 50).map(float),
+                      st.floats(-50, 50, allow_nan=False, allow_subnormal=False))
+    table = {c: draw(st.lists(value, min_size=n, max_size=n)) for c in "abcyz"}
+    if drops:
+        table["a"][0] = 1e6
+    quoted = draw(st.booleans())
+    lines = ["a,b,c,y,z"] + [",".join(repr(table[c][i]) for c in "abcyz") for i in range(n)]
+    if quoted:  # numpy's reader rejects quotes: the per-cell scan takes the file
+        lines[1] = ",".join(f'"{cell}"' for cell in lines[1].split(","))
+    u_expr = draw(st.sampled_from([None, "a - b - 6", "(a + b) / 2", "-a * 3 + b",
+                                   "a / (b + 100)"]))
+    return dict(
+        text="\n".join(lines) + "\n", quoted=quoted, u_col="a" if u_expr is None else None,
+        u_expr=u_expr, x_cols=draw(st.sampled_from([["b", "c"], ["c"], ["c", "b", "a"]])),
+        y_col="y", intercept=draw(st.booleans()), sigma_k=1.0 if drops else 100.0,
+        bins=draw(st.integers(2, 10)))
+
+
+class TestIngestMatchesOldChain:
+    """``cli._ingest`` gives the old chain's panel and counts, byte for byte."""
+
+    @pytest.mark.parametrize("drops", [True, False], ids=["filter_drops", "filter_keeps_all"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_panel_bytes_equal(self, tmp_path_factory, drops, data):
+        case = data.draw(ingest_cases(drops))
+        path = tmp_path_factory.mktemp("ingest") / "t.csv"
+        path.write_text(case["text"])
+        args = ingest_args(
+            path, "--x-cols", ",".join(case["x_cols"]), "--y-col", case["y_col"],
+            "--sigma-k", repr(case["sigma_k"]), "--bins", str(case["bins"]),
+            *(["--u-col", case["u_col"]] if case["u_col"] else ["--u-expr", case["u_expr"]]),
+            *([] if case["intercept"] else ["--no-intercept"]))
+        try:
+            want = old_ingest(path, case["u_col"], case["u_expr"], case["x_cols"], case["y_col"],
+                              case["intercept"], case["sigma_k"], case["bins"])
+        except DegenerateScaleError as exc:
+            with pytest.raises(DegenerateScaleError, match=re.escape(str(exc))):
+                cli._ingest(args)
+            return
+        with mock.patch.object(dataio, "_scan_cells", wraps=dataio._scan_cells) as scan:
+            panel, diag = cli._ingest(args)
+        assert scan.call_count == case["quoted"]
+        got = panel.domains
+        x, y, u, offsets, want_diag = want
+        assert got.x.shape == x.shape and got.x.tobytes() == x.tobytes()
+        assert got.y.tobytes() == y.tobytes() and got.u.tobytes() == u.tobytes()
+        assert got.offsets.tolist() == offsets.tolist()
+        assert diag == want_diag
+        assert (diag["rows_kept"] < diag["rows_read"]) == drops
 
 
 class TestColumnExpr:

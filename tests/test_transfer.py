@@ -1,5 +1,7 @@
 """TransferProblem: the one transfer pipeline, and its metamorphic properties."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -59,6 +61,19 @@ def _fit(problem):
 def _close(got, want, rel):
     """Norm-wise relative agreement: max |got - want| <= rel * max |want|."""
     return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def test_problem_keeps_one_copy_of_the_sources():
+    offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
+    (xp, yp), (xf, yf), *draws = _draws(offsets, "gaussian")
+    sources = [DomainSample(u=d, x=x, y=y) for d, (x, y) in zip(offsets, draws)]
+    refs = [weakref.ref(s) for s in sources]
+    problem = TransferProblem(DomainSample(u=0.0, x=xp, y=yp), DomainSample(u=0.0, x=xf, y=yf),
+                              sources, 0.0, get_family("gaussian"))
+    del sources
+    assert all(ref() is None for ref in refs)
+    assert np.shares_memory(problem.sources.x, problem.pooled.x)
+    assert [d.u for d in problem.sources] == offsets
 
 
 # five sources on distinct slots of a 0.1 grid over [-1, 1] (the target owns
