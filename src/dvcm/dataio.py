@@ -7,14 +7,21 @@ identifiers, and split the target bin into pilot / fine-tune / test
 parts by a seeded shuffle.
 
 Ingest is vectorised: ``load_csv`` reads the header with ``csv`` and
-parses every data row in one ``numpy.loadtxt`` call (no comment
-character, so ``#`` is an ordinary cell character).  Only a file that
-call rejects, or one with no data rows or a width unlike the header's,
-is scanned again cell by cell with ``csv`` and ``float()``; that scan
+hands numpy's C reader the file name, so ``numpy.loadtxt`` opens the
+file itself, skips the lines the header took and parses every data row
+in chunks, never as Python lines (no comment character, so ``#`` is an
+ordinary cell character).  numpy picks a decompressor by file suffix,
+so a name ending ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` is never given
+to it: such a file is read as plain text by the per-cell scan.  That
+scan also takes a file numpy rejects, or one with no data rows or a
+width unlike the header's: it reads the file cell by cell with
+``csv`` and ``float()``, record by record into a growing array, and
 accepts what ``float()`` accepts (quoted cells, ``1_000``) or raises the
 ParseError naming the first bad row and column.  Both give the same
 floats for a cell both accept.  A ParseError's row is the line number in
 the file, blank lines included; a clean file is never mapped to lines.
+A file that is not text in its encoding raises a ParseError naming the
+first line with a byte that does not decode.
 
 Every column of the file is parsed and checked finite, used or not.
 Ingest then holds the parsed table plus one projected copy: ``load_csv``
@@ -107,26 +114,70 @@ def _scan_cells(fh, name: str, headers: Sequence[str]) -> np.ndarray:
     The fallback of ``load_csv``: it reads from the start of the file,
     accepts what ``float()`` accepts (quoted cells, ``1_000``) and
     otherwise raises the ParseError that locates the first bad row, and
-    the column of a bad cell.
+    the column of a bad cell.  Rows go straight into an array that
+    doubles when full, so no record outlives its own row.
     """
     width = len(headers)
-    records = list(_records(fh, name))
-    data = np.empty((len(records), width))
-    for i, (line, row) in enumerate(records):
+    data = np.empty((0, width))
+    n = 0
+    for line, row in _records(fh, name):
         if len(row) != width:
             raise ParseError(
                 f"{name}: expected {width} cells, found {len(row)}", row=line
             )
+        if n == data.shape[0]:
+            data.resize((max(1, 2 * n), width), refcheck=False)
         for j, cell in enumerate(row):
             try:
-                data[i, j] = float(cell)
+                data[n, j] = float(cell)
             except ValueError:
                 raise ParseError(
                     f"{name}: non-numeric cell {cell!r}",
                     row=line,
                     column=headers[j],
                 ) from None
+        n += 1
+    data.resize((n, width), refcheck=False)
     return data
+
+
+# the lone surrogates a bad byte decodes to under errors="surrogateescape"
+_ESCAPED = re.compile("[\udc80-\udcff]")
+# numpy.loadtxt opens a file name with these suffixes through a decompressor
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError for a file that is not text in ``exc.encoding``.
+
+    A decoder fails on a whole buffer, not a line, so the file is read
+    again with each undecodable byte escaped to a lone surrogate, which
+    no valid text holds; the row is the first line holding one.
+    """
+    with open(path, newline="", encoding=exc.encoding, errors="surrogateescape") as fh:
+        line = next((i for i, text in enumerate(fh, start=1) if _ESCAPED.search(text)),
+                    None)
+    return ParseError(f"{path.name}: not valid {exc.encoding} text: {exc.reason}",
+                      row=line)
+
+
+def _read_header(path: Path) -> tuple[list[str], int, str]:
+    """The stripped header cells of ``path``, the file lines they took, and
+    the encoding the file was read in.
+
+    The handle, and the buffer the header was decoded from, are released
+    on return: a clean file is parsed by name, not from this handle.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            return [h.strip() for h in next(reader)], reader.line_num, fh.encoding
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path.name}: {exc}", row=1) from None
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
 
 
 def load_csv(
@@ -146,11 +197,14 @@ def load_csv(
     column of ones to the covariate block.
 
     ``csv.reader`` reads the header; every data row and every column is
-    parsed (and checked finite) whether or not it is used, by numpy's C
-    reader when it can take the file, else by a per-cell scan that names
-    the row and column of the first bad cell.  Blank lines are skipped;
-    a reported row is the line number in the file (the header is line 1,
-    blank lines count).
+    parsed (and checked finite) whether or not it is used.  numpy's C
+    reader opens the file by name and takes it when it can; a file it
+    rejects, and any file whose name ends in a suffix numpy would
+    decompress (``.gz``, ``.bz2``, ``.xz``, ``.lzma``), is read as plain
+    text by a per-cell scan that names the row and column of the first
+    bad cell.  Blank lines are skipped; a reported row is the line
+    number in the file (the header is line 1, blank lines count).  Text
+    that does not decode raises a ParseError naming its first bad line.
 
     The used columns are copied once, into the returned table's rows;
     the parsed table is released before this returns, so the caller
@@ -159,31 +213,32 @@ def load_csv(
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        try:
-            headers = [h.strip() for h in next(csv.reader(fh))]
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        except csv.Error as exc:
-            raise ParseError(f"{path.name}: {exc}", row=1) from None
-        index = {h: i for i, h in enumerate(headers)}
+    headers, header_lines, encoding = _read_header(path)
+    index = {h: i for i, h in enumerate(headers)}
 
-        if (u_column is None) == (u_expr is None):
-            raise ValueError("exactly one of u_column / u_expr must be given")
-        wanted = list(x_columns) + [y_column] + ([u_column] if u_column else [])
-        for name in wanted:
-            if name not in index:
-                raise SchemaError(f"missing column {name!r} in {path.name}")
+    if (u_column is None) == (u_expr is None):
+        raise ValueError("exactly one of u_column / u_expr must be given")
+    wanted = list(x_columns) + [y_column] + ([u_column] if u_column else [])
+    for name in wanted:
+        if name not in index:
+            raise SchemaError(f"missing column {name!r} in {path.name}")
 
+    data = None
+    if path.suffix not in _COMPRESSED_SUFFIXES:
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                         UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+                data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=float,
+                                  skiprows=header_lines, encoding=encoding)
         except ValueError:
-            data = None
-        if data is None or not data.shape[0] or data.shape[1] != len(headers):
-            data = _scan_cells(fh, path.name, headers)
+            pass
+    if data is None or not data.shape[0] or data.shape[1] != len(headers):
+        try:
+            with open(path, newline="") as fh:
+                data = _scan_cells(fh, path.name, headers)
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
     if not np.all(np.isfinite(data)):
         raise ParseError(f"{path.name}: non-finite value in table")
 

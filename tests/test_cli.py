@@ -313,7 +313,8 @@ class TestCliMisuse:
     def _edited(path, edit):
         """A copy of the CSV at ``path`` whose lines are ``edit(lines)``."""
         out = path.with_name("edited.csv")
-        out.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        out.write_text("\n".join(edit(path.read_text().splitlines())) + "\n",
+                       errors="surrogateescape")  # "\udcff" is written as the byte 0xff
         return out
 
     CASES = {
@@ -362,6 +363,14 @@ class TestCliMisuse:
                     "9" * 200_000 + "x" if j == 1 else c
                     for j, c in enumerate(ls[2].split(",")))] + ls[3:]), o),
             "field larger than field limit (131072) (row 3, column None)"),
+        "undecodable_header": (  # the header holds the byte 0xff
+            lambda d, o: fit_args(TestCliMisuse._edited(
+                d, lambda ls: ["\udcff" + ls[0]] + ls[1:]), o),
+            "edited.csv: not valid utf-8 text: invalid start byte (row 1, column None)"),
+        "undecodable_cell": (  # x1 of file row 4 holds the byte 0xff
+            lambda d, o: fit_args(TestCliMisuse._edited(
+                d, lambda ls: ls[:3] + [ls[3].replace(",", ",\udcff", 1)] + ls[4:]), o),
+            "edited.csv: not valid utf-8 text: invalid start byte (row 4, column None)"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

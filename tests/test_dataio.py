@@ -1,6 +1,9 @@
 import csv
 import gc
+import gzip
+import os
 import re
+import warnings
 import weakref
 from unittest import mock
 
@@ -111,6 +114,47 @@ def numeric_tables(draw):
     return width, eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
 
 
+def handle_reference(path):
+    """The parse of ``path`` as it was when numpy read the header's handle.
+
+    numpy's C reader takes the data rows as Python lines from the handle
+    ``csv`` read the header from; the per-cell scan takes what it rejects.
+    Returns the parsed table and whether numpy's reader took the file.
+    """
+    with open(path, newline="") as fh:
+        headers = [h.strip() for h in next(csv.reader(fh))]
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            data = None
+        if data is not None and data.shape[0] and data.shape[1] == len(headers):
+            return data, True
+        return dataio._scan_cells(fh, path.name, headers), False
+
+
+@st.composite
+def line_ended_tables(draw):
+    """CSV text of a numeric table as a file may end its lines.
+
+    LF, CRLF or lone CR; blank lines, sometimes a whitespace-only line,
+    a final line end or none, and a header whose first cell is quoted
+    across two lines.
+    """
+    width = draw(st.integers(2, 5))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    first = draw(st.sampled_from(["c0", '"c0"', f'"{eol}c0"', f'" c0{eol}{eol}"']))
+    lines = [",".join([first] + [f"c{j}" for j in range(1, width)])]
+    for row in draw(st.lists(st.lists(_cell, min_size=width, max_size=width),
+                             min_size=1, max_size=12)):
+        lines.extend([""] * draw(st.integers(0, 2)) + [",".join(row)])
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from([" ", "\t", "  "])))
+    return width, eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
+
+
 class TestIngestPaths:
     """numpy's C reader and the per-cell scan agree; the scan locates errors."""
 
@@ -160,13 +204,23 @@ class TestIngestPaths:
             "dataio: data.csv: non-numeric cell 'abc' (row 3, column 'z')", 3, "z"),
         "nan_in_unused_column": ("u,z,x1,y\n0.1,2,3,4\n0.2,nan,4,5\n",
             "dataio: data.csv: non-finite value in table", None, None),
+        # not valid text: a bare UnicodeDecodeError before, now located
+        "bad_byte_in_header": ("u,x\udcff1,y\n0.1,2,3\n",
+            "dataio: data.csv: not valid utf-8 text: invalid start byte (row 1, column None)",
+            1, None),
+        "bad_byte_in_cell": ("u,x1,y\n0.1,2,3\n\n0.2,\udcff3,4\n",
+            "dataio: data.csv: not valid utf-8 text: invalid start byte (row 4, column None)",
+            4, None),
+        "bad_byte_past_the_header_buffer": ("u,x1,y\n" + "0.1,2,3\n" * 3000 + "0.2,3,\udcff\n",
+            "dataio: data.csv: not valid utf-8 text: invalid start byte (row 3002, column None)",
+            3002, None),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_error_unchanged(self, case, tmp_path):
         text, message, row, column = self.MALFORMED[case]
         path = tmp_path / "data.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(text.encode(errors="surrogateescape"))  # "\udcff" -> byte 0xff
         with pytest.raises(ParseError) as err:
             load_csv(path, "u", ["x1"], "y")
         assert (str(err.value), err.value.row, err.value.column) == (message, row, column)
@@ -213,6 +267,57 @@ class TestIngestPaths:
         path.write_text("u,x1,y\n\n")
         assert load_csv(path, "u", ["x1"], "y").rows.shape == (0, 4)
         assert len(recwarn) == 0
+
+    def test_clean_file_parsed_by_name(self, tmp_path, count_calls):
+        path = write_wage_csv(tmp_path / "wage.csv", 500)
+        scans, records = count_calls(dataio._scan_cells), count_calls(dataio._records)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            load_csv(path, None, ["female", "education"], "highwage",
+                     u_expr="age - education - 6")
+        assert loadtxt.call_count == 1
+        assert isinstance(loadtxt.call_args.args[0], (str, os.PathLike))
+        assert (scans[0], records[0]) == (0, 0)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_compressed_suffix_loads(self, tmp_path, suffix):
+        text = "c0,c1,c2\n0.1,2,3\n\n0.25,4.5,7\n"
+        (tmp_path / "t.csv").write_text(text)
+        (tmp_path / f"t.csv{suffix}").write_text(text)
+        want = load_in_file_order(tmp_path / "t.csv", 3).rows
+        got = load_in_file_order(tmp_path / f"t.csv{suffix}", 3).rows
+        assert got.shape == (2, 3) and got.tobytes() == want.tobytes()
+
+    def test_every_suffix_numpy_decompresses_is_kept_from_it(self):
+        numpy_suffixes = set(np.lib._datasource._file_openers.keys()) - {None}
+        assert numpy_suffixes <= set(dataio._COMPRESSED_SUFFIXES)
+
+    def test_gzipped_file_fails_its_header_decode(self, tmp_path):
+        path = tmp_path / "t.csv.gz"
+        path.write_bytes(gzip.compress(b"u,x1,y\n0.1,2,3\n", mtime=0))
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            with pytest.raises(ParseError) as err:
+                load_csv(path, "u", ["x1"], "y")
+        assert str(err.value) == ("dataio: t.csv.gz: not valid utf-8 text: "
+                                  "invalid start byte (row 1, column None)")
+        assert loadtxt.call_count == 0
+
+    @given(line_ended_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_by_name_matches_handle_read_bitwise(self, tmp_path_factory, table):
+        width, text = table
+        path = tmp_path_factory.mktemp("ingest") / "t.csv"
+        path.write_bytes(text.encode())
+        try:
+            want, numpy_took_it = handle_reference(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                load_in_file_order(path, width)
+            assert (str(err.value), err.value.row) == (str(exc), exc.row)
+            return
+        with mock.patch.object(dataio, "_scan_cells", wraps=dataio._scan_cells) as scan:
+            rows = load_in_file_order(path, width).rows
+        assert scan.call_count == (not numpy_took_it)
+        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
 
 
 def ingest_args(path, *extra):
@@ -279,6 +384,21 @@ class TestParsedTableReleased:
 
 
 class TestIngestMemory:
+    def test_per_cell_scan_holds_no_list_of_records(self, tmp_path, traced_peak,
+                                                   count_calls):
+        rows = 20_000
+        path = write_wage_csv(tmp_path / "wage.csv", rows)
+        header, rest = path.read_text().split("\n", 1)
+        path.write_text(header + '\n"' + rest.replace(",", '",', 1))  # first cell quoted
+        scans = count_calls(dataio._scan_cells)
+        fit = dict(u_column=None, x_columns=["female", "education"], y_column="highwage",
+                   u_expr="age - education - 6")
+        load_csv(path, **fit)  # lazy imports and caches stay out of the measurement
+        with traced_peak() as mem:
+            table = load_csv(path, **fit)
+        assert scans[0] == 2 and table.n == rows
+        assert mem.peak <= 3 * rows * 6 * 8
+
     def test_ingest_holds_one_projected_copy(self, tmp_path, traced_peak):
         rows = 20_000
         args = ingest_args(write_wage_csv(tmp_path / "wage.csv", rows), *WAGE_FIT)
