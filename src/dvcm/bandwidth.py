@@ -10,6 +10,7 @@ asymptotically negligible against its standard error.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -47,6 +48,11 @@ class BandwidthChoice:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _row_count(sources: Panel | Sequence[DomainSample]) -> int:
+    """Observations over all of ``sources``, from a panel's shape without views."""
+    return sources.n if isinstance(sources, Panel) else sum(d.n for d in sources)
+
+
 def gamma_moment_estimate(sources: Panel | Sequence[DomainSample]) -> float:
     """Plug-in for the domain-dispersion scale: sd of the U_k times sqrt(12).
 
@@ -76,12 +82,12 @@ def select_bandwidth_median(
     ``n_extra`` counts target observations pooled into the fit on top of
     the source samples, so the rate term sees the full sample size.
     """
-    if gamma <= 0 or e0 <= 0 or beta <= 0:
+    if not (gamma > 0 and e0 > 0 and beta > 0):
         raise ValueError("gamma, e0 and beta must be positive")
     _, d1, dK = domain_distances(sources, u0)
-    n = n_extra + sum(d.n for d in sources)
+    n = n_extra + _row_count(sources)
     rate = e0 * (n / gamma) ** (-1.0 / (2.0 * beta + 1.0))
-    h = float(np.median([rate, d1, dK]))
+    h = float(sorted([rate, d1, dK])[1])  # the median: no NaN can reach here
     return BandwidthChoice(
         h=h, rule="median_rule", rate_term=rate, d1=d1, dK=dK,
         e0=e0, beta=beta, gamma=gamma, n=n,
@@ -109,7 +115,7 @@ def select_bandwidth_undersmoothed(
     if gamma <= 0 or c <= 0 or epsilon < 0:
         raise ValueError("gamma and c must be positive and epsilon nonnegative")
     _, d1, dK = domain_distances(sources, u0)
-    n = n_extra + sum(d.n for d in sources)
+    n = n_extra + _row_count(sources)
     rate_cap = (gamma / n) ** (1.0 / (2.0 * beta + 1.0))
     h = c * (gamma / n) ** ((1.0 + epsilon) / (2.0 * beta + 1.0))
     diagnostics: dict = {}
@@ -150,7 +156,7 @@ def select_bandwidth(
         )
     if rule != "fixed":
         raise ValueError(f"bandwidth rule must be one of {BANDWIDTH_RULES}, got {rule!r}")
-    if h is None or not h > 0:
-        raise ValueError(f"bandwidth rule 'fixed' needs a positive h, got {h}")
+    if h is None or not 0 < h < math.inf:
+        raise ValueError(f"bandwidth rule 'fixed' needs a finite positive h, got {h}")
     _, d1, dK = domain_distances(sources, u0)
     return BandwidthChoice(h=h, rule="fixed", rate_term=h, d1=d1, dK=dK)

@@ -23,7 +23,7 @@ import numpy as np
 from . import dataio
 from .bandwidth import (BANDWIDTH_RULES, BandwidthChoice, gamma_moment_estimate,
                         select_bandwidth)
-from .design import DomainSample
+from .design import DomainSample, Panel
 from .errors import DvcmError, ParseError
 from .estimators import fit_dvcm, fit_target_only
 from .families import get_family
@@ -115,6 +115,9 @@ def _ingest(args) -> tuple[dataio.BinnedPanel, dict]:
     rows_read, headers, rows = table.n, table.headers, table.rows
     mask = dataio.sigma_filter(table.u, k=args.sigma_k)
     del table  # ingest owns `rows`: gather only when rows drop, scale u in place
+    if not mask.any():
+        raise ValueError(f"--sigma-k {args.sigma_k} drops every row: no identifier lies "
+                         f"within that many standard deviations of the mean")
     if not mask.all():
         rows = rows[mask]
     rows[:, 0] = dataio.minmax_scale(rows[:, 0])
@@ -176,7 +179,8 @@ def _run_fit_pipeline(args) -> EstimateReport:
         y=np.concatenate([pilot_part.y, fine_part.y]),
     )
     theta_lr = fit_target_only(train, family)
-    theta_dvcm = fit_dvcm([train, *sources], u0, h, args.order, family, theta_lr).theta
+    theta_dvcm = fit_dvcm(Panel.pooled(train, sources), u0, h, args.order, family,
+                          theta_lr).theta
 
     pilot = problem.pilot(h)
     pen = problem.penalty(pilot)
@@ -270,6 +274,9 @@ def _load_config(args) -> SimConfig:
             raise ParseError(
                 f"{args.config}: {exc.msg}", row=exc.lineno, column=str(exc.colno)
             ) from None
+        if not isinstance(values, dict):
+            raise ValueError(f"{args.config}: a config must be a JSON object, "
+                             f"got {json.dumps(values)[:40]}")
         unknown = set(values) - _CONFIG_FIELDS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -7,23 +7,26 @@ and row ``offsets (D+1,)``, so domain ``k`` owns rows
 construction.  A :class:`DomainSample` is one validated domain, and
 indexing a panel gives one as a view.  Every public function here and in
 the estimators takes a panel or any sequence of domains and converts it
-once, at its boundary (:meth:`Panel.of`).
+once, at its boundary (:meth:`Panel.of`).  Records whose arrays the
+package built and checked itself are made without ``__init__``
+(:func:`_record`).
 
 The local-polynomial estimators regress on rows ``Phi_l(t_k) (x) X_ki``
 where ``t_k = (U_k - u0) / h`` and ``(x)`` is the Kronecker product.
-:func:`kernel_window` locates the in-window domains from the panel's
-arrays (``t``, ``W(t)``, ``Phi_l(t)``, ``S_h``); :func:`build_local_design`
-takes their rows, the stacked arrays themselves when every domain is
-inside, and forms the Kronecker rows with one broadcast product.  The
-design keeps its window, which the moment matrices of
-:mod:`dvcm.penalty` reuse instead of locating it again.
+:func:`kernel_window` locates the in-window domains, ``|t_k| <= 1``, from
+the panel's arrays (``t``, ``W(t)``, ``Phi_l(t)``, ``S_h``);
+:func:`build_local_design` takes their rows, the stacked arrays
+themselves when every domain is inside, and forms the Kronecker rows
+with one broadcast product.  The design keeps its window, which the
+moment matrices of :mod:`dvcm.penalty` reuse instead of locating it
+again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,6 +44,16 @@ __all__ = [
     "build_local_design",
     "domain_distances",
 ]
+
+_KERNEL_HEIGHT = 0.5  # the uniform kernel's value on its support |t| <= 1
+
+
+def _record(cls, **fields):
+    """An instance of the dataclass ``cls`` holding ``fields``, made without
+    ``__init__``: for arrays the package built and checked itself."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 @dataclass(frozen=True)
@@ -68,9 +81,7 @@ class DomainSample:
     @classmethod
     def _view(cls, u: float, x: np.ndarray, y: np.ndarray) -> "DomainSample":
         """A domain over arrays that were validated already, not checked again."""
-        view = object.__new__(cls)
-        view.__dict__.update(u=u, x=x, y=y)
-        return view
+        return _record(cls, u=u, x=x, y=y)
 
     def rows(self, start: int, stop: int | None = None) -> "DomainSample":
         """Observations ``start:stop`` as a domain viewing this one's arrays."""
@@ -136,12 +147,24 @@ class Panel:
         if any(d.p != p for d in domains):
             raise ValueError("all domains must share the same covariate dimension")
         # every DomainSample validated its arrays when it was made
-        panel = object.__new__(cls)
-        panel.__dict__.update(x=np.concatenate([d.x for d in domains]),
-                              y=np.concatenate([d.y for d in domains]),
-                              u=np.array([d.u for d in domains], dtype=float),
-                              offsets=np.cumsum([0] + [d.n for d in domains]))
-        return panel
+        return _record(cls, x=np.concatenate([d.x for d in domains]),
+                       y=np.concatenate([d.y for d in domains]),
+                       u=np.array([d.u for d in domains], dtype=float),
+                       offsets=np.cumsum([0] + [d.n for d in domains]))
+
+    @classmethod
+    def pooled(cls, first: DomainSample,
+               rest: "Panel | Iterable[DomainSample]") -> "Panel":
+        """``first`` followed by the domains of ``rest``, stacked in one new
+        panel; a panel ``rest`` is stacked from its arrays, not its views."""
+        if not isinstance(rest, Panel):
+            return cls.of([first, *rest])
+        if first.p != rest.p:
+            raise ValueError("all domains must share the same covariate dimension")
+        return _record(cls, x=np.concatenate([first.x, rest.x]),
+                       y=np.concatenate([first.y, rest.y]),
+                       u=np.concatenate([[first.u], rest.u]),
+                       offsets=np.concatenate([[0], rest.offsets + first.n]))
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -165,10 +188,8 @@ class Panel:
             if step != 1 or start >= stop:
                 raise ValueError("a panel view takes a nonempty run of domains")
             o = self.offsets[start : stop + 1]
-            view = object.__new__(Panel)
-            view.__dict__.update(x=self.x[o[0] : o[-1]], y=self.y[o[0] : o[-1]],
-                                 u=self.u[start:stop], offsets=o - o[0])
-            return view
+            return _record(Panel, x=self.x[o[0] : o[-1]], y=self.y[o[0] : o[-1]],
+                           u=self.u[start:stop], offsets=o - o[0])
         k = range(len(self))[k]
         a, b = self.offsets[k], self.offsets[k + 1]
         return DomainSample._view(float(self.u[k]), self.x[a:b], self.y[a:b])
@@ -199,7 +220,6 @@ class LocalDesign:
     order: int
     bandwidth: float
     center: float
-    row_domain: np.ndarray     # (N_eff,) index into the input domain sequence
     n_total: int
     p: int
     window: KernelWindow
@@ -208,11 +228,16 @@ class LocalDesign:
     def n_rows(self) -> int:
         return self.z.shape[0]
 
+    @cached_property
+    def row_domain(self) -> np.ndarray:
+        """(N_eff,) index of each row's domain in the panel of ``window``."""
+        return np.repeat(self.window.index, self.window.n)
+
 
 def uniform_kernel(t):
     """Uniform kernel W(t) = 1/2 on |t| <= 1 (boundary included), 0 outside."""
     t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) <= 1.0, 0.5, 0.0)
+    return np.where(np.abs(t) <= 1.0, _KERNEL_HEIGHT, 0.0)
 
 
 def _powers(t: float, l: int) -> list[float]:
@@ -251,8 +276,9 @@ def kernel_window(
 ) -> KernelWindow:
     """Locate the in-window domains of ``domains`` around ``u0``; may be empty.
 
-    ``phi`` is :func:`poly_features` of each Python-float ``t``: numpy's
-    vectorised power can differ from it in the last bit.
+    A domain is inside when ``|t| <= 1``, where the uniform kernel is
+    positive.  ``phi`` is :func:`poly_features` of each Python-float
+    ``t``: numpy's vectorised power can differ from it in the last bit.
     """
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
@@ -260,16 +286,24 @@ def kernel_window(
         raise ValueError(f"polynomial order must be >= 0, got {l}")
     panel = Panel.of(domains)
     t_all = (panel.u - u0) / h
-    w_all = uniform_kernel(t_all)
-    index = np.flatnonzero(w_all)
+    index = (np.abs(t_all) <= 1.0).nonzero()[0]
     t = t_all[index]
     n = panel.sizes[index]
-    w = w_all[index]
+    w = np.full(index.size, _KERNEL_HEIGHT)
     phi = np.array([_powers(tk, l) for tk in t.tolist()])
-    return KernelWindow(
-        index=index, n=n, t=t, w=w, phi=phi.reshape(len(index), l + 1),
+    return _record(
+        KernelWindow, index=index, n=n, t=t, w=w, phi=phi.reshape(index.size, l + 1),
         s_h=float((w * n).sum()), n_total=panel.n, panel=panel,
     )
+
+
+@lru_cache(maxsize=64)
+def _kron_columns(p: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of an order-``l`` Kronecker row over ``p`` covariates: the
+    covariate it multiplies and the polynomial feature it multiplies by."""
+    cols, blocks = np.tile(np.arange(p), l + 1), np.repeat(np.arange(l + 1), p)
+    cols.flags.writeable = blocks.flags.writeable = False
+    return cols, blocks
 
 
 def build_local_design(
@@ -291,40 +325,33 @@ def build_local_design(
         If no domain satisfies ``|U_k - u0| <= h``; the error carries the
         nearest domain distance as a bandwidth hint.
     """
-    panel = Panel.of(domains)
-    win = kernel_window(panel, u0, h, l)
+    win = kernel_window(domains, u0, h, l)
+    panel = win.panel
     if not win.index.size:
         d1 = float(np.min(np.abs(panel.u - u0)))
         raise EmptyWindowError(
             f"no domain within bandwidth {h} of u0={u0}; nearest at distance {d1}",
             d1=d1,
         )
-
+    # row-wise Kronecker product: each row X_ki expands to
+    # (phi_0 x, ..., phi_l x), one multiplication per entry.  Both factors
+    # are spread to the (N_eff, (l+1) p) layout by indexing, so the product
+    # is one same-shape multiplication (a broadcast one is several times
+    # slower); compress copies the in-window rows faster than a mask index.
+    cols, blocks = _kron_columns(panel.p, l)
     if win.index.size == len(panel):
         x, y = panel.x, panel.y
     else:
         inside = np.zeros(len(panel), dtype=bool)
         inside[win.index] = True
-        rows = np.repeat(inside, panel.sizes)
-        x, y = panel.x[rows], panel.y[rows]
-    # row-wise Kronecker product: each row X_ki expands to
-    # (phi_0 x, ..., phi_l x), one multiplication per entry
-    phi_rows = np.repeat(win.phi, win.n, axis=0)
-    z = (phi_rows[:, :, None] * x[:, None, :]).reshape(x.shape[0], (l + 1) * panel.p)
-    kernel_values = np.repeat(win.w, win.n)
-    return LocalDesign(
-        z=z,
-        y=y,
-        weights=kernel_values / win.s_h,
-        kernel_values=kernel_values,
-        s_h=win.s_h,
-        order=l,
-        bandwidth=h,
-        center=u0,
-        row_domain=np.repeat(win.index, win.n),
-        n_total=win.n_total,
-        p=panel.p,
-        window=win,
+        rows = inside.repeat(panel.sizes)
+        x, y = panel.x.compress(rows, axis=0), panel.y.compress(rows)
+    z = x[:, cols] * win.phi[:, blocks].repeat(win.n, axis=0)
+    kernel_values = win.w.repeat(win.n)
+    return _record(
+        LocalDesign, z=z, y=y, weights=kernel_values / win.s_h,
+        kernel_values=kernel_values, s_h=win.s_h, order=l, bandwidth=h, center=u0,
+        n_total=win.n_total, p=panel.p, window=win,
     )
 
 
@@ -338,5 +365,7 @@ def domain_distances(
     """
     if not domains:
         raise ValueError("at least one source domain is required")
-    d = np.sort(np.abs(np.array([dom.u for dom in domains]) - u0))
+    # a panel's identifiers are read from its array, not from views
+    u = domains.u if isinstance(domains, Panel) else np.array([d.u for d in domains])
+    d = np.sort(np.abs(u - u0))
     return d, float(d[0]), float(d[-1])

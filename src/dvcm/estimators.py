@@ -22,9 +22,9 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .design import DomainSample, LocalDesign, Panel, build_local_design
+from .design import DomainSample, LocalDesign, Panel, _record, build_local_design
 from .errors import DomainError, SingularSystemError
-from .families import ModelFamily
+from .families import ModelFamily, _finite
 
 __all__ = ["LocalFit", "TLFit", "newton_weighted", "fit_target_only", "fit_dvcm", "fit_tl"]
 
@@ -74,9 +74,9 @@ def spd_factor(mat: np.ndarray, what: str) -> np.ndarray:
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not _finite(a):
         raise DomainError(f"{what} has a non-finite entry")
-    c, info = dpotrf(a, lower=1, clean=0)
+    c, info = dpotrf(a, 1, 0)  # lower, clean: positional, as keywords cost more
     if info > 0:
         raise SingularSystemError(f"{what} is singular", cond=float(np.linalg.cond(a)))
     return c
@@ -88,10 +88,9 @@ def spd_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if b.ndim not in (1, 2) or b.shape[0] != factor.shape[0]:
         raise ValueError(f"right-hand side of shape {b.shape} does not match a "
                          f"{factor.shape[0]}-dimensional system")
-    if not np.isfinite(b).all():
+    if not _finite(b):
         raise DomainError("right-hand side has a non-finite entry")
-    x, _ = dpotrs(factor, b, lower=1)
-    return x
+    return dpotrs(factor, b, 1)[0]  # lower
 
 
 def _solve_spd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -215,13 +214,8 @@ def fit_dvcm(
         init = np.zeros(dim)
         init[: design.p] = start
         alpha, converged, iterations = newton_weighted(z, w, y, family, init)
-    return LocalFit(
-        alpha=alpha,
-        theta=alpha[: design.p].copy(),
-        design=design,
-        converged=converged,
-        iterations=iterations,
-    )
+    return _record(LocalFit, alpha=alpha, theta=alpha[: design.p].copy(), design=design,
+                   converged=converged, iterations=iterations)
 
 
 def fine_tune_moments(target_finetune: DomainSample) -> tuple[np.ndarray, np.ndarray]:
@@ -257,4 +251,4 @@ def fit_tl(
         theta, converged, _ = newton_weighted(
             x, w, y, family, theta_pilot.copy(), penalty=(q, theta_pilot)
         )
-    return TLFit(theta_tl=theta, theta_pilot=theta_pilot, q=q, converged=converged)
+    return _record(TLFit, theta_tl=theta, theta_pilot=theta_pilot, q=q, converged=converged)

@@ -6,7 +6,9 @@ every Monte-Carlo replication.  It stacks its pooled panel once and
 keeps every ingredient that does not depend on the pilot bandwidth (the
 target-only fits, the Pearson scale, the derivative plug-in, the
 Gaussian fine-tune Gram), so each bandwidth fits the pilot, locates its
-kernel window once and reuses it in the penalty.
+kernel window once and hands that window, with the arrays the chain
+built itself, straight to the penalty's implementation: nothing is
+converted or re-checked against the pooled panel on the way.
 
 The transfer estimator is a matrix-weighted combination of the target-only
 fit and the pooled pilot, so its covariance combines both ingredients:
@@ -32,12 +34,12 @@ import numpy as np
 from scipy.special import erfc, gammaincc, ndtri
 
 from .bandwidth import select_bandwidth_median
-from .design import DomainSample, Panel
+from .design import DomainSample, Panel, kernel_window
 from .errors import DvcmError, SingularSystemError
 from .estimators import (LocalFit, TLFit, fine_tune_moments, fit_dvcm, fit_target_only,
                          fit_tl, gram, spd_factor, spd_solve)
 from .families import ModelFamily
-from .penalty import (PenaltyEstimate, estimate_derivative, estimate_q, estimate_scale,
+from .penalty import (PenaltyEstimate, _penalty, estimate_derivative, estimate_scale,
                       estimate_variance_sandwich)
 
 __all__ = [
@@ -188,7 +190,7 @@ class TransferProblem:
     pooled: Panel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pooled = Panel.of([self.pilot_part, *self.sources])
+        pooled = Panel.pooled(self.pilot_part, self.sources)
         self.__dict__.update(pooled=pooled, sources=pooled[1:])
 
     @_cached_outcome
@@ -237,13 +239,22 @@ class TransferProblem:
         except SingularSystemError:
             return np.zeros(self.pilot_part.p)
 
+    def _derivative(self) -> np.ndarray:  # read only when the bias needs it
+        return self.derivative
+
     def penalty(self, pilot: LocalFit) -> PenaltyEstimate:
-        """Data-driven shrinkage matrix Q_hat at the pilot's bandwidth."""
+        """Data-driven shrinkage matrix Q_hat at the pilot's bandwidth.
+
+        The bias's moments take ``pilot.design.window`` when ``pilot`` is
+        this problem's own (``pilot(h)``), else a window located here."""
         self.h_deriv  # its argument checks run even when the bias needs no derivative
-        return estimate_q(self.sources, self.pilot_part, self.u0,
-                          pilot.design.bandwidth, self.order, self.beta, self.delta,
-                          self.family, n0=self.fine.n, pilot_fit=pilot, scale=self.scale,
-                          derivative=lambda: self.derivative)
+        design = pilot.design
+        window = design.window
+        if not (window.panel is self.pooled and design.center == self.u0
+                and design.order == self.order):
+            window = kernel_window(self.pooled, self.u0, design.bandwidth, self.order)
+        return _penalty(pilot, window, design.bandwidth, self.beta, self.delta, self.family,
+                        self.scale, self.fine.n, self._derivative)
 
     def fine_tune(self, pilot: LocalFit, q: np.ndarray) -> TLFit:
         return fit_tl(self.fine, pilot.theta, q, self.family, self._fine_moments)

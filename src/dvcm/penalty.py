@@ -8,9 +8,12 @@ residuals of the target-only fit on the pilot split.  The bias's two
 moment matrices ``zeta`` come from one pass over a
 :func:`dvcm.design.kernel_window`: the pilot design's own window when the
 pilot was fitted on the same pooled domains at the same ``u0``, ``h`` and
-order, so the window is located once per bandwidth.  Every factorisation
-and solve runs on the LAPACK core of :mod:`dvcm.estimators`
-(``spd_factor`` / ``spd_solve``).
+order, so the window is located once per bandwidth.  ``estimate_q`` and
+``estimate_bias`` convert and check their arguments, then run the one
+implementation (``_penalty``, ``_bias``) that
+:class:`dvcm.inference.TransferProblem` calls with its own pilot window.
+Every factorisation and solve runs on the LAPACK core of
+:mod:`dvcm.estimators` (``spd_factor`` / ``spd_solve``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .design import DomainSample, KernelWindow, LocalDesign, Panel, kernel_window
+from .design import DomainSample, KernelWindow, LocalDesign, Panel, _record, kernel_window
 from .errors import DegenerateVarianceError, SingularSystemError
 from .estimators import LocalFit, fit_dvcm, fit_target_only, gram, spd_factor, spd_solve
 from .families import ModelFamily
@@ -94,9 +97,12 @@ def _zetas(win: KernelWindow, h: float, *moments: tuple[int, int]) -> list[np.nd
     coef = np.array([[nk * (tk**r) * (wk**s) for nk, tk, wk in zip(n, t, w)]
                      for r, s in moments]).reshape(len(moments), len(n), 1, 1)
     terms = coef * (win.phi[:, :, None] * win.phi[:, None, :])
-    acc = np.zeros((len(moments),) + terms.shape[2:])
-    for k in range(len(n)):
-        acc += terms[:, k]
+    if n:
+        # accumulate adds the domains one by one, in order; adding 0.0 turns
+        # a -0.0 sum into the +0.0 that a loop starting from zeros gives
+        acc = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
+    else:
+        acc = np.zeros((len(moments),) + terms.shape[2:])
     return list(acc / (win.n_total * h))
 
 
@@ -155,11 +161,24 @@ def estimate_bias(
     ``estimate_derivative`` at the main bandwidth; neither is evaluated
     when the moment factor is zero.
     """
-    if int(beta) != beta or beta < 1:
-        raise ValueError(f"bias estimation needs a positive integer beta, got {beta}")
-    beta = int(beta)
+    beta = _bias_order(beta)
     panel = Panel.of(domains)
     win = kernel_window(panel, u0, h, l) if window is None else window
+    if derivative is None:
+        derivative = lambda: estimate_derivative(panel, u0, h, beta, family)
+    return _bias(win, h, beta, derivative)
+
+
+def _bias_order(beta) -> int:
+    if int(beta) != beta or beta < 1:
+        raise ValueError(f"bias estimation needs a positive integer beta, got {beta}")
+    return int(beta)
+
+
+def _bias(win: KernelWindow, h: float, beta: int, derivative: Callable[[], np.ndarray]
+          ) -> np.ndarray:
+    """``estimate_bias`` over the located window ``win``."""
+    beta = _bias_order(beta)
     z01, zb1 = _zetas(win, h, (0, 1), (beta, 1))
     rhs = zb1[:, 0]
     try:
@@ -171,13 +190,8 @@ def estimate_bias(
             raise
         factor = 0.0
     if factor == 0.0:
-        return np.zeros(panel.p)
-
-    if derivative is None:
-        deriv = estimate_derivative(panel, u0, h, beta, family)
-    else:
-        deriv = derivative()
-    return factor * deriv * h**beta / math.factorial(beta)
+        return np.zeros(win.panel.p)
+    return factor * derivative() * h**beta / math.factorial(beta)
 
 
 def estimate_variance_sandwich(fit: LocalFit, family: ModelFamily) -> np.ndarray:
@@ -262,10 +276,9 @@ def estimate_q(
         since the derivative of theta at ``u0`` is a local quantity
         independent of the sweep.
     """
-    if not 0.5 < delta < 2.0:
-        raise ValueError(f"delta must lie in (0.5, 2), got {delta}")
+    _check_delta(delta)
     sources = Panel.of(domains)
-    pooled = functools.cache(lambda: Panel.of([target_pilot_split, *sources]))
+    pooled = functools.cache(lambda: Panel.pooled(target_pilot_split, sources))
     if pilot_fit is None:
         pilot_fit = fit_dvcm(pooled(), u0, h, l, family)
     if scale is None:
@@ -273,34 +286,42 @@ def estimate_q(
                                fit_target_only(target_pilot_split, family), family)
     if n0 is None:
         n0 = target_pilot_split.n
-
-    diagnostics: dict = {}
-    if int(beta) != beta:
-        # no plug-in bias form exists for fractional smoothness
-        bias = np.zeros(target_pilot_split.p)
-        diagnostics["bias_skipped_noninteger_beta"] = float(beta)
-    else:
+    win = None
+    if int(beta) == beta:
         win = _pooled_window(pilot_fit.design, target_pilot_split, sources, u0, h, l)
         if win is None:
             win = kernel_window(pooled(), u0, h, l)
         if derivative is None:
             derivative = lambda: estimate_derivative(pooled(), u0, h, int(beta), family)
-        bias = estimate_bias(win.panel, u0, h, l, int(beta), family,
-                             derivative=derivative, window=win)
+    return _penalty(pilot_fit, win, h, beta, delta, family, scale, n0, derivative)
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.5 < delta < 2.0:
+        raise ValueError(f"delta must lie in (0.5, 2), got {delta}")
+
+
+def _penalty(pilot_fit: LocalFit, window: KernelWindow | None, h: float, beta: float,
+             delta: float, family: ModelFamily, scale: float, n0: int,
+             derivative: Callable[[], np.ndarray]) -> PenaltyEstimate:
+    """``estimate_q`` given every ingredient: ``window`` is the bias's
+    ``kernel_window`` of the pooled domains at ``h`` (unused, and may be
+    None, for a fractional ``beta``)."""
+    _check_delta(delta)
+    diagnostics: dict = {}
+    if int(beta) != beta:
+        # no plug-in bias form exists for fractional smoothness
+        bias = np.zeros(pilot_fit.design.p)
+        diagnostics["bias_skipped_noninteger_beta"] = float(beta)
+    else:
+        bias = _bias(window, h, beta, derivative)
     var = estimate_variance_sandwich(pilot_fit, family)
 
-    m_hat = np.outer(bias, bias) + var
+    m_hat = bias[:, None] * bias + var  # np.outer's product, without its wrapper
     m_hat = 0.5 * (m_hat + m_hat.T)
     c = spd_factor(m_hat, "pilot MSE matrix bias*bias' + V_hat")
     m_inv = spd_solve(c, np.eye(m_hat.shape[0]))
     q = delta * scale / n0 * m_inv
     q = 0.5 * (q + q.T)
-    return PenaltyEstimate(
-        q=q,
-        scale=scale,
-        bias_vec=bias,
-        var_mat=var,
-        delta=delta,
-        n0=n0,
-        diagnostics=diagnostics,
-    )
+    return _record(PenaltyEstimate, q=q, scale=scale, bias_vec=bias, var_mat=var,
+                   delta=delta, n0=n0, diagnostics=diagnostics)

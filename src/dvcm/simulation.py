@@ -19,15 +19,16 @@ runs in one process pool, chunked by replication.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .bandwidth import BANDWIDTH_RULES, select_bandwidth
 from .design import DomainSample, Panel
@@ -52,6 +53,16 @@ _ROLE_IDS = {"source_u": 0, "source_x": 1, "source_y": 2, "target_x": 3, "target
 
 _ESTIMATORS = ("lr", "dvcm", "tl")
 _Q_MODES = ("estimate", "oracle", "zero", "infinity")
+
+
+# the SimConfig fields whose annotation names one of these types hold a value of it
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+                "str": (str, "a string")}
+
+
+def _is_a(value, kind) -> bool:
+    # bool is an int to Python, never a count or a bandwidth here
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,17 @@ class SimConfig:
     q_mode: str = "estimate"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            kind = _FIELD_KINDS.get(f.type)
+            if kind and not _is_a(getattr(self, f.name), kind[0]):
+                raise ValueError(f"{f.name} must be {kind[1]}, got {getattr(self, f.name)!r}")
+        try:
+            grid = None if isinstance(self.bandwidth_grid, str) else tuple(self.bandwidth_grid)
+        except TypeError:
+            grid = None
+        if grid is None or not all(_is_a(h, numbers.Real) for h in grid):
+            raise ValueError(f"bandwidth_grid must be a list of numbers, "
+                             f"got {self.bandwidth_grid!r}")
         if min(self.p, self.K, self.n_bar, self.n0, self.reps) < 1:
             raise ValueError("p, K, n_bar, n0 and reps must be positive")
         if self.gamma < 0:
@@ -98,7 +120,7 @@ class SimConfig:
             raise ValueError(f"q_mode must be one of {_Q_MODES}")
         if self.bandwidth_rule not in BANDWIDTH_RULES:
             raise ValueError(f"bandwidth_rule must be one of {BANDWIDTH_RULES}")
-        object.__setattr__(self, "bandwidth_grid", tuple(self.bandwidth_grid))
+        object.__setattr__(self, "bandwidth_grid", grid)
 
     @property
     def theta(self) -> Callable[[float], np.ndarray]:
@@ -129,11 +151,14 @@ def rng_stream(seed: int, rep: int, role: str) -> np.random.Generator:
     )
 
 
+@functools.lru_cache(maxsize=16)
 def _covariate_factor(p: int, rho: float) -> np.ndarray:
     """Transposed Cholesky factor of Sigma_ij = rho^|i-j| over the p - 1
-    non-intercept covariates."""
+    non-intercept covariates; computed once per ``(p, rho)``, read-only."""
     idx = np.arange(p - 1)
-    return np.linalg.cholesky(rho ** np.abs(idx[:, None] - idx[None, :])).T
+    factor = np.linalg.cholesky(rho ** np.abs(idx[:, None] - idx[None, :])).T
+    factor.flags.writeable = False
+    return factor
 
 
 def _draw_x(
@@ -158,13 +183,15 @@ def _draw_x(
 def _draw_y(
     rng: np.random.Generator, eta: np.ndarray, family_kind: str, noise_sd: float
 ) -> np.ndarray:
-    if family_kind == "gaussian":
+    """Responses at linear predictor ``eta``: Gaussian noise of sd ``noise_sd``,
+    or Bernoulli / Poisson draws at the family's mean ``b'(eta)``."""
+    family = get_family(family_kind)
+    if family.kind == "gaussian":
         return eta + noise_sd * rng.standard_normal(eta.shape[0])
-    if family_kind == "logistic":
-        return rng.binomial(1, expit(eta)).astype(float)
-    if family_kind == "poisson":
-        return rng.poisson(np.exp(eta)).astype(float)
-    raise ValueError(f"unknown family {family_kind!r}")
+    mean = family.b1(eta)
+    if family.kind == "logistic":
+        return rng.binomial(1, mean).astype(float)
+    return rng.poisson(mean).astype(float)
 
 
 def generate_dataset(config: SimConfig, rep: int) -> tuple[DomainSample, Panel]:

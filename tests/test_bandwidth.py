@@ -9,7 +9,7 @@ from dvcm.bandwidth import (
     select_bandwidth_median,
     select_bandwidth_undersmoothed,
 )
-from dvcm.design import DomainSample
+from dvcm.design import DomainSample, Panel
 
 
 def sources_with(d1=0.2, dK=0.7, n_total=32):
@@ -123,7 +123,20 @@ class TestSelectBandwidth:
         assert (choice.h, choice.rule, choice.rate_term) == (0.3, "fixed", 0.3)
         assert (choice.d1, choice.dK) == (0.2, 0.7)
 
-    @pytest.mark.parametrize("h", [None, 0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("rule", ["median", "undersmoothed", "fixed"])
+    def test_panel_sources_give_the_list_result_without_views(self, rule, monkeypatch):
+        src = sources_with()
+        want = select_bandwidth(rule, src, 0.0, 2.0, 1.0, h=0.3, **self.KW)
+        panel = Panel.of(src)
+
+        def no_view(*args):
+            raise AssertionError("a DomainSample view of the panel was built")
+
+        monkeypatch.setattr(DomainSample, "_view", no_view)
+        assert select_bandwidth(rule, panel, 0.0, 2.0, 1.0, h=0.3, **self.KW) == want
+
+    @pytest.mark.parametrize("h", [None, 0.0, -1.0, float("nan"), float("inf"),
+                                   float("-inf")])
     def test_fixed_needs_positive_h(self, h):
         with pytest.raises(ValueError, match="positive h"):
             select_bandwidth("fixed", sources_with(), 0.0, 2.0, 1.0, h=h, **self.KW)

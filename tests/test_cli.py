@@ -317,7 +317,35 @@ class TestCliMisuse:
                        errors="surrogateescape")  # "\udcff" is written as the byte 0xff
         return out
 
+    @staticmethod
+    def _config(data, text):
+        """``simulate`` arguments reading the JSON config ``text``, written next to ``data``."""
+        path = data.with_name("config.json")
+        path.write_text(text)
+        return ["simulate", "--config", str(path), "--reps", "2", "--grid", "0.5",
+                "--threads", "1"]
+
     CASES = {
+        "config_not_an_object": (
+            lambda d, o: TestCliMisuse._config(d, "3") + ["--out", str(o)],
+            "config.json: a config must be a JSON object, got 3"),
+        "config_null": (
+            lambda d, o: TestCliMisuse._config(d, "null") + ["--out", str(o)],
+            "a config must be a JSON object, got null"),
+        "config_field_a_string": (
+            lambda d, o: TestCliMisuse._config(d, '{"p": "4"}') + ["--out", str(o)],
+            "p must be an integer, got '4'"),
+        "config_field_null": (
+            lambda d, o: TestCliMisuse._config(d, '{"p": null}') + ["--out", str(o)],
+            "p must be an integer, got None"),
+        "config_grid_not_a_list": (
+            lambda d, o: TestCliMisuse._config(d, '{"bandwidth_grid": 5}') + ["--out", str(o)],
+            "bandwidth_grid must be a list of numbers, got 5"),
+        "sigma_k_drops_every_row": (
+            lambda d, o: fit_args(d, o, ["--sigma-k", "0"]), "--sigma-k 0.0 drops every row"),
+        "bandwidth_not_finite": (
+            lambda d, o: fit_args(d, o, ["--bandwidth", "inf"]),
+            "needs a finite positive h, got inf"),
         "split_with_one_part": (
             lambda d, o: fit_args(d, o, ["--split", "1"]), "--split"),
         "split_zero_denominator": (

@@ -306,6 +306,17 @@ class TestPanel:
         with pytest.raises(ValueError):
             Panel(**{**args, **change})
 
+    def test_pooled_stacks_a_panel_like_its_domains(self):
+        first, *rest = self._domains()
+        want = Panel.of([first, *rest])
+        for given_as in (rest, Panel.of(rest), Panel.of([first, *rest])[1:]):
+            got = Panel.pooled(first, given_as)
+            for name in ("x", "y", "u", "offsets"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        with pytest.raises(ValueError, match="same covariate dimension"):
+            Panel.pooled(make_domain(0.0, np.ones((2, 2))), Panel.of(rest))
+
     def test_of_rejects_mixed_dimensions_and_no_domains(self):
         with pytest.raises(ValueError, match="same covariate dimension"):
             Panel.of([make_domain(0.0, np.ones((2, 2))), make_domain(0.1, np.ones((2, 3)))])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,16 @@ class TestSpdCore:
         with pytest.raises(DomainError, match="Sigma_TL has a non-finite entry") as err:
             spd_factor(a, "Sigma_TL")
         assert isinstance(err.value, DvcmError) and isinstance(err.value, ValueError)
+
+    def test_finiteness_checks_neither_overflow_nor_warn(self):
+        # finite entries whose sum overflows are finite; a check by summing
+        # would also print RuntimeWarnings next to a CLI's one error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = spd_factor(np.diag([1e308, 1e308]), "large matrix")
+            assert spd_solve(c, np.array([1e308, -1e308])).tolist() == [1.0, -1.0]
+            with pytest.raises(DomainError):
+                spd_solve(c, np.array([np.inf, -np.inf]))
 
     def test_non_finite_right_hand_side_is_a_typed_error(self):
         c = spd_factor(np.eye(2), "identity")

@@ -85,6 +85,14 @@ class TestZetaHat:
         got = zeta_hat(doms, 0.1, h, l, r, s)
         assert got.tobytes() == _zeta_loop(doms, 0.1, h, l, r, s).tobytes()
 
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_signed_zero_sums_are_the_loops(self, r):
+        # t**3 underflows to -0.0, so terms of the lone domain are signed
+        # zeros; the domain loop starts from +0.0, and so must the sum
+        doms = [make_domain(-1e-200, np.ones((3, 1)), np.zeros(3))]
+        got = zeta_hat(doms, 0.0, 0.25, 1, r, 1)
+        assert got.tobytes() == _zeta_loop(doms, 0.0, 0.25, 1, r, 1).tobytes()
+
     def test_single_domain_at_center(self):
         dom = make_domain(0.0, np.ones((7, 1)), np.zeros(7))
         for h in (0.5, 1.0, 2.0):

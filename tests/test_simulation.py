@@ -289,6 +289,36 @@ def test_replication_locates_one_window_per_bandwidth(count_calls):
     assert (windows[0], scales[0]) == (6, 1)
 
 
+def test_replication_views_no_source_and_locates_one_window_per_h(count_calls,
+                                                                  monkeypatch):
+    from dvcm import design, simulation
+    from dvcm.design import DomainSample
+    from dvcm.simulation import _replicate
+
+    views, make_view = [], DomainSample._view
+
+    def counted(u, x, y):
+        views.append(x)
+        return make_view(u, x, y)
+
+    monkeypatch.setattr(DomainSample, "_view", counted)
+    datasets, generate = [], simulation.generate_dataset
+    monkeypatch.setattr(simulation, "generate_dataset",
+                        lambda *args: datasets.append(generate(*args)) or datasets[-1])
+    windows = count_calls(design.kernel_window)
+    grid = (0.2, 0.3, 0.45, 0.7, 1.0)
+    cells = _replicate(SimConfig(p=4, K=5, n_bar=120, n0=50, gamma=1.0), grid,
+                       ("lr", "dvcm", "tl"), 1)
+    assert all(cell is not None for cell in cells)
+    # the two target halves are the only views: the sources panel is stacked,
+    # and the bandwidth rules read it, from its arrays
+    (target, _), = datasets
+    assert len(views) == 2 and all(np.shares_memory(x, target.x) for x in views)
+    # one window per fitted h, located by its pilot and reused by its penalty,
+    # and one for the derivative fit
+    assert windows[0] == len(grid) + 1
+
+
 def test_dataset_validates_no_source_on_its_own(monkeypatch):
     from dvcm.design import DomainSample
 

@@ -34,12 +34,14 @@ def _draws(offsets, family, seed=0):
         eta = x @ _theta(d)
         if family == "gaussian":
             return x, eta + 0.5 * rng.standard_normal(n)
+        if family == "poisson":
+            return x, rng.poisson(np.exp(eta)).astype(float)
         return x, rng.binomial(1, expit(eta)).astype(float)
 
     return [draw(N_TARGET, 0.0), draw(N_TARGET, 0.0)] + [draw(N_SOURCE, d) for d in offsets]
 
 
-def _problem(draws, offsets, family, u0=0.0, y_scale=1.0):
+def _problem(draws, offsets, family, u0=0.0, y_scale=1.0, order=1):
     (xp, yp), (xf, yf), *sources = draws
     sources = [DomainSample(u=u0 + d, x=x, y=y_scale * y)
                for d, (x, y) in zip(offsets, sources)]
@@ -47,7 +49,7 @@ def _problem(draws, offsets, family, u0=0.0, y_scale=1.0):
     # derivative window holds every domain
     return TransferProblem(DomainSample(u=u0, x=xp, y=y_scale * yp),
                            DomainSample(u=u0, x=xf, y=y_scale * yf),
-                           sources, u0, get_family(family), e0=100.0)
+                           sources, u0, get_family(family), order=order, e0=100.0)
 
 
 def _fit(problem):
@@ -92,17 +94,24 @@ def _assume_well_posed(offsets):
     assume(np.all(np.abs(dist - H) > 1e-6 * H))
 
 
-@pytest.mark.parametrize("family", ["gaussian", "logistic"])
-def test_chain_equals_the_hand_wired_pipeline(family):
+CHAIN_CASES = [(family, order) for order in (1, 0, 2)
+               for family in ("gaussian", "logistic", "poisson")]
+
+
+@pytest.mark.parametrize("family,order", CHAIN_CASES,
+                         ids=[f if o == 1 else f"{f}-order{o}" for f, o in CHAIN_CASES])
+def test_chain_equals_the_hand_wired_pipeline(family, order):
     offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
-    problem = _problem(_draws(offsets, family), offsets, family)
+    problem = _problem(_draws(offsets, family), offsets, family, order=order)
     fam, part, fine = problem.family, problem.pilot_part, problem.fine
     sources = problem.sources
     pooled = [part, *sources]
 
-    pilot = fit_dvcm(pooled, 0.0, H, 1, fam)
+    pilot = fit_dvcm(pooled, 0.0, H, order, fam)
+    assert pilot.converged
     h_deriv = select_bandwidth_median(sources, 0.0, 2.0, 1.0, 100.0, n_extra=part.n).h
-    pen = estimate_q(sources, part, 0.0, H, 1, 2.0, 1.0, fam, n0=fine.n, pilot_fit=pilot,
+    pen = estimate_q(sources, part, 0.0, H, order, 2.0, 1.0, fam, n0=fine.n,
+                     pilot_fit=pilot,
                      derivative=lambda: estimate_derivative(pooled, 0.0, h_deriv, 2, fam))
     theta_tl = fit_tl(fine, pilot.theta, pen.q, fam).theta_tl
     theta_lr = fit_target_only(fine, fam)
@@ -112,6 +121,48 @@ def test_chain_equals_the_hand_wired_pipeline(family):
     for got, want in zip(_fit(problem), (theta_lr, pilot.theta, theta_tl, cov.sigma_tl)):
         assert np.array_equal(got, want)
     assert problem.h_deriv == h_deriv
+
+
+def test_penalty_of_a_foreign_pilot_locates_its_own_window(count_calls):
+    from dvcm import design
+
+    offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
+    problem = _problem(_draws(offsets, "gaussian"), offsets, "gaussian")
+    own = problem.pilot(H)
+    # the same fit on a panel the problem does not own
+    foreign = fit_dvcm([problem.pilot_part, *problem.sources], 0.0, H, 1, problem.family)
+    want = problem.penalty(own)
+    windows = count_calls(design.kernel_window)
+    got = problem.penalty(foreign)
+    assert windows[0] == 1
+    for name in ("q", "bias_vec", "var_mat"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    problem.penalty(own)
+    assert windows[0] == 1  # its own pilot's window is reused
+
+
+def _variant(**kwargs):
+    """The gaussian problem of the fixed offsets with other ``kwargs``."""
+    offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
+    plain = _problem(_draws(offsets, "gaussian"), offsets, "gaussian")
+    return TransferProblem(plain.pilot_part, plain.fine, plain.sources, 0.0, plain.family,
+                           **{"e0": 100.0, **kwargs})
+
+
+@pytest.mark.parametrize("delta", [0.5, 2.0, 3.0])
+def test_penalty_checks_delta_on_every_call(delta):
+    problem = _variant(delta=delta)
+    pilot = problem.pilot(H)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            problem.penalty(pilot)
+
+
+def test_penalty_of_a_fractional_beta_has_no_bias():
+    problem = _variant(beta=1.5)
+    pen = problem.penalty(problem.pilot(H))
+    assert not pen.bias_vec.any()
+    assert pen.diagnostics == {"bias_skipped_noninteger_beta": 1.5}
 
 
 @pytest.mark.parametrize("family", ["gaussian", "logistic"])
