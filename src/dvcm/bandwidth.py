@@ -82,8 +82,9 @@ def select_bandwidth_median(
     ``n_extra`` counts target observations pooled into the fit on top of
     the source samples, so the rate term sees the full sample size.
     """
-    if not (gamma > 0 and e0 > 0 and beta > 0):
-        raise ValueError("gamma, e0 and beta must be positive")
+    if not (0 < gamma < math.inf and 0 < e0 < math.inf and beta > 0):
+        raise ValueError(f"gamma and e0 must be finite and positive and beta positive, "
+                         f"got gamma={gamma}, e0={e0}, beta={beta}")
     _, d1, dK = domain_distances(sources, u0)
     n = n_extra + _row_count(sources)
     rate = e0 * (n / gamma) ** (-1.0 / (2.0 * beta + 1.0))

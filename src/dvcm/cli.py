@@ -132,6 +132,8 @@ def _ingest(args) -> tuple[dataio.BinnedPanel, dict]:
 
 
 def _run_fit_pipeline(args) -> EstimateReport:
+    if not np.isfinite(args.u0):
+        raise ValueError(f"--u0 must be a finite number, got {args.u0}")
     family = get_family(args.family)
     panel, diag = _ingest(args)
 
@@ -323,18 +325,18 @@ def cmd_phase(args) -> int:
     threads = _threads(args)
     config = _load_config(args)
     grid = _parse_float_list(args.grid)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"--grid values must be finite, got {args.grid!r}")
     if len(grid) < 2 * args.segments + 2:
         raise ValueError(
             f"grid of {len(grid)} points cannot support {args.segments} segments"
         )
+    # every grid point's config is checked before the first one runs
+    name, cast = {"K": ("K", round), "gamma": ("gamma", float),
+                  "n": ("n_bar", round)}[args.vary]  # n: average source size
+    configs = [dataclasses.replace(config, **{name: cast(x)}) for x in grid]
     rows = []
-    for x in grid:
-        if args.vary == "K":
-            cfg = dataclasses.replace(config, K=int(round(x)))
-        elif args.vary == "gamma":
-            cfg = dataclasses.replace(config, gamma=float(x))
-        else:  # n: average source size
-            cfg = dataclasses.replace(config, n_bar=int(round(x)))
+    for x, cfg in zip(grid, configs):
         r = mc_mse(cfg, "tl", None, threads=threads)
         rows.append([float(x), "tl", r.mse, r.se, r.fails])
     _write_table(args.out, [args.vary, "estimator", "mse", "se", "fails"], rows)

@@ -14,12 +14,12 @@ package built and checked itself are made without ``__init__``
 The local-polynomial estimators regress on rows ``Phi_l(t_k) (x) X_ki``
 where ``t_k = (U_k - u0) / h`` and ``(x)`` is the Kronecker product.
 :func:`kernel_window` locates the in-window domains, ``|t_k| <= 1``, from
-the panel's arrays (``t``, ``W(t)``, ``Phi_l(t)``, ``S_h``);
-:func:`build_local_design` takes their rows, the stacked arrays
-themselves when every domain is inside, and forms the Kronecker rows
-with one broadcast product.  The design keeps its window, which the
-moment matrices of :mod:`dvcm.penalty` reuse instead of locating it
-again.
+the panel's arrays (``t``, ``Phi_l(t)``, ``S_h``); :func:`build_local_design`
+takes their rows, the stacked arrays themselves when every domain is
+inside, and forms the Kronecker rows with one broadcast product.  The
+uniform kernel is ``W = 1/2`` on the window, so every row has the one
+weight ``W / S_h``.  The design keeps its window, which the moment
+matrices of :mod:`dvcm.penalty` reuse instead of locating it again.
 """
 
 from __future__ import annotations
@@ -207,15 +207,14 @@ class LocalDesign:
     Rows with zero kernel weight are dropped before solving; ``n_total``
     still counts every observation that was offered, which is the ``n``
     entering the ``(nh)`` scalings of the variance estimators.
-    ``weights`` are normalised by ``s_h`` and sum to one;
-    ``kernel_values`` keep the raw ``W(t_k)`` per kept row.  ``window``
-    is the kernel window the rows were taken from.
+    Every kept row has the weight ``weight = W / s_h``, so the row
+    weights sum to one.  ``window`` is the kernel window the rows were
+    taken from.
     """
 
-    z: np.ndarray              # (N_eff, (l+1) p)
-    y: np.ndarray              # (N_eff,)
-    weights: np.ndarray        # (N_eff,), W(t_k) / S_h
-    kernel_values: np.ndarray  # (N_eff,), raw W(t_k)
+    z: np.ndarray  # (N_eff, (l+1) p)
+    y: np.ndarray  # (N_eff,)
+    weight: float  # W / S_h, the weight of every row
     s_h: float
     order: int
     bandwidth: float
@@ -256,15 +255,14 @@ class KernelWindow:
     """The domains of ``panel`` with ``W(t_k) > 0``, ``t_k = (U_k - u0) / h``.
 
     Per in-window domain, in panel order: its position ``index`` in the
-    panel, its size ``n``, ``t``, the kernel value ``w = W(t)`` and the
-    features ``phi = Phi_l(t)`` (one row each).
+    panel, its size ``n``, ``t`` and the features ``phi = Phi_l(t)`` (one
+    row each); each has the kernel value ``W(t) = _KERNEL_HEIGHT``.
     ``s_h = sum n_k W(t_k)``; ``n_total`` counts every observation offered.
     """
 
     index: np.ndarray  # (D,)
     n: np.ndarray      # (D,)
     t: np.ndarray      # (D,)
-    w: np.ndarray      # (D,)
     phi: np.ndarray    # (D, l+1)
     s_h: float
     n_total: int
@@ -280,8 +278,8 @@ def kernel_window(
     positive.  ``phi`` is :func:`poly_features` of each Python-float
     ``t``: numpy's vectorised power can differ from it in the last bit.
     """
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"bandwidth must be finite and positive, got {h}")
     if l < 0:
         raise ValueError(f"polynomial order must be >= 0, got {l}")
     panel = Panel.of(domains)
@@ -289,11 +287,10 @@ def kernel_window(
     index = (np.abs(t_all) <= 1.0).nonzero()[0]
     t = t_all[index]
     n = panel.sizes[index]
-    w = np.full(index.size, _KERNEL_HEIGHT)
     phi = np.array([_powers(tk, l) for tk in t.tolist()])
     return _record(
-        KernelWindow, index=index, n=n, t=t, w=w, phi=phi.reshape(index.size, l + 1),
-        s_h=float((w * n).sum()), n_total=panel.n, panel=panel,
+        KernelWindow, index=index, n=n, t=t, phi=phi.reshape(index.size, l + 1),
+        s_h=float((_KERNEL_HEIGHT * n).sum()), n_total=panel.n, panel=panel,
     )
 
 
@@ -347,11 +344,9 @@ def build_local_design(
         rows = inside.repeat(panel.sizes)
         x, y = panel.x.compress(rows, axis=0), panel.y.compress(rows)
     z = x[:, cols] * win.phi[:, blocks].repeat(win.n, axis=0)
-    kernel_values = win.w.repeat(win.n)
     return _record(
-        LocalDesign, z=z, y=y, weights=kernel_values / win.s_h,
-        kernel_values=kernel_values, s_h=win.s_h, order=l, bandwidth=h, center=u0,
-        n_total=win.n_total, p=panel.p, window=win,
+        LocalDesign, z=z, y=y, weight=_KERNEL_HEIGHT / win.s_h, s_h=win.s_h, order=l,
+        bandwidth=h, center=u0, n_total=win.n_total, p=panel.p, window=win,
     )
 
 

@@ -99,13 +99,15 @@ def _solve_spd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def newton_weighted(
     design_rows: np.ndarray,
-    weights: np.ndarray,
+    weights: np.ndarray | float,
     y: np.ndarray,
     family: ModelFamily,
     init: np.ndarray,
     penalty: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, bool, int]:
     """Minimise ``sum_i w_i l(z_i' a, y_i) [+ 0.5 ||a - c||_Q^2]``.
+
+    ``weights`` is one weight per row, or one number shared by every row.
 
     Newton iterations with backtracking step halving (factor 1/2, up to
     30 halvings) whenever the objective fails to decrease; convergence is
@@ -175,8 +177,7 @@ def fit_target_only(target: DomainSample, family: ModelFamily) -> np.ndarray:
     x, y = target.x, target.y
     if family.kind == "gaussian":
         return _solve_spd(x.T @ x, x.T @ y)
-    w = np.full(target.n, 1.0 / target.n)
-    alpha, _, _ = newton_weighted(x, w, y, family, np.zeros(target.p))
+    alpha, _, _ = newton_weighted(x, 1.0 / target.n, y, family, np.zeros(target.p))
     return alpha
 
 
@@ -198,10 +199,10 @@ def fit_dvcm(
     """
     panel = Panel.of(domains)
     design = build_local_design(panel, u0, h, l)
-    z, w, y = design.z, design.weights, design.y
+    z, w, y = design.z, design.weight, design.y
     dim = z.shape[1]
     if family.kind == "gaussian":
-        zw = z * w[:, None]
+        zw = z * w
         alpha = _solve_spd(zw.T @ z, zw.T @ y)
         converged, iterations = True, 0
     else:
@@ -247,8 +248,7 @@ def fit_tl(
         theta = _solve_spd(xtx + q, xty + q @ theta_pilot)
         converged = True
     else:
-        w = np.full(n0, 1.0 / n0)
         theta, converged, _ = newton_weighted(
-            x, w, y, family, theta_pilot.copy(), penalty=(q, theta_pilot)
+            x, 1.0 / n0, y, family, theta_pilot.copy(), penalty=(q, theta_pilot)
         )
     return _record(TLFit, theta_tl=theta, theta_pilot=theta_pilot, q=q, converged=converged)

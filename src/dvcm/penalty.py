@@ -4,28 +4,31 @@ The penalty ``Q_hat = delta * (nu_hat / n0) * M_hat^{-1}`` mimics the
 oracle inverse-MSE weighting of the pilot estimator, where
 ``M_hat = bias bias' + V_hat`` combines a plug-in bias estimate with a
 sandwich variance estimate.  The scale ``nu_hat`` comes from Pearson
-residuals of the target-only fit on the pilot split.  The bias's two
-moment matrices ``zeta`` come from one pass over a
-:func:`dvcm.design.kernel_window`: the pilot design's own window when the
-pilot was fitted on the same pooled domains at the same ``u0``, ``h`` and
-order, so the window is located once per bandwidth.  ``estimate_q`` and
-``estimate_bias`` convert and check their arguments, then run the one
-implementation (``_penalty``, ``_bias``) that
-:class:`dvcm.inference.TransferProblem` calls with its own pilot window.
+residuals of the target-only fit on the pilot split.  The plug-in bias
+tracks the pilot's error at small ``h`` but overshoots at wide ``h``,
+where ``Q_hat`` then trusts a biased pilot (the README sweep's negative
+transfer at ``h >= 0.45``).  The bias's two moment matrices ``zeta``
+come from one pass over a :func:`dvcm.design.kernel_window` of the
+pooled domains, each in-window domain weighted by the uniform kernel's
+one value ``W``.  ``estimate_q`` and ``estimate_bias`` convert and check
+their arguments, stack the pooled panel and locate its window, then run
+the one implementation (``_penalty``, ``_bias``) that
+:class:`dvcm.inference.TransferProblem` calls with its own pilot's
+window, so on that path the window is located once per bandwidth.
 Every factorisation and solve runs on the LAPACK core of
 :mod:`dvcm.estimators` (``spd_factor`` / ``spd_solve``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .design import DomainSample, KernelWindow, LocalDesign, Panel, _record, kernel_window
+from .design import _KERNEL_HEIGHT, DomainSample, KernelWindow, Panel, _record, kernel_window
 from .errors import DegenerateVarianceError, SingularSystemError
 from .estimators import LocalFit, fit_dvcm, fit_target_only, gram, spd_factor, spd_solve
 from .families import ModelFamily
@@ -91,10 +94,10 @@ def zeta_hat(
 
 def _zetas(win: KernelWindow, h: float, *moments: tuple[int, int]) -> list[np.ndarray]:
     """``zeta_hat`` for each ``(r, s)`` of ``moments`` over one located window."""
-    # scalar weights as Python floats and the terms added in domain order,
+    # coefficients as Python floats and the terms added in domain order,
     # so each result is bit-identical to a per-domain loop
-    n, t, w = win.n.tolist(), win.t.tolist(), win.w.tolist()
-    coef = np.array([[nk * (tk**r) * (wk**s) for nk, tk, wk in zip(n, t, w)]
+    n, t = win.n.tolist(), win.t.tolist()
+    coef = np.array([[nk * (tk**r) * (_KERNEL_HEIGHT**s) for nk, tk in zip(n, t)]
                      for r, s in moments]).reshape(len(moments), len(n), 1, 1)
     terms = coef * (win.phi[:, :, None] * win.phi[:, None, :])
     if n:
@@ -149,23 +152,20 @@ def estimate_bias(
     family: ModelFamily,
     *,
     derivative: Callable[[], np.ndarray] | None = None,
-    window: KernelWindow | None = None,
 ) -> np.ndarray:
     """Plug-in bias of the order-``l`` pooled fit under smoothness ``beta``.
 
     ``[zeta_{0,1}^{-1} zeta_{beta,1}]_{1,1} * theta^(beta)(u0) * h^beta / beta!``
-    with the zeta moments of the main fit, over ``window`` when the caller
-    holds ``kernel_window(domains, u0, h, l)`` (a pilot's
-    ``design.window``), else over a window located here.  The derivative
-    comes from ``derivative``, a zero-argument callable, or else from
+    with the zeta moments of the main fit.  The derivative comes from
+    ``derivative``, a zero-argument callable, or else from
     ``estimate_derivative`` at the main bandwidth; neither is evaluated
     when the moment factor is zero.
     """
     beta = _bias_order(beta)
     panel = Panel.of(domains)
-    win = kernel_window(panel, u0, h, l) if window is None else window
+    win = kernel_window(panel, u0, h, l)
     if derivative is None:
-        derivative = lambda: estimate_derivative(panel, u0, h, beta, family)
+        derivative = partial(estimate_derivative, panel, u0, h, beta, family)
     return _bias(win, h, beta, derivative)
 
 
@@ -203,33 +203,16 @@ def estimate_variance_sandwich(fit: LocalFit, family: ModelFamily) -> np.ndarray
     coefficients; ``A`` selects the leading ``p x p`` block.
     """
     design = fit.design
-    z, y, kw = design.z, design.y, design.kernel_values
+    z, y = design.z, design.y
     nh = design.n_total * design.bandwidth
     s1, s2 = family.score_curvature(z @ fit.alpha, y)
-    delta = gram(z, (s1 * kw) ** 2) / nh**2
-    lam = gram(z, s2 * kw) / nh
+    delta = gram(z, (s1 * _KERNEL_HEIGHT) ** 2) / nh**2
+    lam = gram(z, s2 * _KERNEL_HEIGHT) / nh
     c = spd_factor(lam, "sandwich bread matrix Lambda")
     inner = spd_solve(c, spd_solve(c, delta).T)
     p = design.p
     v = inner[:p, :p]
     return 0.5 * (v + v.T)
-
-
-def _pooled_window(
-    design: LocalDesign, target: DomainSample, sources: Panel, u0: float, h: float, l: int
-) -> KernelWindow | None:
-    """``design.window`` if it was located over ``target`` followed by
-    ``sources`` at ``(u0, h, l)``, else None.
-
-    A window depends on the domains' identifiers and sizes alone, so
-    equal ones give the window a fresh location would.
-    """
-    located = design.window.panel
-    same = (design.center == u0 and design.bandwidth == h and design.order == l
-            and located.p == target.p
-            and located.u.tolist() == [target.u, *sources.u.tolist()]
-            and located.sizes.tolist() == [target.n, *sources.sizes.tolist()])
-    return design.window if same else None
 
 
 def estimate_q(
@@ -266,9 +249,8 @@ def estimate_q(
         Reuse of already-computed ingredients, recomputed when omitted:
         the pooled pilot fit at ``h`` and the Pearson scale
         ``estimate_scale`` of the target-only fit on ``target_pilot_split``.
-        The bias's moments reuse ``pilot_fit.design.window`` when that
-        window was located over the same pooled domains at the same
-        ``u0``, ``h`` and ``l``, and locate their own otherwise.
+        The bias's moments come from a window located here over the
+        pooled domains at ``u0``, ``h`` and ``l``.
     derivative : callable, optional
         Returns the order-``beta`` derivative plug-in of the bias (see
         ``estimate_bias``); defaults to a derivative fit at ``h``.
@@ -277,22 +259,17 @@ def estimate_q(
         independent of the sweep.
     """
     _check_delta(delta)
-    sources = Panel.of(domains)
-    pooled = functools.cache(lambda: Panel.pooled(target_pilot_split, sources))
+    pooled = Panel.pooled(target_pilot_split, Panel.of(domains))
     if pilot_fit is None:
-        pilot_fit = fit_dvcm(pooled(), u0, h, l, family)
+        pilot_fit = fit_dvcm(pooled, u0, h, l, family)
     if scale is None:
         scale = estimate_scale(target_pilot_split,
                                fit_target_only(target_pilot_split, family), family)
     if n0 is None:
         n0 = target_pilot_split.n
-    win = None
-    if int(beta) == beta:
-        win = _pooled_window(pilot_fit.design, target_pilot_split, sources, u0, h, l)
-        if win is None:
-            win = kernel_window(pooled(), u0, h, l)
-        if derivative is None:
-            derivative = lambda: estimate_derivative(pooled(), u0, h, int(beta), family)
+    win = kernel_window(pooled, u0, h, l) if int(beta) == beta else None
+    if derivative is None:  # called only by the bias of an integer beta
+        derivative = partial(estimate_derivative, pooled, u0, h, int(beta), family)
     return _penalty(pilot_fit, win, h, beta, delta, family, scale, n0, derivative)
 
 

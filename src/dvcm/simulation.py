@@ -112,8 +112,10 @@ class SimConfig:
                              f"got {self.bandwidth_grid!r}")
         if min(self.p, self.K, self.n_bar, self.n0, self.reps) < 1:
             raise ValueError("p, K, n_bar, n0 and reps must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        for name in ("gamma", "noise_sd"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {getattr(self, name)!r}")
         if not -1.0 < self.cov_rho < 1.0:
             raise ValueError("cov_rho must lie in (-1, 1)")
         if self.q_mode not in _Q_MODES:
@@ -121,6 +123,13 @@ class SimConfig:
         if self.bandwidth_rule not in BANDWIDTH_RULES:
             raise ValueError(f"bandwidth_rule must be one of {BANDWIDTH_RULES}")
         object.__setattr__(self, "bandwidth_grid", grid)
+        half = self.gamma / 2.0
+        try:  # each term of a curve is monotone in u or |u|: check the range's ends and u0
+            for u in (-half, half, self.u0):
+                self.theta(u)
+        except OverflowError:
+            raise ValueError(f"theta_spec {self.theta_spec!r} overflows on the source "
+                             f"range [{-half!r}, {half!r}] of gamma={self.gamma!r}") from None
 
     @property
     def theta(self) -> Callable[[float], np.ndarray]:

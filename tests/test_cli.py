@@ -363,6 +363,38 @@ class TestCliMisuse:
         "threads_zero": (
             lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
                           "--threads", "0", "--out", str(o)], "threads"),
+        "simulate_gamma_not_finite": (
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
+                          "--threads", "1", "--gamma", "inf", "--out", str(o)],
+            "gamma must be finite and nonnegative, got inf"),
+        "simulate_theta_overflows": (  # exp(5u + 2.5) overflows at u = 145
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
+                          "--threads", "1", "--gamma", "290", "--out", str(o)],
+            "theta_spec 'paper_default' overflows on the source range [-145.0, 145.0]"),
+        "phase_gamma_grid_overflows": (
+            lambda d, o: ["phase", "--vary", "gamma", "--grid", "0.5,1,2,4,8,16,32,300",
+                          "--p", "2", "--reps", "2", "--threads", "1", "--out", str(o)],
+            "overflows on the source range [-150.0, 150.0] of gamma=300.0"),
+        "phase_grid_not_finite": (
+            lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,inf",
+                          "--p", "2", "--reps", "2", "--threads", "1", "--out", str(o)],
+            "--grid values must be finite, got '2,3,4,5,6,7,8,inf'"),
+        "simulate_bandwidth_not_finite": (
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "inf",
+                          "--threads", "1", "--out", str(o)],
+            "bandwidth must be finite and positive, got inf"),
+        "simulate_noise_sd_negative": (
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
+                          "--threads", "1", "--noise-sd", "-1", "--out", str(o)],
+            "noise_sd must be finite and nonnegative, got -1.0"),
+        "fit_gamma_not_finite": (  # n / gamma = 0 has no negative power
+            lambda d, o: fit_args(d, o, ["--gamma", "inf"]),
+            "gamma and e0 must be finite and positive and beta positive, got gamma=inf"),
+        "fit_u0_nan": (
+            lambda d, o: fit_args(d, o, ["--u0", "nan"]), "--u0 must be a finite number, got nan"),
+        "infer_u0_inf": (
+            lambda d, o: ["infer", *fit_args(d, o, ["--u0", "inf", "--contrast", "1,0"])[1:]],
+            "--u0 must be a finite number, got inf"),
         "threads_negative": (
             lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
                           "--threads", "-3", "--out", str(o)], "-3"),

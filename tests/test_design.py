@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvcm.design import (
+    _KERNEL_HEIGHT,
     DomainSample,
     Panel,
     build_local_design,
@@ -65,7 +66,7 @@ class TestBuildLocalDesign:
         dom = make_domain(0.3, [[1.0, 2.0]], [5.0])
         d = build_local_design([dom], u0=0.3, h=0.1, l=0)
         assert np.allclose(d.z, [[1.0, 2.0]])
-        assert np.allclose(d.weights, [1.0])
+        assert d.weight == 1.0
         assert d.s_h == pytest.approx(0.5)
         assert d.n_total == 1
 
@@ -84,7 +85,7 @@ class TestBuildLocalDesign:
         d = build_local_design([a, b], u0=0.0, h=1.0, l=1)
         assert np.allclose(sorted(d.z[:, 1]), [-0.5, 0.5])
         assert np.allclose(d.z[:, 0], [1.0, 1.0])
-        assert np.allclose(d.weights, [0.5, 0.5])  # 0.25 / 0.5 each raw/total
+        assert d.weight == 0.5  # raw 0.5 over the total 1.0, for each row
         assert d.s_h == pytest.approx(1.0)
 
     def test_empty_window_error_with_hint(self):
@@ -103,7 +104,7 @@ class TestBuildLocalDesign:
         d = build_local_design(doms, u0=0.0, h=h, l=1)
         in_window = sum(dom.n for dom in doms if abs(dom.u) <= h)
         assert d.n_rows == in_window
-        assert d.weights.sum() == pytest.approx(1.0)
+        assert np.full(d.n_rows, d.weight).sum() == pytest.approx(1.0)
 
     def test_kronecker_block_structure(self):
         rng = np.random.default_rng(11)
@@ -127,6 +128,11 @@ class TestBuildLocalDesign:
         with pytest.raises(ValueError):
             build_local_design([make_domain(0.0, [[1.0]])], 0.0, 0.0, 1)
 
+    @pytest.mark.parametrize("h", [float("inf"), float("nan")])
+    def test_bandwidth_not_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="finite and positive"):
+            kernel_window([make_domain(0.0, [[1.0]])], 0.0, h, 1)
+
 
 def _kron_design(domains, u0, h, l):
     """The per-domain construction: one ``np.kron`` block per in-window domain."""
@@ -144,6 +150,14 @@ def _kron_design(domains, u0, h, l):
     kv = np.concatenate(kv)
     return dict(z=np.vstack(z), y=np.concatenate(y), weights=kv / s_h,
                 kernel_values=kv, row_domain=np.concatenate(idx), s_h=s_h)
+
+
+def _assert_scalar_weight(got, want):
+    """``got.weight`` spread over the rows is the oracle's per-row weights, bit
+    for bit, and the oracle's raw kernel values are all the kernel's height."""
+    rows = got.n_rows
+    assert want["kernel_values"].tobytes() == np.full(rows, _KERNEL_HEIGHT).tobytes()
+    assert want["weights"].tobytes() == np.full(rows, got.weight).tobytes()
 
 
 @st.composite
@@ -179,10 +193,11 @@ class TestDesignEqualsKroneckerOracle:
                 build_local_design(domains, u0, h, l)
             return
         got = build_local_design(domains, u0, h, l)
-        for name in ("z", "y", "weights", "kernel_values", "row_domain"):
+        for name in ("z", "y", "row_domain"):
             a, b = getattr(got, name), want[name]
             assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert a.tobytes() == b.tobytes(), name  # signed zeros too
+        _assert_scalar_weight(got, want)
         assert got.s_h == want["s_h"]
 
     def test_boundary_domains_are_kept(self):
@@ -214,9 +229,11 @@ class TestPanelEqualsDomainListOracle:
         want = _list_window(domains, u0, h, l)
         for given_as in (domains, Panel.of(domains)):
             win = kernel_window(given_as, u0, h, l)
-            for name in ("index", "n", "t", "w", "phi"):
+            for name in ("index", "n", "t", "phi"):
                 a, b = getattr(win, name), want[name]
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            # every in-window domain has the kernel's one value
+            assert want["w"].tobytes() == np.full(win.index.size, _KERNEL_HEIGHT).tobytes()
             assert (win.s_h, win.n_total) == (want["s_h"], want["n_total"])
 
     @given(_panels(), st.integers(0, 3))
@@ -231,9 +248,10 @@ class TestPanelEqualsDomainListOracle:
                 build_local_design(stacked, u0, h, l)
             return
         got = build_local_design(stacked, u0, h, l)
-        for name in ("z", "y", "weights", "kernel_values", "row_domain"):
+        for name in ("z", "y", "row_domain"):
             a, b = getattr(got, name), want[name]
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        _assert_scalar_weight(got, want)
         assert got.s_h == want["s_h"] and got.window.panel is stacked
 
     @pytest.mark.parametrize("offsets,inside", [

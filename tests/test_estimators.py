@@ -182,7 +182,7 @@ class TestFitDvcm:
             fit = fit_dvcm(doms, 0.0, 1.0, int(l), GAUSSIAN)
             design = build_local_design(doms, 0.0, 1.0, int(l))
             alpha, converged, _ = newton_weighted(
-                design.z, design.weights, design.y, GAUSSIAN,
+                design.z, design.weight, design.y, GAUSSIAN,
                 np.zeros(design.z.shape[1]))
             assert converged
             assert np.max(np.abs(fit.alpha - alpha)) < 1e-10

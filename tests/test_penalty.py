@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvcm.design import DomainSample, poly_features, uniform_kernel
+from dvcm.design import DomainSample, Panel, build_local_design, poly_features, uniform_kernel
 from dvcm.errors import DegenerateVarianceError, SingularSystemError
-from dvcm.estimators import fit_dvcm, fit_target_only
+from dvcm.estimators import (fit_dvcm, fit_target_only, gram, newton_weighted, spd_factor,
+                             spd_solve)
 from dvcm.families import GAUSSIAN, LOGISTIC, POISSON
 from dvcm.penalty import (
     estimate_bias,
@@ -401,53 +402,113 @@ class TestEstimateQReusesThePilotWindow:
            st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_bytes_equal_to_a_fresh_window(self, family, seed, K, h, l, fit_derivative):
-        from unittest import mock
-
         from dvcm import penalty
         from dvcm.errors import DvcmError
 
         split, sources = _glm_problem(family, seed, K)
-        kwargs = dict(derivative=None if fit_derivative else (lambda: np.array([0.7, -1.3])))
+        pooled = [split, *sources]
+        derivative = None if fit_derivative else (lambda: np.array([0.7, -1.3]))
         try:
-            pilot = fit_dvcm([split, *sources], 0.0, h, l, family)
+            pilot = fit_dvcm(pooled, 0.0, h, l, family)
         except DvcmError:
             return  # no pilot, nothing to reuse
-        fresh_window = penalty.kernel_window([split, *sources], 0.0, h, l)
+        scale = estimate_scale(split, fit_target_only(split, family), family)
+
+        def reused():  # the penalty over the pilot's own window, as TransferProblem runs it
+            return penalty._penalty(
+                pilot, pilot.design.window, h, 2, 1.0, family, scale, split.n,
+                derivative or (lambda: estimate_derivative(pooled, 0.0, h, 2, family)))
+
         try:
-            with mock.patch.object(penalty, "_pooled_window", return_value=None):
-                fresh = estimate_q(sources, split, 0.0, h, l, 2, 1.0, family,
-                                   pilot_fit=pilot, **kwargs)
+            fresh = estimate_q(sources, split, 0.0, h, l, 2, 1.0, family, pilot_fit=pilot,
+                               derivative=derivative)
         except DvcmError as exc:
             with pytest.raises(type(exc)):
-                estimate_q(sources, split, 0.0, h, l, 2, 1.0, family, pilot_fit=pilot,
-                           **kwargs)
+                reused()
             return
-        with mock.patch.object(penalty, "kernel_window", wraps=penalty.kernel_window) as spy:
-            reused = estimate_q(sources, split, 0.0, h, l, 2, 1.0, family, pilot_fit=pilot,
-                                **kwargs)
-        assert spy.call_count == 0
-        assert _penalty_bytes(reused) == _penalty_bytes(fresh)
+        assert _penalty_bytes(reused()) == _penalty_bytes(fresh)
+        fresh_window = penalty.kernel_window(pooled, 0.0, h, l)
         assert pilot.design.window.phi.tobytes() == fresh_window.phi.tobytes()
 
     @pytest.mark.parametrize("family", [GAUSSIAN, LOGISTIC, POISSON])
     def test_foreign_pilot_gives_the_fresh_result(self, family, count_calls):
-        from unittest import mock
-
         from dvcm import penalty
 
         split, sources = _glm_problem(family, 3, 4)
+        pooled = [split, *sources]
         h = 0.7
-        other_h = fit_dvcm([split, *sources], 0.0, 2.0, 1, family)
+        other_h = fit_dvcm(pooled, 0.0, 2.0, 1, family)
         # same identifiers and sizes, other responses: its window is the right one,
         # but the default derivative must still be fitted on the given data
         shuffled = [DomainSample(u=d.u, x=d.x, y=d.y[::-1]) for d in sources]
         other_data = fit_dvcm([split, *shuffled], 0.0, h, 1, family)
-        # windows located: the bias's own (other h only) and the derivative fit's
-        for foreign, located in ((other_h, 2), (other_data, 1)):
-            with mock.patch.object(penalty, "_pooled_window", return_value=None):
-                want = estimate_q(sources, split, 0.0, h, 1, 2, 1.0, family,
-                                  pilot_fit=foreign)
+        scale = estimate_scale(split, fit_target_only(split, family), family)
+        window = penalty.kernel_window(pooled, 0.0, h, 1)
+        for foreign in (other_h, other_data):
+            want = penalty._penalty(foreign, window, h, 2, 1.0, family, scale, split.n,
+                                    lambda: estimate_derivative(pooled, 0.0, h, 2, family))
             windows = count_calls(penalty.kernel_window)
             got = estimate_q(sources, split, 0.0, h, 1, 2, 1.0, family, pilot_fit=foreign)
             assert _penalty_bytes(got) == _penalty_bytes(want)
-            assert windows[0] == located
+            assert windows[0] == 2  # the bias's own and the derivative fit's
+
+
+def _per_row_reference(panel, u0, h, l, family):
+    """The pooled fit, its sandwich and its zeta moments over per-row weight
+    arrays: ``W`` spread over the rows, then divided by ``s_h``."""
+    design = build_local_design(panel, u0, h, l)
+    win, z, y = design.window, design.z, design.y
+    w_domain = np.full(win.index.size, 0.5)
+    s_h = float((w_domain * win.n).sum())
+    kernel_values = np.full(design.n_rows, 0.5)
+    weights = kernel_values / s_h
+    if family.kind == "gaussian":
+        zw = z * weights[:, None]
+        alpha = spd_solve(spd_factor(zw.T @ z, "reference"), zw.T @ y)
+    else:
+        try:
+            start = fit_target_only(panel[int(np.argmin(np.abs(panel.u - u0)))], family)
+        except SingularSystemError:
+            start = 0.0
+        init = np.zeros(z.shape[1])
+        init[: design.p] = start
+        alpha = newton_weighted(z, weights, y, family, init)[0]
+    nh = design.n_total * h
+    s1, s2 = family.score_curvature(z @ alpha, y)
+    c = spd_factor(gram(z, s2 * kernel_values) / nh, "reference")
+    inner = spd_solve(c, spd_solve(c, gram(z, (s1 * kernel_values) ** 2) / nh**2).T)
+    v = inner[: design.p, : design.p]
+    n, t, w = win.n.tolist(), win.t.tolist(), w_domain.tolist()
+    zetas = []
+    for r, s in ((0, 1), (2, 1), (1, 2)):
+        acc = np.zeros((l + 1, l + 1))
+        for nk, tk, wk, phi in zip(n, t, w, win.phi):
+            acc = acc + nk * (tk**r) * (wk**s) * (phi[:, None] * phi[None, :])
+        zetas.append(acc / (win.n_total * h))
+    return s_h, alpha, 0.5 * (v + v.T), zetas
+
+
+class TestScalarWeightEqualsPerRowArrays:
+    """The one design weight ``W / s_h`` gives the bytes per-row weights gave."""
+
+    @given(st.sampled_from([GAUSSIAN, LOGISTIC, POISSON]), st.integers(0, 2**32 - 1),
+           st.integers(1, 5), st.sampled_from([0.2, 0.35, 0.7, 2.0]), st.integers(0, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_fit_sandwich_and_zetas(self, family, seed, K, h, l):
+        from dvcm.errors import DvcmError
+        from dvcm.penalty import _zetas
+
+        split, sources = _glm_problem(family, seed, K)
+        panel = Panel.of([split, *sources])
+        try:
+            s_h, alpha, var, zetas = _per_row_reference(panel, 0.0, h, l, family)
+        except DvcmError as exc:
+            with pytest.raises(type(exc)):
+                estimate_variance_sandwich(fit_dvcm(panel, 0.0, h, l, family), family)
+            return
+        fit = fit_dvcm(panel, 0.0, h, l, family)
+        assert fit.design.s_h == s_h
+        assert fit.alpha.tobytes() == alpha.tobytes()
+        assert estimate_variance_sandwich(fit, family).tobytes() == var.tobytes()
+        got = _zetas(fit.design.window, h, (0, 1), (2, 1), (1, 2))
+        assert [g.tobytes() for g in got] == [z.tobytes() for z in zetas]

@@ -43,6 +43,21 @@ class TestTrueCoefficient:
         with pytest.raises(ValueError, match="nope"):
             SimConfig(theta_spec="nope").theta
 
+    @pytest.mark.parametrize("field,value", [
+        ("gamma", float("inf")), ("gamma", float("nan")), ("gamma", -0.5),
+        ("noise_sd", -1.0), ("noise_sd", float("inf")), ("noise_sd", float("nan")),
+    ])
+    def test_scale_not_finite_and_nonnegative_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+            SimConfig(**{field: value})
+
+    def test_curve_overflowing_on_the_source_range_rejected(self):
+        # exp(5u + 2.5) / 100 overflows for u above about 141.5
+        assert np.isfinite(SimConfig(p=2, gamma=282.0).theta(141.0)).all()
+        with pytest.raises(ValueError, match=r"overflows on the source range"):
+            SimConfig(p=2, gamma=284.0)
+        SimConfig(p=1, gamma=284.0, u0=0.0)  # tanh and |u|^3 stay finite there
+
 
 class TestGenerateDataset:
     def test_shapes_and_streams(self):
