@@ -82,8 +82,8 @@ def select_bandwidth_median(
     ``n_extra`` counts target observations pooled into the fit on top of
     the source samples, so the rate term sees the full sample size.
     """
-    if not (0 < gamma < math.inf and 0 < e0 < math.inf and beta > 0):
-        raise ValueError(f"gamma and e0 must be finite and positive and beta positive, "
+    if not (0 < gamma < math.inf and 0 < e0 < math.inf and 0 < beta < math.inf):
+        raise ValueError(f"gamma, e0 and beta must be finite and positive, "
                          f"got gamma={gamma}, e0={e0}, beta={beta}")
     _, d1, dK = domain_distances(sources, u0)
     n = n_extra + _row_count(sources)
@@ -113,8 +113,11 @@ def select_bandwidth_undersmoothed(
     holds.  ``epsilon = 0`` recovers the rate-optimal exponent and is
     flagged as a boundary choice.
     """
-    if gamma <= 0 or c <= 0 or epsilon < 0:
-        raise ValueError("gamma and c must be positive and epsilon nonnegative")
+    if not (0 < gamma < math.inf and 0 < c < math.inf and 0 < beta < math.inf
+            and 0 <= epsilon < math.inf):
+        raise ValueError(f"gamma, c and beta must be finite and positive and epsilon finite "
+                         f"and nonnegative, got gamma={gamma}, c={c}, beta={beta}, "
+                         f"epsilon={epsilon}")
     _, d1, dK = domain_distances(sources, u0)
     n = n_extra + _row_count(sources)
     rate_cap = (gamma / n) ** (1.0 / (2.0 * beta + 1.0))

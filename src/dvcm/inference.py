@@ -20,8 +20,10 @@ fit and the pooled pilot, so its covariance combines both ingredients:
 (estimator-variance scale, matching ``V_DVCM``), so Sigma_TL standardises
 ``theta_TL - theta(u0)`` directly; :meth:`TransferProblem.covariance`
 assembles it on the ``gram`` / ``spd_factor`` primitives of
-:mod:`dvcm.estimators`.  Tail probabilities use ``scipy.special``
-(``scipy.stats`` would double the package import time).
+:mod:`dvcm.estimators`.  Tail probabilities use ``scipy.special``:
+``scipy.stats`` would take ``import dvcm, dvcm.cli`` from about 0.5 s to
+1.3 s (fastest of 15 fresh interpreters, less a bare one, on a shared
+2-vCPU host).
 """
 
 from __future__ import annotations

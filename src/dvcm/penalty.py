@@ -125,7 +125,7 @@ def estimate_derivative(
     widened to the smallest feasible distance.  ``start`` is the Newton
     start of ``fit_dvcm``.  Fit errors propagate.
     """
-    if beta < 1 or int(beta) != beta:
+    if beta < 1 or not float(beta).is_integer():
         raise ValueError(f"derivative order must be a positive integer, got {beta}")
     beta = int(beta)
     panel = Panel.of(domains)
@@ -170,7 +170,7 @@ def estimate_bias(
 
 
 def _bias_order(beta) -> int:
-    if int(beta) != beta or beta < 1:
+    if not float(beta).is_integer() or beta < 1:
         raise ValueError(f"bias estimation needs a positive integer beta, got {beta}")
     return int(beta)
 
@@ -259,6 +259,8 @@ def estimate_q(
         independent of the sweep.
     """
     _check_delta(delta)
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and positive, got {beta}")
     pooled = Panel.pooled(target_pilot_split, Panel.of(domains))
     if pilot_fit is None:
         pilot_fit = fit_dvcm(pooled, u0, h, l, family)
@@ -267,7 +269,7 @@ def estimate_q(
                                fit_target_only(target_pilot_split, family), family)
     if n0 is None:
         n0 = target_pilot_split.n
-    win = kernel_window(pooled, u0, h, l) if int(beta) == beta else None
+    win = kernel_window(pooled, u0, h, l) if float(beta).is_integer() else None
     if derivative is None:  # called only by the bias of an integer beta
         derivative = partial(estimate_derivative, pooled, u0, h, int(beta), family)
     return _penalty(pilot_fit, win, h, beta, delta, family, scale, n0, derivative)
@@ -286,7 +288,7 @@ def _penalty(pilot_fit: LocalFit, window: KernelWindow | None, h: float, beta: f
     None, for a fractional ``beta``)."""
     _check_delta(delta)
     diagnostics: dict = {}
-    if int(beta) != beta:
+    if not float(beta).is_integer():
         # no plug-in bias form exists for fractional smoothness
         bias = np.zeros(pilot_fit.design.p)
         diagnostics["bias_skipped_noninteger_beta"] = float(beta)

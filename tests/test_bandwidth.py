@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,7 +45,8 @@ class TestMedianRule:
             select_bandwidth_median([], 0.0, 2.0, 1.0, 1.0)
 
     def test_invalid_params(self):
-        for kwargs in ({"gamma": 0.0}, {"e0": 0.0}, {"beta": 0.0}):
+        for kwargs in ({"gamma": 0.0}, {"e0": 0.0}, {"beta": 0.0}, {"beta": math.inf},
+                       {"beta": math.nan}):
             merged = {"beta": 2.0, "gamma": 1.0, "e0": 1.0, **kwargs}
             with pytest.raises(ValueError):
                 select_bandwidth_median(sources_with(), 0.0, **merged)
@@ -87,6 +90,17 @@ class TestUndersmoothed:
         choice = select_bandwidth_undersmoothed(src, 0.0, 2.0, 1.0, 1.0, 0.2)
         assert choice.clipped and not choice.feasible
         assert "infeasible_undersmoothing" in choice.diagnostics
+
+    @pytest.mark.parametrize("kwargs", [
+        {"epsilon": math.inf}, {"epsilon": math.nan}, {"epsilon": -0.1},
+        {"beta": math.inf}, {"beta": -0.5}, {"beta": 0.0},
+        {"c": math.inf}, {"gamma": math.nan},
+    ])
+    def test_invalid_params(self, kwargs):
+        merged = {"beta": 2.0, "gamma": 1.0, "c": 1.0, "epsilon": 0.2, **kwargs}
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=f"{name}={value}"):
+            select_bandwidth_undersmoothed(sources_with(), 0.0, **merged)
 
     def test_monotone_in_n_and_gamma(self):
         def h_for(n, gamma):

@@ -389,7 +389,19 @@ class TestCliMisuse:
             "noise_sd must be finite and nonnegative, got -1.0"),
         "fit_gamma_not_finite": (  # n / gamma = 0 has no negative power
             lambda d, o: fit_args(d, o, ["--gamma", "inf"]),
-            "gamma and e0 must be finite and positive and beta positive, got gamma=inf"),
+            "gamma, e0 and beta must be finite and positive, got gamma=inf"),
+        "fit_beta_not_finite": (
+            lambda d, o: fit_args(d, o, ["--beta", "inf"]), "e0=1.0, beta=inf"),
+        "simulate_beta_not_finite": (
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
+                          "--threads", "1", "--beta", "inf", "--out", str(o)],
+            "e0=1.0, beta=inf"),
+        "fit_undersmooth_epsilon_not_finite": (
+            lambda d, o: fit_args(d, o, ["--bandwidth", "undersmooth", "--epsilon", "inf"]),
+            "beta=2.0, epsilon=inf"),
+        "fit_undersmooth_beta_negative": (  # 2 beta + 1 = 0 was a division by zero
+            lambda d, o: fit_args(d, o, ["--bandwidth", "undersmooth", "--beta", "-0.5"]),
+            "beta=-0.5, epsilon=0.2"),
         "fit_u0_nan": (
             lambda d, o: fit_args(d, o, ["--u0", "nan"]), "--u0 must be a finite number, got nan"),
         "infer_u0_inf": (
@@ -464,13 +476,39 @@ class TestCliMisuse:
         assert "(row 4, column 'age/education')" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone takes longer to import than the whole package
+def _fresh_python(code):
+    """stdout of ``code`` run in a new interpreter that imports this checkout's dvcm."""
     import dvcm
 
-    code = "import sys, dvcm, dvcm.cli; print('scipy.stats' in sys.modules)"
     src = str(Path(dvcm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout.split()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone takes longer to import than the whole package, and
+    # scipy.linalg's package init is skipped to reach LAPACK
+    code = ("import sys, dvcm, dvcm.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)")
+    assert _fresh_python(code) == ["False", "False"]
+
+
+@pytest.mark.parametrize("first", ["dvcm", "scipy.linalg.lapack"])
+def test_cholesky_routines_are_scipys(first):
+    """The package's dpotrf/dpotrs are the objects scipy.linalg.lapack exports,
+    whichever of the two is imported first."""
+    code = (f"import {first}, dvcm.estimators as e, scipy.linalg.lapack as la; "
+            "print(e.dpotrf is la.dpotrf, e.dpotrs is la.dpotrs)")
+    assert _fresh_python(code) == ["True", "True"]
+
+
+def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):
+    import scipy
+
+    from dvcm import estimators
+
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match="scipy.linalg._flapack") as info:
+        estimators._lapack_cholesky()
+    assert info.value.name == "scipy.linalg._flapack"

@@ -166,8 +166,9 @@ class TestEstimateDerivative:
 
     def test_rejects_fractional_order(self):
         doms = _noiseless_domains(lambda u: u, (-0.5, 0.5))
-        with pytest.raises(ValueError):
-            estimate_derivative(doms, 0.0, 1.0, 1.5, GAUSSIAN)
+        for order in (1.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"positive integer, got {order}"):
+                estimate_derivative(doms, 0.0, 1.0, order, GAUSSIAN)
 
 
 class TestEstimateBias:
@@ -362,6 +363,14 @@ class TestEstimateQ:
         for bad in (0.5, 2.0, 0.0, 2.5):
             with pytest.raises(ValueError):
                 estimate_q(sources, pilot, 0.0, 1.0, 1, 2, bad, GAUSSIAN)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, -1.5])
+    def test_beta_not_finite_and_positive_rejected(self, beta):
+        rng = np.random.default_rng(14)
+        sources = _sim_domains(rng, 3, 10, 1, 1.0, lambda u: np.array([1.0]))
+        pilot = DomainSample(u=0.0, x=np.ones((8, 1)), y=np.ones(8))
+        with pytest.raises(ValueError, match=f"beta must be finite and positive, got {beta}"):
+            estimate_q(sources, pilot, 0.0, 1.0, 1, beta, 1.0, GAUSSIAN)
 
     def test_noninteger_beta_skips_bias_with_diagnostic(self):
         rng = np.random.default_rng(15)
