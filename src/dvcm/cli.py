@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # at import: it would otherwise load on the first draw
 
 from . import dataio
 from .bandwidth import (BANDWIDTH_RULES, BandwidthChoice, gamma_moment_estimate,
@@ -471,6 +472,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except DvcmError as exc:
         print(f"error: {exc}", file=sys.stderr)

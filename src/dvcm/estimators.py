@@ -9,27 +9,37 @@ positive-definite factorisation.  Every weighted Gram matrix
 factorisation and solve is :func:`spd_factor` / :func:`spd_solve`, which
 call LAPACK ``dpotrf`` / ``dpotrs`` directly: the routines behind
 scipy's Cholesky helpers, so the bits are the same at a fraction of the
-call cost.  The two routines are taken from scipy's f2py extension
-``scipy.linalg._flapack``, loaded from its file in scipy's ``linalg``
-directory: importing them through ``scipy.linalg.lapack`` would first run
-``scipy.linalg``'s package init, 43 modules and about 5 MB resident that
-the package never calls.  They are the very objects
-``scipy.linalg.lapack`` exports.  A non-finite matrix raises DomainError
-and a singular one SingularSystemError, never a regularised answer (that
-would mask data problems).
+call cost.  A non-finite matrix raises DomainError and a singular one
+SingularSystemError, never a regularised answer (that would mask data
+problems).
+
+The two routines are taken from scipy's f2py extension
+``scipy.linalg._flapack``, and the four special functions the package
+uses (``expit`` in :mod:`dvcm.families`; ``erfc``, ``gammaincc`` and
+``ndtri`` in :mod:`dvcm.inference`) from ``scipy.special._ufuncs``.
+:func:`dvcm._scipy.extension` loads each from its file in scipy's
+directory, because importing them through ``scipy.linalg.lapack`` and
+``scipy.special`` would first run both package inits: after
+``import dvcm, dvcm.cli`` those add 289 modules (scipy's array-API
+layer, ``numpy.testing``, ``numpy.f2py`` and more), about 17 MB
+resident and about 0.2 s (fastest of 15 fresh interpreters) that the
+package never uses.  ``_ufuncs`` imports its sibling extensions
+relatively while it initialises, which needs a ``scipy.special`` entry
+in ``sys.modules``: a bare stand-in for the package sits there for the
+length of that one load (as one for ``scipy.linalg`` does while
+``_flapack`` loads), so both are gone once ``import dvcm`` returns.  The
+routines and ufuncs are the very objects the two scipy packages export,
+so every result is bit for bit what they would give.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy
 
+from ._scipy import extension
 from .design import DomainSample, LocalDesign, Panel, _record, build_local_design
 from .errors import DomainError, SingularSystemError
 from .families import ModelFamily, _finite
@@ -37,20 +47,8 @@ from .families import ModelFamily, _finite
 __all__ = ["LocalFit", "TLFit", "newton_weighted", "fit_target_only", "fit_dvcm", "fit_tl"]
 
 
-def _lapack_cholesky():
-    """``dpotrf`` and ``dpotrs`` of ``scipy.linalg._flapack``, loaded without
-    running ``scipy.linalg/__init__.py``."""
-    name = "scipy.linalg._flapack"
-    linalg = [os.path.join(path, "linalg") for path in scipy.__path__]
-    spec = importlib.machinery.PathFinder.find_spec(name, linalg)
-    if spec is None:
-        raise ImportError(f"cannot find the extension {name} in {linalg}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.dpotrf, module.dpotrs
-
-
-dpotrf, dpotrs = _lapack_cholesky()
+_flapack = extension("linalg", "_flapack")
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 100

@@ -17,11 +17,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
+from ._scipy import extension
 from .errors import DomainError
 
 __all__ = ["ModelFamily", "GAUSSIAN", "LOGISTIC", "POISSON", "get_family"]
+
+expit = extension("special", "_ufuncs").expit
 
 
 def _finite(a) -> bool:

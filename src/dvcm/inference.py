@@ -20,10 +20,10 @@ fit and the pooled pilot, so its covariance combines both ingredients:
 (estimator-variance scale, matching ``V_DVCM``), so Sigma_TL standardises
 ``theta_TL - theta(u0)`` directly; :meth:`TransferProblem.covariance`
 assembles it on the ``gram`` / ``spd_factor`` primitives of
-:mod:`dvcm.estimators`.  Tail probabilities use ``scipy.special``:
-``scipy.stats`` would take ``import dvcm, dvcm.cli`` from about 0.5 s to
-1.3 s (fastest of 15 fresh interpreters, less a bare one, on a shared
-2-vCPU host).
+:mod:`dvcm.estimators`.  Tail probabilities use ``scipy.special``'s
+ufuncs, reached as :mod:`dvcm.estimators` describes: ``scipy.stats`` would
+take ``import dvcm, dvcm.cli`` from about 0.4 s to 1.4 s (fastest of 15
+fresh interpreters, less a bare one, on a shared 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc, gammaincc, ndtri
 
+from ._scipy import extension
 from .bandwidth import select_bandwidth_median
 from .design import DomainSample, Panel, kernel_window
 from .errors import DvcmError, SingularSystemError
@@ -57,6 +57,9 @@ __all__ = [
     "normal_sf",
     "normal_quantile",
 ]
+
+_ufuncs = extension("special", "_ufuncs")
+erfc, gammaincc, ndtri = _ufuncs.erfc, _ufuncs.gammaincc, _ufuncs.ndtri
 
 
 @dataclass(frozen=True)
@@ -219,7 +222,7 @@ class TransferProblem:
     @_cached_outcome
     def derivative(self) -> np.ndarray:
         """theta^(beta)(u0), for the penalty's bias."""
-        return estimate_derivative(self.pooled, self.u0, self.h_deriv, int(self.beta),
+        return estimate_derivative(self.pooled, self.u0, self.h_deriv, self.beta,
                                    self.family, self._newton_start())
 
     @cached_property

@@ -127,17 +127,17 @@ def estimate_derivative(
     """
     if beta < 1 or not float(beta).is_integer():
         raise ValueError(f"derivative order must be a positive integer, got {beta}")
-    beta = int(beta)
     panel = Panel.of(domains)
     dist = np.abs(panel.u - u0)
     if len(set(panel.u[dist <= h].tolist())) < beta + 1:
         us = sorted(set(dist.tolist()))
-        if len(us) < beta + 1:
+        if len(us) < beta + 1:  # before int(beta): a huge order prints as given
             raise SingularSystemError(
                 f"derivative of order {beta} needs {beta + 1} distinct domain "
                 f"identifiers; only {len(us)} available"
             )
-        h = us[beta] * (1.0 + 1e-9)
+        h = us[int(beta)] * (1.0 + 1e-9)
+    beta = int(beta)
     fit = fit_dvcm(panel, u0, h, beta, family, start)
     p = fit.design.p
     return fit.alpha[beta * p :] / h**beta
@@ -271,7 +271,7 @@ def estimate_q(
         n0 = target_pilot_split.n
     win = kernel_window(pooled, u0, h, l) if float(beta).is_integer() else None
     if derivative is None:  # called only by the bias of an integer beta
-        derivative = partial(estimate_derivative, pooled, u0, h, int(beta), family)
+        derivative = partial(estimate_derivative, pooled, u0, h, beta, family)
     return _penalty(pilot_fit, win, h, beta, delta, family, scale, n0, derivative)
 
 

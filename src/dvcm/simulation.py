@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.random  # at import: it would otherwise load on the first draw
 
 from .bandwidth import BANDWIDTH_RULES, select_bandwidth
 from .design import DomainSample, Panel
@@ -112,6 +113,8 @@ class SimConfig:
                              f"got {self.bandwidth_grid!r}")
         if min(self.p, self.K, self.n_bar, self.n0, self.reps) < 1:
             raise ValueError("p, K, n_bar, n0 and reps must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("gamma", "noise_sd"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, "
@@ -523,7 +526,7 @@ def ks_normality(samples: Sequence[float]) -> tuple[float, float]:
     Returns ``(D, p)`` with the asymptotic p-value of
     ``scipy.stats.kstest``.  Requires at least 8 samples.
     """
-    # imported here: scipy.stats would more than double the package import time
+    # imported here: scipy.stats would more than triple the package import time
     from scipy.stats import kstest
 
     x = np.asarray(samples, dtype=float)

@@ -402,6 +402,19 @@ class TestCliMisuse:
         "fit_undersmooth_beta_negative": (  # 2 beta + 1 = 0 was a division by zero
             lambda d, o: fit_args(d, o, ["--bandwidth", "undersmooth", "--beta", "-0.5"]),
             "beta=-0.5, epsilon=0.2"),
+        "fit_beta_huge": (  # int(1e300) has 301 digits
+            lambda d, o: fit_args(d, o, ["--beta", "1e300"]),
+            "derivative of order 1e+300 needs 1e+300 distinct domain identifiers"),
+        "fit_seed_negative": (
+            lambda d, o: fit_args(d, o, ["--seed", "-1"]),
+            "--seed must be a non-negative integer, got -1"),
+        "simulate_seed_negative": (
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
+                          "--threads", "1", "--seed", "-1", "--out", str(o)],
+            "--seed must be a non-negative integer, got -1"),
+        "config_seed_negative": (
+            lambda d, o: TestCliMisuse._config(d, '{"seed": -1}') + ["--out", str(o)],
+            "seed must be a non-negative integer, got -1"),
         "fit_u0_nan": (
             lambda d, o: fit_args(d, o, ["--u0", "nan"]), "--u0 must be a finite number, got nan"),
         "infer_u0_inf": (
@@ -488,10 +501,11 @@ def _fresh_python(code):
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats alone takes longer to import than the whole package, and
-    # scipy.linalg's package init is skipped to reach LAPACK
-    code = ("import sys, dvcm, dvcm.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)")
-    assert _fresh_python(code) == ["False", "False"]
+    # the package inits of scipy.linalg and scipy.special are skipped to
+    # reach their extensions; numpy.random is loaded at import all the same
+    code = ("import sys, dvcm, dvcm.cli; print(*(m in sys.modules for m in "
+            "('scipy.stats', 'scipy.linalg', 'scipy.special', 'numpy.random')))")
+    assert _fresh_python(code) == ["False", "False", "False", "True"]
 
 
 @pytest.mark.parametrize("first", ["dvcm", "scipy.linalg.lapack"])
@@ -503,12 +517,61 @@ def test_cholesky_routines_are_scipys(first):
     assert _fresh_python(code) == ["True", "True"]
 
 
-def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):
+@pytest.mark.parametrize("first", ["dvcm", "scipy.special"])
+def test_special_functions_are_scipys(first):
+    """The package's expit, erfc, gammaincc and ndtri are the objects
+    scipy.special exports, whichever of the two is imported first, and an
+    imported scipy.special stays the one in sys.modules."""
+    code = (f"import sys, {first}; before = sys.modules.get('scipy.special'); "
+            "import dvcm.families as f, dvcm.inference as i, scipy.special as s; "
+            "print(before in (None, s), f.expit is s.expit, i.erfc is s.erfc, "
+            "i.gammaincc is s.gammaincc, i.ndtri is s.ndtri)")
+    assert _fresh_python(code) == ["True"] * 5
+
+
+def test_scipy_stats_works_after_import():
+    """ks_normality imports scipy.stats, and with it the real scipy.special,
+    after the package's stand-in for it is gone."""
+    code = ("import dvcm, numpy as np; "
+            "d, p = dvcm.ks_normality(np.linspace(-2, 2, 41)); print(0 < d < 1, 0 < p <= 1)")
+    assert _fresh_python(code) == ["True", "True"]
+
+
+def _load_from(monkeypatch, scipy_dir, subpackage, module):
+    """``extension(subpackage, module)`` as a fresh interpreter would run it,
+    with nothing to reuse and scipy's directory at ``scipy_dir``; returns
+    the error it raises and the names it leaves in ``sys.modules``."""
     import scipy
 
-    from dvcm import estimators
+    from dvcm._scipy import extension
 
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-    with pytest.raises(ImportError, match="scipy.linalg._flapack") as info:
-        estimators._lapack_cholesky()
-    assert info.value.name == "scipy.linalg._flapack"
+    names = (f"scipy.{subpackage}", f"scipy.{subpackage}.{module}")
+    for name in names:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.setattr(scipy, "__path__", [str(scipy_dir)])
+    with pytest.raises(ImportError) as info:
+        extension(subpackage, module)
+    return info.value, [name for name in names if name in sys.modules]
+
+
+def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):
+    error, left = _load_from(monkeypatch, tmp_path, "linalg", "_flapack")
+    assert error.name == "scipy.linalg._flapack" and "scipy.linalg._flapack" in str(error)
+    assert left == []
+
+
+def test_missing_special_extension_is_an_import_error(monkeypatch, tmp_path):
+    error, left = _load_from(monkeypatch, tmp_path, "special", "_ufuncs")
+    assert error.name == "scipy.special._ufuncs" and "scipy.special._ufuncs" in str(error)
+    assert left == []
+
+
+def test_failed_extension_leaves_no_stand_in(monkeypatch, tmp_path):
+    """An extension whose init fails leaves neither the stand-in package
+    nor the half-made module behind; its relative import was resolved
+    in the stand-in's directory."""
+    (tmp_path / "special").mkdir()
+    (tmp_path / "special" / "_ufuncs.py").write_text("from ._not_there import f\n")
+    error, left = _load_from(monkeypatch, tmp_path, "special", "_ufuncs")
+    assert error.name == "scipy.special._not_there"
+    assert left == []
