@@ -81,22 +81,27 @@ def _threads(args) -> int:
         raise ValueError(f"DVCM_THREADS must be an integer, got {env!r}") from None
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+def _parse_float_list(text: str, option: str) -> list[float]:
+    return [_parse_part(t, option) for t in text.replace(";", ",").split(",") if t.strip()]
 
 
-def _parse_fractions(text: str) -> list[float]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if "/" in tok:
-            num, den = tok.split("/")
-            if float(den) == 0:
-                raise ValueError(f"--split part {tok!r} has a zero denominator")
-            out.append(float(num) / float(den))
-        else:
-            out.append(float(tok))
-    return out
+def _parse_fractions(text: str, option: str) -> list[float]:
+    return [_parse_part(tok, option, fraction=True) for tok in text.split(",")]
+
+
+def _parse_part(tok: str, option: str, fraction: bool = False) -> float:
+    """One part of the comma-separated ``option``: a number or, with
+    ``fraction``, also ``a/b``; a ValueError names ``option`` and ``tok``."""
+    tok = tok.strip()
+    num, slash, den = tok.partition("/") if fraction else (tok, "", "")
+    try:
+        a, b = float(num), float(den) if slash else 1.0
+    except ValueError:
+        kind = "a number or a fraction a/b" if fraction else "a number"
+        raise ValueError(f"{option} part {tok!r} is not {kind}") from None
+    if b == 0:
+        raise ValueError(f"{option} part {tok!r} has a zero denominator")
+    return a / b
 
 
 # ------------------------------------------------------------------
@@ -148,7 +153,7 @@ def _run_fit_pipeline(args) -> EstimateReport:
     if not sources:
         raise ValueError("no source domains left after binning")
 
-    fractions = _parse_fractions(args.split)
+    fractions = _parse_fractions(args.split, "--split")
     if len(fractions) < 2:
         raise ValueError(
             f"--split needs at least 2 parts (pilot, fine-tune), got {args.split!r}"
@@ -238,7 +243,7 @@ def cmd_infer(args) -> int:
     theta = np.asarray(report.theta_tl)
     sigma = np.asarray(report.covariance["sigma_tl"])
     if args.null_theta is not None:
-        null = np.asarray(_parse_float_list(args.null_theta))
+        null = np.asarray(_parse_float_list(args.null_theta, "--null-theta"))
         if null.size != theta.size:
             raise ValueError(
                 f"--null-theta has {null.size} entries, expected {theta.size}"
@@ -248,7 +253,7 @@ def cmd_infer(args) -> int:
             "null": null.tolist(), "statistic": stat, "df": df, "p_value": p,
         }
     if args.contrast is not None:
-        v = np.asarray(_parse_float_list(args.contrast))
+        v = np.asarray(_parse_float_list(args.contrast, "--contrast"))
         if v.size != theta.size:
             raise ValueError(f"--contrast has {v.size} entries, expected {theta.size}")
         z, p = contrast_test(theta, sigma, v, args.zeta)
@@ -283,15 +288,9 @@ def _load_config(args) -> SimConfig:
         unknown = set(values) - _CONFIG_FIELDS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    overrides = {
-        "family": args.family, "p": args.p, "K": args.K, "n_bar": args.n_bar,
-        "n0": args.n0, "gamma": args.gamma, "noise_sd": args.noise_sd,
-        "reps": args.reps, "seed": args.seed, "theta_spec": args.theta_spec,
-        "order": args.order, "beta": args.beta, "delta": args.delta,
-        "e0": args.e0, "bw_c": args.bw_c, "bw_epsilon": args.epsilon,
-        "q_mode": args.q_mode, "bandwidth_rule": args.bandwidth_rule,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    # every simulation flag is stored under its SimConfig field name
+    values.update({k: v for k, v in vars(args).items()
+                   if k in _CONFIG_FIELDS and v is not None})
     return SimConfig(**values)
 
 
@@ -311,7 +310,7 @@ def _write_table(path: str | None, header: list[str], rows: list[list]) -> None:
 def cmd_simulate(args) -> int:
     threads = _threads(args)
     config = _load_config(args)
-    grid = _parse_float_list(args.grid) if args.grid else list(config.bandwidth_grid)
+    grid = _parse_float_list(args.grid, "--grid") if args.grid else list(config.bandwidth_grid)
     if not grid:
         raise ValueError("simulate needs a bandwidth grid (--grid or config)")
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
@@ -325,7 +324,7 @@ def cmd_simulate(args) -> int:
 def cmd_phase(args) -> int:
     threads = _threads(args)
     config = _load_config(args)
-    grid = _parse_float_list(args.grid)
+    grid = _parse_float_list(args.grid, "--grid")
     if not np.all(np.isfinite(grid)):
         raise ValueError(f"--grid values must be finite, got {args.grid!r}")
     if len(grid) < 2 * args.segments + 2:
@@ -416,7 +415,8 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--e0", type=float, default=None)
     p.add_argument("--bw-c", dest="bw_c", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", dest="bw_epsilon", metavar="EPSILON", type=float,
+                   default=None)
     p.add_argument("--q-mode", dest="q_mode", default=None,
                    choices=["estimate", "oracle", "zero", "infinity"])
     p.add_argument("--bandwidth-rule", dest="bandwidth_rule", default=None,

@@ -241,33 +241,23 @@ def fit_dvcm(
                    converged=converged, iterations=iterations)
 
 
-def fine_tune_moments(target_finetune: DomainSample) -> tuple[np.ndarray, np.ndarray]:
-    """``(X'X/n0, X'y/n0)`` of the fine-tune split: the Gaussian ``fit_tl`` data term."""
-    x, y, n0 = target_finetune.x, target_finetune.y, target_finetune.n
-    return x.T @ x / n0, x.T @ y / n0
-
-
 def fit_tl(
     target_finetune: DomainSample,
     theta_pilot: np.ndarray,
     q: np.ndarray,
     family: ModelFamily,
-    moments: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TLFit:
     """Fine-tune a pilot estimate by ridge-penalised regression on the target.
 
     Minimises ``(1/n0) sum_i l(x_i' a, y_i) + 0.5 ||a - pilot||_Q^2``;
     for the Gaussian family this is the closed form
-    ``(X'X/n0 + Q)^{-1} (X'y/n0 + Q pilot)``, whose ``(X'X/n0, X'y/n0)``
-    callers fine-tuning one target at several Q pass as ``moments``.
+    ``(X'X/n0 + Q)^{-1} (X'y/n0 + Q pilot)``.
     """
     theta_pilot = np.asarray(theta_pilot, dtype=float)
     q = np.asarray(q, dtype=float)
-    x, y = target_finetune.x, target_finetune.y
-    n0 = target_finetune.n
+    x, y, n0 = target_finetune.x, target_finetune.y, target_finetune.n
     if family.kind == "gaussian":
-        xtx, xty = fine_tune_moments(target_finetune) if moments is None else moments
-        theta = _solve_spd(xtx + q, xty + q @ theta_pilot)
+        theta = _solve_spd(x.T @ x / n0 + q, x.T @ y / n0 + q @ theta_pilot)
         converged = True
     else:
         theta, converged, _ = newton_weighted(

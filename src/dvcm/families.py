@@ -74,10 +74,6 @@ class ModelFamily:
     b2: Callable = field(repr=False)
     b3: Callable = field(repr=False)
 
-    @property
-    def inverse_link(self) -> Callable:
-        return self.b1
-
     def loss(self, eta, y):
         """Negative log-likelihood l(eta, y), elementwise.
 

@@ -2,13 +2,13 @@
 
 :class:`TransferProblem` is the one estimation chain (pooled pilot,
 penalty Q_hat, fine-tune, covariance), run by ``fit``/``infer`` and by
-every Monte-Carlo replication.  It stacks its pooled panel once and
-keeps every ingredient that does not depend on the pilot bandwidth (the
-target-only fits, the Pearson scale, the derivative plug-in, the
-Gaussian fine-tune Gram), so each bandwidth fits the pilot, locates its
-kernel window once and hands that window, with the arrays the chain
-built itself, straight to the penalty's implementation: nothing is
-converted or re-checked against the pooled panel on the way.
+every Monte-Carlo replication, and the one place that reuses work.  It
+stacks its pooled panel once and keeps every ingredient that does not
+depend on the pilot bandwidth (the target-only fits, the Pearson scale,
+the derivative plug-in), so each bandwidth fits the pilot and hands it,
+with the arrays the chain built itself, straight to the penalty's
+implementation, which reads the bias's moments off the kernel window the
+pilot located: nothing is converted, re-checked or located again.
 
 The transfer estimator is a matrix-weighted combination of the target-only
 fit and the pooled pilot, so its covariance combines both ingredients:
@@ -29,17 +29,16 @@ fresh interpreters, less a bare one, on a shared 2-vCPU host).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from ._scipy import extension
 from .bandwidth import select_bandwidth_median
-from .design import DomainSample, Panel, kernel_window
+from .design import DomainSample, Panel
 from .errors import DvcmError, SingularSystemError
-from .estimators import (LocalFit, TLFit, fine_tune_moments, fit_dvcm, fit_target_only,
-                         fit_tl, gram, spd_factor, spd_solve)
+from .estimators import (LocalFit, TLFit, fit_dvcm, fit_target_only, fit_tl, gram,
+                         spd_factor, spd_solve)
 from .families import ModelFamily
 from .penalty import (PenaltyEstimate, _penalty, estimate_derivative, estimate_scale,
                       estimate_variance_sandwich)
@@ -225,11 +224,6 @@ class TransferProblem:
         return estimate_derivative(self.pooled, self.u0, self.h_deriv, self.beta,
                                    self.family, self._newton_start())
 
-    @cached_property
-    def _fine_moments(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The Gaussian fine-tune's data term on ``fine``; None for other families."""
-        return fine_tune_moments(self.fine) if self.family.kind == "gaussian" else None
-
     def pilot(self, h: float) -> LocalFit:
         return fit_dvcm(self.pooled, self.u0, h, self.order, self.family,
                         self._newton_start())
@@ -248,21 +242,19 @@ class TransferProblem:
         return self.derivative
 
     def penalty(self, pilot: LocalFit) -> PenaltyEstimate:
-        """Data-driven shrinkage matrix Q_hat at the pilot's bandwidth.
-
-        The bias's moments take ``pilot.design.window`` when ``pilot`` is
-        this problem's own (``pilot(h)``), else a window located here."""
-        self.h_deriv  # its argument checks run even when the bias needs no derivative
+        """Data-driven shrinkage matrix Q_hat at the bandwidth of ``pilot``,
+        which must come from this problem's ``pilot(h)``: the bias's moments
+        read its kernel window."""
         design = pilot.design
-        window = design.window
-        if not (window.panel is self.pooled and design.center == self.u0
+        if not (design.window.panel is self.pooled and design.center == self.u0
                 and design.order == self.order):
-            window = kernel_window(self.pooled, self.u0, design.bandwidth, self.order)
-        return _penalty(pilot, window, design.bandwidth, self.beta, self.delta, self.family,
-                        self.scale, self.fine.n, self._derivative)
+            raise ValueError("penalty() takes a pilot made by this problem's pilot(h)")
+        self.h_deriv  # its argument checks run even when the bias needs no derivative
+        return _penalty(pilot, self.beta, self.delta, self.family, self.scale, self.fine.n,
+                        self._derivative)
 
     def fine_tune(self, pilot: LocalFit, q: np.ndarray) -> TLFit:
-        return fit_tl(self.fine, pilot.theta, q, self.family, self._fine_moments)
+        return fit_tl(self.fine, pilot.theta, q, self.family)
 
     def covariance(self, pilot: LocalFit, q: np.ndarray,
                    v_dvcm: np.ndarray | None = None) -> CovarianceReport:

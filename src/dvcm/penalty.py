@@ -10,11 +10,11 @@ where ``Q_hat`` then trusts a biased pilot (the README sweep's negative
 transfer at ``h >= 0.45``).  The bias's two moment matrices ``zeta``
 come from one pass over a :func:`dvcm.design.kernel_window` of the
 pooled domains, each in-window domain weighted by the uniform kernel's
-one value ``W``.  ``estimate_q`` and ``estimate_bias`` convert and check
-their arguments, stack the pooled panel and locate its window, then run
-the one implementation (``_penalty``, ``_bias``) that
-:class:`dvcm.inference.TransferProblem` calls with its own pilot's
-window, so on that path the window is located once per bandwidth.
+one value ``W``.  The one implementation, ``_penalty``, takes a pooled
+pilot fit and reads the bias's window and bandwidth off its design, the
+window the fit itself located: ``estimate_q`` fits that pilot on the
+pooled panel it stacks, and :class:`dvcm.inference.TransferProblem`
+passes its own, so the bias locates no window of its own on either path.
 Every factorisation and solve runs on the LAPACK core of
 :mod:`dvcm.estimators` (``spd_factor`` / ``spd_solve``).
 """
@@ -150,23 +150,18 @@ def estimate_bias(
     l: int,
     beta: int,
     family: ModelFamily,
-    *,
-    derivative: Callable[[], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Plug-in bias of the order-``l`` pooled fit under smoothness ``beta``.
 
     ``[zeta_{0,1}^{-1} zeta_{beta,1}]_{1,1} * theta^(beta)(u0) * h^beta / beta!``
     with the zeta moments of the main fit.  The derivative comes from
-    ``derivative``, a zero-argument callable, or else from
-    ``estimate_derivative`` at the main bandwidth; neither is evaluated
+    ``estimate_derivative`` at the main bandwidth, which is not fitted
     when the moment factor is zero.
     """
     beta = _bias_order(beta)
     panel = Panel.of(domains)
-    win = kernel_window(panel, u0, h, l)
-    if derivative is None:
-        derivative = partial(estimate_derivative, panel, u0, h, beta, family)
-    return _bias(win, h, beta, derivative)
+    return _bias(kernel_window(panel, u0, h, l), h, beta,
+                 partial(estimate_derivative, panel, u0, h, beta, family))
 
 
 def _bias_order(beta) -> int:
@@ -226,17 +221,15 @@ def estimate_q(
     family: ModelFamily,
     *,
     n0: int | None = None,
-    pilot_fit: LocalFit | None = None,
-    scale: float | None = None,
-    derivative: Callable[[], np.ndarray] | None = None,
 ) -> PenaltyEstimate:
     """Assemble the data-driven shrinkage matrix from the pilot split.
 
     Parameters
     ----------
     domains : Panel or sequence of DomainSample
-        Source domains; the pooled pilot fit uses ``target_pilot_split``
-        followed by them.
+        Source domains; the pooled pilot fit at ``h`` uses
+        ``target_pilot_split`` followed by them, and the bias's moments
+        come from that fit's kernel window.
     target_pilot_split : DomainSample
         Target observations reserved for the pilot step; they feed the
         scale estimate so the penalty stays independent of the
@@ -245,34 +238,22 @@ def estimate_q(
         Sample size entering the ``scale / n0`` factor; defaults to the
         pilot-split size (the fine-tune split has the same size under the
         even-split protocol).
-    pilot_fit, scale : optional
-        Reuse of already-computed ingredients, recomputed when omitted:
-        the pooled pilot fit at ``h`` and the Pearson scale
-        ``estimate_scale`` of the target-only fit on ``target_pilot_split``.
-        The bias's moments come from a window located here over the
-        pooled domains at ``u0``, ``h`` and ``l``.
-    derivative : callable, optional
-        Returns the order-``beta`` derivative plug-in of the bias (see
-        ``estimate_bias``); defaults to a derivative fit at ``h``.
-        Callers sweeping ``h`` should fit it at a rate-optimal bandwidth,
-        since the derivative of theta at ``u0`` is a local quantity
-        independent of the sweep.
+
+    The bias's derivative plug-in is fitted at ``h``.  A caller sweeping
+    ``h`` runs :class:`dvcm.inference.TransferProblem`, which fits it once
+    at a rate-optimal bandwidth and reuses the other ``h``-free parts.
     """
     _check_delta(delta)
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be finite and positive, got {beta}")
     pooled = Panel.pooled(target_pilot_split, Panel.of(domains))
-    if pilot_fit is None:
-        pilot_fit = fit_dvcm(pooled, u0, h, l, family)
-    if scale is None:
-        scale = estimate_scale(target_pilot_split,
-                               fit_target_only(target_pilot_split, family), family)
+    pilot_fit = fit_dvcm(pooled, u0, h, l, family)
+    scale = estimate_scale(target_pilot_split,
+                           fit_target_only(target_pilot_split, family), family)
     if n0 is None:
         n0 = target_pilot_split.n
-    win = kernel_window(pooled, u0, h, l) if float(beta).is_integer() else None
-    if derivative is None:  # called only by the bias of an integer beta
-        derivative = partial(estimate_derivative, pooled, u0, h, beta, family)
-    return _penalty(pilot_fit, win, h, beta, delta, family, scale, n0, derivative)
+    return _penalty(pilot_fit, beta, delta, family, scale, n0,
+                    partial(estimate_derivative, pooled, u0, h, beta, family))
 
 
 def _check_delta(delta: float) -> None:
@@ -280,20 +261,20 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in (0.5, 2), got {delta}")
 
 
-def _penalty(pilot_fit: LocalFit, window: KernelWindow | None, h: float, beta: float,
-             delta: float, family: ModelFamily, scale: float, n0: int,
-             derivative: Callable[[], np.ndarray]) -> PenaltyEstimate:
-    """``estimate_q`` given every ingredient: ``window`` is the bias's
-    ``kernel_window`` of the pooled domains at ``h`` (unused, and may be
-    None, for a fractional ``beta``)."""
+def _penalty(pilot_fit: LocalFit, beta: float, delta: float, family: ModelFamily,
+             scale: float, n0: int, derivative: Callable[[], np.ndarray]
+             ) -> PenaltyEstimate:
+    """``estimate_q`` given its pooled pilot fit and every other ingredient;
+    the bias's moments come from the window and bandwidth of the fit's design."""
     _check_delta(delta)
+    design = pilot_fit.design
     diagnostics: dict = {}
     if not float(beta).is_integer():
         # no plug-in bias form exists for fractional smoothness
-        bias = np.zeros(pilot_fit.design.p)
+        bias = np.zeros(design.p)
         diagnostics["bias_skipped_noninteger_beta"] = float(beta)
     else:
-        bias = _bias(window, h, beta, derivative)
+        bias = _bias(design.window, design.bandwidth, beta, derivative)
     var = estimate_variance_sandwich(pilot_fit, family)
 
     m_hat = bias[:, None] * bias + var  # np.outer's product, without its wrapper

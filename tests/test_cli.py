@@ -350,6 +350,25 @@ class TestCliMisuse:
             lambda d, o: fit_args(d, o, ["--split", "1"]), "--split"),
         "split_zero_denominator": (
             lambda d, o: fit_args(d, o, ["--split", "1/0,1"]), "'1/0'"),
+        "split_three_level_fraction": (
+            lambda d, o: fit_args(d, o, ["--split", "1/2/3,1/2"]),
+            "--split part '1/2/3' is not a number or a fraction a/b"),
+        "split_empty_parts": (
+            lambda d, o: fit_args(d, o, ["--split", ",,"]),
+            "--split part '' is not a number or a fraction a/b"),
+        "simulate_grid_not_a_number": (
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "a,b",
+                          "--threads", "1", "--out", str(o)], "--grid part 'a' is not a number"),
+        "phase_grid_not_a_number": (
+            lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,x",
+                          "--p", "2", "--reps", "2", "--threads", "1", "--out", str(o)],
+            "--grid part 'x' is not a number"),
+        "infer_null_theta_not_a_number": (
+            lambda d, o: ["infer", *fit_args(d, o, ["--null-theta", "a,b,c"])[1:]],
+            "--null-theta part 'a' is not a number"),
+        "infer_contrast_not_a_number": (
+            lambda d, o: ["infer", *fit_args(d, o, ["--contrast", "1,x,2"])[1:]],
+            "--contrast part 'x' is not a number"),
         "u_expr_not_finite": (
             lambda d, o: ["fit", "--data", str(d), "--u-expr", "age/education",
                           "--x-cols", "x1", "--y-col", "y", "--u0", "0.25",

@@ -337,7 +337,8 @@ class TestFitTl:
 def _singular_cases():
     """One singular input per Cholesky factorisation site."""
     from dvcm.inference import sigma_tl, v_hat_target, wald_test
-    from dvcm.penalty import estimate_bias, estimate_q, estimate_variance_sandwich
+    from dvcm.design import kernel_window
+    from dvcm.penalty import _bias, _penalty, estimate_scale, estimate_variance_sandwich
 
     rng = np.random.default_rng(0)
     x = rng.normal(size=(30, 2))
@@ -349,11 +350,12 @@ def _singular_cases():
         "normal_equations": lambda: fit_target_only(flat, GAUSSIAN),
         "sandwich_bread": lambda: estimate_variance_sandwich(
             LocalFit(np.zeros(4), np.zeros(2), lone, True, 0), GAUSSIAN),
-        "pilot_mse": lambda: estimate_q(
-            [clean], pilot_split, 0.0, 0.5, 0, 2, 1.0, GAUSSIAN,
-            derivative=lambda: np.ones(2)),
-        "zeta_moments": lambda: estimate_bias(
-            [clean], 0.0, 0.5, 1, 2, GAUSSIAN, derivative=lambda: np.ones(2)),
+        "pilot_mse": lambda: _penalty(
+            fit_dvcm([pilot_split, clean], 0.0, 0.5, 0, GAUSSIAN), 2, 1.0, GAUSSIAN,
+            estimate_scale(pilot_split, fit_target_only(pilot_split, GAUSSIAN), GAUSSIAN),
+            pilot_split.n, lambda: np.ones(2)),
+        "zeta_moments": lambda: _bias(
+            kernel_window([clean], 0.0, 0.5, 1), 0.5, 2, lambda: np.ones(2)),
         "psi_hat": lambda: v_hat_target(flat, np.zeros(2), GAUSSIAN),
         "b_q": lambda: sigma_tl(np.ones((2, 2)), np.zeros((2, 2)), np.eye(2), np.eye(2)),
         "sigma_tl": lambda: wald_test(np.zeros(2), np.ones((2, 2)), np.ones(2)),

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvcm.design import DomainSample, Panel, build_local_design, poly_features, uniform_kernel
+from dvcm.design import (DomainSample, Panel, build_local_design, kernel_window, poly_features,
+                         uniform_kernel)
 from dvcm.errors import DegenerateVarianceError, SingularSystemError
 from dvcm.estimators import (fit_dvcm, fit_target_only, gram, newton_weighted, spd_factor,
                              spd_solve)
 from dvcm.families import GAUSSIAN, LOGISTIC, POISSON
 from dvcm.penalty import (
+    _bias,
     estimate_bias,
     estimate_derivative,
     estimate_q,
@@ -222,7 +224,7 @@ class TestEstimateBias:
         z01 = _zeta_oracle(doms, 0.0, 0.5, 1, 0, 1)
         z21 = _zeta_oracle(doms, 0.0, 0.5, 1, 2, 1)
         want = np.linalg.solve(z01, z21[:, 0])[0] * deriv * 0.5**2 / 2.0
-        got = estimate_bias(doms, 0.0, 0.5, 1, 2, GAUSSIAN, derivative=lambda: deriv)
+        got = _bias(kernel_window(doms, 0.0, 0.5, 1), 0.5, 2, lambda: deriv)
         assert np.allclose(got, want, rtol=1e-10)
 
     def test_derivative_callable_skipped_when_factor_is_zero(self):
@@ -232,8 +234,7 @@ class TestEstimateBias:
         def never():
             raise AssertionError("derivative evaluated for a zero moment factor")
 
-        assert np.allclose(estimate_bias([dom], 0.0, 1.0, 1, 2, GAUSSIAN,
-                                         derivative=never), 0.0)
+        assert np.allclose(_bias(kernel_window([dom], 0.0, 1.0, 1), 1.0, 2, never), 0.0)
 
 
 def _textbook_hc0(x, y):
@@ -399,67 +400,45 @@ def _glm_problem(family, seed, K, p=2, n=30):
     return domain(0.0, n), sources
 
 
-def _penalty_bytes(pen):
-    return (pen.q.tobytes(), pen.bias_vec.tobytes(), pen.var_mat.tobytes(), pen.scale)
-
-
 class TestEstimateQReusesThePilotWindow:
-    """The pilot design's window gives the bytes a freshly located one gives."""
+    """The penalty's bias reads the pilot design's window, which has the bytes
+    a freshly located one has."""
 
     @given(st.sampled_from([GAUSSIAN, LOGISTIC, POISSON]), st.integers(0, 2**32 - 1),
-           st.integers(1, 4), st.sampled_from([0.2, 0.35, 0.7, 2.0]), st.integers(0, 2),
-           st.booleans())
+           st.integers(1, 4), st.sampled_from([0.2, 0.35, 0.7, 2.0]), st.integers(0, 2))
     @settings(max_examples=60, deadline=None)
-    def test_bytes_equal_to_a_fresh_window(self, family, seed, K, h, l, fit_derivative):
-        from dvcm import penalty
+    def test_bytes_equal_to_a_fresh_window(self, family, seed, K, h, l):
         from dvcm.errors import DvcmError
 
         split, sources = _glm_problem(family, seed, K)
         pooled = [split, *sources]
-        derivative = None if fit_derivative else (lambda: np.array([0.7, -1.3]))
         try:
             pilot = fit_dvcm(pooled, 0.0, h, l, family)
         except DvcmError:
-            return  # no pilot, nothing to reuse
-        scale = estimate_scale(split, fit_target_only(split, family), family)
+            return  # no pilot, no window
+        own, fresh = pilot.design.window, kernel_window(pooled, 0.0, h, l)
+        for name in ("index", "n", "t", "phi"):
+            a, b = getattr(own, name), getattr(fresh, name)
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+        assert (own.s_h, own.n_total) == (fresh.s_h, fresh.n_total)
 
-        def reused():  # the penalty over the pilot's own window, as TransferProblem runs it
-            return penalty._penalty(
-                pilot, pilot.design.window, h, 2, 1.0, family, scale, split.n,
-                derivative or (lambda: estimate_derivative(pooled, 0.0, h, 2, family)))
+        def bias(window):
+            return _bias(window, h, 2, lambda: np.array([0.7, -1.3]))
 
         try:
-            fresh = estimate_q(sources, split, 0.0, h, l, 2, 1.0, family, pilot_fit=pilot,
-                               derivative=derivative)
+            want = bias(fresh)
         except DvcmError as exc:
             with pytest.raises(type(exc)):
-                reused()
+                bias(own)
             return
-        assert _penalty_bytes(reused()) == _penalty_bytes(fresh)
-        fresh_window = penalty.kernel_window(pooled, 0.0, h, l)
-        assert pilot.design.window.phi.tobytes() == fresh_window.phi.tobytes()
+        assert bias(own).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("family", [GAUSSIAN, LOGISTIC, POISSON])
-    def test_foreign_pilot_gives_the_fresh_result(self, family, count_calls):
-        from dvcm import penalty
-
-        split, sources = _glm_problem(family, 3, 4)
-        pooled = [split, *sources]
-        h = 0.7
-        other_h = fit_dvcm(pooled, 0.0, 2.0, 1, family)
-        # same identifiers and sizes, other responses: its window is the right one,
-        # but the default derivative must still be fitted on the given data
-        shuffled = [DomainSample(u=d.u, x=d.x, y=d.y[::-1]) for d in sources]
-        other_data = fit_dvcm([split, *shuffled], 0.0, h, 1, family)
-        scale = estimate_scale(split, fit_target_only(split, family), family)
-        window = penalty.kernel_window(pooled, 0.0, h, 1)
-        for foreign in (other_h, other_data):
-            want = penalty._penalty(foreign, window, h, 2, 1.0, family, scale, split.n,
-                                    lambda: estimate_derivative(pooled, 0.0, h, 2, family))
-            windows = count_calls(penalty.kernel_window)
-            got = estimate_q(sources, split, 0.0, h, 1, 2, 1.0, family, pilot_fit=foreign)
-            assert _penalty_bytes(got) == _penalty_bytes(want)
-            assert windows[0] == 2  # the bias's own and the derivative fit's
+    def test_estimate_q_locates_the_pilot_and_derivative_windows(self, count_calls):
+        split, sources = _glm_problem(GAUSSIAN, 3, 4)
+        windows = count_calls(kernel_window)
+        pen = estimate_q(sources, split, 0.0, 0.7, 1, 2, 1.0, GAUSSIAN)
+        assert np.any(pen.bias_vec != 0.0)  # the derivative was fitted
+        assert windows[0] == 2
 
 
 def _per_row_reference(panel, u0, h, l, family):

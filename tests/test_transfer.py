@@ -13,7 +13,8 @@ from dvcm.design import DomainSample
 from dvcm.estimators import fit_dvcm, fit_target_only, fit_tl
 from dvcm.families import get_family
 from dvcm.inference import TransferProblem, psi_hat, sigma_tl, v_hat_target
-from dvcm.penalty import estimate_derivative, estimate_q, estimate_variance_sandwich
+from dvcm.penalty import (_penalty, estimate_derivative, estimate_scale,
+                          estimate_variance_sandwich)
 
 H = 0.5  # pilot bandwidth of every fit below
 N_TARGET, N_SOURCE = 40, 40
@@ -110,9 +111,9 @@ def test_chain_equals_the_hand_wired_pipeline(family, order):
     pilot = fit_dvcm(pooled, 0.0, H, order, fam)
     assert pilot.converged
     h_deriv = select_bandwidth_median(sources, 0.0, 2.0, 1.0, 100.0, n_extra=part.n).h
-    pen = estimate_q(sources, part, 0.0, H, order, 2.0, 1.0, fam, n0=fine.n,
-                     pilot_fit=pilot,
-                     derivative=lambda: estimate_derivative(pooled, 0.0, h_deriv, 2, fam))
+    scale = estimate_scale(part, fit_target_only(part, fam), fam)
+    pen = _penalty(pilot, 2.0, 1.0, fam, scale, fine.n,
+                   lambda: estimate_derivative(pooled, 0.0, h_deriv, 2, fam))
     theta_tl = fit_tl(fine, pilot.theta, pen.q, fam).theta_tl
     theta_lr = fit_target_only(fine, fam)
     cov = sigma_tl(psi_hat(fine, theta_lr, fam), pen.q, v_hat_target(fine, theta_lr, fam),
@@ -123,22 +124,22 @@ def test_chain_equals_the_hand_wired_pipeline(family, order):
     assert problem.h_deriv == h_deriv
 
 
-def test_penalty_of_a_foreign_pilot_locates_its_own_window(count_calls):
-    from dvcm import design
-
+def test_penalty_rejects_a_pilot_it_did_not_make():
     offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
     problem = _problem(_draws(offsets, "gaussian"), offsets, "gaussian")
-    own = problem.pilot(H)
-    # the same fit on a panel the problem does not own
-    foreign = fit_dvcm([problem.pilot_part, *problem.sources], 0.0, H, 1, problem.family)
-    want = problem.penalty(own)
-    windows = count_calls(design.kernel_window)
-    got = problem.penalty(foreign)
-    assert windows[0] == 1
-    for name in ("q", "bias_vec", "var_mat"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    problem.penalty(own)
-    assert windows[0] == 1  # its own pilot's window is reused
+    fam, pooled = problem.family, [problem.pilot_part, *problem.sources]
+    foreign = {
+        "another h and panel": fit_dvcm(pooled, 0.0, 2.0, 1, fam),
+        # the same fit as pilot(H), on a panel the problem does not own
+        "another panel": fit_dvcm(pooled, 0.0, H, 1, fam),
+        "another order": fit_dvcm(problem.pooled, 0.0, H, 0, fam),
+        "another center": fit_dvcm(problem.pooled, 0.2, H, 1, fam),
+    }
+    for pilot in foreign.values():
+        with pytest.raises(ValueError, match=r"this problem's pilot\(h\)"):
+            problem.penalty(pilot)
+    for h in (H, 2.0):  # its own pilot, at any bandwidth
+        problem.penalty(problem.pilot(h))
 
 
 def _variant(**kwargs):
