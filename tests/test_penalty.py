@@ -13,6 +13,7 @@ from dvcm.estimators import (fit_dvcm, fit_target_only, gram, newton_weighted, s
 from dvcm.families import GAUSSIAN, LOGISTIC, POISSON
 from dvcm.penalty import (
     _bias,
+    _penalty,
     estimate_bias,
     estimate_derivative,
     estimate_q,
@@ -400,6 +401,10 @@ def _glm_problem(family, seed, K, p=2, n=30):
     return domain(0.0, n), sources
 
 
+def _penalty_bytes(pen):
+    return (pen.q.tobytes(), pen.bias_vec.tobytes(), pen.var_mat.tobytes(), pen.scale)
+
+
 class TestEstimateQReusesThePilotWindow:
     """The penalty's bias reads the pilot design's window, which has the bytes
     a freshly located one has."""
@@ -439,6 +444,25 @@ class TestEstimateQReusesThePilotWindow:
         pen = estimate_q(sources, split, 0.0, 0.7, 1, 2, 1.0, GAUSSIAN)
         assert np.any(pen.bias_vec != 0.0)  # the derivative was fitted
         assert windows[0] == 2
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, LOGISTIC, POISSON])
+    def test_foreign_pilot_gives_the_fresh_result(self, family, count_calls):
+        """A pilot fitted outside estimate_q, at another bandwidth or on other
+        responses, gives the penalty estimate_q computes afresh on its data."""
+        split, sources = _glm_problem(family, 3, 4)
+        # same identifiers and sizes, other responses
+        shuffled = [DomainSample(u=d.u, x=d.x, y=d.y[::-1]) for d in sources]
+        scale = estimate_scale(split, fit_target_only(split, family), family)
+        windows = count_calls(kernel_window)
+        for data, h in ((sources, 2.0), (shuffled, 0.7)):
+            pooled = [split, *data]
+            foreign = fit_dvcm(pooled, 0.0, h, 1, family)
+            deriv = estimate_derivative(pooled, 0.0, h, 2, family)
+            located = windows[0]
+            got = _penalty(foreign, 2, 1.0, family, scale, split.n, lambda: deriv)
+            assert windows[0] == located  # the foreign pilot's own window is read
+            want = estimate_q(data, split, 0.0, h, 1, 2, 1.0, family)
+            assert _penalty_bytes(got) == _penalty_bytes(want)
 
 
 def _per_row_reference(panel, u0, h, l, family):

@@ -142,6 +142,28 @@ def test_penalty_rejects_a_pilot_it_did_not_make():
         problem.penalty(problem.pilot(h))
 
 
+def test_penalty_of_a_foreign_pilot_locates_its_own_window(count_calls):
+    """The same fit as pilot(H), on a panel the problem does not own, locates
+    its own window; the penalty reads that one and gives the problem's bytes,
+    while TransferProblem.penalty, which takes its own pilots only, refuses it."""
+    from dvcm import design
+
+    offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
+    problem = _problem(_draws(offsets, "gaussian"), offsets, "gaussian")
+    want = problem.penalty(problem.pilot(H))
+    windows = count_calls(design.kernel_window)
+    foreign = fit_dvcm([problem.pilot_part, *problem.sources], 0.0, H, 1, problem.family)
+    assert windows[0] == 1
+    assert foreign.design.window.panel is not problem.pooled
+    got = _penalty(foreign, problem.beta, problem.delta, problem.family, problem.scale,
+                   problem.fine.n, lambda: problem.derivative)
+    assert windows[0] == 1  # no second window: the penalty reads the pilot's own
+    for name in ("q", "bias_vec", "var_mat"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    with pytest.raises(ValueError, match=r"this problem's pilot\(h\)"):
+        problem.penalty(foreign)
+
+
 def _variant(**kwargs):
     """The gaussian problem of the fixed offsets with other ``kwargs``."""
     offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
