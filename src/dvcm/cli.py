@@ -89,6 +89,22 @@ def _parse_fractions(text: str, option: str) -> list[float]:
     return [_parse_part(tok, option, fraction=True) for tok in text.split(",")]
 
 
+def _parse_bandwidth(text: str) -> tuple[str, float | None]:
+    """``--bandwidth auto|undersmooth|<positive number>`` as the rule of
+    :func:`select_bandwidth` and its fixed ``h`` (None for a data-driven rule)."""
+    rule = {"auto": "median", "undersmooth": "undersmoothed"}.get(text)
+    if rule is not None:
+        return rule, None
+    try:
+        h = float(text)
+    except ValueError:
+        raise ValueError(f"--bandwidth {text!r} is not auto, undersmooth "
+                         f"or a positive number") from None
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"--bandwidth needs a finite positive h, got {h}")
+    return "fixed", h
+
+
 def _parse_part(tok: str, option: str, fraction: bool = False) -> float:
     """One part of the comma-separated ``option``: a number or, with
     ``fraction``, also ``a/b``; a ValueError names ``option`` and ``tok``."""
@@ -141,6 +157,12 @@ def _run_fit_pipeline(args) -> EstimateReport:
     if not np.isfinite(args.u0):
         raise ValueError(f"--u0 must be a finite number, got {args.u0}")
     family = get_family(args.family)
+    rule, fixed_h = _parse_bandwidth(args.bandwidth)
+    fractions = _parse_fractions(args.split, "--split")
+    if len(fractions) < 2:
+        raise ValueError(
+            f"--split needs at least 2 parts (pilot, fine-tune), got {args.split!r}"
+        )
     panel, diag = _ingest(args)
 
     mids = panel.domains.u
@@ -153,11 +175,6 @@ def _run_fit_pipeline(args) -> EstimateReport:
     if not sources:
         raise ValueError("no source domains left after binning")
 
-    fractions = _parse_fractions(args.split, "--split")
-    if len(fractions) < 2:
-        raise ValueError(
-            f"--split needs at least 2 parts (pilot, fine-tune), got {args.split!r}"
-        )
     rng = np.random.default_rng(args.seed)
     parts = dataio.split_target(target, fractions, rng)
     pilot_part, fine_part = parts[0], parts[1]
@@ -173,11 +190,9 @@ def _run_fit_pipeline(args) -> EstimateReport:
     del panel, target
     sources = problem.sources
 
-    rule = {"auto": "median", "undersmooth": "undersmoothed"}.get(args.bandwidth, "fixed")
     choice = select_bandwidth(
         rule, sources, u0, args.beta, gamma, e0=args.e0, c=args.bw_c,
-        epsilon=args.epsilon, n_extra=pilot_part.n,
-        h=float(args.bandwidth) if rule == "fixed" else None,
+        epsilon=args.epsilon, n_extra=pilot_part.n, h=fixed_h,
     )
     h = choice.h
 

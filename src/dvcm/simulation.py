@@ -23,7 +23,7 @@ import dataclasses
 import functools
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -348,7 +348,9 @@ def _outcomes(
     if threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads}")
     reps, chunk = range(config.reps), max(1, config.reps // (4 * threads))
-    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+    # read from the module, which imports the class on first use (__getattr__)
+    pool_type = sys.modules[__name__].ProcessPoolExecutor if threads > 1 else None
+    with pool_type(max_workers=threads) if pool_type else nullcontext() as pool:
         def run(ests, **kwargs):
             replicate = functools.partial(_replicate, config, grid, ests, **kwargs)
             if pool is None:
@@ -359,6 +361,18 @@ def _outcomes(
         if "tl" in estimators and config.q_mode == "oracle":
             q_matrices = _oracle_q_matrices(config, run(("dvcm",)))
         return run(estimators, q_matrices=q_matrices, want_sigma=want_sigma)
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use: the pool's modules
+    (multiprocessing, socket, logging, queue, ...) load only when an
+    experiment runs on more than one thread."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _mse_result(config: SimConfig, estimates: Sequence) -> McMseResult:

@@ -346,6 +346,18 @@ class TestCliMisuse:
         "bandwidth_not_finite": (
             lambda d, o: fit_args(d, o, ["--bandwidth", "inf"]),
             "needs a finite positive h, got inf"),
+        "bandwidth_not_a_number": (
+            lambda d, o: fit_args(d, o, ["--bandwidth", "abc"]),
+            "--bandwidth 'abc' is not auto, undersmooth or a positive number"),
+        "bandwidth_negative": (
+            lambda d, o: fit_args(d, o, ["--bandwidth", "-0.5"]),
+            "--bandwidth needs a finite positive h, got -0.5"),
+        "bandwidth_checked_before_ingest": (  # the data file does not exist
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--bandwidth", "abc"]),
+            "--bandwidth 'abc' is not auto"),
+        "split_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--split", "1"]),
+            "--split needs at least 2 parts"),
         "split_with_one_part": (
             lambda d, o: fit_args(d, o, ["--split", "1"]), "--split"),
         "split_zero_denominator": (
@@ -508,23 +520,95 @@ class TestCliMisuse:
         assert "(row 4, column 'age/education')" in capsys.readouterr().err
 
 
-def _fresh_python(code):
-    """stdout of ``code`` run in a new interpreter that imports this checkout's dvcm."""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(code, **env):
+    """stdout of ``code`` run in a new interpreter that imports this checkout's
+    dvcm, with no BLAS thread variable inherited and the variables ``env`` set."""
     import dvcm
 
     src = str(Path(dvcm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**{k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS},
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env}
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True).stdout.split()
+
+
+# records OPENBLAS_NUM_THREADS as numpy's and scipy's OpenBLAS begin to load
+_SEEN_AT_LOAD = (
+    "import os, sys; seen = {}; sys.addaudithook(lambda event, args: event == 'import' "
+    "and args[0] in ('numpy', 'scipy.linalg._flapack') and "
+    "seen.setdefault(args[0], os.environ.get('OPENBLAS_NUM_THREADS'))); ")
+_THREADS = "len(os.listdir('/proc/self/task'))"
+_ON_PROC = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                              reason="counts threads in /proc/self/task")
+
+
+class TestBlasThreads:
+    """When dvcm is first to import numpy and no thread count is set, both
+    OpenBLAS libraries load single-threaded and the variable is gone after."""
+
+    def test_both_libraries_load_single_threaded(self):
+        code = _SEEN_AT_LOAD + "import dvcm, dvcm.cli; print(*seen.values())"
+        assert _fresh_python(code) == ["1", "1"]
+
+    def test_import_leaves_the_environment_unchanged(self):
+        code = ("import os; before = dict(os.environ); import dvcm, dvcm.cli; "
+                "print(dict(os.environ) == before)")
+        assert _fresh_python(code) == ["True"]
+
+    @_ON_PROC
+    def test_import_starts_no_thread(self):
+        assert _fresh_python(f"import os, dvcm, dvcm.cli; print({_THREADS})") == ["1"]
+
+    @_ON_PROC
+    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+    def test_a_caller_set_thread_count_is_kept(self, var):
+        code = (f"import os, dvcm, dvcm.cli; "
+                f"print(os.environ.get('OPENBLAS_NUM_THREADS'), {_THREADS})")
+        value, threads = _fresh_python(code, **{var: "2"})
+        assert value == ("2" if var == "OPENBLAS_NUM_THREADS" else "None")
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert int(threads) > 1  # OpenBLAS's workers exist
+
+    def test_numpy_imported_first_keeps_blas_threads(self):
+        code = (_SEEN_AT_LOAD + "import numpy, dvcm, dvcm.cli; "
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'), *seen.values())")
+        assert _fresh_python(code) == ["None", "None", "None"]
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic"])
+    def test_blas_threads_change_no_report_byte(self, family, tmp_path):
+        """``fit`` on 60k rows, whose Grams are large enough for OpenBLAS to
+        thread, writes the same report with one BLAS thread and with two."""
+        data = tmp_path / "data.csv"
+        if family == "gaussian":
+            write_wage_like_csv(data, n=60_000)
+            cols = ["--u-expr", "age - education - 6", "--x-cols", "female,education",
+                    "--y-col", "logwage"]
+        else:
+            write_binary_csv(data, n=60_000)
+            cols = ["--u-col", "u", "--x-cols", "x1", "--y-col", "y"]
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"report{threads}.json"
+            argv = ["fit", "--data", str(data), *cols, "--u0", "0.25",
+                    "--family", family, "--out", str(out)]
+            _fresh_python(f"import dvcm.cli; dvcm.cli.main({argv!r})",
+                          OPENBLAS_NUM_THREADS=threads)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats alone takes longer to import than the whole package, and
     # the package inits of scipy.linalg and scipy.special are skipped to
-    # reach their extensions; numpy.random is loaded at import all the same
+    # reach their extensions; the process pool loads only for a threaded
+    # experiment; numpy.random is loaded at import all the same
     code = ("import sys, dvcm, dvcm.cli; print(*(m in sys.modules for m in "
-            "('scipy.stats', 'scipy.linalg', 'scipy.special', 'numpy.random')))")
-    assert _fresh_python(code) == ["False", "False", "False", "True"]
+            "('scipy.stats', 'scipy.linalg', 'scipy.special', 'concurrent.futures.process', "
+            "'numpy.random')))")
+    assert _fresh_python(code) == ["False", "False", "False", "False", "True"]
 
 
 @pytest.mark.parametrize("first", ["dvcm", "scipy.linalg.lapack"])
