@@ -3,10 +3,12 @@
 Estimates coefficient curves theta(u) of (generalized) linear models
 whose coefficients drift across domains, by pooling source domains with
 kernel-weighted local-polynomial regression and fine-tuning on the
-target with a data-driven ridge penalty that provably guards against
-negative transfer.  Includes bandwidth rules, covariance estimation for
-Wald-type inference, a reproducible Monte-Carlo harness, and a CSV
-pipeline with a command-line front end (``dvcm``).
+target with a ridge penalty built from the pilot's estimated bias and
+variance; at wide bandwidths (h >= 0.45 in the README sweep) that bias
+estimate overshoots and transfer is negative. Includes bandwidth rules,
+covariance estimation for Wald-type inference, a reproducible
+Monte-Carlo harness, and a CSV pipeline with a command-line front end
+(``dvcm``).
 
 dvcm runs in parallel with processes and solves systems of a few dozen
 columns, so when it is first to import numpy it loads OpenBLAS

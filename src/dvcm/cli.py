@@ -382,7 +382,8 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="input CSV file")
     p.add_argument("--u-col", default=None, help="domain identifier column")
     p.add_argument("--u-expr", default=None,
-                   help="arithmetic expression over columns defining U")
+                   help="expression over columns defining U: + - * /, unary + -, "
+                        "parentheses, numbers and column names (keywords too)")
     p.add_argument("--x-cols", required=True, help="comma-separated covariate columns")
     p.add_argument("--y-col", required=True, help="response column")
     p.add_argument("--no-intercept", action="store_true",

@@ -33,6 +33,7 @@ when it drops some, and the scaled identifier is written back in place.
 
 from __future__ import annotations
 
+import ast
 import csv
 import itertools
 import re
@@ -265,95 +266,61 @@ def load_csv(
         rows[:, j] = data[:, index[name]]
     rows[:, -1] = data[:, index[y_column]]
 
-    out_headers = (
-        ("u",)
-        + (("intercept",) if add_intercept else ())
-        + tuple(x_columns)
-        + (y_column,)
-    )
+    out_headers = ("u", *(("intercept",) if add_intercept else ()), *x_columns, y_column)
     return RawTable(headers=out_headers, rows=rows)
 
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+\.?\d*(?:[eE][+-]?\d+)?|[-+*/()])")
+# a column name, or a number as float() reads it; neither follows a word character
+# or a point, so the "e3" of "1e3" and the "5" of ".5" are left to ast.parse
+_OPERAND = re.compile(r"(?<![\w.])(?:[^\W\d]\w*|\d+\.?\d*(?:[eE][+-]?\d+)?(?![\w.]))")
+_OPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide,
+        ast.UAdd: np.positive, ast.USub: np.negative}
 
 
 def evaluate_column_expr(expr: str, headers: Sequence[str], data: np.ndarray) -> np.ndarray:
     """Evaluate an arithmetic expression over column names, row-wise.
 
-    Supports + - * /, parentheses, numeric literals; column names resolve
-    to table columns.  A tiny recursive-descent parser keeps this free of
-    eval().
+    The grammar: + - * /, unary + and -, parentheses, numbers, and column
+    names (Python keywords such as ``class`` included), with any whitespace
+    between.  Names and numbers are swapped for placeholders before
+    ``ast.parse``; a walker evaluates the tree in float64, without eval().
     """
-    tokens = []
-    pos = 0
-    while pos < len(expr):
-        m = _TOKEN.match(expr, pos)
-        if m is None:
-            raise ValueError(f"cannot parse column expression at: {expr[pos:]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    tokens.append(None)  # sentinel
-    parser = _ExprParser(expr, tokens, {h: i for i, h in enumerate(headers)}, data)
-    result = parser.parse_sum()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing tokens in expression {expr!r}")
+    operands = []  # the i-th name or number becomes the placeholder _i
+    text = _OPERAND.sub(lambda m: operands.append(m[0]) or f"_{len(operands) - 1}",
+                        " ".join(expr.split()))
+    index = {h: i for i, h in enumerate(headers)}
+    values = {}
+    for i, operand in enumerate(operands):
+        if operand[0].isdecimal():
+            values[f"_{i}"] = np.float64(float(operand))
+        elif operand in index:
+            values[f"_{i}"] = data[:, index[operand]]
+        else:
+            raise SchemaError(f"unknown column {operand!r} in expression {expr!r}")
+    try:
+        if "#" in text:  # a comment would hide the rest of the expression
+            raise SyntaxError
+        result = _walk(ast.parse(text, mode="eval").body, values)
+    except (SyntaxError, RecursionError, OverflowError):
+        raise ValueError(f"cannot parse column expression {expr!r}") from None
+    except ValueError as exc:  # from _walk: restore the names in the node's text
+        part = re.sub(r"(?<![\w.])_(\d+)", lambda m: operands[int(m[1])], str(exc))
+        raise ValueError(f"column expression {expr!r}: {part!r} is not + - * /, "
+                         "unary + -, a number or a column name") from None
     return np.broadcast_to(np.asarray(result, dtype=float), (data.shape[0],)).copy()
 
 
-class _ExprParser:
-    """The recursive descent of ``evaluate_column_expr`` over one token list.
-
-    Methods, not nested closures: closures that call each other form a
-    reference cycle, which would keep ``data`` alive until the cyclic
-    garbage collector happens to run.
-    """
-
-    def __init__(self, expr: str, tokens: list, index: dict, data: np.ndarray):
-        self.expr, self.tokens, self.index, self.data = expr, tokens, index, data
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse_atom(self):
-        tok = self.advance()
-        if tok == "(":
-            val = self.parse_sum()
-            if self.advance() != ")":
-                raise ValueError(f"unbalanced parentheses in {self.expr!r}")
-            return val
-        if tok == "-":
-            return -self.parse_atom()
-        if tok == "+":
-            return self.parse_atom()
-        if tok is None:
-            raise ValueError(f"unexpected end of expression in {self.expr!r}")
-        if tok[0].isdigit() or tok[0] == ".":
-            return float(tok)
-        if tok in self.index:
-            return self.data[:, self.index[tok]]
-        raise SchemaError(f"unknown column {tok!r} in expression {self.expr!r}")
-
-    def parse_term(self):
-        val = self.parse_atom()
-        while self.peek() in ("*", "/"):
-            op = self.advance()
-            rhs = self.parse_atom()
-            val = val * rhs if op == "*" else val / rhs
-        return val
-
-    def parse_sum(self):
-        val = self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = self.advance()
-            rhs = self.parse_term()
-            val = val + rhs if op == "+" else val - rhs
-        return val
+def _walk(node: ast.AST, values: dict):
+    """The float64 value of one node of a parsed column expression."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        return _OPS[type(node.op)](_walk(node.left, values), _walk(node.right, values))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPS:
+        return _OPS[type(node.op)](_walk(node.operand, values))
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return np.float64(node.value)
+    if isinstance(node, ast.Name) and node.id in values:
+        return values[node.id]
+    raise ValueError(ast.unparse(node))
 
 
 def sigma_filter(values: Sequence[float], k: float = 3.0) -> np.ndarray:

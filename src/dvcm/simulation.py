@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import numbers
 import sys
@@ -505,20 +506,10 @@ def fit_loglog_slopes(
     lx, ly = np.log(xs), np.log(ys)
     n = xs.size
 
-    def knot_combos(n_knots: int):
-        # interior grid indices, each segment covering >= 2 grid intervals
-        def rec(start: int, left: int):
-            if left == 0:
-                yield ()
-                return
-            for i in range(start, n - 2 * left):
-                for rest in rec(i + 2, left - 1):
-                    yield (i, *rest)
-
-        yield from rec(2, n_knots)
-
     best = None
-    for combo in knot_combos(n_segments - 1) if n_segments > 1 else [()]:
+    for combo in itertools.combinations(range(2, n - 2), n_segments - 1):
+        if any(b - a < 2 for a, b in zip(combo, combo[1:])):
+            continue  # each segment must cover at least two grid intervals
         cols = [np.ones(n), lx]
         for i in combo:
             cols.append(np.maximum(lx - lx[i], 0.0))

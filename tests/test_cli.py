@@ -62,6 +62,12 @@ def fit_args(data, out, extra=()):
     ]
 
 
+def u_expr_args(data, out, *u_expr):
+    """``fit`` argv deriving the identifier by ``u_expr``, one or two argv words."""
+    return ["fit", "--data", str(data), *u_expr, "--x-cols", "x1", "--y-col", "y",
+            "--u0", "0.25", "--out", str(out)]
+
+
 class TestCmdFit:
     def test_constant_theta_all_estimators_agree(self, tmp_path):
         data = write_constant_theta_csv(tmp_path / "const.csv")
@@ -386,6 +392,18 @@ class TestCliMisuse:
                           "--x-cols", "x1", "--y-col", "y", "--u0", "0.25",
                           "--out", str(o)],
             "'age/education'"),
+        "u_expr_divides_by_zero": (  # inf on every row: the first is file row 2
+            lambda d, o: u_expr_args(d, o, "--u-expr", "age + 1/0"),
+            "non-finite value inf (row 2, column 'age + 1/0')"),
+        "u_expr_nested_parentheses": (
+            lambda d, o: u_expr_args(d, o, "--u-expr=" + "(" * 3000 + "age" + ")" * 3000),
+            "cannot parse column expression '((("),
+        "u_expr_leading_minus_signs": (
+            lambda d, o: u_expr_args(d, o, "--u-expr=" + "-" * 3000 + "age"),
+            "cannot parse column expression '---"),
+        "u_expr_power": (
+            lambda d, o: u_expr_args(d, o, "--u-expr", "age ** 2"),
+            "'age ** 2' is not + - * /"),
         "missing_column": (
             lambda d, o: fit_args(d, o, ["--y-col", "wage"]), "wage"),
         "empty_grid": (

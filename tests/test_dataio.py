@@ -506,6 +506,50 @@ class TestIngestMatchesOldChain:
         assert (diag["rows_kept"] < diag["rows_read"]) == drops
 
 
+# columns named by Python keywords, and a zero column for 1/0 and 0/0
+EXPR_HEADERS = ["age", "class", "lambda", "None", "edu_2"]
+EXPR_DATA = np.array([[30.0, 1.5, -2.0, 7.0, 0.0],
+                      [41.0, -3.25, 0.5, 1e-3, 0.0],
+                      [-0.0, 1e300, 3.0, -12.0, 0.0]])
+EXPR_LITERALS = ["6", "0", "007", "2.", "12.50", "1e3", "3E-2", "7.25e+1", "2.e1"]
+EXPR_BLANKS = st.sampled_from(["", "", " ", "  ", "\t", "\n", " \n "])
+EXPR_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
+@st.composite
+def column_exprs(draw, depth=4):
+    """``(text, value, precedence)`` of a random expression in the column
+    grammar, its value computed in numpy from the tree it was drawn as.
+
+    Precedence is 3 for an operand, a sign or parentheses, 2 for * and /,
+    1 for + and -; an operand that binds looser than its operator, or as
+    loose on the right, is parenthesised, so the text parses as drawn.
+    """
+    kinds = ["column", "number"] + (["sign", "parens", "binary", "binary"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "column":
+        j = draw(st.integers(0, len(EXPR_HEADERS) - 1))
+        return EXPR_HEADERS[j], EXPR_DATA[:, j], 3
+    if kind == "number":
+        text = draw(st.sampled_from(EXPR_LITERALS))
+        return text, np.float64(float(text)), 3
+    text, value, prec = draw(column_exprs(depth - 1))
+    if kind == "parens":
+        return f"({draw(EXPR_BLANKS)}{text}{draw(EXPR_BLANKS)})", value, 3
+    if kind == "sign":
+        sign = draw(st.sampled_from("+-"))
+        text = text if prec == 3 else f"({text})"
+        return sign + draw(EXPR_BLANKS) + text, value if sign == "+" else -value, 3
+    op = draw(st.sampled_from(sorted(EXPR_OPS)))
+    op_prec = 1 if op in "+-" else 2
+    right, right_value, right_prec = draw(column_exprs(depth - 1))
+    left = text if prec >= op_prec else f"({text})"
+    right = right if right_prec > op_prec else f"({right})"
+    with np.errstate(all="ignore"):
+        value = EXPR_OPS[op](value, right_value)
+    return f"{left}{draw(EXPR_BLANKS)}{op}{draw(EXPR_BLANKS)}{right}", value, op_prec
+
+
 class TestColumnExpr:
     def test_arithmetic(self):
         data = np.array([[30.0, 10.0], [40.0, 12.0]])
@@ -519,6 +563,59 @@ class TestColumnExpr:
     def test_bad_syntax(self):
         with pytest.raises(ValueError):
             evaluate_column_expr("age +", ["age"], np.ones((2, 1)))
+
+    @given(column_exprs())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_the_drawn_tree_bit_for_bit(self, drawn):
+        text, value, _ = drawn
+        with np.errstate(all="ignore"):
+            got = evaluate_column_expr(text, EXPR_HEADERS, EXPR_DATA)
+        want = np.broadcast_to(np.asarray(value, dtype=float), (EXPR_DATA.shape[0],))
+        assert got.tobytes() == want.tobytes(), text
+
+    def test_keyword_column_reads_as_its_renamed_twin(self, csv_file):
+        rows = "30,10,1,2\n47,12,3,4\n"
+        tables = [load_csv(csv_file(f"{name},edu,x1,y\n" + rows, f"{name}.csv"), None,
+                           ["x1"], "y", u_expr=f"-{name}  -edu\n-6 * {name}")
+                  for name in ("class", "age")]
+        assert tables[0].rows.tobytes() == tables[1].rows.tobytes()
+        assert tables[0].u.tolist() == [-220.0, -341.0]
+
+    def test_other_python_numbers(self):
+        got = evaluate_column_expr(".5 + 1_000 + 0x10 + 0o7", ["age"], np.ones((2, 1)))
+        assert got.tolist() == [1023.5, 1023.5]
+
+    @pytest.mark.parametrize("expr, needle", [
+        ("age ** 2", "'age ** 2' is not + - * /"),
+        ("age // class", "'age // class' is not + - * /"),
+        ("-age % 2 + 1", "'-age % 2' is not"),
+        ("~age", "'~age' is not"),
+        ("age < 1", "'age < 1' is not"),
+        ("age.real", "'age.real' is not"),
+        ("(age)(1)", "'age(1)' is not"),
+        ("'age'", "\"'age'\" is not"),
+        ("2j", "'2j' is not"),
+        ("age, class", "'(age, class)' is not"),
+        ("age +", "cannot parse column expression 'age +'"),
+        ("age # - class", "cannot parse"),
+        ("age -\\\n class", "cannot parse"),
+        ("", "cannot parse"),
+    ])
+    def test_outside_the_grammar(self, expr, needle):
+        with pytest.raises(ValueError, match=re.escape(needle)) as caught:
+            evaluate_column_expr(expr, ["age", "class"], np.ones((2, 2)))
+        assert type(caught.value) is ValueError and "\n" not in str(caught.value)
+
+    def test_too_deep_or_too_large_cannot_parse(self):
+        for expr in ["(" * 3000 + "age" + ")" * 3000, "-" * 3000 + "age",
+                     "+".join(["age"] * 3000), "0x" + "f" * 300]:
+            with pytest.raises(ValueError, match="^cannot parse column expression"):
+                evaluate_column_expr(expr, ["age"], np.ones((2, 1)))
+
+    def test_division_by_zero_is_inf(self):
+        with np.errstate(divide="ignore"):
+            got = evaluate_column_expr("age + 1/0 - 1/-0.", ["age"], np.ones((2, 1)))
+        assert got.tolist() == [np.inf, np.inf]
 
 
 class TestSigmaFilter:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -409,6 +410,26 @@ class TestLogLogSlopes:
         assert s1 == pytest.approx(0.0, abs=1e-8)
         assert s2 == pytest.approx(-4.0, abs=1e-8)
         assert s2_start == pytest.approx(knee)
+
+    @pytest.mark.parametrize("n, segments", [(6, 2), (8, 2), (9, 3), (10, 3), (11, 4),
+                                             (12, 2)])
+    def test_knots_match_a_brute_force_search(self, n, segments):
+        rng = np.random.default_rng(n * 10 + segments)
+        xs = np.cumsum(rng.uniform(0.5, 1.5, n))
+        ys = np.exp(rng.normal(size=n))
+        lx, ly = np.log(xs), np.log(ys)
+
+        def sse(knots):
+            a = np.column_stack([np.ones(n), lx, *(np.maximum(lx - lx[i], 0.0) for i in knots)])
+            resid = ly - a @ np.linalg.lstsq(a, ly, rcond=None)[0]
+            return resid @ resid
+
+        # every split of the n - 1 grid intervals into segments of >= 2 intervals
+        lengths = [c for c in itertools.product(range(2, n), repeat=segments)
+                   if sum(c) == n - 1]
+        best = min((tuple(np.cumsum(c)[:-1]) for c in lengths), key=sse)
+        starts = [start for start, _ in fit_loglog_slopes(xs, ys, segments)]
+        assert starts == [xs[0], *xs[list(best)]]
 
     def test_constant_ys(self):
         xs = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
