@@ -24,9 +24,7 @@ import numpy.random  # at import: it would otherwise load on the first draw
 from . import dataio
 from .bandwidth import (BANDWIDTH_RULES, BandwidthChoice, gamma_moment_estimate,
                         select_bandwidth)
-from .design import DomainSample, Panel
 from .errors import DvcmError, ParseError
-from .estimators import fit_dvcm, fit_target_only
 from .families import get_family
 from .inference import TransferProblem, confidence_intervals, contrast_test, wald_test
 from .simulation import SimConfig, fit_loglog_slopes, mc_mse, mc_sweep
@@ -125,7 +123,7 @@ def _parse_part(tok: str, option: str, fraction: bool = False) -> float:
 # ------------------------------------------------------------------
 
 
-def _ingest(args) -> tuple[dataio.BinnedPanel, dict]:
+def _ingest(args) -> tuple[dataio.Panel, dict]:
     table = dataio.load_csv(
         args.data,
         u_column=args.u_col,
@@ -147,8 +145,8 @@ def _ingest(args) -> tuple[dataio.BinnedPanel, dict]:
     diag = {
         "rows_read": rows_read,
         "rows_kept": rows.shape[0],
-        "bins_occupied": len(panel.domains),
-        "bin_counts": {str(d.u): d.n for d in panel.domains},
+        "bins_occupied": len(panel),
+        "bin_counts": {str(d.u): d.n for d in panel},
     }
     return panel, diag
 
@@ -165,13 +163,13 @@ def _run_fit_pipeline(args) -> EstimateReport:
         )
     panel, diag = _ingest(args)
 
-    mids = panel.domains.u
+    mids = panel.u
     j = int(np.argmin(np.abs(mids - args.u0)))
     if abs(mids[j] - args.u0) > 1e-9:
         diag["u0_snapped_to_bin"] = float(mids[j])
     u0 = float(mids[j])
-    target = panel.domains[j]
-    sources = [d for i, d in enumerate(panel.domains) if i != j]
+    target = panel[j]
+    sources = [d for i, d in enumerate(panel) if i != j]
     if not sources:
         raise ValueError("no source domains left after binning")
 
@@ -187,24 +185,15 @@ def _run_fit_pipeline(args) -> EstimateReport:
         delta=args.delta, gamma=gamma, e0=args.e0,
     )
     # the problem stacked its own copy of the sources: let the binned panel go
-    del panel, target
-    sources = problem.sources
+    del panel, target, sources
 
     choice = select_bandwidth(
-        rule, sources, u0, args.beta, gamma, e0=args.e0, c=args.bw_c,
+        rule, problem.sources, u0, args.beta, gamma, e0=args.e0, c=args.bw_c,
         epsilon=args.epsilon, n_extra=pilot_part.n, h=fixed_h,
     )
     h = choice.h
 
-    train = DomainSample(
-        u=u0,
-        x=np.vstack([pilot_part.x, fine_part.x]),
-        y=np.concatenate([pilot_part.y, fine_part.y]),
-    )
-    theta_lr = fit_target_only(train, family)
-    theta_dvcm = fit_dvcm(Panel.pooled(train, sources), u0, h, args.order, family,
-                          theta_lr).theta
-
+    theta_lr, theta_dvcm = problem.full_target(h)
     pilot = problem.pilot(h)
     pen = problem.penalty(pilot)
     tl = problem.fine_tune(pilot, pen.q)

@@ -49,7 +49,6 @@ from .errors import DegenerateScaleError, ParseError, SchemaError
 
 __all__ = [
     "RawTable",
-    "BinnedPanel",
     "load_csv",
     "evaluate_column_expr",
     "sigma_filter",
@@ -81,14 +80,6 @@ class RawTable:
     @property
     def y(self) -> np.ndarray:
         return self.rows[:, -1]
-
-
-@dataclass(frozen=True)
-class BinnedPanel:
-    """Domains produced by binning scaled identifiers to bin midpoints."""
-
-    domains: Panel
-    bin_edges: np.ndarray
 
 
 def _records(fh, name: str):
@@ -346,7 +337,7 @@ def minmax_scale(values: Sequence[float]) -> np.ndarray:
     return (v - lo) / (hi - lo)
 
 
-def bin_domains(table: RawTable, n_bins: int = 10) -> BinnedPanel:
+def bin_domains(table: RawTable, n_bins: int = 10) -> Panel:
     """Group observations into equal-width identifier bins.
 
     The first bin is closed ``[0, 1/n_bins]``; the rest are left-open
@@ -360,7 +351,6 @@ def bin_domains(table: RawTable, n_bins: int = 10) -> BinnedPanel:
     u = table.u
     if np.any(u < 0) or np.any(u > 1):
         raise ValueError("identifiers must lie in [0, 1]; scale them first")
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
     # (a, b] bins with the first closed at 0: ceil(u * n_bins) - 1, u=0 -> bin 0
     idx = np.ceil(u * n_bins).astype(int) - 1
     idx = np.clip(idx, 0, n_bins - 1)
@@ -370,9 +360,8 @@ def bin_domains(table: RawTable, n_bins: int = 10) -> BinnedPanel:
     order = np.argsort(idx, kind="stable")
     bounds = np.searchsorted(idx[order], np.arange(n_bins + 1))
     occupied = np.flatnonzero(np.diff(bounds))
-    domains = Panel(x=table.x[order], y=table.y[order], u=(occupied + 0.5) / n_bins,
-                    offsets=np.append(bounds[occupied], bounds[-1]))
-    return BinnedPanel(domains=domains, bin_edges=edges)
+    return Panel(x=table.x[order], y=table.y[order], u=(occupied + 0.5) / n_bins,
+                 offsets=np.append(bounds[occupied], bounds[-1]))
 
 
 def split_target(

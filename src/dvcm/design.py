@@ -207,7 +207,7 @@ class LocalDesign:
     Rows with zero kernel weight are dropped before solving; ``n_total``
     still counts every observation that was offered, which is the ``n``
     entering the ``(nh)`` scalings of the variance estimators.
-    Every kept row has the weight ``weight = W / s_h``, so the row
+    Every kept row has the weight ``weight = W / window.s_h``, so the row
     weights sum to one.  ``window`` is the kernel window the rows were
     taken from.
     """
@@ -215,22 +215,12 @@ class LocalDesign:
     z: np.ndarray  # (N_eff, (l+1) p)
     y: np.ndarray  # (N_eff,)
     weight: float  # W / S_h, the weight of every row
-    s_h: float
     order: int
     bandwidth: float
     center: float
     n_total: int
     p: int
     window: KernelWindow
-
-    @property
-    def n_rows(self) -> int:
-        return self.z.shape[0]
-
-    @cached_property
-    def row_domain(self) -> np.ndarray:
-        """(N_eff,) index of each row's domain in the panel of ``window``."""
-        return np.repeat(self.window.index, self.window.n)
 
 
 def uniform_kernel(t):
@@ -345,7 +335,7 @@ def build_local_design(
         x, y = panel.x.compress(rows, axis=0), panel.y.compress(rows)
     z = x[:, cols] * win.phi[:, blocks].repeat(win.n, axis=0)
     return _record(
-        LocalDesign, z=z, y=y, weight=_KERNEL_HEIGHT / win.s_h, s_h=win.s_h, order=l,
+        LocalDesign, z=z, y=y, weight=_KERNEL_HEIGHT / win.s_h, order=l,
         bandwidth=h, center=u0, n_total=win.n_total, p=panel.p, window=win,
     )
 

@@ -1,8 +1,9 @@
 """The transfer pipeline, its unified covariance, Wald tests, intervals.
 
 :class:`TransferProblem` is the one estimation chain (pooled pilot,
-penalty Q_hat, fine-tune, covariance), run by ``fit``/``infer`` and by
-every Monte-Carlo replication, and the one place that reuses work.  It
+penalty Q_hat, fine-tune, covariance), run by ``fit``/``infer``, which
+also take their full-target lr and dvcm estimates from it, and by every
+Monte-Carlo replication; it is the one place that reuses work.  It
 stacks its pooled panel once and keeps every ingredient that does not
 depend on the pilot bandwidth (the target-only fits, the Pearson scale,
 the derivative plug-in), so each bandwidth fits the pilot and hands it,
@@ -227,6 +228,16 @@ class TransferProblem:
     def pilot(self, h: float) -> LocalFit:
         return fit_dvcm(self.pooled, self.u0, h, self.order, self.family,
                         self._newton_start())
+
+    def full_target(self, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """``fit``'s lr and dvcm estimates: the target-only fit of ``pilot_part``
+        and ``fine`` stacked in that order, then the pooled fit at ``h`` of that
+        union with ``sources``, started from it."""
+        train = DomainSample._view(self.u0, np.vstack([self.pilot_part.x, self.fine.x]),
+                                   np.concatenate([self.pilot_part.y, self.fine.y]))
+        theta = fit_target_only(train, self.family)
+        return theta, fit_dvcm(Panel.pooled(train, self.sources), self.u0, h, self.order,
+                               self.family, theta).theta
 
     def _newton_start(self) -> np.ndarray | None:
         """``theta_glr`` as the Newton start of the pooled fits, whose nearest

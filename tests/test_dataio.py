@@ -497,7 +497,7 @@ class TestIngestMatchesOldChain:
         with mock.patch.object(dataio, "_scan_cells", wraps=dataio._scan_cells) as scan:
             panel, diag = cli._ingest(args)
         assert scan.call_count == case["quoted"]
-        got = panel.domains
+        got = panel
         x, y, u, offsets, want_diag = want
         assert got.x.shape == x.shape and got.x.tobytes() == x.tobytes()
         assert got.y.tobytes() == y.tobytes() and got.u.tobytes() == u.tobytes()
@@ -679,27 +679,27 @@ def table_from_u(us):
 class TestBinDomains:
     def test_interior_point(self):
         panel = bin_domains(table_from_u([0.23]), 10)
-        assert panel.domains[0].u == pytest.approx(0.25)
+        assert panel[0].u == pytest.approx(0.25)
 
     def test_left_boundary_goes_down(self):
         panel = bin_domains(table_from_u([0.2]), 10)
-        assert panel.domains[0].u == pytest.approx(0.15)
+        assert panel[0].u == pytest.approx(0.15)
 
     def test_zero_in_first_bin(self):
         panel = bin_domains(table_from_u([0.0]), 10)
-        assert panel.domains[0].u == pytest.approx(0.05)
+        assert panel[0].u == pytest.approx(0.05)
 
     def test_partition_is_exact(self):
         rng = np.random.default_rng(0)
         us = rng.uniform(0, 1, 200)
         panel = bin_domains(table_from_u(us), 10)
-        assert sum(d.n for d in panel.domains) == 200
+        assert sum(d.n for d in panel) == 200
         mids = {round(0.05 + 0.1 * j, 2) for j in range(10)}
-        assert {round(d.u, 2) for d in panel.domains} <= mids
+        assert {round(d.u, 2) for d in panel} <= mids
 
     def test_rows_follow_their_bin(self):
         panel = bin_domains(table_from_u([0.95, 0.05, 0.5]), 10)
-        by_mid = {round(d.u, 2): d for d in panel.domains}
+        by_mid = {round(d.u, 2): d for d in panel}
         assert by_mid[0.05].y.tolist() == [1.0]
         assert by_mid[0.95].y.tolist() == [0.0]
 

@@ -67,15 +67,15 @@ class TestBuildLocalDesign:
         d = build_local_design([dom], u0=0.3, h=0.1, l=0)
         assert np.allclose(d.z, [[1.0, 2.0]])
         assert d.weight == 1.0
-        assert d.s_h == pytest.approx(0.5)
+        assert d.window.s_h == pytest.approx(0.5)
         assert d.n_total == 1
 
     def test_out_of_window_domain_dropped(self):
         near = make_domain(0.0, [[1.0]], [1.0])
         far = make_domain(0.5, [[1.0]], [2.0])  # |t| = 2 -> zero weight
         d = build_local_design([near, far], u0=0.0, h=0.25, l=0)
-        assert d.n_rows == 1
-        assert d.row_domain.tolist() == [0]
+        assert d.z.shape[0] == 1
+        assert _row_domain(d).tolist() == [0]
         assert d.n_total == 2  # still counted in the (nh) scalings
 
     def test_two_domains_order_one(self):
@@ -86,7 +86,7 @@ class TestBuildLocalDesign:
         assert np.allclose(sorted(d.z[:, 1]), [-0.5, 0.5])
         assert np.allclose(d.z[:, 0], [1.0, 1.0])
         assert d.weight == 0.5  # raw 0.5 over the total 1.0, for each row
-        assert d.s_h == pytest.approx(1.0)
+        assert d.window.s_h == pytest.approx(1.0)
 
     def test_empty_window_error_with_hint(self):
         doms = [make_domain(0.4, [[1.0]]), make_domain(-0.9, [[1.0]])]
@@ -103,8 +103,8 @@ class TestBuildLocalDesign:
         h = 1.0
         d = build_local_design(doms, u0=0.0, h=h, l=1)
         in_window = sum(dom.n for dom in doms if abs(dom.u) <= h)
-        assert d.n_rows == in_window
-        assert np.full(d.n_rows, d.weight).sum() == pytest.approx(1.0)
+        assert d.z.shape[0] == in_window
+        assert np.full(d.z.shape[0], d.weight).sum() == pytest.approx(1.0)
 
     def test_kronecker_block_structure(self):
         rng = np.random.default_rng(11)
@@ -115,9 +115,10 @@ class TestBuildLocalDesign:
         l, h = 2, 1.0
         d = build_local_design(doms, u0=0.0, h=h, l=l)
         p = 3
-        for i in range(d.n_rows):
+        row_domain = _row_domain(d)
+        for i in range(d.z.shape[0]):
             row = d.z[i].reshape(l + 1, p)
-            t = (doms[d.row_domain[i]].u - 0.0) / h
+            t = (doms[row_domain[i]].u - 0.0) / h
             phi = poly_features(t, l)
             for j in range(l + 1):
                 assert np.allclose(row[j], phi[j] * row[0] / phi[0])
@@ -152,10 +153,20 @@ def _kron_design(domains, u0, h, l):
                 kernel_values=kv, row_domain=np.concatenate(idx), s_h=s_h)
 
 
+def _row_domain(design):
+    """(N_eff,) index of each row's domain in the panel of ``design.window``."""
+    return np.repeat(design.window.index, design.window.n)
+
+
+def _rows(design):
+    """The per-row arrays of ``design`` the Kronecker oracle also builds."""
+    return {"z": design.z, "y": design.y, "row_domain": _row_domain(design)}
+
+
 def _assert_scalar_weight(got, want):
     """``got.weight`` spread over the rows is the oracle's per-row weights, bit
     for bit, and the oracle's raw kernel values are all the kernel's height."""
-    rows = got.n_rows
+    rows = got.z.shape[0]
     assert want["kernel_values"].tobytes() == np.full(rows, _KERNEL_HEIGHT).tobytes()
     assert want["weights"].tobytes() == np.full(rows, got.weight).tobytes()
 
@@ -193,18 +204,18 @@ class TestDesignEqualsKroneckerOracle:
                 build_local_design(domains, u0, h, l)
             return
         got = build_local_design(domains, u0, h, l)
-        for name in ("z", "y", "row_domain"):
-            a, b = getattr(got, name), want[name]
+        for name, a in _rows(got).items():
+            b = want[name]
             assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert a.tobytes() == b.tobytes(), name  # signed zeros too
         _assert_scalar_weight(got, want)
-        assert got.s_h == want["s_h"]
+        assert got.window.s_h == want["s_h"]
 
     def test_boundary_domains_are_kept(self):
         doms = [make_domain(u, [[1.0, 2.0]], [0.0]) for u in (-0.5, 0.5, 0.75)]
         win = kernel_window(doms, 0.0, 0.5, 2)
         assert win.index.tolist() == [0, 1] and win.t.tolist() == [-1.0, 1.0]
-        assert build_local_design(doms, 0.0, 0.5, 2).row_domain.tolist() == [0, 1]
+        assert _row_domain(build_local_design(doms, 0.0, 0.5, 2)).tolist() == [0, 1]
 
 
 def _list_window(domains, u0, h, l):
@@ -248,11 +259,11 @@ class TestPanelEqualsDomainListOracle:
                 build_local_design(stacked, u0, h, l)
             return
         got = build_local_design(stacked, u0, h, l)
-        for name in ("z", "y", "row_domain"):
-            a, b = getattr(got, name), want[name]
+        for name, a in _rows(got).items():
+            b = want[name]
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         _assert_scalar_weight(got, want)
-        assert got.s_h == want["s_h"] and got.window.panel is stacked
+        assert got.window.s_h == want["s_h"] and got.window.panel is stacked
 
     @pytest.mark.parametrize("offsets,inside", [
         ((1.5, -2.0, 3.0), []),                # empty window

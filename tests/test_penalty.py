@@ -472,7 +472,7 @@ def _per_row_reference(panel, u0, h, l, family):
     win, z, y = design.window, design.z, design.y
     w_domain = np.full(win.index.size, 0.5)
     s_h = float((w_domain * win.n).sum())
-    kernel_values = np.full(design.n_rows, 0.5)
+    kernel_values = np.full(design.z.shape[0], 0.5)
     weights = kernel_values / s_h
     if family.kind == "gaussian":
         zw = z * weights[:, None]
@@ -519,7 +519,7 @@ class TestScalarWeightEqualsPerRowArrays:
                 estimate_variance_sandwich(fit_dvcm(panel, 0.0, h, l, family), family)
             return
         fit = fit_dvcm(panel, 0.0, h, l, family)
-        assert fit.design.s_h == s_h
+        assert fit.design.window.s_h == s_h
         assert fit.alpha.tobytes() == alpha.tobytes()
         assert estimate_variance_sandwich(fit, family).tobytes() == var.tobytes()
         got = _zetas(fit.design.window, h, (0, 1), (2, 1), (1, 2))
