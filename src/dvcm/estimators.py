@@ -197,6 +197,7 @@ def newton_weighted(
 def fit_target_only(target: DomainSample, family: ModelFamily) -> np.ndarray:
     """Unpenalised target-domain estimate: OLS (Gaussian) or GLM MLE."""
     x, y = target.x, target.y
+    family.check_response(y)
     if family.kind == "gaussian":
         return _solve_spd(x.T @ x, x.T @ y)
     alpha, _, _ = newton_weighted(x, 1.0 / target.n, y, family, np.zeros(target.p))
@@ -220,6 +221,7 @@ def fit_dvcm(
     already hold that estimate pass it.
     """
     panel = Panel.of(domains)
+    family.check_response(panel.y)
     design = build_local_design(panel, u0, h, l)
     z, w, y = design.z, design.weight, design.y
     dim = z.shape[1]
@@ -256,6 +258,7 @@ def fit_tl(
     theta_pilot = np.asarray(theta_pilot, dtype=float)
     q = np.asarray(q, dtype=float)
     x, y, n0 = target_finetune.x, target_finetune.y, target_finetune.n
+    family.check_response(y)
     if family.kind == "gaussian":
         theta = _solve_spd(x.T @ x / n0 + q, x.T @ y / n0 + q @ theta_pilot)
         converged = True

@@ -74,6 +74,19 @@ class ModelFamily:
     b2: Callable = field(repr=False)
     b3: Callable = field(repr=False)
 
+    def check_response(self, y) -> None:
+        """Raise DomainError, naming the family and the first value outside
+        its support, unless logistic ``y`` lies in [0, 1] and Poisson ``y``
+        is nonnegative; Gaussian takes any ``y`` and checks nothing."""
+        if self.kind == "gaussian":
+            return
+        y = np.asarray(y, dtype=float)
+        bad = (y < 0.0) | (y > 1.0) if self.kind == "logistic" else y < 0.0
+        if bad.any():
+            support = "[0, 1]" if self.kind == "logistic" else "[0, inf)"
+            raise DomainError(f"the {self.kind} family needs responses in {support}, "
+                              f"got {float(y[bad.argmax()])!r}")
+
     def loss(self, eta, y):
         """Negative log-likelihood l(eta, y), elementwise.
 

@@ -179,7 +179,8 @@ class TransferProblem:
     at construction, and ``sources`` then views it: the problem keeps no
     reference to the caller's source arrays.  The cached properties do
     not depend on the pilot bandwidth, so fits at several bandwidths
-    share them, a raised DvcmError included.
+    share them, a raised DvcmError included.  Construction checks every
+    response against ``family`` (:meth:`ModelFamily.check_response`).
     """
 
     pilot_part: DomainSample
@@ -196,6 +197,8 @@ class TransferProblem:
 
     def __post_init__(self):
         pooled = Panel.pooled(self.pilot_part, self.sources)
+        self.family.check_response(pooled.y)
+        self.family.check_response(self.fine.y)
         self.__dict__.update(pooled=pooled, sources=pooled[1:])
 
     @_cached_outcome

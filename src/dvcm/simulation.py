@@ -34,7 +34,7 @@ import numpy.random  # at import: it would otherwise load on the first draw
 
 from .bandwidth import BANDWIDTH_RULES, select_bandwidth
 from .design import DomainSample, Panel
-from .errors import DvcmError, ExperimentError
+from .errors import DomainError, DvcmError, ExperimentError
 from .families import get_family
 from .inference import TransferProblem, normal_quantile, wald_test
 
@@ -55,6 +55,8 @@ _ROLE_IDS = {"source_u": 0, "source_x": 1, "source_y": 2, "target_x": 3, "target
 
 _ESTIMATORS = ("lr", "dvcm", "tl")
 _Q_MODES = ("estimate", "oracle", "zero", "infinity")
+# the largest mean Generator.poisson accepts
+_POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
 # the SimConfig fields whose annotation names one of these types hold a value of it
@@ -182,11 +184,14 @@ def _draw_x(
 
     The normals come from one draw; each block is transformed on its own,
     so every block has the bits of a separate ``n``-row draw (a
-    single-row product would otherwise take another BLAS path).
+    single-row product would otherwise take another BLAS path).  One
+    covariate's factor is ``[[1.]]``, which leaves the normals as they are.
     """
     q = chol_t.shape[0]
     x = np.ones((blocks * n, q + 1))
-    if q:
+    if q == 1:
+        x[:, 1:] = rng.standard_normal((blocks * n, q))
+    elif q:
         normals = rng.standard_normal((blocks * n, q))
         for k in range(0, blocks * n, n):
             x[k : k + n, 1:] = normals[k : k + n] @ chol_t
@@ -197,13 +202,19 @@ def _draw_y(
     rng: np.random.Generator, eta: np.ndarray, family_kind: str, noise_sd: float
 ) -> np.ndarray:
     """Responses at linear predictor ``eta``: Gaussian noise of sd ``noise_sd``,
-    or Bernoulli / Poisson draws at the family's mean ``b'(eta)``."""
+    or Bernoulli / Poisson draws at the family's mean ``b'(eta)``.  A Poisson
+    mean beyond what numpy can draw raises DomainError."""
     family = get_family(family_kind)
     if family.kind == "gaussian":
         return eta + noise_sd * rng.standard_normal(eta.shape[0])
-    mean = family.b1(eta)
     if family.kind == "logistic":
-        return rng.binomial(1, mean).astype(float)
+        return rng.binomial(1, family.b1(eta)).astype(float)
+    with np.errstate(over="ignore"):
+        mean = family.b1(eta)
+    if not mean.max() <= _POISSON_MEAN_MAX:  # numpy's own bound; NaN fails it too
+        raise DomainError(f"Poisson mean exp(eta) = {float(mean.max())!r} exceeds "
+                          f"{_POISSON_MEAN_MAX!r}, the largest numpy draws from; lower "
+                          f"--gamma, whose source range makes theta(u) this large")
     return rng.poisson(mean).astype(float)
 
 
@@ -220,11 +231,11 @@ def generate_dataset(config: SimConfig, rep: int) -> tuple[DomainSample, Panel]:
     chol_t = _covariate_factor(config.p, config.cov_rho)
 
     # one draw per role for all K sources: the streams are consumed in the
-    # same order as K per-source draws, so every value is the same
+    # same order as K per-source draws, so every value is the same; the
+    # batched product has the bits of K per-source products
     x = _draw_x(rng_stream(config.seed, rep, "source_x"), config.n_bar, chol_t, config.K)
-    starts = range(0, config.K * config.n_bar, config.n_bar)
-    eta = np.concatenate([x[a : a + config.n_bar] @ theta(u)
-                          for a, u in zip(starts, us.tolist())])
+    thetas = np.stack([theta(u) for u in us.tolist()])[:, :, None]  # (K, p, 1)
+    eta = np.matmul(x.reshape(config.K, config.n_bar, config.p), thetas).ravel()
     y = _draw_y(rng_stream(config.seed, rep, "source_y"), eta, config.family,
                 config.noise_sd)
     sources = Panel(x=x, y=y, u=us, offsets=np.arange(config.K + 1) * config.n_bar)

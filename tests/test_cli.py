@@ -179,6 +179,17 @@ def test_fit_computes_the_pilot_sandwich_once(tmp_path, count_calls):
     assert calls[0] == 1
 
 
+def test_cli_binds_nothing_from_design_or_estimators():
+    """``fit`` takes every estimate from TransferProblem: the CLI holds no
+    function, class or module of the layers below it."""
+    import dvcm.cli
+
+    below = ("dvcm.design", "dvcm.estimators")
+    bound = [name for name, value in vars(dvcm.cli).items()
+             if getattr(value, "__module__", getattr(value, "__name__", None)) in below]
+    assert not bound
+
+
 class TestCmdInfer:
     def test_null_at_fit_gives_pvalue_one(self, tmp_path):
         data = write_constant_theta_csv(tmp_path / "c.csv", noise=0.3)
@@ -501,6 +512,19 @@ class TestCliMisuse:
             lambda d, o: fit_args(TestCliMisuse._edited(
                 d, lambda ls: ["\udcff" + ls[0]] + ls[1:]), o),
             "edited.csv: not valid utf-8 text: invalid start byte (row 1, column None)"),
+        "simulate_poisson_mean_overflows": (  # theta's exp(5u + 2.5) / 100 is 3.3e4 at u = 2.5
+            lambda d, o: ["simulate", "--family", "poisson", "--gamma", "5", "--reps", "4",
+                          "--grid", "0.5", "--threads", "1", "--out", str(o)],
+            "Poisson mean exp(eta) = inf exceeds 9.223372006484771e+18, the largest numpy "
+            "draws from; lower --gamma"),
+        "fit_poisson_negative_response": (  # y = 1.5 + 2 x1 is negative for x1 < -0.75
+            lambda d, o: fit_args(d, o, ["--family", "poisson"]),
+            "error: family: the poisson family needs responses in [0, inf), "
+            "got -0.5596088760229274"),
+        "fit_logistic_response_not_in_0_1": (
+            lambda d, o: fit_args(d, o, ["--family", "logistic"]),
+            "error: family: the logistic family needs responses in [0, 1], "
+            "got 3.8297279622220564"),
         "undecodable_cell": (  # x1 of file row 4 holds the byte 0xff
             lambda d, o: fit_args(TestCliMisuse._edited(
                 d, lambda ls: ls[:3] + [ls[3].replace(",", ",\udcff", 1)] + ls[4:]), o),

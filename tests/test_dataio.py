@@ -495,9 +495,8 @@ class TestIngestMatchesOldChain:
                 cli._ingest(args)
             return
         with mock.patch.object(dataio, "_scan_cells", wraps=dataio._scan_cells) as scan:
-            panel, diag = cli._ingest(args)
+            got, diag = cli._ingest(args)
         assert scan.call_count == case["quoted"]
-        got = panel
         x, y, u, offsets, want_diag = want
         assert got.x.shape == x.shape and got.x.tobytes() == x.tobytes()
         assert got.y.tobytes() == y.tobytes() and got.u.tobytes() == u.tobytes()

@@ -100,6 +100,22 @@ def test_score_curvature_is_b1_and_b2_bit_for_bit(family):
         family.score_curvature(np.array([0.0, np.nan]), np.zeros(2))
 
 
+class TestCheckResponse:
+    @pytest.mark.parametrize("family,y,bad", [
+        (LOGISTIC, [0.0, 1.0, 0.5, 1.5, -1.0], 1.5),
+        (LOGISTIC, [1.0, -0.25, 2.0], -0.25),
+        (POISSON, [0.0, 3.0, -2.0, -5.0], -2.0),
+    ], ids=["logistic_above", "logistic_below", "poisson"])
+    def test_names_the_family_and_the_first_bad_value(self, family, y, bad):
+        with pytest.raises(DomainError, match=rf"the {family.kind} family .*, got {bad!r}$"):
+            family.check_response(np.array(y))
+
+    def test_support_is_accepted(self):
+        LOGISTIC.check_response(np.array([0.0, 1.0, 0.25]))
+        POISSON.check_response(np.array([0.0, 7.5, 1e300]))
+        GAUSSIAN.check_response(np.array([-1e300, -0.5, 2.0]))
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
 def test_b2_nonnegative(family):
     etas = np.linspace(-50, 50, 201)

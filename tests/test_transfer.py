@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from dvcm.bandwidth import select_bandwidth_median
-from dvcm.design import DomainSample
+from dvcm.design import DomainSample, Panel
+from dvcm.errors import DomainError
 from dvcm.estimators import fit_dvcm, fit_target_only, fit_tl
 from dvcm.families import get_family
 from dvcm.inference import TransferProblem, psi_hat, sigma_tl, v_hat_target
@@ -124,6 +125,43 @@ def test_chain_equals_the_hand_wired_pipeline(family, order):
     assert problem.h_deriv == h_deriv
 
 
+@pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+def test_full_target_equals_the_hand_wired_fit_estimates(family):
+    offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
+    problem = _problem(_draws(offsets, family), offsets, family)
+    part, fine, fam = problem.pilot_part, problem.fine, problem.family
+    # the sequence `dvcm fit` ran itself before the problem gave these estimates
+    train = DomainSample(u=0.0, x=np.vstack([part.x, fine.x]),
+                         y=np.concatenate([part.y, fine.y]))
+    theta_lr = fit_target_only(train, fam)
+    theta_dvcm = fit_dvcm(Panel.pooled(train, problem.sources), 0.0, H, 1, fam,
+                          theta_lr).theta
+    got_lr, got_dvcm = problem.full_target(H)
+    assert got_lr.tobytes() == theta_lr.tobytes()
+    assert got_dvcm.tobytes() == theta_dvcm.tobytes()
+
+
+@pytest.mark.parametrize("family,bad", [("logistic", 2.0), ("logistic", -0.5),
+                                        ("poisson", -1.0)])
+def test_every_entry_checks_the_response_against_the_family(family, bad):
+    offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
+    problem = _problem(_draws(offsets, family), offsets, family)
+    fam, part, fine, sources = problem.family, problem.pilot_part, problem.fine, problem.sources
+    y = fine.y.copy()
+    y[3] = bad
+    spoiled = DomainSample(u=0.0, x=fine.x, y=y)
+    entries = {
+        "fit_target_only": lambda: fit_target_only(spoiled, fam),
+        "fit_dvcm": lambda: fit_dvcm([spoiled, *sources], 0.0, H, 1, fam),
+        "fit_tl": lambda: fit_tl(spoiled, problem.theta_lr, np.eye(2), fam),
+        "TransferProblem fine": lambda: TransferProblem(part, spoiled, sources, 0.0, fam),
+        "TransferProblem pooled": lambda: TransferProblem(spoiled, fine, sources, 0.0, fam),
+    }
+    for call in entries.values():
+        with pytest.raises(DomainError, match=rf"the {family} family .*, got {bad!r}$"):
+            call()
+
+
 def test_penalty_rejects_a_pilot_it_did_not_make():
     offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
     problem = _problem(_draws(offsets, "gaussian"), offsets, "gaussian")
@@ -221,6 +259,33 @@ def test_gaussian_y_scale_scales_estimates_and_sigma(offsets, s):
     for got, want in zip(thetas_s, thetas):
         assert _close(got, s * want, REL["gaussian"])
     assert _close(sigma_s, s * s * sigma, REL["gaussian"])
+
+
+# X -> XA leaves eta, and so every fit, the same up to the change of
+# coordinates: theta_hat -> A^-1 theta_hat, Q_hat -> A' Q_hat A and
+# Sigma_TL -> A^-1 Sigma_TL A^-T.  Gaussian fits are closed-form solves and
+# agree to round-off, about eps * cond(A) * cond(Gram), under 1e-13 here.
+# GLM fits stop at gradient max-norm 1e-9 in their own coordinates, which
+# differ by A', so their optima agree only to about ||H^-1|| * 1e-9: at most
+# 2e-8 relative in 120 seeded draws.
+REPARAM_REL = {"gaussian": 1e-11, "logistic": 1e-6, "poisson": 1e-6}
+
+
+@pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+@given(offsets=offsets_st, a=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_covariate_reparameterisation_transforms_estimates_and_sigma(family, offsets, a):
+    _assume_well_posed(offsets)
+    a = np.array(a).reshape(2, 2)
+    # well conditioned, and the intercept mixed into both columns of XA
+    assume(np.linalg.cond(a) <= 10 and min(abs(a[0, 1]), abs(a[1, 0])) >= 0.1)
+    draws = _draws(offsets, family)
+    *thetas, sigma = _fit(_problem(draws, offsets, family))
+    *thetas_a, sigma_a = _fit(_problem([(x @ a, y) for x, y in draws], offsets, family))
+    a_inv = np.linalg.inv(a)
+    for got, want in zip(thetas_a, thetas):
+        assert _close(got, a_inv @ want, REPARAM_REL[family])
+    assert _close(sigma_a, a_inv @ sigma @ a_inv.T, REPARAM_REL[family])
 
 
 def test_pipeline_never_evaluates_the_third_derivative():
