@@ -55,8 +55,6 @@ _ROLE_IDS = {"source_u": 0, "source_x": 1, "source_y": 2, "target_x": 3, "target
 
 _ESTIMATORS = ("lr", "dvcm", "tl")
 _Q_MODES = ("estimate", "oracle", "zero", "infinity")
-# the largest mean Generator.poisson accepts
-_POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
 # the SimConfig fields whose annotation names one of these types hold a value of it
@@ -184,14 +182,11 @@ def _draw_x(
 
     The normals come from one draw; each block is transformed on its own,
     so every block has the bits of a separate ``n``-row draw (a
-    single-row product would otherwise take another BLAS path).  One
-    covariate's factor is ``[[1.]]``, which leaves the normals as they are.
+    single-row product would otherwise take another BLAS path).
     """
     q = chol_t.shape[0]
     x = np.ones((blocks * n, q + 1))
-    if q == 1:
-        x[:, 1:] = rng.standard_normal((blocks * n, q))
-    elif q:
+    if q:
         normals = rng.standard_normal((blocks * n, q))
         for k in range(0, blocks * n, n):
             x[k : k + n, 1:] = normals[k : k + n] @ chol_t
@@ -211,11 +206,12 @@ def _draw_y(
         return rng.binomial(1, family.b1(eta)).astype(float)
     with np.errstate(over="ignore"):
         mean = family.b1(eta)
-    if not mean.max() <= _POISSON_MEAN_MAX:  # numpy's own bound; NaN fails it too
-        raise DomainError(f"Poisson mean exp(eta) = {float(mean.max())!r} exceeds "
-                          f"{_POISSON_MEAN_MAX!r}, the largest numpy draws from; lower "
-                          f"--gamma, whose source range makes theta(u) this large")
-    return rng.poisson(mean).astype(float)
+    try:
+        return rng.poisson(mean).astype(float)
+    except ValueError as exc:
+        raise DomainError(f"the Poisson mean exp(eta) reaches {float(mean.max())!r}, "
+                          f"which numpy cannot draw from ({exc}); lower --gamma or "
+                          f"u0 so that theta(u) stays smaller") from None
 
 
 def generate_dataset(config: SimConfig, rep: int) -> tuple[DomainSample, Panel]:

@@ -515,8 +515,8 @@ class TestCliMisuse:
         "simulate_poisson_mean_overflows": (  # theta's exp(5u + 2.5) / 100 is 3.3e4 at u = 2.5
             lambda d, o: ["simulate", "--family", "poisson", "--gamma", "5", "--reps", "4",
                           "--grid", "0.5", "--threads", "1", "--out", str(o)],
-            "Poisson mean exp(eta) = inf exceeds 9.223372006484771e+18, the largest numpy "
-            "draws from; lower --gamma"),
+            "the Poisson mean exp(eta) reaches inf, which numpy cannot draw from "
+            "(lam value too large); lower --gamma"),
         "fit_poisson_negative_response": (  # y = 1.5 + 2 x1 is negative for x1 < -0.75
             lambda d, o: fit_args(d, o, ["--family", "poisson"]),
             "error: family: the poisson family needs responses in [0, inf), "
