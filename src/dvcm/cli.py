@@ -486,6 +486,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: cli: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: cli: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,22 +6,18 @@ outliers beyond k standard deviations, min-max scale the identifier to
 identifiers, and split the target bin into pilot / fine-tune / test
 parts by a seeded shuffle.
 
-Ingest is vectorised: ``load_csv`` reads the header with ``csv`` and
-hands numpy's C reader the file name, so ``numpy.loadtxt`` opens the
-file itself, skips the lines the header took and parses every data row
-in chunks, never as Python lines (no comment character, so ``#`` is an
-ordinary cell character).  numpy picks a decompressor by file suffix,
-so a name ending ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` is never given
-to it: such a file is read as plain text by the per-cell scan.  That
-scan also takes a file numpy rejects, or one with no data rows or a
-width unlike the header's: it reads the file cell by cell with
-``csv`` and ``float()``, record by record into a growing array, and
-accepts what ``float()`` accepts (quoted cells, ``1_000``) or raises the
-ParseError naming the first bad row and column.  Both give the same
-floats for a cell both accept.  A ParseError's row is the line number in
-the file, blank lines included; a clean file is never mapped to lines.
-A file that is not text in its encoding raises a ParseError naming the
-first line with a byte that does not decode.
+Ingest is vectorised: ``load_csv`` reads the header with ``csv``, and
+numpy's C reader alone parses the data rows, ``"``-quoted cells included
+(no comment character, so ``#`` is an ordinary cell character).  numpy
+reads the file by name, in chunks; a name ending ``.gz``, ``.bz2``,
+``.xz`` or ``.lzma`` is handed over as an open handle instead, so numpy
+reads it as plain text, not through a decompressor.  A file numpy
+refuses is read again with ``csv`` and ``float()`` only to locate the
+error: the ParseError names the line and column of the first ragged
+row or bad cell, or else repeats numpy's message (a cell only
+``float()`` reads, such as ``1_000``).  Blank lines count in a
+ParseError's row; a file that is not text in its encoding raises one
+naming the first line with a byte that does not decode.
 
 Every column of the file is parsed and checked finite, used or not.
 Ingest then holds the parsed table plus one projected copy: ``load_csv``
@@ -100,39 +96,6 @@ def _records(fh, name: str):
             yield line, row
 
 
-def _scan_cells(fh, name: str, headers: Sequence[str]) -> np.ndarray:
-    """Parse every data row of ``fh`` cell by cell with ``csv`` and ``float()``.
-
-    The fallback of ``load_csv``: it reads from the start of the file,
-    accepts what ``float()`` accepts (quoted cells, ``1_000``) and
-    otherwise raises the ParseError that locates the first bad row, and
-    the column of a bad cell.  Rows go straight into an array that
-    doubles when full, so no record outlives its own row.
-    """
-    width = len(headers)
-    data = np.empty((0, width))
-    n = 0
-    for line, row in _records(fh, name):
-        if len(row) != width:
-            raise ParseError(
-                f"{name}: expected {width} cells, found {len(row)}", row=line
-            )
-        if n == data.shape[0]:
-            data.resize((max(1, 2 * n), width), refcheck=False)
-        for j, cell in enumerate(row):
-            try:
-                data[n, j] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{name}: non-numeric cell {cell!r}",
-                    row=line,
-                    column=headers[j],
-                ) from None
-        n += 1
-    data.resize((n, width), refcheck=False)
-    return data
-
-
 # the lone surrogates a bad byte decodes to under errors="surrogateescape"
 _ESCAPED = re.compile("[\udc80-\udcff]")
 # numpy.loadtxt opens a file name with these suffixes through a decompressor
@@ -153,12 +116,38 @@ def _undecodable(path: Path, exc: UnicodeDecodeError) -> ParseError:
                       row=line)
 
 
+def _locate(path: Path, headers: Sequence[str], exc: ValueError) -> ParseError:
+    """The ParseError for a file numpy's reader refused with ``exc``.
+
+    The file is read again record by record with ``csv``, as plain text:
+    the first row whose width is not the header's, or the first cell
+    ``float()`` rejects, is named by its line and column, and a byte that
+    does not decode by its line.  A file with neither, say one with a cell
+    only ``float()`` reads (``1_000``), gets numpy's own message.
+    """
+    try:
+        with open(path, newline="") as fh:
+            for line, row in _records(fh, path.name):
+                if len(row) != len(headers):
+                    return ParseError(f"{path.name}: expected {len(headers)} cells, "
+                                      f"found {len(row)}", row=line)
+                for column, cell in zip(headers, row):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        return ParseError(f"{path.name}: non-numeric cell {cell!r}",
+                                          row=line, column=column)
+    except UnicodeDecodeError as err:
+        return _undecodable(path, err)
+    return ParseError(f"{path.name}: {exc}")
+
+
 def _read_header(path: Path) -> tuple[list[str], int, str]:
     """The stripped header cells of ``path``, the file lines they took, and
     the encoding the file was read in.
 
     The handle, and the buffer the header was decoded from, are released
-    on return: a clean file is parsed by name, not from this handle.
+    on return: numpy parses the file from the start, not from this handle.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -188,15 +177,11 @@ def load_csv(
     (e.g. ``"age - education - 6"``).  ``add_intercept`` prepends a
     column of ones to the covariate block.
 
-    ``csv.reader`` reads the header; every data row and every column is
-    parsed (and checked finite) whether or not it is used.  numpy's C
-    reader opens the file by name and takes it when it can; a file it
-    rejects, and any file whose name ends in a suffix numpy would
-    decompress (``.gz``, ``.bz2``, ``.xz``, ``.lzma``), is read as plain
-    text by a per-cell scan that names the row and column of the first
-    bad cell.  Blank lines are skipped; a reported row is the line
-    number in the file (the header is line 1, blank lines count).  Text
-    that does not decode raises a ParseError naming its first bad line.
+    ``csv.reader`` reads the header; numpy's C reader parses every data
+    row and every column, used or not, and each is checked finite.  A
+    file numpy refuses raises a ParseError naming the file line (the
+    header is line 1, blank lines count) and column of its first ragged
+    row or bad cell, or its first line that does not decode.
 
     The used columns are copied once, into the returned table's rows;
     the parsed table is released before this returns, so the caller
@@ -215,22 +200,20 @@ def load_csv(
         if name not in index:
             raise SchemaError(f"missing column {name!r} in {path.name}")
 
-    data = None
-    if path.suffix not in _COMPRESSED_SUFFIXES:
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=float,
-                                  skiprows=header_lines, encoding=encoding)
-        except ValueError:
-            pass
-    if data is None or not data.shape[0] or data.shape[1] != len(headers):
-        try:
-            with open(path, newline="") as fh:
-                data = _scan_cells(fh, path.name, headers)
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, exc) from None
+    width = len(headers)
+    try:
+        # numpy reads a file faster by name than from a handle, but opens a name
+        # ending .gz, .bz2, .xz or .lzma through a decompressor: it gets the handle
+        with open(path, newline="", encoding=encoding) as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(fh if path.suffix in _COMPRESSED_SUFFIXES else path,
+                              delimiter=",", comments=None, quotechar='"', ndmin=2,
+                              skiprows=header_lines, encoding=encoding)
+        if data.shape[0] and data.shape[1] != width:
+            raise ValueError(f"expected {width} cells, found {data.shape[1]}")
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise _locate(path, headers, exc) from None
+    data = data.reshape(-1, width)  # a file without data rows gives shape (0, 1)
     if not np.all(np.isfinite(data)):
         raise ParseError(f"{path.name}: non-finite value in table")
 

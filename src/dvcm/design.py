@@ -229,14 +229,17 @@ def uniform_kernel(t):
     return np.where(np.abs(t) <= 1.0, _KERNEL_HEIGHT, 0.0)
 
 
+_MAX_ORDER = 170  # t^l / l! takes l! as a float, and 171! overflows one
+
+
 def _powers(t: float, l: int) -> list[float]:
     return [t**j / math.factorial(j) for j in range(l + 1)]
 
 
 def poly_features(t: float, l: int) -> np.ndarray:
     """Polynomial feature map (1, t, t^2/2!, ..., t^l/l!)."""
-    if l < 0:
-        raise ValueError(f"polynomial order must be >= 0, got {l}")
+    if not 0 <= l <= _MAX_ORDER:
+        raise ValueError(f"polynomial order must be between 0 and {_MAX_ORDER}, got {l}")
     return np.array(_powers(t, l))
 
 
@@ -270,8 +273,8 @@ def kernel_window(
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"bandwidth must be finite and positive, got {h}")
-    if l < 0:
-        raise ValueError(f"polynomial order must be >= 0, got {l}")
+    if not 0 <= l <= _MAX_ORDER:
+        raise ValueError(f"polynomial order must be between 0 and {_MAX_ORDER}, got {l}")
     panel = Panel.of(domains)
     t_all = (panel.u - u0) / h
     index = (np.abs(t_all) <= 1.0).nonzero()[0]

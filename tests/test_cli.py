@@ -529,6 +529,13 @@ class TestCliMisuse:
             lambda d, o: fit_args(TestCliMisuse._edited(
                 d, lambda ls: ls[:3] + [ls[3].replace(",", ",\udcff", 1)] + ls[4:]), o),
             "edited.csv: not valid utf-8 text: invalid start byte (row 4, column None)"),
+        "simulate_order_too_large": (  # 171! overflows a float
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
+                          "--threads", "1", "--order", "171", "--out", str(o)],
+            "error: cli: polynomial order must be between 0 and 170, got 171"),
+        "fit_order_too_large": (
+            lambda d, o: fit_args(d, o, ["--order", "171"]),
+            "error: cli: polynomial order must be between 0 and 170, got 171"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -555,6 +562,26 @@ class TestCliMisuse:
         assert err == "error: cli: DVCM_THREADS must be an integer, got 'abc'\n"
         # fit runs no pool, so it does not read the variable
         assert main(fit_args(self._data(tmp_path), tmp_path / "r.json")) == 0
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 89.4 GiB for an array with shape (12000000000,) and data "
+         "type float64", "error: cli: Unable to allocate 89.4 GiB for an array with shape "
+         "(12000000000,) and data type float64\n"),
+        ("", "error: cli: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                             message, line):
+        from dvcm import simulation
+
+        def refuse(config, rep):  # as numpy refuses an array larger than memory
+            raise MemoryError(message)
+
+        monkeypatch.setattr(simulation, "generate_dataset", refuse)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--p", "2", "--reps", "2", "--grid", "0.5", "--threads", "1",
+                   "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == line
 
     def test_u_expr_error_names_the_row(self, tmp_path, capsys):
         argv, _ = self.CASES["u_expr_not_finite"]

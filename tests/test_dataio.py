@@ -79,11 +79,16 @@ class TestLoadCsv:
             load_csv("/nonexistent/file.csv", "u", ["x"], "y")
 
 
-def scan_reference(path):
-    """The per-cell scan of ``path``, the fallback ``load_csv`` falls back to."""
+def float_reference(path):
+    """The data rows of ``path`` as ``csv`` splits them and ``float()`` reads
+    them, blank lines skipped; a ValueError for a row unlike the header's width."""
     with open(path, newline="") as fh:
-        headers = [h.strip() for h in next(csv.reader(fh))]
-        return dataio._scan_cells(fh, path.name, headers)
+        reader = csv.reader(fh)
+        width = len(next(reader))
+        rows = [row for row in reader if row]
+    if any(len(row) != width for row in rows):
+        raise ValueError("a row's width is not the header's")
+    return np.array([[float(cell) for cell in row] for row in rows]).reshape(-1, width)
 
 
 def load_in_file_order(path, width):
@@ -100,14 +105,15 @@ _number = st.one_of(
 )
 _cell = st.builds(lambda a, v, b: a + v + b, st.sampled_from(["", " ", "  ", "\t"]),
                   _number, st.sampled_from(["", " ", "\t "]))
+_quoted_cell = _cell.map('"{}"'.format)
 
 
 @st.composite
-def numeric_tables(draw):
+def numeric_tables(draw, cell=_cell):
     """CSV text of a clean numeric table: header c0..c{w-1}, blank lines, LF or CRLF."""
     width = draw(st.integers(2, 5))
     lines = [",".join(f"c{j}" for j in range(width))]
-    for row in draw(st.lists(st.lists(_cell, min_size=width, max_size=width),
+    for row in draw(st.lists(st.lists(cell, min_size=width, max_size=width),
                              min_size=1, max_size=12)):
         lines.extend([""] * draw(st.integers(0, 2)) + [",".join(row)])
     eol = draw(st.sampled_from(["\n", "\r\n"]))
@@ -115,24 +121,20 @@ def numeric_tables(draw):
 
 
 def handle_reference(path):
-    """The parse of ``path`` as it was when numpy read the header's handle.
-
-    numpy's C reader takes the data rows as Python lines from the handle
-    ``csv`` read the header from; the per-cell scan takes what it rejects.
-    Returns the parsed table and whether numpy's reader took the file.
-    """
+    """The parse of ``path`` by numpy's C reader taking the data rows as Python
+    lines from the handle ``csv`` read the header from; None if it refuses it."""
     with open(path, newline="") as fh:
-        headers = [h.strip() for h in next(csv.reader(fh))]
+        width = len(next(csv.reader(fh)))
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                         UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
         except ValueError:
-            data = None
-        if data is not None and data.shape[0] and data.shape[1] == len(headers):
-            return data, True
-        return dataio._scan_cells(fh, path.name, headers), False
+            return None
+    if data.size and data.shape[1] != width:
+        return None
+    return data.reshape(-1, width)
 
 
 @st.composite
@@ -156,18 +158,19 @@ def line_ended_tables(draw):
 
 
 class TestIngestPaths:
-    """numpy's C reader and the per-cell scan agree; the scan locates errors."""
+    """numpy's C reader parses every file as ``float()`` would; a record scan
+    runs only to locate the error in a file numpy refuses."""
 
-    @given(numeric_tables())
+    @given(numeric_tables(st.one_of(_cell, _quoted_cell)))
     @settings(max_examples=80, deadline=None)
-    def test_fast_path_matches_scan_bitwise(self, tmp_path_factory, table):
+    def test_matches_float_reference_bitwise(self, tmp_path_factory, table):
         width, text = table
         path = tmp_path_factory.mktemp("ingest") / "t.csv"
         path.write_bytes(text.encode())
-        with mock.patch.object(dataio, "_scan_cells", wraps=dataio._scan_cells) as scan:
+        with mock.patch.object(dataio, "_records", wraps=dataio._records) as records:
             rows = load_in_file_order(path, width).rows
-        assert scan.call_count == 0
-        want = scan_reference(path)
+        assert records.call_count == 0
+        want = float_reference(path)
         assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
 
     # (text, str(error), row, column) as raised before numpy's reader was added,
@@ -214,6 +217,14 @@ class TestIngestPaths:
         "bad_byte_past_the_header_buffer": ("u,x1,y\n" + "0.1,2,3\n" * 3000 + "0.2,3,\udcff\n",
             "dataio: data.csv: not valid utf-8 text: invalid start byte (row 3002, column None)",
             3002, None),
+        # read by float() alone, which loaded them before numpy parsed every file:
+        # they now fail with numpy's message
+        "underscore_literal": ("u,x1,y\n0.5,1_000,2\n",
+            "dataio: data.csv: could not convert string '1_000' to float64 at row 0, "
+            "column 2.", None, None),
+        "non_ascii_digits": ("u,x1,y\n0.5,2,\u0663\n",
+            "dataio: data.csv: could not convert string '\u0663' to float64 at row 0, "
+            "column 3.", None, None),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -239,28 +250,20 @@ class TestIngestPaths:
             f"{a!r},{b!r},{c}\n" for a, b, c in
             zip(rng.random(1000).tolist(), rng.normal(size=1000).tolist(),
                 rng.integers(0, 9, 1000).tolist())))
-        scans = count_calls(dataio._scan_cells)
+        records = count_calls(dataio._records)
         assert load_in_file_order(path, 3).n == 1000
-        assert scans[0] == 0
+        assert records[0] == 0
 
-    def test_quoted_cell_scanned_to_same_numbers(self, tmp_path, count_calls):
+    def test_quoted_cell_read_by_numpy_to_same_numbers(self, tmp_path, count_calls):
         plain = tmp_path / "plain.csv"
         plain.write_text("c0,c1,c2\n0.1,2,3\n0.25,4.5,7\n")
         quoted = tmp_path / "quoted.csv"
-        quoted.write_text('c0,c1,c2\n0.1,2,3\n0.25,"4.5",7\n')
-        scans = count_calls(dataio._scan_cells)
+        quoted.write_text('c0,c1,c2\n0.1,2,3\n0.25," 4.5",7\n"8"\t,"9","1e1"\n')
+        records = count_calls(dataio._records)
         want = load_in_file_order(plain, 3).rows
-        assert scans[0] == 0
         got = load_in_file_order(quoted, 3).rows
-        assert scans[0] == 1
-        assert got.tobytes() == want.tobytes()
-
-    def test_float_literal_numpy_rejects_is_scanned(self, tmp_path, count_calls):
-        path = tmp_path / "u.csv"
-        path.write_text("c0,c1\n0.5,1_000\n")
-        scans = count_calls(dataio._scan_cells)
-        assert load_in_file_order(path, 2).rows.tolist() == [[0.5, 1000.0]]
-        assert scans[0] == 1
+        assert records[0] == 0
+        assert got.tobytes() == np.vstack([want, [8.0, 9.0, 10.0]]).tobytes()
 
     def test_header_only_loads_empty_without_warning(self, tmp_path, recwarn):
         path = tmp_path / "h.csv"
@@ -270,13 +273,13 @@ class TestIngestPaths:
 
     def test_clean_file_parsed_by_name(self, tmp_path, count_calls):
         path = write_wage_csv(tmp_path / "wage.csv", 500)
-        scans, records = count_calls(dataio._scan_cells), count_calls(dataio._records)
+        records = count_calls(dataio._records)
         with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             load_csv(path, None, ["female", "education"], "highwage",
                      u_expr="age - education - 6")
         assert loadtxt.call_count == 1
         assert isinstance(loadtxt.call_args.args[0], (str, os.PathLike))
-        assert (scans[0], records[0]) == (0, 0)
+        assert records[0] == 0
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_text_with_compressed_suffix_loads(self, tmp_path, suffix):
@@ -307,17 +310,16 @@ class TestIngestPaths:
         width, text = table
         path = tmp_path_factory.mktemp("ingest") / "t.csv"
         path.write_bytes(text.encode())
-        try:
-            want, numpy_took_it = handle_reference(path)
-        except ParseError as exc:
-            with pytest.raises(ParseError) as err:
+        want = handle_reference(path)
+        if want is None:  # a whitespace-only line is a ragged row
+            with pytest.raises(ValueError):
+                float_reference(path)
+            with pytest.raises(ParseError, match="expected .* cells, found"):
                 load_in_file_order(path, width)
-            assert (str(err.value), err.value.row) == (str(exc), exc.row)
             return
-        with mock.patch.object(dataio, "_scan_cells", wraps=dataio._scan_cells) as scan:
-            rows = load_in_file_order(path, width).rows
-        assert scan.call_count == (not numpy_took_it)
+        rows = load_in_file_order(path, width).rows
         assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+        assert rows.tobytes() == float_reference(path).tobytes()
 
 
 def ingest_args(path, *extra):
@@ -384,21 +386,6 @@ class TestParsedTableReleased:
 
 
 class TestIngestMemory:
-    def test_per_cell_scan_holds_no_list_of_records(self, tmp_path, traced_peak,
-                                                   count_calls):
-        rows = 20_000
-        path = write_wage_csv(tmp_path / "wage.csv", rows)
-        header, rest = path.read_text().split("\n", 1)
-        path.write_text(header + '\n"' + rest.replace(",", '",', 1))  # first cell quoted
-        scans = count_calls(dataio._scan_cells)
-        fit = dict(u_column=None, x_columns=["female", "education"], y_column="highwage",
-                   u_expr="age - education - 6")
-        load_csv(path, **fit)  # lazy imports and caches stay out of the measurement
-        with traced_peak() as mem:
-            table = load_csv(path, **fit)
-        assert scans[0] == 2 and table.n == rows
-        assert mem.peak <= 3 * rows * 6 * 8
-
     def test_ingest_holds_one_projected_copy(self, tmp_path, traced_peak):
         rows = 20_000
         args = ingest_args(write_wage_csv(tmp_path / "wage.csv", rows), *WAGE_FIT)
@@ -459,14 +446,13 @@ def ingest_cases(draw, drops):
     table = {c: draw(st.lists(value, min_size=n, max_size=n)) for c in "abcyz"}
     if drops:
         table["a"][0] = 1e6
-    quoted = draw(st.booleans())
     lines = ["a,b,c,y,z"] + [",".join(repr(table[c][i]) for c in "abcyz") for i in range(n)]
-    if quoted:  # numpy's reader rejects quotes: the per-cell scan takes the file
+    if draw(st.booleans()):  # numpy's reader takes quoted cells too
         lines[1] = ",".join(f'"{cell}"' for cell in lines[1].split(","))
     u_expr = draw(st.sampled_from([None, "a - b - 6", "(a + b) / 2", "-a * 3 + b",
                                    "a / (b + 100)"]))
     return dict(
-        text="\n".join(lines) + "\n", quoted=quoted, u_col="a" if u_expr is None else None,
+        text="\n".join(lines) + "\n", u_col="a" if u_expr is None else None,
         u_expr=u_expr, x_cols=draw(st.sampled_from([["b", "c"], ["c"], ["c", "b", "a"]])),
         y_col="y", intercept=draw(st.booleans()), sigma_k=1.0 if drops else 100.0,
         bins=draw(st.integers(2, 10)))
@@ -494,9 +480,9 @@ class TestIngestMatchesOldChain:
             with pytest.raises(DegenerateScaleError, match=re.escape(str(exc))):
                 cli._ingest(args)
             return
-        with mock.patch.object(dataio, "_scan_cells", wraps=dataio._scan_cells) as scan:
+        with mock.patch.object(dataio, "_records", wraps=dataio._records) as records:
             got, diag = cli._ingest(args)
-        assert scan.call_count == case["quoted"]
+        assert records.call_count == 0
         x, y, u, offsets, want_diag = want
         assert got.x.shape == x.shape and got.x.tobytes() == x.tobytes()
         assert got.y.tobytes() == y.tobytes() and got.u.tobytes() == u.tobytes()

@@ -43,7 +43,7 @@ def _draws(offsets, family, seed=0):
     return [draw(N_TARGET, 0.0), draw(N_TARGET, 0.0)] + [draw(N_SOURCE, d) for d in offsets]
 
 
-def _problem(draws, offsets, family, u0=0.0, y_scale=1.0, order=1):
+def _problem(draws, offsets, family, u0=0.0, y_scale=1.0, order=1, gamma=1.0, e0=100.0):
     (xp, yp), (xf, yf), *sources = draws
     sources = [DomainSample(u=u0 + d, x=x, y=y_scale * y)
                for d, (x, y) in zip(offsets, sources)]
@@ -51,12 +51,12 @@ def _problem(draws, offsets, family, u0=0.0, y_scale=1.0, order=1):
     # derivative window holds every domain
     return TransferProblem(DomainSample(u=u0, x=xp, y=y_scale * yp),
                            DomainSample(u=u0, x=xf, y=y_scale * yf),
-                           sources, u0, get_family(family), order=order, e0=100.0)
+                           sources, u0, get_family(family), order=order, gamma=gamma, e0=e0)
 
 
-def _fit(problem):
-    """theta_LR, theta_DVCM, theta_TL and Sigma_TL at the pilot bandwidth H."""
-    pilot = problem.pilot(H)
+def _fit(problem, h=H):
+    """theta_LR, theta_DVCM, theta_TL and Sigma_TL at the pilot bandwidth ``h``."""
+    pilot = problem.pilot(h)
     q = problem.penalty(pilot).q
     return (problem.theta_lr, pilot.theta, problem.fine_tune(pilot, q).theta_tl,
             problem.covariance(pilot, q).sigma_tl)
@@ -259,6 +259,27 @@ def test_gaussian_y_scale_scales_estimates_and_sigma(offsets, s):
     for got, want in zip(thetas_s, thetas):
         assert _close(got, s * want, REL["gaussian"])
     assert _close(sigma_s, s * s * sigma, REL["gaussian"])
+
+
+# u -> c u, with u0, h and gamma alike, leaves every t = (u - u0) / h, and so
+# every fit, the same.  The bias h^beta theta^(beta)(u0) / beta! is the same
+# too if the derivative bandwidth scales by c: the median rule's rate term
+# e0 (n / gamma)^(-1 / (2 beta + 1)) does so only when e0 takes the factor
+# c^(2 beta / (2 beta + 1)) as well.  At e0 = 1.5 that term is the median,
+# 0.50 between d_(1) = 0.2 and d_(K) = 0.9, so the factor is needed.
+@pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+@pytest.mark.parametrize("c", [4.0, 0.3])
+def test_joint_scaling_of_u_u0_h_and_gamma_changes_nothing(family, c):
+    offsets, u0, e0, h = [-0.8, -0.35, 0.2, 0.45, 0.9], 0.3, 1.5, 0.4
+    draws = _draws(offsets, family)
+    plain = _problem(draws, offsets, family, u0=u0, e0=e0)
+    beta = plain.beta
+    scaled = _problem(draws, [c * d for d in offsets], family, u0=c * u0, gamma=c * plain.gamma,
+                      e0=e0 * c ** (2 * beta / (2 * beta + 1)))
+    assert 0.2 < plain.h_deriv < 0.9
+    assert scaled.h_deriv == pytest.approx(c * plain.h_deriv, rel=1e-14)
+    for got, want in zip(_fit(scaled, c * h), _fit(plain, h)):
+        assert _close(got, want, 1e-12)
 
 
 # X -> XA leaves eta, and so every fit, the same up to the change of
