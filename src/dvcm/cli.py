@@ -22,8 +22,7 @@ import numpy as np
 import numpy.random  # at import: it would otherwise load on the first draw
 
 from . import dataio
-from .bandwidth import (BANDWIDTH_RULES, BandwidthChoice, gamma_moment_estimate,
-                        select_bandwidth)
+from .bandwidth import BANDWIDTH_RULES, BandwidthChoice, gamma_moment_estimate
 from .errors import DvcmError, ParseError
 from .families import get_family
 from .inference import TransferProblem, confidence_intervals, contrast_test, wald_test
@@ -64,19 +63,6 @@ def _listify(a) -> list:
 def _bandwidth_dict(choice: BandwidthChoice) -> dict:
     d = dataclasses.asdict(choice)
     return {k: v for k, v in d.items() if v is not None}
-
-
-def _threads(args) -> int:
-    """``--threads``, else ``DVCM_THREADS``, else the CPU count."""
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("DVCM_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"DVCM_THREADS must be an integer, got {env!r}") from None
 
 
 def _parse_float_list(text: str, option: str) -> list[float]:
@@ -187,10 +173,7 @@ def _run_fit_pipeline(args) -> EstimateReport:
     # the problem stacked its own copy of the sources: let the binned panel go
     del panel, target, sources
 
-    choice = select_bandwidth(
-        rule, problem.sources, u0, args.beta, gamma, e0=args.e0, c=args.bw_c,
-        epsilon=args.epsilon, n_extra=pilot_part.n, h=fixed_h,
-    )
+    choice = problem.bandwidth(rule, c=args.bw_c, epsilon=args.epsilon, h=fixed_h)
     h = choice.h
 
     theta_lr, theta_dvcm = problem.full_target(h)
@@ -312,13 +295,10 @@ def _write_table(path: str | None, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_simulate(args) -> int:
-    threads = _threads(args)
     config = _load_config(args)
-    grid = _parse_float_list(args.grid, "--grid") if args.grid else list(config.bandwidth_grid)
-    if not grid:
-        raise ValueError("simulate needs a bandwidth grid (--grid or config)")
+    grid = _parse_float_list(args.grid, "--grid")
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    results = mc_sweep(config, grid, estimators, threads=threads)
+    results = mc_sweep(config, grid, estimators, threads=args.threads)
     cells = itertools.product(grid, estimators)
     rows = [[float(h), est, r.mse, r.se, r.fails] for (h, est), r in zip(cells, results)]
     _write_table(args.out, ["h", "estimator", "mse", "se", "fails"], rows)
@@ -326,11 +306,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    threads = _threads(args)
     config = _load_config(args)
     grid = _parse_float_list(args.grid, "--grid")
     if not np.all(np.isfinite(grid)):
         raise ValueError(f"--grid values must be finite, got {args.grid!r}")
+    fractional = [x for x in grid if args.vary != "gamma" and x != round(x)]
+    if fractional:
+        raise ValueError(f"--grid part {fractional[0]!r} is not a whole number, "
+                         f"as --vary {args.vary} needs")
     if len(grid) < 2 * args.segments + 2:
         raise ValueError(
             f"grid of {len(grid)} points cannot support {args.segments} segments"
@@ -341,7 +324,7 @@ def cmd_phase(args) -> int:
     configs = [dataclasses.replace(config, **{name: cast(x)}) for x in grid]
     rows = []
     for x, cfg in zip(grid, configs):
-        r = mc_mse(cfg, "tl", None, threads=threads)
+        r = mc_mse(cfg, "tl", None, threads=args.threads)
         rows.append([float(x), "tl", r.mse, r.se, r.fails])
     _write_table(args.out, [args.vary, "estimator", "mse", "se", "fails"], rows)
 
@@ -419,15 +402,10 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--e0", type=float, default=None)
-    p.add_argument("--bw-c", dest="bw_c", type=float, default=None)
-    p.add_argument("--epsilon", dest="bw_epsilon", metavar="EPSILON", type=float,
-                   default=None)
     p.add_argument("--q-mode", dest="q_mode", default=None,
                    choices=["estimate", "oracle", "zero", "infinity"])
-    p.add_argument("--bandwidth-rule", dest="bandwidth_rule", default=None,
-                   choices=BANDWIDTH_RULES)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: env DVCM_THREADS, else the CPU count)")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker processes (default: the CPU count)")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
 
@@ -454,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo MSE over a bandwidth grid")
     _add_sim_args(p_sim)
-    p_sim.add_argument("--grid", default=None, help="comma-separated bandwidths")
+    p_sim.add_argument("--grid", required=True, help="comma-separated bandwidths")
     p_sim.add_argument("--estimators", default="lr,dvcm,tl",
                        help="comma-separated subset of lr,dvcm,tl")
     p_sim.set_defaults(func=cmd_simulate)
@@ -464,6 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--vary", required=True, choices=["K", "gamma", "n"])
     p_phase.add_argument("--grid", required=True,
                          help="comma-separated grid for the varied parameter")
+    p_phase.add_argument("--bandwidth-rule", dest="bandwidth_rule", default=None,
+                         choices=BANDWIDTH_RULES)
+    p_phase.add_argument("--bw-c", dest="bw_c", type=float, default=None)
+    p_phase.add_argument("--epsilon", dest="bw_epsilon", metavar="EPSILON", type=float,
+                         default=None)
     p_phase.add_argument("--segments", type=int, default=3,
                          help="segments for the log-log slope fit")
     p_phase.add_argument("--slopes-out", default=None,

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from ._scipy import extension
-from .bandwidth import select_bandwidth_median
+from .bandwidth import BandwidthChoice, select_bandwidth, select_bandwidth_median
 from .design import DomainSample, Panel
 from .errors import DvcmError, SingularSystemError
 from .estimators import (LocalFit, TLFit, fit_dvcm, fit_target_only, fit_tl, gram,
@@ -215,6 +215,14 @@ class TransferProblem:
     def scale(self) -> float:
         """Pearson scale of ``theta_glr`` on ``pilot_part``, for the penalty."""
         return estimate_scale(self.pilot_part, self.theta_glr, self.family)
+
+    def bandwidth(self, rule: str, *, c: float, epsilon: float,
+                  h: float | None = None) -> BandwidthChoice:
+        """:func:`select_bandwidth`'s ``rule`` on this problem's sources, whose
+        rate term also counts the ``pilot_part`` rows pooled with them."""
+        return select_bandwidth(rule, self.sources, self.u0, self.beta, self.gamma,
+                                e0=self.e0, c=c, epsilon=epsilon,
+                                n_extra=self.pilot_part.n, h=h)
 
     @_cached_outcome
     def h_deriv(self) -> float:

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.random  # at import: it would otherwise load on the first draw
 
-from .bandwidth import BANDWIDTH_RULES, select_bandwidth
+from .bandwidth import BANDWIDTH_RULES
 from .design import DomainSample, Panel
 from .errors import DomainError, DvcmError, ExperimentError
 from .families import get_family
@@ -57,7 +57,7 @@ _ESTIMATORS = ("lr", "dvcm", "tl")
 _Q_MODES = ("estimate", "oracle", "zero", "infinity")
 
 
-# the SimConfig fields whose annotation names one of these types hold a value of it
+# every SimConfig field's annotation names one of these types, and it holds a value of it
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
                 "str": (str, "a string")}
 
@@ -71,11 +71,12 @@ def _is_a(value, kind) -> bool:
 class SimConfig:
     """Configuration of one simulated experiment.
 
-    ``bandwidth_grid`` drives MSE sweeps; ``bandwidth_rule`` selects the
-    per-replication bandwidth when no explicit ``h`` is given.  ``q_mode``
-    chooses the shrinkage matrix: data-driven (``estimate``), empirical
-    oracle (``oracle``; two-pass, simulation only), or the limiting cases
-    ``zero`` / ``infinity``.
+    ``family`` is stored as its family's ``kind``, so ``"Gaussian"`` is
+    ``"gaussian"``.  A sweep's bandwidths are given to ``mc_sweep``;
+    ``bandwidth_rule`` selects the per-replication bandwidth when no
+    explicit ``h`` is given.  ``q_mode`` chooses the shrinkage matrix:
+    data-driven (``estimate``), empirical oracle (``oracle``; two-pass,
+    simulation only), or the limiting cases ``zero`` / ``infinity``.
     """
 
     family: str = "gaussian"
@@ -89,7 +90,6 @@ class SimConfig:
     cov_rho: float = 0.7
     reps: int = 200
     seed: int = 0
-    bandwidth_grid: tuple[float, ...] = ()
     theta_spec: str = "paper_default"
     order: int = 1
     beta: float = 2.0
@@ -102,16 +102,9 @@ class SimConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            kind = _FIELD_KINDS.get(f.type)
-            if kind and not _is_a(getattr(self, f.name), kind[0]):
+            kind = _FIELD_KINDS[f.type]
+            if not _is_a(getattr(self, f.name), kind[0]):
                 raise ValueError(f"{f.name} must be {kind[1]}, got {getattr(self, f.name)!r}")
-        try:
-            grid = None if isinstance(self.bandwidth_grid, str) else tuple(self.bandwidth_grid)
-        except TypeError:
-            grid = None
-        if grid is None or not all(_is_a(h, numbers.Real) for h in grid):
-            raise ValueError(f"bandwidth_grid must be a list of numbers, "
-                             f"got {self.bandwidth_grid!r}")
         if min(self.p, self.K, self.n_bar, self.n0, self.reps) < 1:
             raise ValueError("p, K, n_bar, n0 and reps must be positive")
         if self.seed < 0:
@@ -126,7 +119,7 @@ class SimConfig:
             raise ValueError(f"q_mode must be one of {_Q_MODES}")
         if self.bandwidth_rule not in BANDWIDTH_RULES:
             raise ValueError(f"bandwidth_rule must be one of {BANDWIDTH_RULES}")
-        object.__setattr__(self, "bandwidth_grid", grid)
+        object.__setattr__(self, "family", get_family(self.family).kind)
         half = self.gamma / 2.0
         try:  # each term of a curve is monotone in u or |u|: check the range's ends and u0
             for u in (-half, half, self.u0):
@@ -284,11 +277,8 @@ def _replicate(
         try:  # a pilot failure empties the dvcm and tl cells, a later one the tl cell
             if estimators != ("lr",):
                 if h is None:
-                    h = select_bandwidth(
-                        config.bandwidth_rule, sources, config.u0, config.beta,
-                        config.gamma, e0=config.e0, c=config.bw_c,
-                        epsilon=config.bw_epsilon, n_extra=n0,
-                    ).h
+                    h = problem.bandwidth(config.bandwidth_rule, c=config.bw_c,
+                                          epsilon=config.bw_epsilon).h
                 pilot = problem.pilot(h)
                 estimates["dvcm"] = pilot.theta
             if "tl" in estimators:

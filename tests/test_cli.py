@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dvcm.cli import EstimateReport, main
+from dvcm.cli import EstimateReport, build_parser, main
 
 
 def write_constant_theta_csv(path, n=600, seed=0, noise=0.0):
@@ -262,10 +264,28 @@ class TestCmdSimulate:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 1
 
-    def test_missing_grid_rejected(self, tmp_path):
-        rc = main(["simulate", "--p", "2", "--reps", "2",
-                   "--out", str(tmp_path / "o.csv")])
-        assert rc == 1
+    def test_missing_grid_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", "--p", "2", "--reps", "2", "--out", str(tmp_path / "o.csv")])
+        assert exit_.value.code == 2
+        assert "the following arguments are required: --grid" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--bandwidth-rule", "median"), ("--bw-c", "9"), ("--epsilon", "0.7"),
+    ])
+    def test_bandwidth_rule_flags_belong_to_phase(self, flag, value, capsys):
+        # simulate passes every h explicitly, so it has no rule to configure
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(["simulate", "--grid", "0.5", flag, value])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        build_parser().parse_args(["phase", "--vary", "K", "--grid", "2", flag, value])
+
+    def test_threads_default_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("DVCM_THREADS", "abc")  # no environment variable is read
+        for command in (["simulate", "--grid", "0.5"], ["phase", "--vary", "K", "--grid", "2"]):
+            assert build_parser().parse_args(command).threads == (os.cpu_count() or 1)
 
 
 class TestCmdPhase:
@@ -357,7 +377,7 @@ class TestCliMisuse:
             "p must be an integer, got None"),
         "config_grid_not_a_list": (
             lambda d, o: TestCliMisuse._config(d, '{"bandwidth_grid": 5}') + ["--out", str(o)],
-            "bandwidth_grid must be a list of numbers, got 5"),
+            "unknown config keys: ['bandwidth_grid']"),
         "sigma_k_drops_every_row": (
             lambda d, o: fit_args(d, o, ["--sigma-k", "0"]), "--sigma-k 0.0 drops every row"),
         "bandwidth_not_finite": (
@@ -435,6 +455,10 @@ class TestCliMisuse:
             lambda d, o: ["phase", "--vary", "gamma", "--grid", "0.5,1,2,4,8,16,32,300",
                           "--p", "2", "--reps", "2", "--threads", "1", "--out", str(o)],
             "overflows on the source range [-150.0, 150.0] of gamma=300.0"),
+        "phase_grid_not_whole": (  # round() would run K=2 and label the row 2.4
+            lambda d, o: ["phase", "--vary", "K", "--grid", "2,2.4,3,4,5,6,7,8",
+                          "--p", "2", "--reps", "2", "--threads", "1", "--out", str(o)],
+            "--grid part 2.4 is not a whole number, as --vary K needs"),
         "phase_grid_not_finite": (
             lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,inf",
                           "--p", "2", "--reps", "2", "--threads", "1", "--out", str(o)],
@@ -551,17 +575,6 @@ class TestCliMisuse:
         assert "Traceback" not in err and needle in err
         assert not caught, [str(w.message) for w in caught]
         assert not out.exists()
-
-    def test_bad_thread_env_is_an_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DVCM_THREADS", "abc")
-        out = tmp_path / "out"
-        rc = main(["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
-                   "--out", str(out)])
-        assert rc == 1 and not out.exists()
-        err = capsys.readouterr().err
-        assert err == "error: cli: DVCM_THREADS must be an integer, got 'abc'\n"
-        # fit runs no pool, so it does not read the variable
-        assert main(fit_args(self._data(tmp_path), tmp_path / "r.json")) == 0
 
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 89.4 GiB for an array with shape (12000000000,) and data "
@@ -747,3 +760,19 @@ def test_failed_extension_leaves_no_stand_in(monkeypatch, tmp_path):
     error, left = _load_from(monkeypatch, tmp_path, "special", "_ufuncs")
     assert error.name == "scipy.special._not_there"
     assert left == []
+
+
+def test_readme_commands_parse(capsys):
+    """Every ``dvcm ...`` command in the README's fenced blocks parses, so a
+    flag the parser no longer has cannot stay documented."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("dvcm ")]
+    assert sorted(argv[0] for argv in commands) == ["fit", "infer", "phase", "simulate"]
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"dvcm {' '.join(argv)}: {capsys.readouterr().err}")

@@ -52,6 +52,17 @@ class TestTrueCoefficient:
         with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
             SimConfig(**{field: value})
 
+    def test_family_is_stored_as_its_kind(self):
+        assert SimConfig(family="Gaussian").family == "gaussian"
+        # the oracle's noise variance reads the stored family: nu = noise_sd^2, not 1
+        upper, lower = (mc_mse(tiny_config(family=f, q_mode="oracle", reps=20), "tl", 0.5)
+                        for f in ("Gaussian", "gaussian"))
+        assert upper == lower
+
+    def test_unknown_family_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown family 'gamma'"):
+            SimConfig(family="gamma")
+
     def test_curve_overflowing_on_the_source_range_rejected(self):
         # exp(5u + 2.5) / 100 overflows for u above about 141.5
         assert np.isfinite(SimConfig(p=2, gamma=282.0).theta(141.0)).all()

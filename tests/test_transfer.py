@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from dvcm.bandwidth import select_bandwidth_median
+from dvcm.bandwidth import select_bandwidth, select_bandwidth_median
 from dvcm.design import DomainSample, Panel
 from dvcm.errors import DomainError
 from dvcm.estimators import fit_dvcm, fit_target_only, fit_tl
@@ -65,6 +65,19 @@ def _fit(problem, h=H):
 def _close(got, want, rel):
     """Norm-wise relative agreement: max |got - want| <= rel * max |want|."""
     return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("rule, h", [("median", None), ("undersmoothed", None),
+                                     ("fixed", 0.3)])
+def test_bandwidth_is_select_bandwidth_on_the_problem(rule, h):
+    offsets = (0.1, -0.3, 0.6)
+    draws = _draws(offsets, "gaussian")
+    sources = [DomainSample(u=0.2 + d, x=x, y=y) for d, (x, y) in zip(offsets, draws[2:])]
+    problem = _problem(draws, offsets, "gaussian", u0=0.2, gamma=0.7, e0=0.4)
+    # the rate term counts the pilot part pooled with the sources
+    want = select_bandwidth(rule, sources, 0.2, 2.0, 0.7, e0=0.4, c=0.8, epsilon=0.3,
+                            n_extra=N_TARGET, h=h)
+    assert problem.bandwidth(rule, c=0.8, epsilon=0.3, h=h) == want
 
 
 def test_problem_keeps_one_copy_of_the_sources():
