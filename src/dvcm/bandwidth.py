@@ -142,7 +142,8 @@ def select_bandwidth_undersmoothed(
     )
 
 
-BANDWIDTH_RULES = ("median", "undersmoothed", "fixed")
+# the data-driven rules, which an experiment's replications choose from
+BANDWIDTH_RULES = ("median", "undersmoothed")
 
 
 def select_bandwidth(
@@ -159,7 +160,7 @@ def select_bandwidth(
             sources, u0, beta, gamma, c, epsilon, n_extra=n_extra
         )
     if rule != "fixed":
-        raise ValueError(f"bandwidth rule must be one of {BANDWIDTH_RULES}, got {rule!r}")
+        raise ValueError(f"bandwidth rule {rule!r} is none of {(*BANDWIDTH_RULES, 'fixed')}")
     if h is None or not 0 < h < math.inf:
         raise ValueError(f"bandwidth rule 'fixed' needs a finite positive h, got {h}")
     _, d1, dK = domain_distances(sources, u0)

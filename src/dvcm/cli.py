@@ -22,9 +22,9 @@ import numpy as np
 import numpy.random  # at import: it would otherwise load on the first draw
 
 from . import dataio
-from .bandwidth import BANDWIDTH_RULES, BandwidthChoice, gamma_moment_estimate
+from .bandwidth import BandwidthChoice, gamma_moment_estimate
 from .errors import DvcmError, ParseError
-from .families import get_family
+from .families import FAMILIES, get_family
 from .inference import TransferProblem, confidence_intervals, contrast_test, wald_test
 from .simulation import SimConfig, fit_loglog_slopes, mc_mse, mc_sweep
 
@@ -257,7 +257,11 @@ def cmd_infer(args) -> int:
 # simulate / phase
 # ------------------------------------------------------------------
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
+_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(SimConfig)}
+# fields only a --config sets, and fields only phase reads (simulate's h come from --grid)
+_CONFIG_ONLY = ("u0", "cov_rho")
+_PHASE_ONLY = ("bandwidth_rule", "bw_c", "bw_epsilon")
+_FLAG_NAMES = {"bw_epsilon": "--epsilon"}  # every other flag is --<field-name>
 
 
 def _load_config(args) -> SimConfig:
@@ -272,10 +276,13 @@ def _load_config(args) -> SimConfig:
         if not isinstance(values, dict):
             raise ValueError(f"{args.config}: a config must be a JSON object, "
                              f"got {json.dumps(values)[:40]}")
-        unknown = set(values) - _CONFIG_FIELDS
+        unknown = set(values) - _CONFIG_FIELDS.keys()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    # every simulation flag is stored under its SimConfig field name
+        unread = sorted(set(values) & set(_PHASE_ONLY)) if args.command == "simulate" else []
+        if unread:
+            raise ValueError(f"{args.config}: simulate takes every bandwidth from --grid "
+                             f"and reads no bandwidth rule, but the config sets {unread}")
     values.update({k: v for k, v in vars(args).items()
                    if k in _CONFIG_FIELDS and v is not None})
     return SimConfig(**values)
@@ -361,8 +368,7 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-intercept", action="store_true",
                    help="do not prepend an intercept column")
     p.add_argument("--u0", type=float, required=True, help="target domain identifier")
-    p.add_argument("--family", default="gaussian",
-                   choices=["gaussian", "logistic", "poisson"])
+    p.add_argument("--family", default="gaussian", choices=tuple(FAMILIES))
     p.add_argument("--order", type=int, default=1, help="local polynomial order l")
     p.add_argument("--beta", type=float, default=2.0, help="smoothness parameter")
     p.add_argument("--bandwidth", default="auto",
@@ -384,26 +390,20 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output report path (default: stdout)")
 
 
+def _add_config_flag(p: argparse.ArgumentParser, name: str) -> None:
+    """The flag that sets SimConfig field ``name``: its dest is the field's
+    name, its type and choices the field's; unset, it leaves the config's value."""
+    f, flag = _CONFIG_FIELDS[name], _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+    p.add_argument(flag, dest=name, default=None, choices=f.metadata.get("choices"),
+                   type={"int": int, "float": float}.get(f.type),
+                   metavar=flag[2:].upper() if name in _FLAG_NAMES else None)
+
+
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--family", default=None,
-                   choices=["gaussian", "logistic", "poisson"])
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--n-bar", dest="n_bar", type=int, default=None)
-    p.add_argument("--n0", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--theta-spec", dest="theta_spec", default=None,
-                   choices=["paper_default", "tanh_pair"])
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--e0", type=float, default=None)
-    p.add_argument("--q-mode", dest="q_mode", default=None,
-                   choices=["estimate", "oracle", "zero", "infinity"])
+    for name in _CONFIG_FIELDS:
+        if name not in _CONFIG_ONLY + _PHASE_ONLY:
+            _add_config_flag(p, name)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="worker processes (default: the CPU count)")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
@@ -442,11 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--vary", required=True, choices=["K", "gamma", "n"])
     p_phase.add_argument("--grid", required=True,
                          help="comma-separated grid for the varied parameter")
-    p_phase.add_argument("--bandwidth-rule", dest="bandwidth_rule", default=None,
-                         choices=BANDWIDTH_RULES)
-    p_phase.add_argument("--bw-c", dest="bw_c", type=float, default=None)
-    p_phase.add_argument("--epsilon", dest="bw_epsilon", metavar="EPSILON", type=float,
-                         default=None)
+    for name in _PHASE_ONLY:
+        _add_config_flag(p_phase, name)
     p_phase.add_argument("--segments", type=int, default=3,
                          help="segments for the log-log slope fit")
     p_phase.add_argument("--slopes-out", default=None,

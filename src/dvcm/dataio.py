@@ -120,10 +120,11 @@ def _locate(path: Path, headers: Sequence[str], exc: ValueError) -> ParseError:
     """The ParseError for a file numpy's reader refused with ``exc``.
 
     The file is read again record by record with ``csv``, as plain text:
-    the first row whose width is not the header's, or the first cell
-    ``float()`` rejects, is named by its line and column, and a byte that
-    does not decode by its line.  A file with neither, say one with a cell
-    only ``float()`` reads (``1_000``), gets numpy's own message.
+    the first row whose width is not the header's, or the first cell numpy
+    refuses, is named by its line and column, and a byte that does not
+    decode by its line.  numpy takes a cell exactly when ``float()`` reads
+    it and its stripped text is ASCII without ``_`` (so not ``1_000``); a
+    file with none of these gets numpy's own message.
     """
     try:
         with open(path, newline="") as fh:
@@ -134,6 +135,8 @@ def _locate(path: Path, headers: Sequence[str], exc: ValueError) -> ParseError:
                 for column, cell in zip(headers, row):
                     try:
                         float(cell)
+                        if not cell.strip().isascii() or "_" in cell:
+                            raise ValueError  # read by float() alone
                     except ValueError:
                         return ParseError(f"{path.name}: non-numeric cell {cell!r}",
                                           row=line, column=column)

@@ -19,11 +19,9 @@ uses (``expit`` in :mod:`dvcm.families`; ``erfc``, ``gammaincc`` and
 ``ndtri`` in :mod:`dvcm.inference`) from ``scipy.special._ufuncs``.
 :func:`dvcm._scipy.extension` loads each from its file in scipy's
 directory, because importing them through ``scipy.linalg.lapack`` and
-``scipy.special`` would first run both package inits: after
-``import dvcm, dvcm.cli`` those add 289 modules (scipy's array-API
-layer, ``numpy.testing``, ``numpy.f2py`` and more), about 17 MB
-resident and about 0.2 s (fastest of 15 fresh interpreters) that the
-package never uses.  ``_ufuncs`` imports its sibling extensions
+``scipy.special`` would first run both package inits, which load
+scipy's array-API layer, ``numpy.testing``, ``numpy.f2py`` and more
+that the package never uses.  ``_ufuncs`` imports its sibling extensions
 relatively while it initialises, which needs a ``scipy.special`` entry
 in ``sys.modules``: a bare stand-in for the package sits there for the
 length of that one load (as one for ``scipy.linalg`` does while

@@ -21,7 +21,7 @@ import numpy as np
 from ._scipy import extension
 from .errors import DomainError
 
-__all__ = ["ModelFamily", "GAUSSIAN", "LOGISTIC", "POISSON", "get_family"]
+__all__ = ["ModelFamily", "GAUSSIAN", "LOGISTIC", "POISSON", "FAMILIES", "get_family"]
 
 expit = extension("special", "_ufuncs").expit
 
@@ -143,14 +143,14 @@ POISSON = ModelFamily(
     b3=np.exp,
 )
 
-_FAMILIES = {f.kind: f for f in (GAUSSIAN, LOGISTIC, POISSON)}
+FAMILIES = {f.kind: f for f in (GAUSSIAN, LOGISTIC, POISSON)}
 
 
 def get_family(name: str) -> ModelFamily:
     """Resolve a family from its string token (case-insensitive)."""
     try:
-        return _FAMILIES[name.lower()]
+        return FAMILIES[name.lower()]
     except KeyError:
         raise ValueError(
-            f"unknown family {name!r}; expected one of {sorted(_FAMILIES)}"
+            f"unknown family {name!r}; expected one of {sorted(FAMILIES)}"
         ) from None

@@ -22,9 +22,8 @@ fit and the pooled pilot, so its covariance combines both ingredients:
 ``theta_TL - theta(u0)`` directly; :meth:`TransferProblem.covariance`
 assembles it on the ``gram`` / ``spd_factor`` primitives of
 :mod:`dvcm.estimators`.  Tail probabilities use ``scipy.special``'s
-ufuncs, reached as :mod:`dvcm.estimators` describes: ``scipy.stats`` would
-take ``import dvcm, dvcm.cli`` from about 0.4 s to 1.4 s (fastest of 15
-fresh interpreters, less a bare one, on a shared 2-vCPU host).
+ufuncs, reached as :mod:`dvcm.estimators` describes, so that ``import dvcm``
+never loads ``scipy.stats``.
 """
 
 from __future__ import annotations

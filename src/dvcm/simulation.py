@@ -26,7 +26,7 @@ import math
 import numbers
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy.random  # at import: it would otherwise load on the first draw
 from .bandwidth import BANDWIDTH_RULES
 from .design import DomainSample, Panel
 from .errors import DomainError, DvcmError, ExperimentError
-from .families import get_family
+from .families import FAMILIES, get_family
 from .inference import TransferProblem, normal_quantile, wald_test
 
 __all__ = [
@@ -57,19 +57,32 @@ _ESTIMATORS = ("lr", "dvcm", "tl")
 _Q_MODES = ("estimate", "oracle", "zero", "infinity")
 
 
+def _theta_paper_default(u: float, p: int) -> np.ndarray:
+    g = abs(u) ** 3  # u^3 sign(u): continuous 2nd derivative, kinked 3rd
+    th = np.empty(p)
+    th[0] = -math.tanh(16.0 * (u - 0.2)) + g
+    if p > 1:
+        th[1] = math.exp(5.0 * u + 2.5) / 100.0 - 0.5 + g
+    for j in range(2, p):
+        th[j] = (-0.5) ** (j - 1) * math.exp(2.0 * u)
+    return th
+
+
+# the coefficient curves theta(u, p) that a theta_spec names
+_THETA_SPECS = {
+    "paper_default": _theta_paper_default,
+    "tanh_pair": lambda u, p: np.full(p, math.tanh(8.0 * (u - 0.2))),
+}
+
 # every SimConfig field's annotation names one of these types, and it holds a value of it
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
                 "str": (str, "a string")}
 
 
-def _is_a(value, kind) -> bool:
-    # bool is an int to Python, never a count or a bandwidth here
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SimConfig:
-    """Configuration of one simulated experiment.
+    """Configuration of one simulated experiment; ``simulate`` and ``phase``
+    build their flags from its fields' types and ``metadata["choices"]``.
 
     ``family`` is stored as its family's ``kind``, so ``"Gaussian"`` is
     ``"gaussian"``.  A sweep's bandwidths are given to ``mc_sweep``;
@@ -79,7 +92,7 @@ class SimConfig:
     simulation only), or the limiting cases ``zero`` / ``infinity``.
     """
 
-    family: str = "gaussian"
+    family: str = field(default="gaussian", metadata={"choices": tuple(FAMILIES)})
     p: int = 4
     K: int = 5
     n_bar: int = 120
@@ -90,21 +103,26 @@ class SimConfig:
     cov_rho: float = 0.7
     reps: int = 200
     seed: int = 0
-    theta_spec: str = "paper_default"
+    theta_spec: str = field(default="paper_default", metadata={"choices": tuple(_THETA_SPECS)})
     order: int = 1
     beta: float = 2.0
     delta: float = 1.0
     e0: float = 1.0
     bw_c: float = 0.5
     bw_epsilon: float = 0.2
-    bandwidth_rule: str = "median"
-    q_mode: str = "estimate"
+    bandwidth_rule: str = field(default="median", metadata={"choices": BANDWIDTH_RULES})
+    q_mode: str = field(default="estimate", metadata={"choices": _Q_MODES})
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            kind = _FIELD_KINDS[f.type]
-            if not _is_a(getattr(self, f.name), kind[0]):
-                raise ValueError(f"{f.name} must be {kind[1]}, got {getattr(self, f.name)!r}")
+            value, (kind, noun) = getattr(self, f.name), _FIELD_KINDS[f.type]
+            if not isinstance(value, kind) or isinstance(value, bool):  # bools are no numbers
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+            choices = f.metadata.get("choices")
+            if f.name == "family":  # get_family takes any case and names the choices
+                object.__setattr__(self, "family", get_family(value).kind)
+            elif choices and value not in choices:
+                raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
         if min(self.p, self.K, self.n_bar, self.n0, self.reps) < 1:
             raise ValueError("p, K, n_bar, n0 and reps must be positive")
         if self.seed < 0:
@@ -115,11 +133,6 @@ class SimConfig:
                                  f"got {getattr(self, name)!r}")
         if not -1.0 < self.cov_rho < 1.0:
             raise ValueError("cov_rho must lie in (-1, 1)")
-        if self.q_mode not in _Q_MODES:
-            raise ValueError(f"q_mode must be one of {_Q_MODES}")
-        if self.bandwidth_rule not in BANDWIDTH_RULES:
-            raise ValueError(f"bandwidth_rule must be one of {BANDWIDTH_RULES}")
-        object.__setattr__(self, "family", get_family(self.family).kind)
         half = self.gamma / 2.0
         try:  # each term of a curve is monotone in u or |u|: check the range's ends and u0
             for u in (-half, half, self.u0):
@@ -131,23 +144,7 @@ class SimConfig:
     @property
     def theta(self) -> Callable[[float], np.ndarray]:
         """The coefficient curve theta(u) named by ``theta_spec``."""
-        p = self.p
-        if self.theta_spec == "paper_default":
-            return lambda u: _theta_paper_default(u, p)
-        if self.theta_spec == "tanh_pair":
-            return lambda u: np.full(p, math.tanh(8.0 * (u - 0.2)))
-        raise ValueError(f"unknown theta_spec {self.theta_spec!r}")
-
-
-def _theta_paper_default(u: float, p: int) -> np.ndarray:
-    g = abs(u) ** 3  # u^3 sign(u): continuous 2nd derivative, kinked 3rd
-    th = np.empty(p)
-    th[0] = -math.tanh(16.0 * (u - 0.2)) + g
-    if p > 1:
-        th[1] = math.exp(5.0 * u + 2.5) / 100.0 - 0.5 + g
-    for j in range(2, p):
-        th[j] = (-0.5) ** (j - 1) * math.exp(2.0 * u)
-    return th
+        return functools.partial(_THETA_SPECS[self.theta_spec], p=self.p)
 
 
 def rng_stream(seed: int, rep: int, role: str) -> np.random.Generator:

@@ -104,6 +104,36 @@ class TestCmdFit:
         assert report["bandwidth"]["rule"] == "median_rule"
         assert report["tests"]["wald"]["p_value"] <= 1.0
 
+    def test_fixed_bandwidth_runs_the_pipeline_at_that_h(self, tmp_path, monkeypatch):
+        import dvcm.cli
+        from dvcm.inference import TransferProblem
+
+        made = []  # the arguments of the pipeline's TransferProblem
+
+        def record(*args, **kwargs):
+            made.append((args, kwargs))
+            return TransferProblem(*args, **kwargs)
+
+        monkeypatch.setattr(dvcm.cli, "TransferProblem", record)
+        out = tmp_path / "r.json"
+        data = write_constant_theta_csv(tmp_path / "c.csv", noise=0.3)
+        assert main(fit_args(data, out, ["--bandwidth", "0.3"])) == 0
+        report = json.loads(out.read_text())
+        ((args, kwargs),) = made
+        problem = TransferProblem(*args, **kwargs)
+        assert problem.bandwidth("median", c=1.0, epsilon=0.2).h != 0.3
+        fixed = problem.bandwidth("fixed", c=1.0, epsilon=0.2, h=0.3)
+        assert report["bandwidth"] == {
+            "h": 0.3, "rule": "fixed", "rate_term": 0.3, "d1": fixed.d1, "dK": fixed.dK,
+            "feasible": True, "clipped": False, "diagnostics": {}}
+        pilot = problem.pilot(0.3)
+        pen = problem.penalty(pilot)
+        theta_lr, theta_dvcm = problem.full_target(0.3)
+        assert (report["theta_lr"], report["theta_dvcm"]) == (theta_lr.tolist(),
+                                                            theta_dvcm.tolist())
+        assert report["theta_tl"] == problem.fine_tune(pilot, pen.q).theta_tl.tolist()
+        assert report["q_hat"] == pen.q.tolist()
+
     def test_missing_column_error_prefixed(self, tmp_path, capsys):
         data = write_constant_theta_csv(tmp_path / "c.csv", n=50)
         rc = main(fit_args(data, tmp_path / "r.json",
@@ -378,6 +408,23 @@ class TestCliMisuse:
         "config_grid_not_a_list": (
             lambda d, o: TestCliMisuse._config(d, '{"bandwidth_grid": 5}') + ["--out", str(o)],
             "unknown config keys: ['bandwidth_grid']"),
+        # simulate takes every h from --grid: a rule's keys would change no byte
+        "simulate_config_sets_bandwidth_rule": (
+            lambda d, o: TestCliMisuse._config(d, '{"bandwidth_rule": "undersmoothed"}')
+            + ["--out", str(o)], "reads no bandwidth rule, but the config sets "
+                                 "['bandwidth_rule']"),
+        "simulate_config_sets_bw_c": (
+            lambda d, o: TestCliMisuse._config(d, '{"bw_c": 0.8}') + ["--out", str(o)],
+            "reads no bandwidth rule, but the config sets ['bw_c']"),
+        "simulate_config_sets_bw_epsilon": (
+            lambda d, o: TestCliMisuse._config(d, '{"p": 2, "bw_epsilon": 0.3, "bw_c": 1}')
+            + ["--out", str(o)], "reads no bandwidth rule, but the config sets "
+                                 "['bw_c', 'bw_epsilon']"),
+        "phase_config_rule_fixed": (  # fixed needs an h, which no replication has
+            lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9",
+                          *TestCliMisuse._config(d, '{"bandwidth_rule": "fixed"}')[1:3],
+                          "--p", "2", "--reps", "2", "--threads", "1", "--out", str(o)],
+            "bandwidth_rule must be one of ('median', 'undersmoothed'), got 'fixed'"),
         "sigma_k_drops_every_row": (
             lambda d, o: fit_args(d, o, ["--sigma-k", "0"]), "--sigma-k 0.0 drops every row"),
         "bandwidth_not_finite": (
@@ -596,6 +643,15 @@ class TestCliMisuse:
         assert rc == 1 and not out.exists()
         assert capsys.readouterr().err == line
 
+    def test_phase_offers_no_fixed_rule(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
+                  "--reps", "2", "--threads", "1", "--bandwidth-rule", "fixed",
+                  "--out", str(out)])
+        assert exit_.value.code == 2 and not out.exists()
+        assert "argument --bandwidth-rule: invalid choice: 'fixed'" in capsys.readouterr().err
+
     def test_u_expr_error_names_the_row(self, tmp_path, capsys):
         argv, _ = self.CASES["u_expr_not_finite"]
         assert main(argv(self._data(tmp_path), tmp_path / "out")) == 1
@@ -776,3 +832,89 @@ def test_readme_commands_parse(capsys):
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"dvcm {' '.join(argv)}: {capsys.readouterr().err}")
+
+
+# Every option of every subcommand, one line each: option strings, dest, type,
+# choices, default (--threads defaults to the CPU count) and whether it is required.
+# A change to any setting shows here in review.
+_DATA_OPTIONS = """
+    --data           data           -     -                             None          required
+    --u-col          u_col          -     -                             None
+    --u-expr         u_expr         -     -                             None
+    --x-cols         x_cols         -     -                             None          required
+    --y-col          y_col          -     -                             None          required
+    --no-intercept   no_intercept   -     -                             False
+    --u0             u0             float -                             None          required
+    --family         family         -     gaussian|logistic|poisson     'gaussian'
+    --order          order          int   -                             1
+    --beta           beta           float -                             2.0
+    --bandwidth      bandwidth      -     -                             'auto'
+    --gamma          gamma          float -                             None
+    --e0             e0             float -                             1.0
+    --bw-c           bw_c           float -                             1.0
+    --epsilon        epsilon        float -                             0.2
+    --delta          delta          float -                             1.0
+    --seed           seed           int   -                             0
+    --split          split          -     -                             '1/3,1/3,1/3'
+    --bins           bins           int   -                             10
+    --sigma-k        sigma_k        float -                             3.0
+    --level          level          float -                             0.95
+    --out            out            -     -                             None
+"""
+_SIM_OPTIONS = """
+    --config         config         -     -                             None
+    --family         family         -     gaussian|logistic|poisson     None
+    --p              p              int   -                             None
+    --K              K              int   -                             None
+    --n-bar          n_bar          int   -                             None
+    --n0             n0             int   -                             None
+    --gamma          gamma          float -                             None
+    --noise-sd       noise_sd       float -                             None
+    --reps           reps           int   -                             None
+    --seed           seed           int   -                             None
+    --theta-spec     theta_spec     -     paper_default|tanh_pair       None
+    --order          order          int   -                             None
+    --beta           beta           float -                             None
+    --delta          delta          float -                             None
+    --e0             e0             float -                             None
+    --q-mode         q_mode         -     estimate|oracle|zero|infinity None
+    --threads        threads        int   -                             cpu_count
+    --out            out            -     -                             None
+"""
+CLI_SURFACE = {
+    "fit": _DATA_OPTIONS,
+    "infer": _DATA_OPTIONS + """
+    --null-theta     null_theta     -     -                             None
+    --contrast       contrast       -     -                             None
+    --zeta           zeta           float -                             0.0
+""",
+    "simulate": _SIM_OPTIONS + """
+    --grid           grid           -     -                             None          required
+    --estimators     estimators     -     -                             'lr,dvcm,tl'
+""",
+    "phase": _SIM_OPTIONS + """
+    --vary           vary           -     K|gamma|n                     None          required
+    --grid           grid           -     -                             None          required
+    --bandwidth-rule bandwidth_rule -     median|undersmoothed          None
+    --bw-c           bw_c           float -                             None
+    --epsilon        bw_epsilon     float -                             None
+    --segments       segments       int   -                             3
+    --slopes-out     slopes_out     -     -                             None
+""",
+}
+
+
+def test_cli_surface_is_the_recorded_table():
+    import argparse
+
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    surface = {}
+    for name, parser in commands.items():
+        surface[name] = [
+            [",".join(a.option_strings), a.dest, getattr(a.type, "__name__", "-"),
+             "|".join(a.choices or "-"), "cpu_count" if a.dest == "threads" else repr(a.default),
+             *(["required"] if a.required else [])]
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    assert surface == {name: [line.split() for line in table.splitlines() if line.strip()]
+                       for name, table in CLI_SURFACE.items()}

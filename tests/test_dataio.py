@@ -217,14 +217,13 @@ class TestIngestPaths:
         "bad_byte_past_the_header_buffer": ("u,x1,y\n" + "0.1,2,3\n" * 3000 + "0.2,3,\udcff\n",
             "dataio: data.csv: not valid utf-8 text: invalid start byte (row 3002, column None)",
             3002, None),
-        # read by float() alone, which loaded them before numpy parsed every file:
-        # they now fail with numpy's message
+        # read by float() alone, which numpy refuses: named by file line and column
         "underscore_literal": ("u,x1,y\n0.5,1_000,2\n",
-            "dataio: data.csv: could not convert string '1_000' to float64 at row 0, "
-            "column 2.", None, None),
+            "dataio: data.csv: non-numeric cell '1_000' (row 2, column 'x1')", 2, "x1"),
         "non_ascii_digits": ("u,x1,y\n0.5,2,\u0663\n",
-            "dataio: data.csv: could not convert string '\u0663' to float64 at row 0, "
-            "column 3.", None, None),
+            "dataio: data.csv: non-numeric cell '\u0663' (row 2, column 'y')", 2, "y"),
+        "underscore_literal_after_blank_line": ("u,x1,y\n0.1,2,3\n\n0.5,1_000,2\n",
+            "dataio: data.csv: non-numeric cell '1_000' (row 4, column 'x1')", 4, "x1"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

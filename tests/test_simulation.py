@@ -63,6 +63,14 @@ class TestTrueCoefficient:
         with pytest.raises(ValueError, match="unknown family 'gamma'"):
             SimConfig(family="gamma")
 
+    @pytest.mark.parametrize("field,value", [
+        ("bandwidth_rule", "fixed"),  # an experiment's replications have no h to fix
+        ("q_mode", "oracles"),
+    ])
+    def test_choice_outside_its_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be one of .*, got '{value}'"):
+            SimConfig(**{field: value})
+
     def test_curve_overflowing_on_the_source_range_rejected(self):
         # exp(5u + 2.5) / 100 overflows for u above about 141.5
         assert np.isfinite(SimConfig(p=2, gamma=282.0).theta(141.0)).all()
