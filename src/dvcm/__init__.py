@@ -68,9 +68,7 @@ try:
     )
     from .penalty import (
         PenaltyEstimate,
-        estimate_bias,
         estimate_derivative,
-        estimate_q,
         estimate_scale,
         estimate_variance_sandwich,
         zeta_hat,

@@ -147,6 +147,8 @@ def _run_fit_pipeline(args) -> EstimateReport:
         raise ValueError(
             f"--split needs at least 2 parts (pilot, fine-tune), got {args.split!r}"
         )
+    if not 0.0 < args.level < 1.0:
+        raise ValueError(f"--level must lie in (0, 1), got {args.level}")
     panel, diag = _ingest(args)
 
     mids = panel.u
@@ -226,11 +228,15 @@ def cmd_fit(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if args.null_theta is None and args.contrast is None:
+        raise ValueError("infer requires --null-theta and/or --contrast")
+    null, v = (None if text is None else np.asarray(_parse_float_list(text, flag))
+               for text, flag in ((args.null_theta, "--null-theta"),
+                                  (args.contrast, "--contrast")))
     report = _run_fit_pipeline(args)
     theta = np.asarray(report.theta_tl)
     sigma = np.asarray(report.covariance["sigma_tl"])
-    if args.null_theta is not None:
-        null = np.asarray(_parse_float_list(args.null_theta, "--null-theta"))
+    if null is not None:
         if null.size != theta.size:
             raise ValueError(
                 f"--null-theta has {null.size} entries, expected {theta.size}"
@@ -239,16 +245,13 @@ def cmd_infer(args) -> int:
         report.tests["wald"] = {
             "null": null.tolist(), "statistic": stat, "df": df, "p_value": p,
         }
-    if args.contrast is not None:
-        v = np.asarray(_parse_float_list(args.contrast, "--contrast"))
+    if v is not None:
         if v.size != theta.size:
             raise ValueError(f"--contrast has {v.size} entries, expected {theta.size}")
         z, p = contrast_test(theta, sigma, v, args.zeta)
         report.tests["contrast"] = {
             "v": v.tolist(), "zeta": args.zeta, "z": z, "p_value": p,
         }
-    if not report.tests:
-        raise ValueError("infer requires --null-theta and/or --contrast")
     _write_report(report, args.out)
     return 0
 
@@ -321,6 +324,11 @@ def cmd_phase(args) -> int:
     if fractional:
         raise ValueError(f"--grid part {fractional[0]!r} is not a whole number, "
                          f"as --vary {args.vary} needs")
+    if args.segments < 1:
+        raise ValueError(f"--segments must be at least 1, got {args.segments}")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError(f"--grid must be strictly increasing for the slope fit, "
+                         f"got {args.grid!r}")
     if len(grid) < 2 * args.segments + 2:
         raise ValueError(
             f"grid of {len(grid)} points cannot support {args.segments} segments"

@@ -3,13 +3,13 @@
 :class:`TransferProblem` is the one estimation chain (pooled pilot,
 penalty Q_hat, fine-tune, covariance), run by ``fit``/``infer``, which
 also take their full-target lr and dvcm estimates from it, and by every
-Monte-Carlo replication; it is the one place that reuses work.  It
-stacks its pooled panel once and keeps every ingredient that does not
-depend on the pilot bandwidth (the target-only fits, the Pearson scale,
-the derivative plug-in), so each bandwidth fits the pilot and hands it,
-with the arrays the chain built itself, straight to the penalty's
-implementation, which reads the bias's moments off the kernel window the
-pilot located: nothing is converted, re-checked or located again.
+Monte-Carlo replication; :meth:`TransferProblem.penalty` is the one way
+to Q_hat.  The problem stacks its pooled panel once and keeps every
+ingredient that does not depend on the pilot bandwidth (the target-only
+fits, the Pearson scale, the derivative plug-in fitted at the median-rule
+bandwidth), so each bandwidth fits only the pilot, whose kernel window
+the penalty's bias reads: nothing is converted, re-checked or located
+again.
 
 The transfer estimator is a matrix-weighted combination of the target-only
 fit and the pooled pilot, so its covariance combines both ingredients:

@@ -10,11 +10,11 @@ where ``Q_hat`` then trusts a biased pilot (the README sweep's negative
 transfer at ``h >= 0.45``).  The bias's two moment matrices ``zeta``
 come from one pass over a :func:`dvcm.design.kernel_window` of the
 pooled domains, each in-window domain weighted by the uniform kernel's
-one value ``W``.  The one implementation, ``_penalty``, takes a pooled
-pilot fit and reads the bias's window and bandwidth off its design, the
-window the fit itself located: ``estimate_q`` fits that pilot on the
-pooled panel it stacks, and :class:`dvcm.inference.TransferProblem`
-passes its own, so the bias locates no window of its own on either path.
+one value ``W``.  ``_penalty`` assembles ``Q_hat`` from a pooled pilot
+fit, reading the bias's window and bandwidth off the fit's design, so the
+bias locates no window of its own; :meth:`dvcm.inference.TransferProblem.penalty`
+is its one caller and supplies the scale and the derivative plug-in.
+The public functions here are the formulas it is built from.
 Every factorisation and solve runs on the LAPACK core of
 :mod:`dvcm.estimators` (``spd_factor`` / ``spd_solve``).
 """
@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .design import _KERNEL_HEIGHT, DomainSample, KernelWindow, Panel, _record, kernel_window
 from .errors import DegenerateVarianceError, SingularSystemError
-from .estimators import LocalFit, fit_dvcm, fit_target_only, gram, spd_factor, spd_solve
+from .estimators import LocalFit, fit_dvcm, gram, spd_factor, spd_solve
 from .families import ModelFamily
 
 __all__ = [
@@ -38,9 +37,7 @@ __all__ = [
     "estimate_scale",
     "zeta_hat",
     "estimate_derivative",
-    "estimate_bias",
     "estimate_variance_sandwich",
-    "estimate_q",
 ]
 
 
@@ -143,37 +140,17 @@ def estimate_derivative(
     return fit.alpha[beta * p :] / h**beta
 
 
-def estimate_bias(
-    domains: Panel | Sequence[DomainSample],
-    u0: float,
-    h: float,
-    l: int,
-    beta: int,
-    family: ModelFamily,
-) -> np.ndarray:
-    """Plug-in bias of the order-``l`` pooled fit under smoothness ``beta``.
-
-    ``[zeta_{0,1}^{-1} zeta_{beta,1}]_{1,1} * theta^(beta)(u0) * h^beta / beta!``
-    with the zeta moments of the main fit.  The derivative comes from
-    ``estimate_derivative`` at the main bandwidth, which is not fitted
-    when the moment factor is zero.
-    """
-    beta = _bias_order(beta)
-    panel = Panel.of(domains)
-    return _bias(kernel_window(panel, u0, h, l), h, beta,
-                 partial(estimate_derivative, panel, u0, h, beta, family))
-
-
-def _bias_order(beta) -> int:
-    if not float(beta).is_integer() or beta < 1:
-        raise ValueError(f"bias estimation needs a positive integer beta, got {beta}")
-    return int(beta)
-
-
 def _bias(win: KernelWindow, h: float, beta: int, derivative: Callable[[], np.ndarray]
           ) -> np.ndarray:
-    """``estimate_bias`` over the located window ``win``."""
-    beta = _bias_order(beta)
+    """Plug-in bias of the pooled fit over its located window ``win``.
+
+    ``[zeta_{0,1}^{-1} zeta_{beta,1}]_{1,1} * theta^(beta)(u0) * h^beta / beta!``
+    with the zeta moments of ``win``; ``derivative()`` gives theta^(beta)(u0)
+    and is not called when the moment factor is zero.
+    """
+    if not float(beta).is_integer() or beta < 1:
+        raise ValueError(f"bias estimation needs a positive integer beta, got {beta}")
+    beta = int(beta)
     z01, zb1 = _zetas(win, h, (0, 1), (beta, 1))
     rhs = zb1[:, 0]
     try:
@@ -210,63 +187,14 @@ def estimate_variance_sandwich(fit: LocalFit, family: ModelFamily) -> np.ndarray
     return 0.5 * (v + v.T)
 
 
-def estimate_q(
-    domains: Panel | Sequence[DomainSample],
-    target_pilot_split: DomainSample,
-    u0: float,
-    h: float,
-    l: int,
-    beta: int,
-    delta: float,
-    family: ModelFamily,
-    *,
-    n0: int | None = None,
-) -> PenaltyEstimate:
-    """Assemble the data-driven shrinkage matrix from the pilot split.
-
-    Parameters
-    ----------
-    domains : Panel or sequence of DomainSample
-        Source domains; the pooled pilot fit at ``h`` uses
-        ``target_pilot_split`` followed by them, and the bias's moments
-        come from that fit's kernel window.
-    target_pilot_split : DomainSample
-        Target observations reserved for the pilot step; they feed the
-        scale estimate so the penalty stays independent of the
-        fine-tuning data.
-    n0 : int, optional
-        Sample size entering the ``scale / n0`` factor; defaults to the
-        pilot-split size (the fine-tune split has the same size under the
-        even-split protocol).
-
-    The bias's derivative plug-in is fitted at ``h``.  A caller sweeping
-    ``h`` runs :class:`dvcm.inference.TransferProblem`, which fits it once
-    at a rate-optimal bandwidth and reuses the other ``h``-free parts.
-    """
-    _check_delta(delta)
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be finite and positive, got {beta}")
-    pooled = Panel.pooled(target_pilot_split, Panel.of(domains))
-    pilot_fit = fit_dvcm(pooled, u0, h, l, family)
-    scale = estimate_scale(target_pilot_split,
-                           fit_target_only(target_pilot_split, family), family)
-    if n0 is None:
-        n0 = target_pilot_split.n
-    return _penalty(pilot_fit, beta, delta, family, scale, n0,
-                    partial(estimate_derivative, pooled, u0, h, beta, family))
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.5 < delta < 2.0:
-        raise ValueError(f"delta must lie in (0.5, 2), got {delta}")
-
-
 def _penalty(pilot_fit: LocalFit, beta: float, delta: float, family: ModelFamily,
              scale: float, n0: int, derivative: Callable[[], np.ndarray]
              ) -> PenaltyEstimate:
-    """``estimate_q`` given its pooled pilot fit and every other ingredient;
+    """Q_hat of the pooled ``pilot_fit`` given the pilot split's Pearson
+    ``scale``, the fine-tune size ``n0`` and the bias's ``derivative`` plug-in;
     the bias's moments come from the window and bandwidth of the fit's design."""
-    _check_delta(delta)
+    if not 0.5 < delta < 2.0:
+        raise ValueError(f"delta must lie in (0.5, 2), got {delta}")
     design = pilot_fit.design
     diagnostics: dict = {}
     if not float(beta).is_integer():

@@ -442,6 +442,24 @@ class TestCliMisuse:
         "split_checked_before_ingest": (
             lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--split", "1"]),
             "--split needs at least 2 parts"),
+        "level_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--level", "1.5"]),
+            "--level must lie in (0, 1), got 1.5"),
+        "infer_level_checked_before_ingest": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--level", "0", "--contrast", "1,0"])[1:]],
+            "--level must lie in (0, 1), got 0.0"),
+        "infer_without_a_test_checked_before_ingest": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o)[1:]],
+            "infer requires --null-theta and/or --contrast"),
+        "infer_null_theta_checked_before_ingest": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--null-theta", "a,b"])[1:]],
+            "--null-theta part 'a' is not a number"),
+        "infer_contrast_checked_before_ingest": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--contrast", "1,x"])[1:]],
+            "--contrast part 'x' is not a number"),
         "split_with_one_part": (
             lambda d, o: fit_args(d, o, ["--split", "1"]), "--split"),
         "split_zero_denominator": (
@@ -510,6 +528,23 @@ class TestCliMisuse:
             lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,inf",
                           "--p", "2", "--reps", "2", "--threads", "1", "--out", str(o)],
             "--grid values must be finite, got '2,3,4,5,6,7,8,inf'"),
+        # the slope fit's inputs are checked before the first replication runs
+        "phase_segments_zero": (
+            lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
+                          "--reps", "2", "--threads", "1", "--segments", "0", "--out", str(o)],
+            "--segments must be at least 1, got 0"),
+        "phase_segments_negative": (
+            lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
+                          "--reps", "2", "--threads", "1", "--segments", "-1", "--out", str(o)],
+            "--segments must be at least 1, got -1"),
+        "phase_grid_decreasing": (
+            lambda d, o: ["phase", "--vary", "K", "--grid", "12,10,8,6,4,3", "--p", "2",
+                          "--reps", "2", "--threads", "1", "--segments", "2", "--out", str(o)],
+            "--grid must be strictly increasing for the slope fit, got '12,10,8,6,4,3'"),
+        "phase_grid_repeated": (
+            lambda d, o: ["phase", "--vary", "K", "--grid", "3,3,4,6", "--p", "2",
+                          "--reps", "2", "--threads", "1", "--segments", "1", "--out", str(o)],
+            "--grid must be strictly increasing for the slope fit, got '3,3,4,6'"),
         "simulate_bandwidth_not_finite": (
             lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "inf",
                           "--threads", "1", "--out", str(o)],
@@ -832,6 +867,17 @@ def test_readme_commands_parse(capsys):
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"dvcm {' '.join(argv)}: {capsys.readouterr().err}")
+
+
+def test_readme_library_block_runs(capsys):
+    """The README's ``python`` block under ``## Library`` runs as written, so
+    the library example cannot drift from the chain the CLI runs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    namespace: dict = {}
+    exec(compile(block, "README.md (## Library)", "exec"), namespace)
+    assert namespace["sigma"].shape == (4, 4)
+    assert np.all(np.isfinite(namespace["theta_tl"]))
 
 
 # Every option of every subcommand, one line each: option strings, dest, type,

@@ -11,16 +11,9 @@ from dvcm.errors import DegenerateVarianceError, SingularSystemError
 from dvcm.estimators import (fit_dvcm, fit_target_only, gram, newton_weighted, spd_factor,
                              spd_solve)
 from dvcm.families import GAUSSIAN, LOGISTIC, POISSON
-from dvcm.penalty import (
-    _bias,
-    _penalty,
-    estimate_bias,
-    estimate_derivative,
-    estimate_q,
-    estimate_scale,
-    estimate_variance_sandwich,
-    zeta_hat,
-)
+from dvcm.inference import TransferProblem
+from dvcm.penalty import (_bias, estimate_derivative, estimate_scale, estimate_variance_sandwich,
+                          zeta_hat)
 
 
 def make_domain(u, x, y):
@@ -174,17 +167,24 @@ class TestEstimateDerivative:
                 estimate_derivative(doms, 0.0, 1.0, order, GAUSSIAN)
 
 
+def _plug_in_bias(doms, h):
+    """Bias of the order-1 pooled fit at u0 = 0 and ``h`` under beta = 2, with
+    the derivative fitted at ``h``."""
+    return _bias(kernel_window(doms, 0.0, h, 1), h, 2,
+                 lambda: estimate_derivative(doms, 0.0, h, 2, GAUSSIAN))
+
+
 class TestEstimateBias:
     def test_constant_theta_no_bias(self):
         doms = _noiseless_domains(lambda u: 3.0, (-0.6, -0.2, 0.3, 0.7))
-        b = estimate_bias(doms, 0.0, 1.0, 1, 2, GAUSSIAN)
+        b = _plug_in_bias(doms, 1.0)
         assert np.max(np.abs(b)) < 1e-8
 
     def test_single_domain_at_center_finite(self):
         # zeta_{0,1} is singular but zeta_{beta,1} vanishes: bias is exactly 0
         dom = make_domain(0.0, np.random.default_rng(0).normal(size=(8, 1)),
                           np.zeros(8))
-        b = estimate_bias([dom], 0.0, 1.0, 1, 2, GAUSSIAN)
+        b = _plug_in_bias([dom], 1.0)
         assert np.allclose(b, 0.0)
 
     def test_pure_quadratic_bias_is_exact(self):
@@ -196,7 +196,7 @@ class TestEstimateBias:
         for h in (0.6, 1.0):
             fit = fit_dvcm(doms, 0.0, h, 1, GAUSSIAN)
             actual_error = fit.theta[0] - 0.0
-            b = estimate_bias(doms, 0.0, h, 1, 2, GAUSSIAN)
+            b = _plug_in_bias(doms, h)
             assert b[0] == pytest.approx(actual_error, rel=1e-6, abs=1e-9)
 
     def test_matches_independent_reassembly_across_h(self):
@@ -208,14 +208,14 @@ class TestEstimateBias:
             factor = np.linalg.solve(z01, z21[:, 0])[0]
             deriv = estimate_derivative(doms, 0.0, h, 2, GAUSSIAN)
             want = factor * deriv * h**2 / 2.0
-            got = estimate_bias(doms, 0.0, h, 1, 2, GAUSSIAN)
+            got = _plug_in_bias(doms, h)
             assert np.allclose(got, want, rtol=1e-10)
 
     def test_derivative_window_widens_when_too_few_domains(self):
         # main window holds 2 identifiers (enough for the order-1 fit) but the
         # order-2 derivative fit needs 3: its bandwidth widens automatically
         doms = _noiseless_domains(lambda u: u**2, (0.05, 0.09, 0.4, 0.8), seed=4)
-        b = estimate_bias(doms, 0.0, 0.1, 1, 2, GAUSSIAN)
+        b = _plug_in_bias(doms, 0.1)
         assert np.all(np.isfinite(b))
 
     def test_derivative_callable_replaces_the_fit(self):
@@ -301,16 +301,23 @@ def _sim_domains(rng, K, n, p, gamma, theta_fun, noise=0.3):
     return doms
 
 
+def _q_hat(sources, pilot, h, fine=None, **kwargs):
+    """``penalty(pilot(h))`` of the Gaussian problem at u0 = 0 whose pilot part is
+    ``pilot`` and whose fine part is ``fine`` (default: ``pilot``)."""
+    problem = TransferProblem(pilot, pilot if fine is None else fine, sources, 0.0, GAUSSIAN,
+                              **kwargs)
+    return problem.penalty(problem.pilot(h))
+
+
 class TestEstimateQ:
     def test_scalar_arithmetic(self):
-        # nu = 1, n0 = 10, M = 0.5, delta = 1 -> Q = 1/(10*0.5) = 0.2:
-        # construct by monkey-free direct call on crafted inputs
+        # Q = delta * nu / (n0 * M) for p = 1
         rng = np.random.default_rng(9)
         theta_fun = lambda u: np.array([1.0])
         sources = _sim_domains(rng, 4, 20, 1, 1.0, theta_fun)
         pilot = DomainSample(u=0.0, x=np.ones((10, 1)),
                              y=1.0 + rng.normal(size=10))
-        pen = estimate_q(sources, pilot, 0.0, 1.0, 1, 2, 1.0, GAUSSIAN)
+        pen = _q_hat(sources, pilot, 1.0)
         m = np.outer(pen.bias_vec, pen.bias_vec) + pen.var_mat
         assert pen.q[0, 0] == pytest.approx(pen.delta * pen.scale / pen.n0 / m[0, 0],
                                             rel=1e-9)
@@ -321,7 +328,7 @@ class TestEstimateQ:
         sources = _sim_domains(rng, 5, 25, 2, 1.2, theta_fun)
         x0 = rng.normal(size=(16, 2))
         pilot = DomainSample(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.3 * rng.normal(size=16))
-        pen = estimate_q(sources, pilot, 0.0, 0.8, 1, 2, 1.0, GAUSSIAN)
+        pen = _q_hat(sources, pilot, 0.8)
         m = np.outer(pen.bias_vec, pen.bias_vec) + pen.var_mat
         ident = pen.q @ m
         assert np.allclose(ident, pen.delta * pen.scale / pen.n0 * np.eye(2), atol=1e-8)
@@ -334,19 +341,25 @@ class TestEstimateQ:
         sources = _sim_domains(rng, 4, 15, 1, 1.0, theta_fun)
         x0 = rng.normal(size=(12, 1))
         pilot = DomainSample(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.2 * rng.normal(size=12))
-        q1 = estimate_q(sources, pilot, 0.0, 1.0, 1, 2, 1.0, GAUSSIAN).q
-        q2 = estimate_q(sources, pilot, 0.0, 1.0, 1, 2, 1.9, GAUSSIAN).q
+        q1 = _q_hat(sources, pilot, 1.0, delta=1.0).q
+        q2 = _q_hat(sources, pilot, 1.0, delta=1.9).q
         assert np.allclose(q2, 1.9 * q1, rtol=1e-12)
 
     def test_inverse_n0_scaling(self):
+        # n0 is the fine part's size, which no other ingredient reads
         rng = np.random.default_rng(12)
         theta_fun = lambda u: np.array([0.4])
         sources = _sim_domains(rng, 4, 15, 1, 1.0, theta_fun)
         x0 = rng.normal(size=(12, 1))
         pilot = DomainSample(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.2 * rng.normal(size=12))
-        qa = estimate_q(sources, pilot, 0.0, 1.0, 1, 2, 1.0, GAUSSIAN, n0=10).q
-        qb = estimate_q(sources, pilot, 0.0, 1.0, 1, 2, 1.0, GAUSSIAN, n0=40).q
-        assert np.allclose(qa, 4.0 * qb, rtol=1e-12)
+        x1 = rng.normal(size=(40, 1))
+        fine = DomainSample(u=0.0, x=x1, y=x1 @ theta_fun(0.0) + 0.2 * rng.normal(size=40))
+        pa = _q_hat(sources, pilot, 1.0, fine=fine.rows(0, 10))
+        pb = _q_hat(sources, pilot, 1.0, fine=fine)
+        assert (pa.n0, pb.n0) == (10, 40)
+        assert pa.var_mat.tobytes() == pb.var_mat.tobytes()
+        assert pa.bias_vec.tobytes() == pb.bias_vec.tobytes()
+        assert np.allclose(pa.q, 4.0 * pb.q, rtol=1e-12)
 
     def test_uninformative_pilot_kills_shrinkage(self):
         # inflate the sandwich by noisy, far-spread sources: Q ~ 1/V -> small
@@ -355,7 +368,7 @@ class TestEstimateQ:
         sources = _sim_domains(rng, 3, 5, 1, 1.8, theta_fun, noise=20.0)
         x0 = rng.normal(size=(40, 1))
         pilot = DomainSample(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.1 * rng.normal(size=40))
-        pen = estimate_q(sources, pilot, 0.0, 1.0, 1, 2, 1.0, GAUSSIAN)
+        pen = _q_hat(sources, pilot, 1.0)
         assert pen.q[0, 0] < 0.05
 
     def test_delta_outside_open_interval_rejected(self):
@@ -363,16 +376,18 @@ class TestEstimateQ:
         sources = _sim_domains(rng, 3, 10, 1, 1.0, lambda u: np.array([1.0]))
         pilot = DomainSample(u=0.0, x=np.ones((8, 1)), y=np.ones(8))
         for bad in (0.5, 2.0, 0.0, 2.5):
-            with pytest.raises(ValueError):
-                estimate_q(sources, pilot, 0.0, 1.0, 1, 2, bad, GAUSSIAN)
+            with pytest.raises(ValueError, match=f"delta must lie in \\(0.5, 2\\), got {bad}"):
+                _q_hat(sources, pilot, 1.0, delta=bad)
 
     @pytest.mark.parametrize("beta", [math.inf, math.nan, -1.5])
     def test_beta_not_finite_and_positive_rejected(self, beta):
+        # the derivative's bandwidth rule refuses beta first
         rng = np.random.default_rng(14)
         sources = _sim_domains(rng, 3, 10, 1, 1.0, lambda u: np.array([1.0]))
         pilot = DomainSample(u=0.0, x=np.ones((8, 1)), y=np.ones(8))
-        with pytest.raises(ValueError, match=f"beta must be finite and positive, got {beta}"):
-            estimate_q(sources, pilot, 0.0, 1.0, 1, beta, 1.0, GAUSSIAN)
+        with pytest.raises(ValueError, match=f"must be finite and positive, got gamma=1.0, "
+                                             f"e0=1.0, beta={beta}"):
+            _q_hat(sources, pilot, 1.0, beta=beta)
 
     def test_noninteger_beta_skips_bias_with_diagnostic(self):
         rng = np.random.default_rng(15)
@@ -380,7 +395,7 @@ class TestEstimateQ:
         sources = _sim_domains(rng, 4, 15, 1, 1.0, theta_fun)
         x0 = rng.normal(size=(12, 1))
         pilot = DomainSample(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.2 * rng.normal(size=12))
-        pen = estimate_q(sources, pilot, 0.0, 1.0, 1, 1.5, 1.0, GAUSSIAN)
+        pen = _q_hat(sources, pilot, 1.0, beta=1.5)
         assert np.allclose(pen.bias_vec, 0.0)
         assert "bias_skipped_noninteger_beta" in pen.diagnostics
 
@@ -399,10 +414,6 @@ def _glm_problem(family, seed, K, p=2, n=30):
 
     sources = [domain(float(u), n) for u in rng.uniform(-0.6, 0.6, K)]
     return domain(0.0, n), sources
-
-
-def _penalty_bytes(pen):
-    return (pen.q.tobytes(), pen.bias_vec.tobytes(), pen.var_mat.tobytes(), pen.scale)
 
 
 class TestEstimateQReusesThePilotWindow:
@@ -438,31 +449,15 @@ class TestEstimateQReusesThePilotWindow:
             return
         assert bias(own).tobytes() == want.tobytes()
 
-    def test_estimate_q_locates_the_pilot_and_derivative_windows(self, count_calls):
+    def test_penalty_adds_only_the_derivative_window(self, count_calls):
         split, sources = _glm_problem(GAUSSIAN, 3, 4)
+        problem = TransferProblem(split, split, sources, 0.0, GAUSSIAN)
         windows = count_calls(kernel_window)
-        pen = estimate_q(sources, split, 0.0, 0.7, 1, 2, 1.0, GAUSSIAN)
+        pilot = problem.pilot(0.7)
+        assert windows[0] == 1
+        pen = problem.penalty(pilot)
         assert np.any(pen.bias_vec != 0.0)  # the derivative was fitted
-        assert windows[0] == 2
-
-    @pytest.mark.parametrize("family", [GAUSSIAN, LOGISTIC, POISSON])
-    def test_foreign_pilot_gives_the_fresh_result(self, family, count_calls):
-        """A pilot fitted outside estimate_q, at another bandwidth or on other
-        responses, gives the penalty estimate_q computes afresh on its data."""
-        split, sources = _glm_problem(family, 3, 4)
-        # same identifiers and sizes, other responses
-        shuffled = [DomainSample(u=d.u, x=d.x, y=d.y[::-1]) for d in sources]
-        scale = estimate_scale(split, fit_target_only(split, family), family)
-        windows = count_calls(kernel_window)
-        for data, h in ((sources, 2.0), (shuffled, 0.7)):
-            pooled = [split, *data]
-            foreign = fit_dvcm(pooled, 0.0, h, 1, family)
-            deriv = estimate_derivative(pooled, 0.0, h, 2, family)
-            located = windows[0]
-            got = _penalty(foreign, 2, 1.0, family, scale, split.n, lambda: deriv)
-            assert windows[0] == located  # the foreign pilot's own window is read
-            want = estimate_q(data, split, 0.0, h, 1, 2, 1.0, family)
-            assert _penalty_bytes(got) == _penalty_bytes(want)
+        assert windows[0] == 2  # the derivative's; the bias reads the pilot's
 
 
 def _per_row_reference(panel, u0, h, l, family):

@@ -185,6 +185,9 @@ def test_penalty_rejects_a_pilot_it_did_not_make():
         "another panel": fit_dvcm(pooled, 0.0, H, 1, fam),
         "another order": fit_dvcm(problem.pooled, 0.0, H, 0, fam),
         "another center": fit_dvcm(problem.pooled, 0.2, H, 1, fam),
+        # pilot(H) of another problem: on the same data, and of another order
+        "another problem": _problem(_draws(offsets, "gaussian"), offsets, "gaussian").pilot(H),
+        "another problem's order": _variant(order=0).pilot(H),
     }
     for pilot in foreign.values():
         with pytest.raises(ValueError, match=r"this problem's pilot\(h\)"):
