@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .design import DomainSample, Panel, domain_distances
+from .design import Panel, domain_distances
 
 __all__ = [
     "BandwidthChoice",
@@ -48,20 +47,15 @@ class BandwidthChoice:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _row_count(sources: Panel | Sequence[DomainSample]) -> int:
-    """Observations over all of ``sources``, from a panel's shape without views."""
-    return sources.n if isinstance(sources, Panel) else sum(d.n for d in sources)
-
-
-def gamma_moment_estimate(sources: Panel | Sequence[DomainSample]) -> float:
+def gamma_moment_estimate(sources: Panel) -> float:
     """Plug-in for the domain-dispersion scale: sd of the U_k times sqrt(12).
 
     Matches the length of a uniform distribution with the same variance.
     Falls back to the identifier range when a single source is available.
     """
-    us = [d.u for d in sources]
+    us = sources.u.tolist()
     if len(us) < 2:
-        return max(abs(us[0]), 1e-12) if us else 1.0
+        return max(abs(us[0]), 1e-12)
     sd = statistics.stdev(us)
     if sd == 0.0:
         return 1e-12
@@ -69,7 +63,7 @@ def gamma_moment_estimate(sources: Panel | Sequence[DomainSample]) -> float:
 
 
 def select_bandwidth_median(
-    sources: Panel | Sequence[DomainSample],
+    sources: Panel,
     u0: float,
     beta: float,
     gamma: float,
@@ -86,7 +80,7 @@ def select_bandwidth_median(
         raise ValueError(f"gamma, e0 and beta must be finite and positive, "
                          f"got gamma={gamma}, e0={e0}, beta={beta}")
     _, d1, dK = domain_distances(sources, u0)
-    n = n_extra + _row_count(sources)
+    n = n_extra + sources.n
     rate = e0 * (n / gamma) ** (-1.0 / (2.0 * beta + 1.0))
     h = float(sorted([rate, d1, dK])[1])  # the median: no NaN can reach here
     return BandwidthChoice(
@@ -96,7 +90,7 @@ def select_bandwidth_median(
 
 
 def select_bandwidth_undersmoothed(
-    sources: Panel | Sequence[DomainSample],
+    sources: Panel,
     u0: float,
     beta: float,
     gamma: float,
@@ -119,7 +113,7 @@ def select_bandwidth_undersmoothed(
                          f"and nonnegative, got gamma={gamma}, c={c}, beta={beta}, "
                          f"epsilon={epsilon}")
     _, d1, dK = domain_distances(sources, u0)
-    n = n_extra + _row_count(sources)
+    n = n_extra + sources.n
     rate_cap = (gamma / n) ** (1.0 / (2.0 * beta + 1.0))
     h = c * (gamma / n) ** ((1.0 + epsilon) / (2.0 * beta + 1.0))
     diagnostics: dict = {}
@@ -147,8 +141,7 @@ BANDWIDTH_RULES = ("median", "undersmoothed")
 
 
 def select_bandwidth(
-    rule: str, sources: Panel | Sequence[DomainSample], u0: float, beta: float,
-    gamma: float,
+    rule: str, sources: Panel, u0: float, beta: float, gamma: float,
     *, e0: float, c: float, epsilon: float, n_extra: int, h: float | None = None,
 ) -> BandwidthChoice:
     """Bandwidth of ``rule``: ``median`` (constant ``e0``), ``undersmoothed``

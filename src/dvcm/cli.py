@@ -109,11 +109,15 @@ def _parse_part(tok: str, option: str, fraction: bool = False) -> float:
 # ------------------------------------------------------------------
 
 
+def _x_columns(args) -> list[str]:
+    return [c.strip() for c in args.x_cols.split(",") if c.strip()]
+
+
 def _ingest(args) -> tuple[dataio.Panel, dict]:
     table = dataio.load_csv(
         args.data,
         u_column=args.u_col,
-        x_columns=[c.strip() for c in args.x_cols.split(",") if c.strip()],
+        x_columns=_x_columns(args),
         y_column=args.y_col,
         add_intercept=not args.no_intercept,
         u_expr=args.u_expr,
@@ -156,24 +160,22 @@ def _run_fit_pipeline(args) -> EstimateReport:
     if abs(mids[j] - args.u0) > 1e-9:
         diag["u0_snapped_to_bin"] = float(mids[j])
     u0 = float(mids[j])
-    target = panel[j]
-    sources = [d for i, d in enumerate(panel) if i != j]
-    if not sources:
-        raise ValueError("no source domains left after binning")
-
     rng = np.random.default_rng(args.seed)
-    parts = dataio.split_target(target, fractions, rng)
+    parts = dataio.split_target(panel[j], fractions, rng)
     pilot_part, fine_part = parts[0], parts[1]
     if len(parts) > 2:
         diag["test_split_rows"] = int(sum(p.n for p in parts[2:]))
+    # the split parts and the sources are copies: let the binned panel go
+    # before the problem stacks its own copy of the sources
+    sources = dataio.Panel.of(d for i, d in enumerate(panel) if i != j)
+    del panel
 
     gamma = args.gamma if args.gamma is not None else gamma_moment_estimate(sources)
     problem = TransferProblem(
         pilot_part, fine_part, sources, u0, family, order=args.order, beta=args.beta,
         delta=args.delta, gamma=gamma, e0=args.e0,
     )
-    # the problem stacked its own copy of the sources: let the binned panel go
-    del panel, target, sources
+    del sources  # the problem views its own copy
 
     choice = problem.bandwidth(rule, c=args.bw_c, epsilon=args.epsilon, h=fixed_h)
     h = choice.h
@@ -233,21 +235,19 @@ def cmd_infer(args) -> int:
     null, v = (None if text is None else np.asarray(_parse_float_list(text, flag))
                for text, flag in ((args.null_theta, "--null-theta"),
                                   (args.contrast, "--contrast")))
+    dim = len(_x_columns(args)) + (not args.no_intercept)  # theta(u0)'s coefficients
+    for vec, flag in ((null, "--null-theta"), (v, "--contrast")):
+        if vec is not None and vec.size != dim:
+            raise ValueError(f"{flag} has {vec.size} entries, expected {dim}")
     report = _run_fit_pipeline(args)
     theta = np.asarray(report.theta_tl)
     sigma = np.asarray(report.covariance["sigma_tl"])
     if null is not None:
-        if null.size != theta.size:
-            raise ValueError(
-                f"--null-theta has {null.size} entries, expected {theta.size}"
-            )
         stat, df, p = wald_test(theta, sigma, null)
         report.tests["wald"] = {
             "null": null.tolist(), "statistic": stat, "df": df, "p_value": p,
         }
     if v is not None:
-        if v.size != theta.size:
-            raise ValueError(f"--contrast has {v.size} entries, expected {theta.size}")
         z, p = contrast_test(theta, sigma, v, args.zeta)
         report.tests["contrast"] = {
             "v": v.tolist(), "zeta": args.zeta, "z": z, "p_value": p,

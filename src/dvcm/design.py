@@ -5,11 +5,10 @@ A :class:`Panel` holds every domain of a fit in one array each: covariates
 and row ``offsets (D+1,)``, so domain ``k`` owns rows
 ``offsets[k]:offsets[k+1]``.  Its shape and finiteness checks run once, at
 construction.  A :class:`DomainSample` is one validated domain, and
-indexing a panel gives one as a view.  Every public function here and in
-the estimators takes a panel or any sequence of domains and converts it
-once, at its boundary (:meth:`Panel.of`).  Records whose arrays the
-package built and checked itself are made without ``__init__``
-(:func:`_record`).
+indexing a panel gives one as a view.  Every function of the package that
+takes several domains takes a panel; :meth:`Panel.of` is the one place
+that stacks DomainSamples into one.  Records whose arrays the package
+built and checked itself are made without ``__init__`` (:func:`_record`).
 
 The local-polynomial estimators regress on rows ``Phi_l(t_k) (x) X_ki``
 where ``t_k = (U_k - u0) / h`` and ``(x)`` is the Kronecker product.
@@ -27,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -136,10 +135,8 @@ class Panel:
         self.__dict__.update(x=x, y=y, u=u, offsets=offsets)
 
     @classmethod
-    def of(cls, domains: "Panel | Iterable[DomainSample]") -> "Panel":
-        """``domains`` itself if it is a panel, else its domains stacked in order."""
-        if isinstance(domains, Panel):
-            return domains
+    def of(cls, domains: Iterable[DomainSample]) -> "Panel":
+        """The DomainSamples ``domains`` stacked in order in one new panel."""
         domains = list(domains)
         if not domains:
             raise ValueError("at least one domain is required")
@@ -153,12 +150,9 @@ class Panel:
                        offsets=np.cumsum([0] + [d.n for d in domains]))
 
     @classmethod
-    def pooled(cls, first: DomainSample,
-               rest: "Panel | Iterable[DomainSample]") -> "Panel":
-        """``first`` followed by the domains of ``rest``, stacked in one new
-        panel; a panel ``rest`` is stacked from its arrays, not its views."""
-        if not isinstance(rest, Panel):
-            return cls.of([first, *rest])
+    def pooled(cls, first: DomainSample, rest: "Panel") -> "Panel":
+        """``first`` followed by the domains of ``rest``, stacked from their
+        arrays in one new panel."""
         if first.p != rest.p:
             raise ValueError("all domains must share the same covariate dimension")
         return _record(cls, x=np.concatenate([first.x, rest.x]),
@@ -262,9 +256,7 @@ class KernelWindow:
     panel: Panel
 
 
-def kernel_window(
-    domains: Panel | Sequence[DomainSample], u0: float, h: float, l: int
-) -> KernelWindow:
+def kernel_window(domains: Panel, u0: float, h: float, l: int) -> KernelWindow:
     """Locate the in-window domains of ``domains`` around ``u0``; may be empty.
 
     A domain is inside when ``|t| <= 1``, where the uniform kernel is
@@ -275,15 +267,14 @@ def kernel_window(
         raise ValueError(f"bandwidth must be finite and positive, got {h}")
     if not 0 <= l <= _MAX_ORDER:
         raise ValueError(f"polynomial order must be between 0 and {_MAX_ORDER}, got {l}")
-    panel = Panel.of(domains)
-    t_all = (panel.u - u0) / h
+    t_all = (domains.u - u0) / h
     index = (np.abs(t_all) <= 1.0).nonzero()[0]
     t = t_all[index]
-    n = panel.sizes[index]
+    n = domains.sizes[index]
     phi = np.array([_powers(tk, l) for tk in t.tolist()])
     return _record(
         KernelWindow, index=index, n=n, t=t, phi=phi.reshape(index.size, l + 1),
-        s_h=float((_KERNEL_HEIGHT * n).sum()), n_total=panel.n, panel=panel,
+        s_h=float((_KERNEL_HEIGHT * n).sum()), n_total=domains.n, panel=domains,
     )
 
 
@@ -296,14 +287,12 @@ def _kron_columns(p: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, blocks
 
 
-def build_local_design(
-    domains: Panel | Sequence[DomainSample], u0: float, h: float, l: int
-) -> LocalDesign:
+def build_local_design(domains: Panel, u0: float, h: float, l: int) -> LocalDesign:
     """Stack ``Phi_l((U_k - u0)/h) (x) X_ki`` over all in-window observations.
 
     Parameters
     ----------
-    domains : Panel or sequence of DomainSample
+    domains : Panel
         Every domain contributing to the pooled fit (target split included
         when the caller pools it).
     u0, h, l : float, float, int
@@ -343,17 +332,11 @@ def build_local_design(
     )
 
 
-def domain_distances(
-    domains: Panel | Sequence[DomainSample], u0: float
-) -> tuple[np.ndarray, float, float]:
+def domain_distances(domains: Panel, u0: float) -> tuple[np.ndarray, float, float]:
     """Sorted distances |u0 - U_k| over source domains, with d_(1) and d_(K).
 
     The target always sits at distance zero, so callers pass source
-    domains only; an empty sequence is an argument error.
+    domains only.
     """
-    if not domains:
-        raise ValueError("at least one source domain is required")
-    # a panel's identifiers are read from its array, not from views
-    u = domains.u if isinstance(domains, Panel) else np.array([d.u for d in domains])
-    d = np.sort(np.abs(u - u0))
+    d = np.sort(np.abs(domains.u - u0))
     return d, float(d[0]), float(d[-1])

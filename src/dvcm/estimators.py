@@ -33,7 +33,6 @@ so every result is bit for bit what they would give.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -202,14 +201,8 @@ def fit_target_only(target: DomainSample, family: ModelFamily) -> np.ndarray:
     return alpha
 
 
-def fit_dvcm(
-    domains: Panel | Sequence[DomainSample],
-    u0: float,
-    h: float,
-    l: int,
-    family: ModelFamily,
-    start: np.ndarray | None = None,
-) -> LocalFit:
+def fit_dvcm(domains: Panel, u0: float, h: float, l: int, family: ModelFamily,
+             start: np.ndarray | None = None) -> LocalFit:
     """Pooled local-polynomial fit of order ``l`` at ``u0`` with bandwidth ``h``.
 
     Gaussian solves the weighted normal equations in closed form; other
@@ -218,9 +211,8 @@ def fit_dvcm(
     nearest domain (zeros when that system is singular), and callers that
     already hold that estimate pass it.
     """
-    panel = Panel.of(domains)
-    family.check_response(panel.y)
-    design = build_local_design(panel, u0, h, l)
+    family.check_response(domains.y)
+    design = build_local_design(domains, u0, h, l)
     z, w, y = design.z, design.weight, design.y
     dim = z.shape[1]
     if family.kind == "gaussian":
@@ -229,7 +221,7 @@ def fit_dvcm(
         converged, iterations = True, 0
     else:
         if start is None:
-            nearest = panel[int(np.argmin(np.abs(panel.u - u0)))]
+            nearest = domains[int(np.argmin(np.abs(domains.u - u0)))]
             try:
                 start = fit_target_only(nearest, family)
             except SingularSystemError:

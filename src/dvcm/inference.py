@@ -29,7 +29,6 @@ never loads ``scipy.stats``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -184,7 +183,7 @@ class TransferProblem:
 
     pilot_part: DomainSample
     fine: DomainSample
-    sources: Panel | Sequence[DomainSample]
+    sources: Panel
     u0: float
     family: ModelFamily
     order: int = 1
@@ -215,10 +214,11 @@ class TransferProblem:
         """Pearson scale of ``theta_glr`` on ``pilot_part``, for the penalty."""
         return estimate_scale(self.pilot_part, self.theta_glr, self.family)
 
-    def bandwidth(self, rule: str, *, c: float, epsilon: float,
+    def bandwidth(self, rule: str, *, c: float = 1.0, epsilon: float = 0.2,
                   h: float | None = None) -> BandwidthChoice:
         """:func:`select_bandwidth`'s ``rule`` on this problem's sources, whose
-        rate term also counts the ``pilot_part`` rows pooled with them."""
+        rate term also counts the ``pilot_part`` rows pooled with them; ``c``
+        and ``epsilon`` default to :func:`select_bandwidth_undersmoothed`'s."""
         return select_bandwidth(rule, self.sources, self.u0, self.beta, self.gamma,
                                 e0=self.e0, c=c, epsilon=epsilon,
                                 n_extra=self.pilot_part.n, h=h)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -77,9 +77,7 @@ def estimate_scale(
     return float(np.mean(r2))
 
 
-def zeta_hat(
-    domains: Panel | Sequence[DomainSample], u0: float, h: float, l: int, r: int, s: int
-) -> np.ndarray:
+def zeta_hat(domains: Panel, u0: float, h: float, l: int, r: int, s: int) -> np.ndarray:
     """Sample moment matrix (nh)^{-1} sum_k n_k Phi_l(t_k) Phi_l(t_k)' t_k^r W(t_k)^s.
 
     ``n`` counts every observation in ``domains``; domains outside the
@@ -106,14 +104,8 @@ def _zetas(win: KernelWindow, h: float, *moments: tuple[int, int]) -> list[np.nd
     return list(acc / (win.n_total * h))
 
 
-def estimate_derivative(
-    domains: Panel | Sequence[DomainSample],
-    u0: float,
-    h: float,
-    beta: int,
-    family: ModelFamily,
-    start: np.ndarray | None = None,
-) -> np.ndarray:
+def estimate_derivative(domains: Panel, u0: float, h: float, beta: int, family: ModelFamily,
+                        start: np.ndarray | None = None) -> np.ndarray:
     """Estimate the beta-th derivative of theta at u0 by an order-beta local fit.
 
     Extracts the last ``p``-block of the stacked coefficients, rescaled by
@@ -124,9 +116,8 @@ def estimate_derivative(
     """
     if beta < 1 or not float(beta).is_integer():
         raise ValueError(f"derivative order must be a positive integer, got {beta}")
-    panel = Panel.of(domains)
-    dist = np.abs(panel.u - u0)
-    if len(set(panel.u[dist <= h].tolist())) < beta + 1:
+    dist = np.abs(domains.u - u0)
+    if len(set(domains.u[dist <= h].tolist())) < beta + 1:
         us = sorted(set(dist.tolist()))
         if len(us) < beta + 1:  # before int(beta): a huge order prints as given
             raise SingularSystemError(
@@ -135,7 +126,7 @@ def estimate_derivative(
             )
         h = us[int(beta)] * (1.0 + 1e-9)
     beta = int(beta)
-    fit = fit_dvcm(panel, u0, h, beta, family, start)
+    fit = fit_dvcm(domains, u0, h, beta, family, start)
     p = fit.design.p
     return fit.alpha[beta * p :] / h**beta
 

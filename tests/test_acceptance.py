@@ -14,7 +14,7 @@ import pytest
 
 from dvcm.bandwidth import select_bandwidth_median
 from dvcm.cli import main
-from dvcm.design import DomainSample, build_local_design, poly_features, uniform_kernel
+from dvcm.design import DomainSample, Panel, build_local_design, poly_features, uniform_kernel
 from dvcm.errors import SingularSystemError
 from dvcm.estimators import fit_dvcm, fit_tl, newton_weighted
 from dvcm.families import GAUSSIAN, LOGISTIC, POISSON
@@ -81,7 +81,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
                                      y=rng.normal(size=n_k)))
         try:
             oracle = _brute_force_weighted_normal_equations(doms, 0.0, 1.0, l)
-            fit = fit_dvcm(doms, 0.0, 1.0, l, GAUSSIAN)
+            fit = fit_dvcm(Panel.of(doms), 0.0, 1.0, l, GAUSSIAN)
         except (np.linalg.LinAlgError, SingularSystemError):
             continue
         worst_dvcm = max(worst_dvcm, float(np.max(np.abs(fit.alpha - oracle))))
@@ -273,7 +273,7 @@ def test_criterion_9_pipeline_invariants():
     # Kronecker block structure of the stacked design
     doms = [DomainSample(u=u, x=rng.normal(size=(5, 2)), y=rng.normal(size=5))
             for u in (-0.4, 0.0, 0.7)]
-    design = build_local_design(doms, 0.0, 1.0, 2)
+    design = build_local_design(Panel.of(doms), 0.0, 1.0, 2)
     block_ok = True
     row_domain = np.repeat(design.window.index, design.window.n)
     for i in range(design.z.shape[0]):
@@ -285,8 +285,8 @@ def test_criterion_9_pipeline_invariants():
     checks["kronecker_blocks"] = block_ok
 
     # median-rule bounds
-    sources = [DomainSample(u=u, x=np.ones((8, 1)), y=np.zeros(8))
-               for u in (0.2, -0.5, 0.8)]
+    sources = Panel.of(DomainSample(u=u, x=np.ones((8, 1)), y=np.zeros(8))
+                       for u in (0.2, -0.5, 0.8))
     in_bounds = True
     for e0 in (0.05, 0.3, 1.0, 3.0):
         ch = select_bandwidth_median(sources, 0.0, 2.0, 1.0, e0)

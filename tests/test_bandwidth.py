@@ -17,7 +17,7 @@ from dvcm.design import DomainSample, Panel
 def sources_with(d1=0.2, dK=0.7, n_total=32):
     half = n_total // 2
     mk = lambda u, n: DomainSample(u=u, x=np.ones((n, 1)), y=np.zeros(n))
-    return [mk(d1, half), mk(dK, n_total - half)]
+    return Panel.of([mk(d1, half), mk(dK, n_total - half)])
 
 
 class TestMedianRule:
@@ -40,9 +40,9 @@ class TestMedianRule:
         assert choice.rate_term == pytest.approx(0.9)
         assert choice.h == pytest.approx(0.7)
 
-    def test_requires_sources(self):
-        with pytest.raises(ValueError):
-            select_bandwidth_median([], 0.0, 2.0, 1.0, 1.0)
+    def test_requires_sources(self):  # a panel always holds a domain
+        with pytest.raises(ValueError, match="at least one domain"):
+            select_bandwidth_median(Panel.of([]), 0.0, 2.0, 1.0, 1.0)
 
     def test_invalid_params(self):
         for kwargs in ({"gamma": 0.0}, {"e0": 0.0}, {"beta": 0.0}, {"beta": math.inf},
@@ -63,7 +63,7 @@ class TestMedianRule:
 class TestUndersmoothed:
     def test_formula_value(self):
         # gamma=1, n=10000, beta=2, eps=0.2, c=1 -> 10000^{-1.2/5}
-        src = [DomainSample(u=0.05, x=np.ones((10000, 1)), y=np.zeros(10000))]
+        src = Panel.of([DomainSample(u=0.05, x=np.ones((10000, 1)), y=np.zeros(10000))])
         choice = select_bandwidth_undersmoothed(src, 0.0, beta=2.0, gamma=1.0,
                                                 c=1.0, epsilon=0.2)
         assert choice.h == pytest.approx(10000.0 ** (-1.2 / 5.0), rel=1e-12)
@@ -71,13 +71,13 @@ class TestUndersmoothed:
         assert not choice.clipped
 
     def test_epsilon_zero_is_flagged_boundary(self):
-        src = [DomainSample(u=0.01, x=np.ones((100, 1)), y=np.zeros(100))]
+        src = Panel.of([DomainSample(u=0.01, x=np.ones((100, 1)), y=np.zeros(100))])
         choice = select_bandwidth_undersmoothed(src, 0.0, 2.0, 1.0, 1.0, 0.0)
         assert choice.h == pytest.approx(choice.rate_term, rel=1e-12)
         assert choice.diagnostics.get("epsilon_boundary") is True
 
     def test_clipped_just_above_d1(self):
-        src = [DomainSample(u=0.3, x=np.ones((10000, 1)), y=np.zeros(10000))]
+        src = Panel.of([DomainSample(u=0.3, x=np.ones((10000, 1)), y=np.zeros(10000))])
         choice = select_bandwidth_undersmoothed(src, 0.0, 2.0, 1.0, 1.0, 0.2)
         assert choice.clipped
         assert choice.h > 0.3
@@ -86,7 +86,7 @@ class TestUndersmoothed:
 
     def test_infeasible_clip_flagged_not_fatal(self):
         # d1 beyond the rate-optimal level: clip succeeds with a diagnostic
-        src = [DomainSample(u=0.9, x=np.ones((10000, 1)), y=np.zeros(10000))]
+        src = Panel.of([DomainSample(u=0.9, x=np.ones((10000, 1)), y=np.zeros(10000))])
         choice = select_bandwidth_undersmoothed(src, 0.0, 2.0, 1.0, 1.0, 0.2)
         assert choice.clipped and not choice.feasible
         assert "infeasible_undersmoothing" in choice.diagnostics
@@ -104,7 +104,7 @@ class TestUndersmoothed:
 
     def test_monotone_in_n_and_gamma(self):
         def h_for(n, gamma):
-            src = [DomainSample(u=1e-6, x=np.ones((n, 1)), y=np.zeros(n))]
+            src = Panel.of([DomainSample(u=1e-6, x=np.ones((n, 1)), y=np.zeros(n))])
             return select_bandwidth_undersmoothed(src, 0.0, 2.0, gamma, 1.0, 0.2).h
 
         assert h_for(2000, 1.0) > h_for(20000, 1.0)
@@ -115,7 +115,7 @@ def test_gamma_moment_estimate_matches_uniform_length():
     rng = np.random.default_rng(0)
     gamma = 1.8
     us = rng.uniform(-gamma / 2, gamma / 2, 4000)
-    sources = [DomainSample(u=u, x=np.ones((1, 1)), y=np.zeros(1)) for u in us]
+    sources = Panel.of(DomainSample(u=u, x=np.ones((1, 1)), y=np.zeros(1)) for u in us)
     est = gamma_moment_estimate(sources)
     assert est == pytest.approx(gamma, rel=0.05)
     assert est == pytest.approx(np.std(us, ddof=1) * np.sqrt(12.0), rel=1e-12)
@@ -139,9 +139,8 @@ class TestSelectBandwidth:
 
     @pytest.mark.parametrize("rule", ["median", "undersmoothed", "fixed"])
     def test_panel_sources_give_the_list_result_without_views(self, rule, monkeypatch):
-        src = sources_with()
-        want = select_bandwidth(rule, src, 0.0, 2.0, 1.0, h=0.3, **self.KW)
-        panel = Panel.of(src)
+        panel = sources_with()  # Panel.of a list of two domains
+        want = select_bandwidth(rule, panel, 0.0, 2.0, 1.0, h=0.3, **self.KW)
 
         def no_view(*args):
             raise AssertionError("a DomainSample view of the panel was built")

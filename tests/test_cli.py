@@ -460,6 +460,19 @@ class TestCliMisuse:
             lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
                                              ["--contrast", "1,x"])[1:]],
             "--contrast part 'x' is not a number"),
+        # theta(u0) has len(--x-cols) coefficients, plus the intercept's
+        "infer_null_theta_length_checked_before_ingest": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--null-theta", "0,0,0,0"])[1:]],
+            "--null-theta has 4 entries, expected 2"),
+        "infer_contrast_length_checked_before_ingest": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--contrast", "1"])[1:]],
+            "--contrast has 1 entries, expected 2"),
+        "infer_contrast_length_without_intercept_checked_before_ingest": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--no-intercept", "--contrast", "1,0"])[1:]],
+            "--contrast has 2 entries, expected 1"),
         "split_with_one_part": (
             lambda d, o: fit_args(d, o, ["--split", "1"]), "--split"),
         "split_zero_denominator": (

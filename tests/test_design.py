@@ -1,3 +1,8 @@
+import importlib
+import inspect
+import pkgutil
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,7 +69,7 @@ class TestPolyFeatures:
 class TestBuildLocalDesign:
     def test_single_domain_order_zero(self):
         dom = make_domain(0.3, [[1.0, 2.0]], [5.0])
-        d = build_local_design([dom], u0=0.3, h=0.1, l=0)
+        d = build_local_design(Panel.of([dom]), u0=0.3, h=0.1, l=0)
         assert np.allclose(d.z, [[1.0, 2.0]])
         assert d.weight == 1.0
         assert d.window.s_h == pytest.approx(0.5)
@@ -73,7 +78,7 @@ class TestBuildLocalDesign:
     def test_out_of_window_domain_dropped(self):
         near = make_domain(0.0, [[1.0]], [1.0])
         far = make_domain(0.5, [[1.0]], [2.0])  # |t| = 2 -> zero weight
-        d = build_local_design([near, far], u0=0.0, h=0.25, l=0)
+        d = build_local_design(Panel.of([near, far]), u0=0.0, h=0.25, l=0)
         assert d.z.shape[0] == 1
         assert _row_domain(d).tolist() == [0]
         assert d.n_total == 2  # still counted in the (nh) scalings
@@ -82,7 +87,7 @@ class TestBuildLocalDesign:
         # hand evaluation: t = +-0.5, Phi_1 = (1, +-0.5), scalar X = 1
         a = make_domain(0.5, [[1.0]], [0.0])
         b = make_domain(-0.5, [[1.0]], [0.0])
-        d = build_local_design([a, b], u0=0.0, h=1.0, l=1)
+        d = build_local_design(Panel.of([a, b]), u0=0.0, h=1.0, l=1)
         assert np.allclose(sorted(d.z[:, 1]), [-0.5, 0.5])
         assert np.allclose(d.z[:, 0], [1.0, 1.0])
         assert d.weight == 0.5  # raw 0.5 over the total 1.0, for each row
@@ -91,7 +96,7 @@ class TestBuildLocalDesign:
     def test_empty_window_error_with_hint(self):
         doms = [make_domain(0.4, [[1.0]]), make_domain(-0.9, [[1.0]])]
         with pytest.raises(EmptyWindowError) as exc:
-            build_local_design(doms, u0=0.0, h=0.1, l=0)
+            build_local_design(Panel.of(doms), u0=0.0, h=0.1, l=0)
         assert exc.value.d1 == pytest.approx(0.4)
 
     def test_weights_normalised_and_positive_row_count(self):
@@ -101,7 +106,7 @@ class TestBuildLocalDesign:
             for u, n in [(0.0, 3), (0.4, 5), (0.9, 2), (2.0, 7)]
         ]
         h = 1.0
-        d = build_local_design(doms, u0=0.0, h=h, l=1)
+        d = build_local_design(Panel.of(doms), u0=0.0, h=h, l=1)
         in_window = sum(dom.n for dom in doms if abs(dom.u) <= h)
         assert d.z.shape[0] == in_window
         assert np.full(d.z.shape[0], d.weight).sum() == pytest.approx(1.0)
@@ -113,7 +118,7 @@ class TestBuildLocalDesign:
             for u in (-0.3, 0.1, 0.6)
         ]
         l, h = 2, 1.0
-        d = build_local_design(doms, u0=0.0, h=h, l=l)
+        d = build_local_design(Panel.of(doms), u0=0.0, h=h, l=l)
         p = 3
         row_domain = _row_domain(d)
         for i in range(d.z.shape[0]):
@@ -127,12 +132,12 @@ class TestBuildLocalDesign:
 
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError):
-            build_local_design([make_domain(0.0, [[1.0]])], 0.0, 0.0, 1)
+            build_local_design(Panel.of([make_domain(0.0, [[1.0]])]), 0.0, 0.0, 1)
 
     @pytest.mark.parametrize("h", [float("inf"), float("nan")])
     def test_bandwidth_not_finite_and_positive(self, h):
         with pytest.raises(ValueError, match="finite and positive"):
-            kernel_window([make_domain(0.0, [[1.0]])], 0.0, h, 1)
+            kernel_window(Panel.of([make_domain(0.0, [[1.0]])]), 0.0, h, 1)
 
 
 def _kron_design(domains, u0, h, l):
@@ -201,9 +206,9 @@ class TestDesignEqualsKroneckerOracle:
             want = _kron_design(domains, u0, h, l)
         except ValueError:  # no domain in the window: nothing to concatenate
             with pytest.raises(EmptyWindowError):
-                build_local_design(domains, u0, h, l)
+                build_local_design(Panel.of(domains), u0, h, l)
             return
-        got = build_local_design(domains, u0, h, l)
+        got = build_local_design(Panel.of(domains), u0, h, l)
         for name, a in _rows(got).items():
             b = want[name]
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -212,7 +217,7 @@ class TestDesignEqualsKroneckerOracle:
         assert got.window.s_h == want["s_h"]
 
     def test_boundary_domains_are_kept(self):
-        doms = [make_domain(u, [[1.0, 2.0]], [0.0]) for u in (-0.5, 0.5, 0.75)]
+        doms = Panel.of(make_domain(u, [[1.0, 2.0]], [0.0]) for u in (-0.5, 0.5, 0.75))
         win = kernel_window(doms, 0.0, 0.5, 2)
         assert win.index.tolist() == [0, 1] and win.t.tolist() == [-1.0, 1.0]
         assert _row_domain(build_local_design(doms, 0.0, 0.5, 2)).tolist() == [0, 1]
@@ -231,21 +236,20 @@ def _list_window(domains, u0, h, l):
 
 
 class TestPanelEqualsDomainListOracle:
-    """The panel route is bit-identical to the per-domain list route."""
+    """The panel route is bit-identical to per-domain reference constructions."""
 
     @given(_panels(), st.integers(0, 3))
     @settings(max_examples=150, deadline=None)
     def test_window_bit_identical(self, panel, l):
         domains, u0, h = panel
         want = _list_window(domains, u0, h, l)
-        for given_as in (domains, Panel.of(domains)):
-            win = kernel_window(given_as, u0, h, l)
-            for name in ("index", "n", "t", "phi"):
-                a, b = getattr(win, name), want[name]
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-            # every in-window domain has the kernel's one value
-            assert want["w"].tobytes() == np.full(win.index.size, _KERNEL_HEIGHT).tobytes()
-            assert (win.s_h, win.n_total) == (want["s_h"], want["n_total"])
+        win = kernel_window(Panel.of(domains), u0, h, l)
+        for name in ("index", "n", "t", "phi"):
+            a, b = getattr(win, name), want[name]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        # every in-window domain has the kernel's one value
+        assert want["w"].tobytes() == np.full(win.index.size, _KERNEL_HEIGHT).tobytes()
+        assert (win.s_h, win.n_total) == (want["s_h"], want["n_total"])
 
     @given(_panels(), st.integers(0, 3))
     @settings(max_examples=150, deadline=None)
@@ -300,7 +304,9 @@ class TestPanel:
         panel = Panel.of(domains)
         assert (len(panel), panel.n, panel.p) == (3, 7, 3)
         assert panel.offsets.tolist() == [0, 2, 3, 7] and panel.sizes.tolist() == [2, 1, 4]
-        assert Panel.of(panel) is panel
+        again = Panel.of(panel)  # a panel's views, stacked anew
+        assert again is not panel and not np.shares_memory(again.x, panel.x)
+        assert (again.x.tobytes(), again.u.tobytes()) == (panel.x.tobytes(), panel.u.tobytes())
         for k, (view, dom) in enumerate(zip(panel, domains)):
             for got in (view, panel[k]):
                 assert type(got.u) is float and got.u == dom.u
@@ -338,7 +344,7 @@ class TestPanel:
     def test_pooled_stacks_a_panel_like_its_domains(self):
         first, *rest = self._domains()
         want = Panel.of([first, *rest])
-        for given_as in (rest, Panel.of(rest), Panel.of([first, *rest])[1:]):
+        for given_as in (Panel.of(rest), Panel.of([first, *rest])[1:]):
             got = Panel.pooled(first, given_as)
             for name in ("x", "y", "u", "offsets"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -363,21 +369,55 @@ class TestPanel:
 
 class TestDomainDistances:
     def test_basic(self):
-        doms = [make_domain(u, [[1.0]]) for u in (0.2, -0.3, 0.7)]
+        doms = Panel.of(make_domain(u, [[1.0]]) for u in (0.2, -0.3, 0.7))
         d, d1, dK = domain_distances(doms, 0.0)
         assert d1 == pytest.approx(0.2)
         assert dK == pytest.approx(0.7)
         assert np.all(np.diff(d) >= 0)
 
     def test_single_source(self):
-        d, d1, dK = domain_distances([make_domain(0.4, [[1.0]])], 0.0)
+        d, d1, dK = domain_distances(Panel.of([make_domain(0.4, [[1.0]])]), 0.0)
         assert d1 == dK == pytest.approx(0.4)
 
     def test_degenerate_ties(self):
-        doms = [make_domain(0.0, [[1.0]]) for _ in range(3)]
+        doms = Panel.of(make_domain(0.0, [[1.0]]) for _ in range(3))
         _, d1, dK = domain_distances(doms, 0.0)
         assert d1 == dK == 0.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            domain_distances([], 0.0)
+    def test_empty_rejected(self):  # a panel always holds a domain
+        with pytest.raises(ValueError, match="at least one domain"):
+            domain_distances(Panel.of([]), 0.0)
+
+
+def _public_callables():
+    """``(name, callable)`` for every name in a ``dvcm`` module's ``__all__``,
+    and for the public methods of each class among them."""
+    import dvcm
+
+    for info in pkgutil.iter_modules(dvcm.__path__):
+        module = importlib.import_module(f"dvcm.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                yield from ((f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)
+                            if not attr.startswith("_") and callable(getattr(obj, attr)))
+            if callable(obj):
+                yield name, obj
+
+
+def test_only_panel_of_takes_a_sequence_of_domains():
+    """Several domains are a Panel everywhere: Panel.of alone converts DomainSamples."""
+    second_form = re.compile(r"\b(Sequence|Iterable)\[DomainSample\]")
+    found, checked = [], set()
+    for name, fn in _public_callables():
+        checked.add(name)
+        if name == "Panel.of":
+            continue
+        sig = inspect.signature(fn)
+        annotations = [(p.name, p.annotation) for p in sig.parameters.values()]
+        for where, annotation in annotations + [("return", sig.return_annotation)]:
+            if second_form.search(str(annotation)):
+                found.append(f"{name}: {where}: {annotation}")
+    assert {"kernel_window", "fit_dvcm", "zeta_hat", "select_bandwidth", "TransferProblem",
+            "Panel.of", "Panel.pooled"} <= checked
+    assert not found, found

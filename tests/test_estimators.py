@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from scipy.linalg import cho_factor, cho_solve
 
-from dvcm.design import DomainSample, build_local_design
+from dvcm.design import DomainSample, Panel, build_local_design
 from dvcm.errors import DomainError, DvcmError, SingularSystemError
 from dvcm.estimators import (LocalFit, fit_dvcm, fit_target_only, fit_tl, newton_weighted,
                              spd_factor, spd_solve)
@@ -134,10 +134,10 @@ class TestFitDvcm:
     def test_constant_theta_recovered_exactly(self):
         rng = np.random.default_rng(2)
         theta = np.array([1.5, -0.7])
-        doms = [
+        doms = Panel.of(
             DomainSample(u=u, x=(x := rng.normal(size=(6, 2))), y=x @ theta)
             for u in (-0.4, 0.0, 0.3, 0.9)
-        ]
+        )
         for h in (0.5, 1.0, 2.0):
             fit = fit_dvcm(doms, 0.0, h, 0, GAUSSIAN)
             assert np.max(np.abs(fit.theta - theta)) < 1e-8
@@ -146,25 +146,25 @@ class TestFitDvcm:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(12, 2))
         dom = DomainSample(u=0.2, x=x, y=rng.normal(size=12))
-        fit = fit_dvcm([dom], 0.2, 0.5, 0, GAUSSIAN)
+        fit = fit_dvcm(Panel.of([dom]), 0.2, 0.5, 0, GAUSSIAN)
         assert np.allclose(fit.theta, fit_target_only(dom, GAUSSIAN), atol=1e-12)
 
     def test_matches_brute_force_small_case(self):
         rng = np.random.default_rng(4)
-        doms = [
+        doms = Panel.of(
             DomainSample(u=u, x=rng.normal(size=(5, 1)), y=rng.normal(size=5))
             for u in (-0.5, 0.5)
-        ]
+        )
         fit = fit_dvcm(doms, 0.0, 1.0, 1, GAUSSIAN)
         oracle = _brute_force_weighted_ls(doms, 0.0, 1.0, 1)
         assert np.max(np.abs(fit.alpha - oracle)) < 1e-6
 
     def test_theta_is_leading_block(self):
         rng = np.random.default_rng(6)
-        doms = [
+        doms = Panel.of(
             DomainSample(u=u, x=rng.normal(size=(8, 2)), y=rng.normal(size=8))
             for u in (-0.4, 0.1, 0.5)
-        ]
+        )
         fit = fit_dvcm(doms, 0.0, 1.0, 1, GAUSSIAN)
         assert np.array_equal(fit.theta, fit.alpha[:2])
 
@@ -179,8 +179,8 @@ class TestFitDvcm:
                 doms.append(DomainSample(u=rng.uniform(-0.8, 0.8),
                                          x=rng.normal(size=(n, p)),
                                          y=rng.normal(size=n)))
-            fit = fit_dvcm(doms, 0.0, 1.0, int(l), GAUSSIAN)
-            design = build_local_design(doms, 0.0, 1.0, int(l))
+            fit = fit_dvcm(Panel.of(doms), 0.0, 1.0, int(l), GAUSSIAN)
+            design = build_local_design(Panel.of(doms), 0.0, 1.0, int(l))
             alpha, converged, _ = newton_weighted(
                 design.z, design.weight, design.y, GAUSSIAN,
                 np.zeros(design.z.shape[1]))
@@ -189,9 +189,9 @@ class TestFitDvcm:
 
     def test_given_start_is_the_default_start(self, count_calls):
         rng = np.random.default_rng(8)
-        doms = [DomainSample(u=u, x=rng.normal(size=(30, 2)),
-                             y=rng.integers(0, 2, 30).astype(float))
-                for u in (0.0, -0.3, 0.4)]
+        doms = Panel.of(DomainSample(u=u, x=rng.normal(size=(30, 2)),
+                                     y=rng.integers(0, 2, 30).astype(float))
+                        for u in (0.0, -0.3, 0.4))
         start = fit_target_only(doms[0], LOGISTIC)
         calls = count_calls(fit_target_only)
         default = fit_dvcm(doms, 0.0, 1.0, 1, LOGISTIC)
@@ -207,8 +207,8 @@ class TestFitDvcm:
                              y=rng.integers(0, 2, 40).astype(float))
         with pytest.raises(SingularSystemError):
             fit_target_only(flat, LOGISTIC)
-        default = fit_dvcm([flat, other], 0.0, 1.0, 0, LOGISTIC)
-        zero = fit_dvcm([flat, other], 0.0, 1.0, 0, LOGISTIC, np.zeros(2))
+        default = fit_dvcm(Panel.of([flat, other]), 0.0, 1.0, 0, LOGISTIC)
+        zero = fit_dvcm(Panel.of([flat, other]), 0.0, 1.0, 0, LOGISTIC, np.zeros(2))
         assert default.alpha.tobytes() == zero.alpha.tobytes()
 
 
@@ -344,18 +344,18 @@ def _singular_cases():
     x = rng.normal(size=(30, 2))
     clean = make_domain(0.3, x, x @ np.array([1.0, 2.0]))  # noiseless: V_hat = 0
     flat = make_domain(0.0, np.ones((3, 2)), [1.0, 2.0, 3.0])  # rank-1 design
-    lone = build_local_design([clean], 0.0, 1.0, 1)  # z = [x, 0.3 x]: rank 2 of 4
+    lone = build_local_design(Panel.of([clean]), 0.0, 1.0, 1)  # z = [x, 0.3 x]: rank 2 of 4
     pilot_split = make_domain(0.0, x[:10], x[:10] @ np.array([1.0, 2.0]))
     return {
         "normal_equations": lambda: fit_target_only(flat, GAUSSIAN),
         "sandwich_bread": lambda: estimate_variance_sandwich(
             LocalFit(np.zeros(4), np.zeros(2), lone, True, 0), GAUSSIAN),
         "pilot_mse": lambda: _penalty(
-            fit_dvcm([pilot_split, clean], 0.0, 0.5, 0, GAUSSIAN), 2, 1.0, GAUSSIAN,
+            fit_dvcm(Panel.of([pilot_split, clean]), 0.0, 0.5, 0, GAUSSIAN), 2, 1.0, GAUSSIAN,
             estimate_scale(pilot_split, fit_target_only(pilot_split, GAUSSIAN), GAUSSIAN),
             pilot_split.n, lambda: np.ones(2)),
         "zeta_moments": lambda: _bias(
-            kernel_window([clean], 0.0, 0.5, 1), 0.5, 2, lambda: np.ones(2)),
+            kernel_window(Panel.of([clean]), 0.0, 0.5, 1), 0.5, 2, lambda: np.ones(2)),
         "psi_hat": lambda: v_hat_target(flat, np.zeros(2), GAUSSIAN),
         "b_q": lambda: sigma_tl(np.ones((2, 2)), np.zeros((2, 2)), np.eye(2), np.eye(2)),
         "sigma_tl": lambda: wald_test(np.zeros(2), np.ones((2, 2)), np.ones(2)),

@@ -79,32 +79,32 @@ class TestZetaHat:
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_the_domain_loop(self, specs, l, r, s, h):
         doms = [make_domain(u, np.ones((n, 1)), np.zeros(n)) for u, n in specs]
-        got = zeta_hat(doms, 0.1, h, l, r, s)
+        got = zeta_hat(Panel.of(doms), 0.1, h, l, r, s)
         assert got.tobytes() == _zeta_loop(doms, 0.1, h, l, r, s).tobytes()
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_signed_zero_sums_are_the_loops(self, r):
         # t**3 underflows to -0.0, so terms of the lone domain are signed
         # zeros; the domain loop starts from +0.0, and so must the sum
-        doms = [make_domain(-1e-200, np.ones((3, 1)), np.zeros(3))]
+        doms = Panel.of([make_domain(-1e-200, np.ones((3, 1)), np.zeros(3))])
         got = zeta_hat(doms, 0.0, 0.25, 1, r, 1)
         assert got.tobytes() == _zeta_loop(doms, 0.0, 0.25, 1, r, 1).tobytes()
 
     def test_single_domain_at_center(self):
         dom = make_domain(0.0, np.ones((7, 1)), np.zeros(7))
         for h in (0.5, 1.0, 2.0):
-            z = zeta_hat([dom], 0.0, h, 0, 0, 1)
+            z = zeta_hat(Panel.of([dom]), 0.0, h, 0, 0, 1)
             assert z.shape == (1, 1)
             assert z[0, 0] == pytest.approx(0.5 / h)
 
     def test_odd_moment_vanishes_by_symmetry(self):
-        doms = [make_domain(0.3, np.ones((5, 1)), np.zeros(5)),
-                make_domain(-0.3, np.ones((5, 1)), np.zeros(5))]
+        doms = Panel.of([make_domain(0.3, np.ones((5, 1)), np.zeros(5)),
+                         make_domain(-0.3, np.ones((5, 1)), np.zeros(5))])
         z = zeta_hat(doms, 0.0, 1.0, 0, 1, 1)
         assert abs(z[0, 0]) < 1e-15
 
     def test_squared_kernel_halves(self):
-        doms = [make_domain(u, np.ones((4, 1)), np.zeros(4)) for u in (0.2, -0.6)]
+        doms = Panel.of(make_domain(u, np.ones((4, 1)), np.zeros(4)) for u in (0.2, -0.6))
         z1 = zeta_hat(doms, 0.0, 1.0, 1, 0, 1)
         z2 = zeta_hat(doms, 0.0, 1.0, 1, 0, 2)
         assert np.allclose(z2, 0.5 * z1)
@@ -117,7 +117,7 @@ class TestZetaHat:
             doms.append(make_domain(rng.uniform(-1.5, 1.5), np.ones((n, 1)),
                                     np.zeros(n)))
         for (l, r, s) in [(0, 0, 1), (1, 2, 1), (2, 1, 2), (1, 3, 1)]:
-            got = zeta_hat(doms, 0.1, 0.8, l, r, s)
+            got = zeta_hat(Panel.of(doms), 0.1, 0.8, l, r, s)
             want = _zeta_oracle(doms, 0.1, 0.8, l, r, s)
             assert np.allclose(got, want, atol=1e-14)
 
@@ -125,13 +125,13 @@ class TestZetaHat:
         rng = np.random.default_rng(1)
         doms = [make_domain(rng.uniform(-1, 1), np.ones((3, 1)), np.zeros(3))
                 for _ in range(5)]
-        a = zeta_hat(doms, 0.0, 1.0, 1, 0, 1)
-        b = zeta_hat(doms[::-1], 0.0, 1.0, 1, 0, 1)
+        a = zeta_hat(Panel.of(doms), 0.0, 1.0, 1, 0, 1)
+        b = zeta_hat(Panel.of(doms[::-1]), 0.0, 1.0, 1, 0, 1)
         assert np.allclose(a, b)
 
     def test_out_of_window_gives_zero(self):
         dom = make_domain(5.0, np.ones((3, 1)), np.zeros(3))
-        assert np.allclose(zeta_hat([dom], 0.0, 1.0, 1, 0, 1), 0.0)
+        assert np.allclose(zeta_hat(Panel.of([dom]), 0.0, 1.0, 1, 0, 1), 0.0)
 
 
 def _noiseless_domains(fun, us, n=6, seed=0):
@@ -140,7 +140,7 @@ def _noiseless_domains(fun, us, n=6, seed=0):
     for u in us:
         x = rng.normal(size=(n, 1))
         doms.append(DomainSample(u=u, x=x, y=x[:, 0] * fun(u)))
-    return doms
+    return Panel.of(doms)
 
 
 class TestEstimateDerivative:
@@ -184,15 +184,15 @@ class TestEstimateBias:
         # zeta_{0,1} is singular but zeta_{beta,1} vanishes: bias is exactly 0
         dom = make_domain(0.0, np.random.default_rng(0).normal(size=(8, 1)),
                           np.zeros(8))
-        b = _plug_in_bias([dom], 1.0)
+        b = _plug_in_bias(Panel.of([dom]), 1.0)
         assert np.allclose(b, 0.0)
 
     def test_pure_quadratic_bias_is_exact(self):
         # for theta(u) = u^2 with identical per-domain designs, the plug-in
         # equals the actual estimation error: theta_hat_dvcm(0) =
         # h^2 [zeta01^{-1} zeta21]_{11} and the order-2 fit returns exactly 2
-        doms = [DomainSample(u=u, x=np.ones((6, 1)), y=np.full(6, u**2))
-                for u in (-0.9, -0.35, 0.15, 0.55, 0.95)]
+        doms = Panel.of(DomainSample(u=u, x=np.ones((6, 1)), y=np.full(6, u**2))
+                        for u in (-0.9, -0.35, 0.15, 0.55, 0.95))
         for h in (0.6, 1.0):
             fit = fit_dvcm(doms, 0.0, h, 1, GAUSSIAN)
             actual_error = fit.theta[0] - 0.0
@@ -235,7 +235,8 @@ class TestEstimateBias:
         def never():
             raise AssertionError("derivative evaluated for a zero moment factor")
 
-        assert np.allclose(_bias(kernel_window([dom], 0.0, 1.0, 1), 1.0, 2, never), 0.0)
+        win = kernel_window(Panel.of([dom]), 0.0, 1.0, 1)
+        assert np.allclose(_bias(win, 1.0, 2, never), 0.0)
 
 
 def _textbook_hc0(x, y):
@@ -255,7 +256,7 @@ class TestSandwich:
         for u in (-0.3, 0.2, 0.6):
             x = rng.normal(size=(6, 2))
             doms.append(DomainSample(u=u, x=x, y=x @ theta))
-        fit = fit_dvcm(doms, 0.0, 1.0, 0, GAUSSIAN)
+        fit = fit_dvcm(Panel.of(doms), 0.0, 1.0, 0, GAUSSIAN)
         v = estimate_variance_sandwich(fit, GAUSSIAN)
         assert np.max(np.abs(v)) < 1e-20
 
@@ -264,7 +265,7 @@ class TestSandwich:
         x = rng.normal(size=(30, 3))
         y = x @ np.array([0.5, -1.0, 0.2]) + rng.normal(size=30)
         dom = DomainSample(u=0.0, x=x, y=y)
-        fit = fit_dvcm([dom], 0.0, 1.0, 0, GAUSSIAN)
+        fit = fit_dvcm(Panel.of([dom]), 0.0, 1.0, 0, GAUSSIAN)
         v = estimate_variance_sandwich(fit, GAUSSIAN)
         assert np.allclose(v, _textbook_hc0(x, y), rtol=1e-10)
 
@@ -275,17 +276,17 @@ class TestSandwich:
         noise = rng.normal(size=20)
         c = 3.0
         v1 = estimate_variance_sandwich(
-            fit_dvcm([DomainSample(u=0.0, x=x, y=x @ theta + noise)],
+            fit_dvcm(Panel.of([DomainSample(u=0.0, x=x, y=x @ theta + noise)]),
                      0.0, 1.0, 0, GAUSSIAN), GAUSSIAN)
         v2 = estimate_variance_sandwich(
-            fit_dvcm([DomainSample(u=0.0, x=x, y=x @ theta + c * noise)],
+            fit_dvcm(Panel.of([DomainSample(u=0.0, x=x, y=x @ theta + c * noise)]),
                      0.0, 1.0, 0, GAUSSIAN), GAUSSIAN)
         assert np.allclose(v2, c**2 * v1, rtol=1e-10)
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(8)
-        doms = [DomainSample(u=u, x=rng.normal(size=(10, 2)), y=rng.normal(size=10))
-                for u in (-0.5, 0.0, 0.4)]
+        doms = Panel.of(DomainSample(u=u, x=rng.normal(size=(10, 2)), y=rng.normal(size=10))
+                        for u in (-0.5, 0.0, 0.4))
         fit = fit_dvcm(doms, 0.0, 1.0, 1, GAUSSIAN)
         v = estimate_variance_sandwich(fit, GAUSSIAN)
         assert np.allclose(v, v.T)
@@ -298,7 +299,7 @@ def _sim_domains(rng, K, n, p, gamma, theta_fun, noise=0.3):
         u = rng.uniform(-gamma / 2, gamma / 2)
         x = rng.normal(size=(n, p))
         doms.append(DomainSample(u=u, x=x, y=x @ theta_fun(u) + noise * rng.normal(size=n)))
-    return doms
+    return Panel.of(doms)
 
 
 def _q_hat(sources, pilot, h, fine=None, **kwargs):
@@ -412,7 +413,7 @@ def _glm_problem(family, seed, K, p=2, n=30):
              "poisson": lambda: rng.poisson(np.exp(eta)).astype(float)}[family.kind]()
         return DomainSample(u=u, x=x, y=y)
 
-    sources = [domain(float(u), n) for u in rng.uniform(-0.6, 0.6, K)]
+    sources = Panel.of(domain(float(u), n) for u in rng.uniform(-0.6, 0.6, K))
     return domain(0.0, n), sources
 
 
@@ -427,7 +428,7 @@ class TestEstimateQReusesThePilotWindow:
         from dvcm.errors import DvcmError
 
         split, sources = _glm_problem(family, seed, K)
-        pooled = [split, *sources]
+        pooled = Panel.pooled(split, sources)
         try:
             pilot = fit_dvcm(pooled, 0.0, h, l, family)
         except DvcmError:

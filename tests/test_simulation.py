@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dvcm.design import Panel
 from dvcm.errors import ExperimentError
 from dvcm.estimators import fit_dvcm
 from dvcm.families import GAUSSIAN
@@ -112,7 +113,7 @@ class TestGenerateDataset:
         target, sources = generate_dataset(cfg, 0)
         theta0 = cfg.theta(0.0)
         assert np.allclose(target.y, target.x @ theta0)
-        fit = fit_dvcm([target, *sources], 0.0, 0.05, 1, GAUSSIAN)
+        fit = fit_dvcm(Panel.pooled(target, sources), 0.0, 0.05, 1, GAUSSIAN)
         assert np.max(np.abs(fit.theta - theta0)) < 1e-6
 
     def test_logistic_and_poisson_responses(self):

@@ -45,8 +45,8 @@ def _draws(offsets, family, seed=0):
 
 def _problem(draws, offsets, family, u0=0.0, y_scale=1.0, order=1, gamma=1.0, e0=100.0):
     (xp, yp), (xf, yf), *sources = draws
-    sources = [DomainSample(u=u0 + d, x=x, y=y_scale * y)
-               for d, (x, y) in zip(offsets, sources)]
+    sources = Panel.of(DomainSample(u=u0 + d, x=x, y=y_scale * y)
+                       for d, (x, y) in zip(offsets, sources))
     # e0 = 100 puts the derivative bandwidth at the farthest source, so the
     # derivative window holds every domain
     return TransferProblem(DomainSample(u=u0, x=xp, y=y_scale * yp),
@@ -72,7 +72,8 @@ def _close(got, want, rel):
 def test_bandwidth_is_select_bandwidth_on_the_problem(rule, h):
     offsets = (0.1, -0.3, 0.6)
     draws = _draws(offsets, "gaussian")
-    sources = [DomainSample(u=0.2 + d, x=x, y=y) for d, (x, y) in zip(offsets, draws[2:])]
+    sources = Panel.of(DomainSample(u=0.2 + d, x=x, y=y)
+                       for d, (x, y) in zip(offsets, draws[2:]))
     problem = _problem(draws, offsets, "gaussian", u0=0.2, gamma=0.7, e0=0.4)
     # the rate term counts the pilot part pooled with the sources
     want = select_bandwidth(rule, sources, 0.2, 2.0, 0.7, e0=0.4, c=0.8, epsilon=0.3,
@@ -80,11 +81,20 @@ def test_bandwidth_is_select_bandwidth_on_the_problem(rule, h):
     assert problem.bandwidth(rule, c=0.8, epsilon=0.3, h=h) == want
 
 
+@pytest.mark.parametrize("rule, h", [("median", None), ("fixed", 0.3)])
+def test_bandwidth_rules_without_c_and_epsilon_need_neither(rule, h):
+    offsets = (0.1, -0.3, 0.6)
+    problem = _problem(_draws(offsets, "gaussian"), offsets, "gaussian", u0=0.2, e0=0.4)
+    want = problem.bandwidth(rule, h=h)
+    for c, epsilon in ((0.8, 0.3), (5.0, 0.0), (1e-3, 7.5)):
+        assert problem.bandwidth(rule, c=c, epsilon=epsilon, h=h) == want
+
+
 def test_problem_keeps_one_copy_of_the_sources():
     offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
     (xp, yp), (xf, yf), *draws = _draws(offsets, "gaussian")
-    sources = [DomainSample(u=d, x=x, y=y) for d, (x, y) in zip(offsets, draws)]
-    refs = [weakref.ref(s) for s in sources]
+    sources = Panel.of(DomainSample(u=d, x=x, y=y) for d, (x, y) in zip(offsets, draws))
+    refs = [weakref.ref(sources), weakref.ref(sources.x)]  # a view would keep x alive
     problem = TransferProblem(DomainSample(u=0.0, x=xp, y=yp), DomainSample(u=0.0, x=xf, y=yf),
                               sources, 0.0, get_family("gaussian"))
     del sources
@@ -120,7 +130,7 @@ def test_chain_equals_the_hand_wired_pipeline(family, order):
     problem = _problem(_draws(offsets, family), offsets, family, order=order)
     fam, part, fine = problem.family, problem.pilot_part, problem.fine
     sources = problem.sources
-    pooled = [part, *sources]
+    pooled = Panel.pooled(part, sources)
 
     pilot = fit_dvcm(pooled, 0.0, H, order, fam)
     assert pilot.converged
@@ -165,7 +175,7 @@ def test_every_entry_checks_the_response_against_the_family(family, bad):
     spoiled = DomainSample(u=0.0, x=fine.x, y=y)
     entries = {
         "fit_target_only": lambda: fit_target_only(spoiled, fam),
-        "fit_dvcm": lambda: fit_dvcm([spoiled, *sources], 0.0, H, 1, fam),
+        "fit_dvcm": lambda: fit_dvcm(Panel.pooled(spoiled, sources), 0.0, H, 1, fam),
         "fit_tl": lambda: fit_tl(spoiled, problem.theta_lr, np.eye(2), fam),
         "TransferProblem fine": lambda: TransferProblem(part, spoiled, sources, 0.0, fam),
         "TransferProblem pooled": lambda: TransferProblem(spoiled, fine, sources, 0.0, fam),
@@ -178,7 +188,7 @@ def test_every_entry_checks_the_response_against_the_family(family, bad):
 def test_penalty_rejects_a_pilot_it_did_not_make():
     offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
     problem = _problem(_draws(offsets, "gaussian"), offsets, "gaussian")
-    fam, pooled = problem.family, [problem.pilot_part, *problem.sources]
+    fam, pooled = problem.family, Panel.pooled(problem.pilot_part, problem.sources)
     foreign = {
         "another h and panel": fit_dvcm(pooled, 0.0, 2.0, 1, fam),
         # the same fit as pilot(H), on a panel the problem does not own
@@ -206,7 +216,8 @@ def test_penalty_of_a_foreign_pilot_locates_its_own_window(count_calls):
     problem = _problem(_draws(offsets, "gaussian"), offsets, "gaussian")
     want = problem.penalty(problem.pilot(H))
     windows = count_calls(design.kernel_window)
-    foreign = fit_dvcm([problem.pilot_part, *problem.sources], 0.0, H, 1, problem.family)
+    foreign = fit_dvcm(Panel.pooled(problem.pilot_part, problem.sources), 0.0, H, 1,
+                       problem.family)
     assert windows[0] == 1
     assert foreign.design.window.panel is not problem.pooled
     got = _penalty(foreign, problem.beta, problem.delta, problem.family, problem.scale,
