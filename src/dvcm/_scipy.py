@@ -1,15 +1,14 @@
-"""scipy's compiled extensions, loaded without running their package's
-init; :mod:`dvcm.estimators` says what that saves."""
+"""scipy's compiled extensions, loaded without running scipy's package
+inits; :mod:`dvcm.estimators` says what that saves and when each loads."""
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
 import types
-
-import scipy
 
 
 def extension(subpackage: str, module: str) -> types.ModuleType:
@@ -21,13 +20,22 @@ def extension(subpackage: str, module: str) -> types.ModuleType:
     ``sys.modules`` and which is removed again once it has loaded.  The
     extension itself stays registered under its full name, so a later
     import of the package reuses it and exports the very same objects.
-    A missing file raises an ImportError that names the extension.
+    scipy's directories are an imported scipy's own, or else found
+    without importing it.  A missing file raises an ImportError that
+    names the extension.
     """
     package = f"scipy.{subpackage}"
     name = f"{package}.{module}"
     if name in sys.modules or package in sys.modules:
         return importlib.import_module(name)
-    path = [os.path.join(root, subpackage) for root in scipy.__path__]
+    if "scipy" in sys.modules:
+        roots = sys.modules["scipy"].__path__
+    else:
+        spec = importlib.util.find_spec("scipy")
+        if spec is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        roots = spec.submodule_search_locations
+    path = [os.path.join(root, subpackage) for root in roots]
     spec = importlib.machinery.PathFinder.find_spec(name, path)
     if spec is None:
         raise ImportError(f"cannot find the extension {name} in {path}", name=name)
@@ -44,3 +52,9 @@ def extension(subpackage: str, module: str) -> types.ModuleType:
     finally:
         del sys.modules[package]
     return ext
+
+
+@functools.cache
+def special_ufuncs() -> types.ModuleType:
+    """``scipy.special._ufuncs``, loaded by :func:`extension` on the first call."""
+    return extension("special", "_ufuncs")

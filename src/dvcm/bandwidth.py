@@ -11,7 +11,6 @@ asymptotically negligible against its standard error.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +55,8 @@ def gamma_moment_estimate(sources: Panel) -> float:
     us = sources.u.tolist()
     if len(us) < 2:
         return max(abs(us[0]), 1e-12)
+    import statistics  # here: it loads decimal and fractions, and only fit uses it
+
     sd = statistics.stdev(us)
     if sd == 0.0:
         return 1e-12

@@ -73,9 +73,15 @@ def _parse_fractions(text: str, option: str) -> list[float]:
     return [_parse_part(tok, option, fraction=True) for tok in text.split(",")]
 
 
-def _parse_bandwidth(text: str) -> tuple[str, float | None]:
+def _parse_bandwidth(args) -> tuple[str, float | None]:
     """``--bandwidth auto|undersmooth|<positive number>`` as the rule of
-    :func:`select_bandwidth` and its fixed ``h`` (None for a data-driven rule)."""
+    :func:`select_bandwidth` and its fixed ``h`` (None for a data-driven rule);
+    ``--bw-c`` and ``--epsilon`` must meet the undersmoothed rule's bounds under any rule."""
+    if not 0 < args.bw_c < np.inf:
+        raise ValueError(f"--bw-c must be finite and positive, got {args.bw_c}")
+    if not 0 <= args.epsilon < np.inf:
+        raise ValueError(f"--epsilon must be finite and nonnegative, got {args.epsilon}")
+    text = args.bandwidth
     rule = {"auto": "median", "undersmooth": "undersmoothed"}.get(text)
     if rule is not None:
         return rule, None
@@ -145,7 +151,7 @@ def _run_fit_pipeline(args) -> EstimateReport:
     if not np.isfinite(args.u0):
         raise ValueError(f"--u0 must be a finite number, got {args.u0}")
     family = get_family(args.family)
-    rule, fixed_h = _parse_bandwidth(args.bandwidth)
+    rule, fixed_h = _parse_bandwidth(args)
     fractions = _parse_fractions(args.split, "--split")
     if len(fractions) < 2:
         raise ValueError(

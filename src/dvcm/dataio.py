@@ -202,6 +202,11 @@ def load_csv(
     for name in wanted:
         if name not in index:
             raise SchemaError(f"missing column {name!r} in {path.name}")
+    for i, name in enumerate(x_columns):
+        if name == y_column:
+            raise SchemaError(f"column {name!r} is both the response and a covariate")
+        if name in x_columns[:i]:
+            raise SchemaError(f"covariate column {name!r} is listed twice")
 
     width = len(headers)
     try:

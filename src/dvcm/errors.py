@@ -62,7 +62,7 @@ class DegenerateScaleError(DvcmError):
 
 
 class SchemaError(DvcmError):
-    """A named column is missing from an input table."""
+    """A named column is missing from an input table, or is named for two roles."""
 
     module = "dataio"
 

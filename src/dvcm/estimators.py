@@ -21,13 +21,16 @@ uses (``expit`` in :mod:`dvcm.families`; ``erfc``, ``gammaincc`` and
 directory, because importing them through ``scipy.linalg.lapack`` and
 ``scipy.special`` would first run both package inits, which load
 scipy's array-API layer, ``numpy.testing``, ``numpy.f2py`` and more
-that the package never uses.  ``_ufuncs`` imports its sibling extensions
-relatively while it initialises, which needs a ``scipy.special`` entry
-in ``sys.modules``: a bare stand-in for the package sits there for the
-length of that one load (as one for ``scipy.linalg`` does while
-``_flapack`` loads), so both are gone once ``import dvcm`` returns.  The
-routines and ufuncs are the very objects the two scipy packages export,
-so every result is bit for bit what they would give.
+that the package never uses.  ``_flapack`` loads at import and alone:
+not even scipy's top-level init runs.  ``_ufuncs`` loads on first use,
+which only the logistic link and the tail probabilities make, so a
+Gaussian simulation never loads it; its load runs scipy's top-level
+init, and its sibling extensions load relatively, which needs a
+``scipy.special`` entry in ``sys.modules``: a bare stand-in for the
+package sits there for the length of that one load (as one for
+``scipy.linalg`` does while ``_flapack`` loads).  The routines and
+ufuncs are the very objects the two scipy packages export, so every
+result is bit for bit what they would give.
 """
 
 from __future__ import annotations

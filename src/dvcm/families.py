@@ -18,12 +18,21 @@ from typing import Callable
 
 import numpy as np
 
-from ._scipy import extension
+from ._scipy import special_ufuncs
 from .errors import DomainError
 
 __all__ = ["ModelFamily", "GAUSSIAN", "LOGISTIC", "POISSON", "FAMILIES", "get_family"]
 
-expit = extension("special", "_ufuncs").expit
+
+def __getattr__(name: str):
+    """``expit``, scipy.special's own object, loaded on first use."""
+    if name != "expit":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return special_ufuncs().expit
+
+
+def _expit(eta):
+    return special_ufuncs().expit(eta)
 
 
 def _finite(a) -> bool:
@@ -46,12 +55,12 @@ def _logistic_b(eta):
 
 
 def _logistic_b2(eta):
-    mu = expit(eta)
+    mu = _expit(eta)
     return mu * (1.0 - mu)
 
 
 def _logistic_b3(eta):
-    mu = expit(eta)
+    mu = _expit(eta)
     return mu * (1.0 - mu) * (1.0 - 2.0 * mu)
 
 
@@ -106,7 +115,7 @@ class ModelFamily:
         y = np.asarray(y, dtype=float)
         if self.kind == "logistic":
             # one expit for both: b1 and b2 compute these same values
-            mu = expit(eta)
+            mu = _expit(eta)
             return mu - y, mu * (1.0 - mu)
         return self.b1(eta) - y, self.b2(eta)
 
@@ -130,7 +139,7 @@ GAUSSIAN = ModelFamily(
 LOGISTIC = ModelFamily(
     kind="logistic",
     b=_logistic_b,
-    b1=expit,
+    b1=_expit,
     b2=_logistic_b2,
     b3=_logistic_b3,
 )

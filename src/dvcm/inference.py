@@ -22,8 +22,8 @@ fit and the pooled pilot, so its covariance combines both ingredients:
 ``theta_TL - theta(u0)`` directly; :meth:`TransferProblem.covariance`
 assembles it on the ``gram`` / ``spd_factor`` primitives of
 :mod:`dvcm.estimators`.  Tail probabilities use ``scipy.special``'s
-ufuncs, reached as :mod:`dvcm.estimators` describes, so that ``import dvcm``
-never loads ``scipy.stats``.
+ufuncs, loaded on first use as :mod:`dvcm.estimators` describes, so that
+``import dvcm`` loads neither them nor ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._scipy import extension
+from ._scipy import special_ufuncs
 from .bandwidth import BandwidthChoice, select_bandwidth, select_bandwidth_median
 from .design import DomainSample, Panel
 from .errors import DvcmError, SingularSystemError
@@ -56,8 +56,13 @@ __all__ = [
     "normal_quantile",
 ]
 
-_ufuncs = extension("special", "_ufuncs")
-erfc, gammaincc, ndtri = _ufuncs.erfc, _ufuncs.gammaincc, _ufuncs.ndtri
+
+def __getattr__(name: str):
+    """``erfc``, ``gammaincc`` and ``ndtri``, scipy.special's own objects,
+    loaded on first use."""
+    if name not in ("erfc", "gammaincc", "ndtri"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(special_ufuncs(), name)
 
 
 @dataclass(frozen=True)
@@ -75,17 +80,17 @@ def chi2_sf(x: float, df: int) -> float:
     """Upper-tail chi-square probability via the regularised incomplete gamma."""
     if x < 0:
         return 1.0
-    return float(gammaincc(df / 2.0, x / 2.0))
+    return float(special_ufuncs().gammaincc(df / 2.0, x / 2.0))
 
 
 def normal_sf(z: float) -> float:
     """Standard normal upper tail via erfc."""
-    return float(0.5 * erfc(z / np.sqrt(2.0)))
+    return float(0.5 * special_ufuncs().erfc(z / np.sqrt(2.0)))
 
 
 def normal_quantile(q: float) -> float:
     """Standard normal quantile."""
-    return float(ndtri(q))
+    return float(special_ufuncs().ndtri(q))
 
 
 def psi_hat(

@@ -127,7 +127,9 @@ class SimConfig:
             raise ValueError("p, K, n_bar, n0 and reps must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("gamma", "noise_sd"):
+        if not 0 < self.bw_c < math.inf:  # checked under every rule, as bw_epsilon is
+            raise ValueError(f"bw_c must be finite and positive, got {self.bw_c!r}")
+        for name in ("gamma", "noise_sd", "bw_epsilon"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, "
                                  f"got {getattr(self, name)!r}")

@@ -577,7 +577,41 @@ class TestCliMisuse:
             "e0=1.0, beta=inf"),
         "fit_undersmooth_epsilon_not_finite": (
             lambda d, o: fit_args(d, o, ["--bandwidth", "undersmooth", "--epsilon", "inf"]),
-            "beta=2.0, epsilon=inf"),
+            "--epsilon must be finite and nonnegative, got inf"),
+        # --bw-c and --epsilon are checked under every rule, not only the one that reads them
+        "fit_median_bw_c_nan": (
+            lambda d, o: fit_args(d, o, ["--bandwidth", "auto", "--bw-c", "nan"]),
+            "--bw-c must be finite and positive, got nan"),
+        "fit_fixed_epsilon_nan": (
+            lambda d, o: fit_args(d, o, ["--bandwidth", "0.3", "--epsilon", "nan"]),
+            "--epsilon must be finite and nonnegative, got nan"),
+        "fit_undersmooth_bw_c_zero": (
+            lambda d, o: fit_args(d, o, ["--bandwidth", "undersmooth", "--bw-c", "0"]),
+            "--bw-c must be finite and positive, got 0.0"),
+        "bw_c_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--bw-c", "-1"]),
+            "--bw-c must be finite and positive, got -1.0"),
+        "phase_median_bw_c_nan": (
+            lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
+                          "--reps", "2", "--threads", "1", "--bw-c", "nan", "--epsilon", "-3",
+                          "--out", str(o)],
+            "bw_c must be finite and positive, got nan"),
+        "phase_median_epsilon_negative": (
+            lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
+                          "--reps", "2", "--threads", "1", "--epsilon", "-3", "--out", str(o)],
+            "bw_epsilon must be finite and nonnegative, got -3.0"),
+        "phase_undersmoothed_epsilon_not_finite": (
+            lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
+                          "--reps", "2", "--threads", "1", "--bandwidth-rule", "undersmoothed",
+                          "--epsilon", "inf", "--out", str(o)],
+            "bw_epsilon must be finite and nonnegative, got inf"),
+        # separated data by construction, and a singular system
+        "response_among_covariates": (
+            lambda d, o: fit_args(d, o, ["--x-cols", "x1,y"]),
+            "error: dataio: column 'y' is both the response and a covariate"),
+        "covariate_repeated": (
+            lambda d, o: fit_args(d, o, ["--x-cols", "x1,x1"]),
+            "error: dataio: covariate column 'x1' is listed twice"),
         "fit_undersmooth_beta_negative": (  # 2 beta + 1 = 0 was a division by zero
             lambda d, o: fit_args(d, o, ["--bandwidth", "undersmooth", "--beta", "-0.5"]),
             "beta=-0.5, epsilon=0.2"),
@@ -788,13 +822,36 @@ class TestBlasThreads:
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats alone takes longer to import than the whole package, and
-    # the package inits of scipy.linalg and scipy.special are skipped to
-    # reach their extensions; the process pool loads only for a threaded
-    # experiment; numpy.random is loaded at import all the same
+    # scipy's package inits are skipped to reach the one extension loaded at
+    # import, _flapack; scipy.special._ufuncs and statistics load on first
+    # use; the process pool loads only for a threaded experiment;
+    # numpy.random is loaded at import all the same
     code = ("import sys, dvcm, dvcm.cli; print(*(m in sys.modules for m in "
             "('scipy.stats', 'scipy.linalg', 'scipy.special', 'concurrent.futures.process', "
-            "'numpy.random')))")
-    assert _fresh_python(code) == ["False", "False", "False", "False", "True"]
+            "'numpy.random', 'scipy', 'scipy.special._ufuncs', 'statistics')), "
+            "*(m for m in sys.modules if m.startswith('scipy')))")
+    assert _fresh_python(code) == ["False", "False", "False", "False", "True",
+                                   "False", "False", "False", "scipy.linalg._flapack"]
+
+
+@_ON_PROC
+def test_only_the_runs_that_use_them_load_scipy_and_statistics(tmp_path):
+    """A Gaussian simulate and phase load neither scipy's package init, its
+    special functions nor statistics; a logistic fit then loads the special
+    functions, and the process still runs one thread."""
+    out = str(tmp_path / "out.csv")
+    simulate = ["simulate", "--p", "2", "--K", "3", "--n-bar", "30", "--n0", "20",
+                "--reps", "2", "--grid", "0.5", "--threads", "1", "--out", out]
+    phase = ["phase", "--vary", "K", "--grid", "2,3,4,6", "--p", "2", "--n-bar", "40",
+             "--n0", "20", "--reps", "2", "--segments", "1", "--threads", "1", "--out", out,
+             "--slopes-out", str(tmp_path / "slopes.json")]
+    fit = fit_args(write_binary_csv(tmp_path / "b.csv"), tmp_path / "report.json",
+                   ["--family", "logistic"])
+    loaded = "*(m in sys.modules for m in ('scipy', 'scipy.special._ufuncs', 'statistics'))"
+    code = (f"import os, sys, dvcm.cli; m = dvcm.cli.main; "
+            f"print(m({simulate!r}), m({phase!r}), {loaded}); "
+            f"print(m({fit!r}), 'scipy.special._ufuncs' in sys.modules, {_THREADS})")
+    assert _fresh_python(code) == ["0", "0", "False", "False", "False", "0", "True", "1"]
 
 
 @pytest.mark.parametrize("first", ["dvcm", "scipy.linalg.lapack"])
@@ -864,6 +921,20 @@ def test_failed_extension_leaves_no_stand_in(monkeypatch, tmp_path):
     error, left = _load_from(monkeypatch, tmp_path, "special", "_ufuncs")
     assert error.name == "scipy.special._not_there"
     assert left == []
+
+
+def test_missing_scipy_is_a_module_not_found_error(monkeypatch):
+    """With scipy neither imported nor installed, the loader names scipy."""
+    import importlib.util
+
+    from dvcm._scipy import extension
+
+    for name in ("scipy", "scipy.linalg", "scipy.linalg._flapack"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ModuleNotFoundError) as info:
+        extension("linalg", "_flapack")
+    assert info.value.name == "scipy"
 
 
 def test_readme_commands_parse(capsys):

@@ -50,6 +50,16 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="wage"):
             load_csv(path, "u", ["x1"], "wage")
 
+    @pytest.mark.parametrize("x_columns, y_column, message", [
+        (["a", "y"], "y", "column 'y' is both the response and a covariate"),
+        (["a", "a"], "y", "covariate column 'a' is listed twice"),
+    ], ids=["response_is_a_covariate", "covariate_repeated"])
+    def test_column_named_for_two_roles_rejected(self, csv_file, x_columns, y_column, message):
+        # the first fits data separated by construction, the second a singular system
+        path = csv_file("u,a,y\n0.1,2,0\n0.2,4,1\n")
+        with pytest.raises(SchemaError, match=message):
+            load_csv(path, "u", x_columns, y_column)
+
     def test_intercept_prepended(self, csv_file):
         path = csv_file("u,a,b,y\n0.1,2,3,4\n0.5,5,6,7\n")
         table = load_csv(path, "u", ["a", "b"], "y", add_intercept=True)

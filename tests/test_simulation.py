@@ -48,10 +48,17 @@ class TestTrueCoefficient:
     @pytest.mark.parametrize("field,value", [
         ("gamma", float("inf")), ("gamma", float("nan")), ("gamma", -0.5),
         ("noise_sd", -1.0), ("noise_sd", float("inf")), ("noise_sd", float("nan")),
+        ("bw_epsilon", -3.0), ("bw_epsilon", float("inf")), ("bw_epsilon", float("nan")),
     ])
     def test_scale_not_finite_and_nonnegative_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("rule", ["median", "undersmoothed"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bw_c_not_finite_and_positive_rejected_under_every_rule(self, rule, value):
+        with pytest.raises(ValueError, match=f"bw_c must be finite and positive, got {value}"):
+            SimConfig(bw_c=value, bandwidth_rule=rule)
 
     def test_family_is_stored_as_its_kind(self):
         assert SimConfig(family="Gaussian").family == "gaussian"
