@@ -202,20 +202,19 @@ class TestDesignEqualsKroneckerOracle:
     @settings(max_examples=150, deadline=None)
     def test_bit_identical(self, panel, l):
         domains, u0, h = panel
-        stacked = Panel.of(domains)
         try:
             want = _kron_design(domains, u0, h, l)
         except ValueError:  # no domain in the window: nothing to concatenate
             with pytest.raises(EmptyWindowError):
-                build_local_design(stacked, u0, h, l)
+                build_local_design(Panel.of(domains), u0, h, l)
             return
-        got = build_local_design(stacked, u0, h, l)
+        got = build_local_design(Panel.of(domains), u0, h, l)
         for name, a in _rows(got).items():
             b = want[name]
             assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert a.tobytes() == b.tobytes(), name  # signed zeros too
         _assert_scalar_weight(got, want)
-        assert got.window.s_h == want["s_h"] and got.window.panel is stacked
+        assert got.window.s_h == want["s_h"]
 
     def test_boundary_domains_are_kept(self):
         doms = Panel.of(make_domain(u, [[1.0, 2.0]], [0.0]) for u in (-0.5, 0.5, 0.75))
@@ -251,6 +250,24 @@ class TestPanelEqualsDomainListOracle:
         # every in-window domain has the kernel's one value
         assert want["w"].tobytes() == np.full(win.index.size, _KERNEL_HEIGHT).tobytes()
         assert (win.s_h, win.n_total) == (want["s_h"], want["n_total"])
+
+    @given(_panels(), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_design_from_panel_bit_identical(self, panel, l):
+        domains, u0, h = panel
+        stacked = Panel.of(domains)
+        try:
+            want = _kron_design(domains, u0, h, l)
+        except ValueError:
+            with pytest.raises(EmptyWindowError):
+                build_local_design(stacked, u0, h, l)
+            return
+        got = build_local_design(stacked, u0, h, l)
+        for name, a in _rows(got).items():
+            b = want[name]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        _assert_scalar_weight(got, want)
+        assert got.window.s_h == want["s_h"] and got.window.panel is stacked
 
     @pytest.mark.parametrize("offsets,inside", [
         ((1.5, -2.0, 3.0), []),                # empty window
