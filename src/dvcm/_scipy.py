@@ -20,22 +20,18 @@ def extension(subpackage: str, module: str) -> types.ModuleType:
     ``sys.modules`` and which is removed again once it has loaded.  The
     extension itself stays registered under its full name, so a later
     import of the package reuses it and exports the very same objects.
-    scipy's directories are an imported scipy's own, or else found
-    without importing it.  A missing file raises an ImportError that
+    scipy's directories come from ``importlib.util.find_spec``, which
+    does not import scipy.  A missing file raises an ImportError that
     names the extension.
     """
     package = f"scipy.{subpackage}"
     name = f"{package}.{module}"
     if name in sys.modules or package in sys.modules:
         return importlib.import_module(name)
-    if "scipy" in sys.modules:
-        roots = sys.modules["scipy"].__path__
-    else:
-        spec = importlib.util.find_spec("scipy")
-        if spec is None:
-            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
-        roots = spec.submodule_search_locations
-    path = [os.path.join(root, subpackage) for root in roots]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    path = [os.path.join(root, subpackage) for root in spec.submodule_search_locations]
     spec = importlib.machinery.PathFinder.find_spec(name, path)
     if spec is None:
         raise ImportError(f"cannot find the extension {name} in {path}", name=name)
@@ -56,5 +52,6 @@ def extension(subpackage: str, module: str) -> types.ModuleType:
 
 @functools.cache
 def special_ufuncs() -> types.ModuleType:
-    """``scipy.special._ufuncs``, loaded by :func:`extension` on the first call."""
+    """``scipy.special._ufuncs``, loaded by :func:`extension` on the first
+    call: the package's one way to scipy's special functions."""
     return extension("special", "_ufuncs")

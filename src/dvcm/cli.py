@@ -116,7 +116,11 @@ def _parse_part(tok: str, option: str, fraction: bool = False) -> float:
 
 
 def _x_columns(args) -> list[str]:
-    return [c.strip() for c in args.x_cols.split(",") if c.strip()]
+    columns = [c.strip() for c in args.x_cols.split(",") if c.strip()]
+    if not columns and args.no_intercept:  # theta(u0) would have no coefficient
+        raise ValueError("no coefficient to fit: --x-cols names no column "
+                         "and --no-intercept drops the intercept")
+    return columns
 
 
 def _ingest(args) -> tuple[dataio.Panel, dict]:
@@ -159,6 +163,8 @@ def _run_fit_pipeline(args) -> EstimateReport:
         )
     if not 0.0 < args.level < 1.0:
         raise ValueError(f"--level must lie in (0, 1), got {args.level}")
+    if not 0.5 < args.delta < 2.0:
+        raise ValueError(f"--delta must lie in (1/2, 2), got {args.delta}")
     panel, diag = _ingest(args)
 
     mids = panel.u
@@ -221,8 +227,8 @@ def _run_fit_pipeline(args) -> EstimateReport:
     )
 
 
-def _write_report(report: EstimateReport, out: str | None) -> None:
-    text = json.dumps(report.to_dict(), indent=2)
+def _write(out: str | None, text: str) -> None:
+    """``text`` and a newline to the file ``out``, or to stdout when ``out`` is unset."""
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -230,8 +236,7 @@ def _write_report(report: EstimateReport, out: str | None) -> None:
 
 
 def cmd_fit(args) -> int:
-    report = _run_fit_pipeline(args)
-    _write_report(report, args.out)
+    _write(args.out, json.dumps(_run_fit_pipeline(args).to_dict(), indent=2))
     return 0
 
 
@@ -258,7 +263,7 @@ def cmd_infer(args) -> int:
         report.tests["contrast"] = {
             "v": v.tolist(), "zeta": args.zeta, "z": z, "p_value": p,
         }
-    _write_report(report, args.out)
+    _write(args.out, json.dumps(report.to_dict(), indent=2))
     return 0
 
 
@@ -297,17 +302,10 @@ def _load_config(args) -> SimConfig:
     return SimConfig(**values)
 
 
-def _format_row(cells) -> str:
-    return ",".join(repr(c) if isinstance(c, float) else str(c) for c in cells)
-
-
-def _write_table(path: str | None, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)] + [_format_row(r) for r in rows]
-    text = "\n".join(lines) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
-        print(text, end="")
+def _csv(rows) -> str:
+    """``rows`` as CSV lines; a float is written as its ``repr``."""
+    return "\n".join(",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
+                     for row in rows)
 
 
 def cmd_simulate(args) -> int:
@@ -317,7 +315,7 @@ def cmd_simulate(args) -> int:
     results = mc_sweep(config, grid, estimators, threads=args.threads)
     cells = itertools.product(grid, estimators)
     rows = [[float(h), est, r.mse, r.se, r.fails] for (h, est), r in zip(cells, results)]
-    _write_table(args.out, ["h", "estimator", "mse", "se", "fails"], rows)
+    _write(args.out, _csv([["h", "estimator", "mse", "se", "fails"], *rows]))
     return 0
 
 
@@ -347,22 +345,16 @@ def cmd_phase(args) -> int:
     for x, cfg in zip(grid, configs):
         r = mc_mse(cfg, "tl", None, threads=args.threads)
         rows.append([float(x), "tl", r.mse, r.se, r.fails])
-    _write_table(args.out, [args.vary, "estimator", "mse", "se", "fails"], rows)
+    _write(args.out, _csv([[args.vary, "estimator", "mse", "se", "fails"], *rows]))
 
-    xs = [r[0] for r in rows]
-    ys = [r[2] for r in rows]
-    segments = fit_loglog_slopes(xs, ys, args.segments)
+    segments = fit_loglog_slopes(grid, [r[2] for r in rows], args.segments)
     slopes = {
         "vary": args.vary,
         "n_segments": args.segments,
         "segments": [{"start": s, "slope": sl} for s, sl in segments],
         "breakpoints": [s for s, _ in segments[1:]],
     }
-    text = json.dumps(slopes, indent=2)
-    if args.slopes_out:
-        Path(args.slopes_out).write_text(text + "\n")
-    else:
-        print(text)
+    _write(args.slopes_out, json.dumps(slopes, indent=2))
     return 0
 
 

@@ -207,6 +207,12 @@ def load_csv(
             raise SchemaError(f"column {name!r} is both the response and a covariate")
         if name in x_columns[:i]:
             raise SchemaError(f"covariate column {name!r} is listed twice")
+    # bins of an identifier that reads the response would select on the outcome
+    u_names = ([u_column] if u_expr is None
+               else [o for o in _OPERAND.findall(u_expr) if not o[0].isdecimal()])
+    if y_column in u_names:
+        raise SchemaError(f"column {y_column!r} is both the response and read by the "
+                          f"domain identifier")
 
     width = len(headers)
     try:

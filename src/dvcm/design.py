@@ -70,8 +70,8 @@ class DomainSample:
             raise ValueError(
                 f"x has {x.shape[0]} rows but y has {y.shape[0]} entries"
             )
-        if x.shape[0] < 1:
-            raise ValueError("a domain needs at least one observation")
+        if not x.size:
+            raise ValueError("a domain needs at least one observation and one covariate")
         if not (np.isfinite(self.u) and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("non-finite value in domain sample")
         object.__setattr__(self, "x", x)
@@ -105,8 +105,9 @@ class Panel:
 
     A sequence of domains: ``panel[k]`` is domain ``k`` as a DomainSample
     view, ``panel[a:b]`` a panel viewing domains ``a`` to ``b - 1``, and
-    iteration yields the views in order.  Construction checks the shapes,
-    the finiteness of every value and that each domain has a row.
+    iteration yields the views in order.  Construction checks the shapes
+    (one covariate at least), the finiteness of every value and that each
+    domain has a row.
     """
 
     x: np.ndarray        # (N, p)
@@ -119,8 +120,8 @@ class Panel:
         y = np.asarray(self.y, dtype=float)
         u = np.asarray(self.u, dtype=float)
         offsets = np.asarray(self.offsets)
-        if x.ndim != 2 or y.ndim != 1 or u.ndim != 1:
-            raise ValueError("a panel needs x of shape (N, p), y (N,) and u (D,)")
+        if x.ndim != 2 or not x.shape[1] or y.ndim != 1 or u.ndim != 1:
+            raise ValueError("a panel needs x of shape (N, p) with p >= 1, y (N,) and u (D,)")
         if x.shape[0] != y.shape[0]:
             raise ValueError(f"x has {x.shape[0]} rows but y has {y.shape[0]} entries")
         if not u.size:
@@ -198,12 +199,11 @@ class Panel:
 class LocalDesign:
     """Stacked kernel-weighted design around ``center``.
 
-    Rows with zero kernel weight are dropped before solving; ``n_total``
-    still counts every observation that was offered, which is the ``n``
-    entering the ``(nh)`` scalings of the variance estimators.
-    Every kept row has the weight ``weight = W / window.s_h``, so the row
-    weights sum to one.  ``window`` is the kernel window the rows were
-    taken from.
+    Rows with zero kernel weight are dropped before solving; the
+    ``window`` they were taken from still counts every observation that
+    was offered (``window.n_total``), which is the ``n`` entering the
+    ``(nh)`` scalings of the variance estimators.  Every kept row has the
+    weight ``weight = W / window.s_h``, so the row weights sum to one.
     """
 
     z: np.ndarray  # (N_eff, (l+1) p)
@@ -212,7 +212,6 @@ class LocalDesign:
     order: int
     bandwidth: float
     center: float
-    n_total: int
     p: int
     window: KernelWindow
 
@@ -328,7 +327,7 @@ def build_local_design(domains: Panel, u0: float, h: float, l: int) -> LocalDesi
     z = x[:, cols] * win.phi[:, blocks].repeat(win.n, axis=0)
     return _record(
         LocalDesign, z=z, y=y, weight=_KERNEL_HEIGHT / win.s_h, order=l,
-        bandwidth=h, center=u0, n_total=win.n_total, p=panel.p, window=win,
+        bandwidth=h, center=u0, p=panel.p, window=win,
     )
 
 

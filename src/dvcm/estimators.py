@@ -15,21 +15,22 @@ problems).
 
 The two routines are taken from scipy's f2py extension
 ``scipy.linalg._flapack``, and the four special functions the package
-uses (``expit`` in :mod:`dvcm.families`; ``erfc``, ``gammaincc`` and
-``ndtri`` in :mod:`dvcm.inference`) from ``scipy.special._ufuncs``.
-:func:`dvcm._scipy.extension` loads each from its file in scipy's
-directory, because importing them through ``scipy.linalg.lapack`` and
-``scipy.special`` would first run both package inits, which load
-scipy's array-API layer, ``numpy.testing``, ``numpy.f2py`` and more
-that the package never uses.  ``_flapack`` loads at import and alone:
-not even scipy's top-level init runs.  ``_ufuncs`` loads on first use,
-which only the logistic link and the tail probabilities make, so a
-Gaussian simulation never loads it; its load runs scipy's top-level
-init, and its sibling extensions load relatively, which needs a
-``scipy.special`` entry in ``sys.modules``: a bare stand-in for the
-package sits there for the length of that one load (as one for
-``scipy.linalg`` does while ``_flapack`` loads).  The routines and
-ufuncs are the very objects the two scipy packages export, so every
+uses (``expit`` for the logistic family; ``erfc``, ``gammaincc`` and
+``ndtri`` for the tail probabilities of :mod:`dvcm.inference`) from
+``scipy.special._ufuncs``, which :func:`dvcm._scipy.special_ufuncs` is
+the one way to.  :func:`dvcm._scipy.extension` loads each extension from
+its file in scipy's directory, because importing them through
+``scipy.linalg.lapack`` and ``scipy.special`` would first run both
+package inits, which load scipy's array-API layer, ``numpy.testing``,
+``numpy.f2py`` and more that the package never uses.  ``_flapack`` loads
+at import and alone: not even scipy's top-level init runs.  ``_ufuncs``
+loads on first use, which only the logistic link and the tail
+probabilities make, so a Gaussian simulation never loads it; its load
+runs scipy's top-level init, and its sibling extensions load relatively,
+which needs a ``scipy.special`` entry in ``sys.modules``: a bare
+stand-in for the package sits there for the length of that one load (as
+one for ``scipy.linalg`` does while ``_flapack`` loads).  The routines
+and ufuncs are the very objects the two scipy packages export, so every
 result is bit for bit what they would give.
 """
 
@@ -72,11 +73,9 @@ class LocalFit:
 
 @dataclass(frozen=True)
 class TLFit:
-    """Ridge-penalised fine-tuning estimate and its ingredients."""
+    """Ridge-penalised fine-tuning estimate and whether its solver converged."""
 
     theta_tl: np.ndarray
-    theta_pilot: np.ndarray
-    q: np.ndarray
     converged: bool
 
 
@@ -259,4 +258,4 @@ def fit_tl(
         theta, converged, _ = newton_weighted(
             x, 1.0 / n0, y, family, theta_pilot.copy(), penalty=(q, theta_pilot)
         )
-    return _record(TLFit, theta_tl=theta, theta_pilot=theta_pilot, q=q, converged=converged)
+    return _record(TLFit, theta_tl=theta, converged=converged)

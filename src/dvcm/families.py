@@ -24,13 +24,6 @@ from .errors import DomainError
 __all__ = ["ModelFamily", "GAUSSIAN", "LOGISTIC", "POISSON", "FAMILIES", "get_family"]
 
 
-def __getattr__(name: str):
-    """``expit``, scipy.special's own object, loaded on first use."""
-    if name != "expit":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return special_ufuncs().expit
-
-
 def _expit(eta):
     return special_ufuncs().expit(eta)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scipy import special_ufuncs
-from .bandwidth import BandwidthChoice, select_bandwidth, select_bandwidth_median
+from .bandwidth import BandwidthChoice, select_bandwidth
 from .design import DomainSample, Panel
 from .errors import DvcmError, SingularSystemError
 from .estimators import (LocalFit, TLFit, fit_dvcm, fit_target_only, fit_tl, gram,
@@ -55,14 +55,6 @@ __all__ = [
     "normal_sf",
     "normal_quantile",
 ]
-
-
-def __getattr__(name: str):
-    """``erfc``, ``gammaincc`` and ``ndtri``, scipy.special's own objects,
-    loaded on first use."""
-    if name not in ("erfc", "gammaincc", "ndtri"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(special_ufuncs(), name)
 
 
 @dataclass(frozen=True)
@@ -231,8 +223,7 @@ class TransferProblem:
     @_cached_outcome
     def h_deriv(self) -> float:
         """Derivative-fit bandwidth: the median rule, whatever the pilot's h."""
-        return select_bandwidth_median(self.sources, self.u0, self.beta, self.gamma,
-                                       self.e0, n_extra=self.pilot_part.n).h
+        return self.bandwidth("median").h
 
     @_cached_outcome
     def derivative(self) -> np.ndarray:
@@ -264,9 +255,6 @@ class TransferProblem:
         except SingularSystemError:
             return np.zeros(self.pilot_part.p)
 
-    def _derivative(self) -> np.ndarray:  # read only when the bias needs it
-        return self.derivative
-
     def penalty(self, pilot: LocalFit) -> PenaltyEstimate:
         """Data-driven shrinkage matrix Q_hat at the bandwidth of ``pilot``,
         which must come from this problem's ``pilot(h)``: the bias's moments
@@ -277,7 +265,7 @@ class TransferProblem:
             raise ValueError("penalty() takes a pilot made by this problem's pilot(h)")
         self.h_deriv  # its argument checks run even when the bias needs no derivative
         return _penalty(pilot, self.beta, self.delta, self.family, self.scale, self.fine.n,
-                        self._derivative)
+                        lambda: self.derivative)  # read only when the bias needs it
 
     def fine_tune(self, pilot: LocalFit, q: np.ndarray) -> TLFit:
         return fit_tl(self.fine, pilot.theta, q, self.family)

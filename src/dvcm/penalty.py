@@ -167,7 +167,7 @@ def estimate_variance_sandwich(fit: LocalFit, family: ModelFamily) -> np.ndarray
     """
     design = fit.design
     z, y = design.z, design.y
-    nh = design.n_total * design.bandwidth
+    nh = design.window.n_total * design.bandwidth
     s1, s2 = family.score_curvature(z @ fit.alpha, y)
     delta = gram(z, (s1 * _KERNEL_HEIGHT) ** 2) / nh**2
     lam = gram(z, s2 * _KERNEL_HEIGHT) / nh

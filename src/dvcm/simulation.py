@@ -135,6 +135,8 @@ class SimConfig:
                                  f"got {getattr(self, name)!r}")
         if not -1.0 < self.cov_rho < 1.0:
             raise ValueError("cov_rho must lie in (-1, 1)")
+        if not 0.5 < self.delta < 2.0:  # checked whatever the estimators and q_mode
+            raise ValueError(f"delta must lie in (0.5, 2), got {self.delta!r}")
         half = self.gamma / 2.0
         try:  # each term of a curve is monotone in u or |u|: check the range's ends and u0
             for u in (-half, half, self.u0):
@@ -307,7 +309,6 @@ class McMseResult:
     mse: float
     se: float
     fails: int
-    n_success: int
 
 
 def _oracle_q_matrices(config: SimConfig, pilots: list) -> list:
@@ -380,7 +381,7 @@ def _mse_result(config: SimConfig, estimates: Sequence) -> McMseResult:
     _check_tolerance(fails, config.reps)
     mse = float(np.mean(errors))
     se = float(np.std(errors, ddof=1) / np.sqrt(errors.size))
-    return McMseResult(mse=mse, se=se, fails=fails, n_success=int(errors.size))
+    return McMseResult(mse=mse, se=se, fails=fails)
 
 
 def mc_sweep(

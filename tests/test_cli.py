@@ -689,6 +689,43 @@ class TestCliMisuse:
         "fit_order_too_large": (
             lambda d, o: fit_args(d, o, ["--order", "171"]),
             "error: cli: polynomial order must be between 0 and 170, got 171"),
+        # no covariate and no intercept leave theta(u0) without a coefficient
+        "fit_no_coefficient": (
+            lambda d, o: fit_args(d, o, ["--x-cols", "", "--no-intercept"]),
+            "error: cli: no coefficient to fit: --x-cols names no column"),
+        "infer_no_coefficient_checked_before_ingest": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--x-cols", "", "--no-intercept",
+                                              "--contrast", "1"])[1:]],
+            "error: cli: no coefficient to fit: --x-cols names no column"),
+        # an identifier read from the response bins the data by its outcome
+        "u_col_is_the_response": (
+            lambda d, o: fit_args(d, o, ["--u-col", "y"]),
+            "error: dataio: column 'y' is both the response and read by the domain identifier"),
+        "u_expr_reads_the_response": (
+            lambda d, o: u_expr_args(d, o, "--u-expr", "y*2"),
+            "error: dataio: column 'y' is both the response and read by the domain identifier"),
+        # delta is checked where it enters, whatever reads it later
+        "fit_delta_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--delta", "3"]),
+            "error: cli: --delta must lie in (1/2, 2), got 3.0"),
+        "fit_delta_nan": (
+            lambda d, o: fit_args(d, o, ["--delta", "nan"]),
+            "error: cli: --delta must lie in (1/2, 2), got nan"),
+        "simulate_delta_without_tl": (
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
+                          "--threads", "1", "--delta", "3", "--estimators", "lr,dvcm",
+                          "--out", str(o)],
+            "error: cli: delta must lie in (0.5, 2), got 3.0"),
+        "simulate_delta_oracle": (
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
+                          "--threads", "1", "--delta", "3", "--q-mode", "oracle",
+                          "--out", str(o)],
+            "error: cli: delta must lie in (0.5, 2), got 3.0"),
+        "phase_delta_half": (
+            lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
+                          "--reps", "2", "--threads", "1", "--delta", "0.5", "--out", str(o)],
+            "error: cli: delta must lie in (0.5, 2), got 0.5"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -865,14 +902,19 @@ def test_cholesky_routines_are_scipys(first):
 
 @pytest.mark.parametrize("first", ["dvcm", "scipy.special"])
 def test_special_functions_are_scipys(first):
-    """The package's expit, erfc, gammaincc and ndtri are the objects
-    scipy.special exports, whichever of the two is imported first, and an
-    imported scipy.special stays the one in sys.modules."""
+    """The package's expit, erfc, gammaincc and ndtri, all taken from
+    ``special_ufuncs()``, are the objects scipy.special exports, whichever
+    of the two is imported first; an imported scipy.special stays the one
+    in sys.modules, and no module of the package keeps an alias of them."""
     code = (f"import sys, {first}; before = sys.modules.get('scipy.special'); "
-            "import dvcm.families as f, dvcm.inference as i, scipy.special as s; "
-            "print(before in (None, s), f.expit is s.expit, i.erfc is s.erfc, "
-            "i.gammaincc is s.gammaincc, i.ndtri is s.ndtri)")
-    assert _fresh_python(code) == ["True"] * 5
+            "import dvcm.families as f, dvcm.inference as i; "
+            "from dvcm._scipy import special_ufuncs; u = special_ufuncs(); "
+            "import scipy.special as s; "
+            "print(before in (None, s), u.expit is s.expit, u.erfc is s.erfc, "
+            "u.gammaincc is s.gammaincc, u.ndtri is s.ndtri, "
+            "not any(hasattr(m, n) for m in (f, i) "
+            "for n in ('expit', 'erfc', 'gammaincc', 'ndtri')))")
+    assert _fresh_python(code) == ["True"] * 6
 
 
 def test_scipy_stats_works_after_import():
@@ -887,14 +929,17 @@ def _load_from(monkeypatch, scipy_dir, subpackage, module):
     """``extension(subpackage, module)`` as a fresh interpreter would run it,
     with nothing to reuse and scipy's directory at ``scipy_dir``; returns
     the error it raises and the names it leaves in ``sys.modules``."""
-    import scipy
+    import importlib.machinery
+    import importlib.util
 
     from dvcm._scipy import extension
 
     names = (f"scipy.{subpackage}", f"scipy.{subpackage}.{module}")
     for name in names:
         monkeypatch.delitem(sys.modules, name, raising=False)
-    monkeypatch.setattr(scipy, "__path__", [str(scipy_dir)])
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(scipy_dir)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
     with pytest.raises(ImportError) as info:
         extension(subpackage, module)
     return info.value, [name for name in names if name in sys.modules]

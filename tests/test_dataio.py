@@ -50,15 +50,25 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="wage"):
             load_csv(path, "u", ["x1"], "wage")
 
-    @pytest.mark.parametrize("x_columns, y_column, message", [
-        (["a", "y"], "y", "column 'y' is both the response and a covariate"),
-        (["a", "a"], "y", "covariate column 'a' is listed twice"),
-    ], ids=["response_is_a_covariate", "covariate_repeated"])
-    def test_column_named_for_two_roles_rejected(self, csv_file, x_columns, y_column, message):
-        # the first fits data separated by construction, the second a singular system
+    @pytest.mark.parametrize("u_column, u_expr, x_columns, message", [
+        ("u", None, ["a", "y"], "column 'y' is both the response and a covariate"),
+        ("u", None, ["a", "a"], "covariate column 'a' is listed twice"),
+        ("y", None, ["a"], "column 'y' is both the response and read by the domain identifier"),
+        (None, "a + y*2", ["a"], "column 'y' is both the response and read by the domain"),
+    ], ids=["response_is_a_covariate", "covariate_repeated", "identifier_is_the_response",
+            "identifier_expression_reads_the_response"])
+    def test_column_named_for_two_roles_rejected(self, csv_file, u_column, u_expr, x_columns,
+                                                 message):
+        # the first fits data separated by construction, the second a singular system,
+        # the last two bin the domains by the outcome
         path = csv_file("u,a,y\n0.1,2,0\n0.2,4,1\n")
         with pytest.raises(SchemaError, match=message):
-            load_csv(path, "u", x_columns, y_column)
+            load_csv(path, u_column, x_columns, "y", u_expr=u_expr)
+
+    def test_number_in_identifier_expression_is_no_column(self, csv_file):
+        path = csv_file("u,a,2\n0.1,2,0\n0.2,4,1\n")
+        table = load_csv(path, None, ["a"], "2", u_expr="a * 2")
+        assert table.u.tolist() == [4.0, 8.0] and table.y.tolist() == [0.0, 1.0]
 
     def test_intercept_prepended(self, csv_file):
         path = csv_file("u,a,b,y\n0.1,2,3,4\n0.5,5,6,7\n")

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dvcm.design import (
@@ -73,7 +73,7 @@ class TestBuildLocalDesign:
         assert np.allclose(d.z, [[1.0, 2.0]])
         assert d.weight == 1.0
         assert d.window.s_h == pytest.approx(0.5)
-        assert d.n_total == 1
+        assert d.window.n_total == 1
 
     def test_out_of_window_domain_dropped(self):
         near = make_domain(0.0, [[1.0]], [1.0])
@@ -81,7 +81,7 @@ class TestBuildLocalDesign:
         d = build_local_design(Panel.of([near, far]), u0=0.0, h=0.25, l=0)
         assert d.z.shape[0] == 1
         assert _row_domain(d).tolist() == [0]
-        assert d.n_total == 2  # still counted in the (nh) scalings
+        assert d.window.n_total == 2  # still counted in the (nh) scalings
 
     def test_two_domains_order_one(self):
         # hand evaluation: t = +-0.5, Phi_1 = (1, +-0.5), scalar X = 1
@@ -254,8 +254,11 @@ class TestPanelEqualsDomainListOracle:
     @given(_panels(), st.integers(0, 3))
     @settings(max_examples=150, deadline=None)
     def test_design_from_panel_bit_identical(self, panel, l):
+        """The panel stacked as ``TransferProblem`` stacks its pooled one:
+        the first domain (its pilot part) followed by a panel of the rest."""
         domains, u0, h = panel
-        stacked = Panel.of(domains)
+        assume(len(domains) > 1)  # a problem has at least one source
+        stacked = Panel.pooled(domains[0], Panel.of(domains[1:]))
         try:
             want = _kron_design(domains, u0, h, l)
         except ValueError:
@@ -334,12 +337,17 @@ class TestPanel:
         dict(offsets=[0, 3]),                   # one offset per domain missing
         dict(offsets=[0.0, 1.0, 3.0]),          # offsets not integers
         dict(u=[], offsets=[0]),                # no domain
+        dict(x=np.ones((3, 0))),                # no covariate
     ])
     def test_construction_checks_shapes_and_values(self, change):
         args = dict(x=np.ones((3, 2)), y=np.zeros(3), u=[0.0, 1.0], offsets=[0, 1, 3])
         assert len(Panel(**args)) == 2
         with pytest.raises(ValueError):
             Panel(**{**args, **change})
+
+    def test_domain_without_a_covariate_rejected(self):
+        with pytest.raises(ValueError, match="at least one observation and one covariate"):
+            DomainSample(u=0.0, x=np.ones((3, 0)), y=np.zeros(3))
 
     def test_pooled_stacks_a_panel_like_its_domains(self):
         first, *rest = self._domains()

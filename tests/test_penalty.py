@@ -481,7 +481,7 @@ def _per_row_reference(panel, u0, h, l, family):
         init = np.zeros(z.shape[1])
         init[: design.p] = start
         alpha = newton_weighted(z, weights, y, family, init)[0]
-    nh = design.n_total * h
+    nh = design.window.n_total * h
     s1, s2 = family.score_curvature(z @ alpha, y)
     c = spd_factor(gram(z, s2 * kernel_values) / nh, "reference")
     inner = spd_solve(c, spd_solve(c, gram(z, (s1 * kernel_values) ** 2) / nh**2).T)

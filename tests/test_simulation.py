@@ -60,6 +60,13 @@ class TestTrueCoefficient:
         with pytest.raises(ValueError, match=f"bw_c must be finite and positive, got {value}"):
             SimConfig(bw_c=value, bandwidth_rule=rule)
 
+    @pytest.mark.parametrize("q_mode", ["estimate", "zero"])
+    @pytest.mark.parametrize("value", [0.5, 2.0, 3.0, float("nan")])
+    def test_delta_outside_half_to_two_rejected(self, q_mode, value):
+        # checked even where no penalty reads it
+        with pytest.raises(ValueError, match=rf"delta must lie in \(0.5, 2\), got {value}"):
+            SimConfig(delta=value, q_mode=q_mode)
+
     def test_family_is_stored_as_its_kind(self):
         assert SimConfig(family="Gaussian").family == "gaussian"
         # the oracle's noise variance reads the stored family: nu = noise_sd^2, not 1
