@@ -177,17 +177,17 @@ def _run_fit_pipeline(args) -> EstimateReport:
     pilot_part, fine_part = parts[0], parts[1]
     if len(parts) > 2:
         diag["test_split_rows"] = int(sum(p.n for p in parts[2:]))
-    # the split parts and the sources are copies: let the binned panel go
-    # before the problem stacks its own copy of the sources
-    sources = dataio.Panel.of(d for i, d in enumerate(panel) if i != j)
+    # the pilot part pooled with the other bins, stacked in one copy: let the
+    # binned panel go once it is made
+    pooled = dataio.Panel.of([pilot_part, *(d for i, d in enumerate(panel) if i != j)])
     del panel
 
-    gamma = args.gamma if args.gamma is not None else gamma_moment_estimate(sources)
+    gamma = args.gamma if args.gamma is not None else gamma_moment_estimate(pooled[1:])
     problem = TransferProblem(
-        pilot_part, fine_part, sources, u0, family, order=args.order, beta=args.beta,
+        pooled, fine_part, u0, family, order=args.order, beta=args.beta,
         delta=args.delta, gamma=gamma, e0=args.e0,
     )
-    del sources  # the problem views its own copy
+    del pooled  # the problem holds it
 
     choice = problem.bandwidth(rule, c=args.bw_c, epsilon=args.epsilon, h=fixed_h)
     h = choice.h

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import DomainSample, Panel
+from .design import DomainSample, Panel, _record
 from .errors import DegenerateScaleError, ParseError, SchemaError
 
 __all__ = [
@@ -340,13 +340,15 @@ def bin_domains(table: RawTable, n_bins: int = 10) -> Panel:
     The first bin is closed ``[0, 1/n_bins]``; the rest are left-open
     ``(a, b]``, matching midpoints ``(j - 0.5) / n_bins``.  Occupied bins
     become the domains of one panel, at their midpoints and in bin order.
+    The covariates and responses are taken as finite, as :func:`load_csv`
+    leaves them.
     """
     if n_bins < 2:
         raise ValueError(f"need at least 2 bins, got {n_bins}")
     if table.n == 0:
         raise ValueError("cannot bin an empty table")
     u = table.u
-    if np.any(u < 0) or np.any(u > 1):
+    if not np.all((u >= 0) & (u <= 1)):  # NaN included
         raise ValueError("identifiers must lie in [0, 1]; scale them first")
     # (a, b] bins with the first closed at 0: ceil(u * n_bins) - 1, u=0 -> bin 0
     idx = np.ceil(u * n_bins).astype(int) - 1
@@ -357,8 +359,8 @@ def bin_domains(table: RawTable, n_bins: int = 10) -> Panel:
     order = np.argsort(idx, kind="stable")
     bounds = np.searchsorted(idx[order], np.arange(n_bins + 1))
     occupied = np.flatnonzero(np.diff(bounds))
-    return Panel(x=table.x[order], y=table.y[order], u=(occupied + 0.5) / n_bins,
-                 offsets=np.append(bounds[occupied], bounds[-1]))
+    return _record(Panel, x=table.x[order], y=table.y[order], u=(occupied + 0.5) / n_bins,
+                   offsets=np.append(bounds[occupied], bounds[-1]))
 
 
 def split_target(

@@ -150,17 +150,6 @@ class Panel:
                        u=np.array([d.u for d in domains], dtype=float),
                        offsets=np.cumsum([0] + [d.n for d in domains]))
 
-    @classmethod
-    def pooled(cls, first: DomainSample, rest: "Panel") -> "Panel":
-        """``first`` followed by the domains of ``rest``, stacked from their
-        arrays in one new panel."""
-        if first.p != rest.p:
-            raise ValueError("all domains must share the same covariate dimension")
-        return _record(cls, x=np.concatenate([first.x, rest.x]),
-                       y=np.concatenate([first.y, rest.y]),
-                       u=np.concatenate([[first.u], rest.u]),
-                       offsets=np.concatenate([[0], rest.offsets + first.n]))
-
     @cached_property
     def sizes(self) -> np.ndarray:
         """Observations per domain, (D,)."""
@@ -199,10 +188,10 @@ class Panel:
 class LocalDesign:
     """Stacked kernel-weighted design around ``center``.
 
-    Rows with zero kernel weight are dropped before solving; the
-    ``window`` they were taken from still counts every observation that
-    was offered (``window.n_total``), which is the ``n`` entering the
-    ``(nh)`` scalings of the variance estimators.  Every kept row has the
+    Rows with zero kernel weight are dropped before solving; the panel
+    of the ``window`` they were taken from still counts every observation
+    that was offered (``window.panel.n``), which is the ``n`` entering
+    the ``(nh)`` scalings of the variance estimators.  Every kept row has the
     weight ``weight = W / window.s_h``, so the row weights sum to one.
     """
 
@@ -212,7 +201,6 @@ class LocalDesign:
     order: int
     bandwidth: float
     center: float
-    p: int
     window: KernelWindow
 
 
@@ -243,7 +231,7 @@ class KernelWindow:
     Per in-window domain, in panel order: its position ``index`` in the
     panel, its size ``n``, ``t`` and the features ``phi = Phi_l(t)`` (one
     row each); each has the kernel value ``W(t) = _KERNEL_HEIGHT``.
-    ``s_h = sum n_k W(t_k)``; ``n_total`` counts every observation offered.
+    ``s_h = sum n_k W(t_k)``; ``panel.n`` counts every observation offered.
     """
 
     index: np.ndarray  # (D,)
@@ -251,7 +239,6 @@ class KernelWindow:
     t: np.ndarray      # (D,)
     phi: np.ndarray    # (D, l+1)
     s_h: float
-    n_total: int
     panel: Panel
 
 
@@ -273,7 +260,7 @@ def kernel_window(domains: Panel, u0: float, h: float, l: int) -> KernelWindow:
     phi = np.array([_powers(tk, l) for tk in t.tolist()])
     return _record(
         KernelWindow, index=index, n=n, t=t, phi=phi.reshape(index.size, l + 1),
-        s_h=float((_KERNEL_HEIGHT * n).sum()), n_total=domains.n, panel=domains,
+        s_h=float((_KERNEL_HEIGHT * n).sum()), panel=domains,
     )
 
 
@@ -327,7 +314,7 @@ def build_local_design(domains: Panel, u0: float, h: float, l: int) -> LocalDesi
     z = x[:, cols] * win.phi[:, blocks].repeat(win.n, axis=0)
     return _record(
         LocalDesign, z=z, y=y, weight=_KERNEL_HEIGHT / win.s_h, order=l,
-        bandwidth=h, center=u0, p=panel.p, window=win,
+        bandwidth=h, center=u0, window=win,
     )
 
 

@@ -13,25 +13,9 @@ call cost.  A non-finite matrix raises DomainError and a singular one
 SingularSystemError, never a regularised answer (that would mask data
 problems).
 
-The two routines are taken from scipy's f2py extension
-``scipy.linalg._flapack``, and the four special functions the package
-uses (``expit`` for the logistic family; ``erfc``, ``gammaincc`` and
-``ndtri`` for the tail probabilities of :mod:`dvcm.inference`) from
-``scipy.special._ufuncs``, which :func:`dvcm._scipy.special_ufuncs` is
-the one way to.  :func:`dvcm._scipy.extension` loads each extension from
-its file in scipy's directory, because importing them through
-``scipy.linalg.lapack`` and ``scipy.special`` would first run both
-package inits, which load scipy's array-API layer, ``numpy.testing``,
-``numpy.f2py`` and more that the package never uses.  ``_flapack`` loads
-at import and alone: not even scipy's top-level init runs.  ``_ufuncs``
-loads on first use, which only the logistic link and the tail
-probabilities make, so a Gaussian simulation never loads it; its load
-runs scipy's top-level init, and its sibling extensions load relatively,
-which needs a ``scipy.special`` entry in ``sys.modules``: a bare
-stand-in for the package sits there for the length of that one load (as
-one for ``scipy.linalg`` does while ``_flapack`` loads).  The routines
-and ufuncs are the very objects the two scipy packages export, so every
-result is bit for bit what they would give.
+The two routines come from scipy's f2py extension
+``scipy.linalg._flapack``, loaded at import by :mod:`dvcm._scipy`, whose
+docstring says how scipy's extensions load without its package inits.
 """
 
 from __future__ import annotations
@@ -150,16 +134,17 @@ def newton_weighted(
         center = np.asarray(center, dtype=float)
 
     def objective(a):
-        val = float(np.sum(w * family.loss(z @ a, y)))
+        """The objective at ``a`` and its linear predictor ``z @ a``."""
+        eta = z @ a
+        val = float(np.sum(w * family.loss(eta, y)))
         if q is not None:
             d = a - center
             val += 0.5 * float(d @ q @ d)
-        return val
+        return val, eta
 
-    obj = objective(alpha)
+    obj, eta = objective(alpha)  # eta is z @ alpha throughout
     iterations = 0
     for iterations in range(1, NEWTON_MAX_ITER + 1):
-        eta = z @ alpha
         s1, s2 = family.score_curvature(eta, y)
         grad = z.T @ (w * s1)
         hess = gram(z, w * s2)
@@ -175,17 +160,15 @@ def newton_weighted(
         scale = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             candidate = alpha - scale * step
-            cand_obj = objective(candidate)
+            cand_obj, cand_eta = objective(candidate)
             if cand_obj <= obj:
                 accepted = True
                 break
             scale *= 0.5
         if not accepted:
             break
-        alpha = candidate
-        obj = cand_obj
+        alpha, obj, eta = candidate, cand_obj, cand_eta
 
-    eta = z @ alpha
     s1, _ = family.score_curvature(eta, y)
     grad = z.T @ (w * s1)
     if q is not None:
@@ -229,9 +212,9 @@ def fit_dvcm(domains: Panel, u0: float, h: float, l: int, family: ModelFamily,
             except SingularSystemError:
                 start = 0.0
         init = np.zeros(dim)
-        init[: design.p] = start
+        init[: domains.p] = start
         alpha, converged, iterations = newton_weighted(z, w, y, family, init)
-    return _record(LocalFit, alpha=alpha, theta=alpha[: design.p].copy(), design=design,
+    return _record(LocalFit, alpha=alpha, theta=alpha[: domains.p].copy(), design=design,
                    converged=converged, iterations=iterations)
 
 

@@ -4,9 +4,10 @@
 penalty Q_hat, fine-tune, covariance), run by ``fit``/``infer``, which
 also take their full-target lr and dvcm estimates from it, and by every
 Monte-Carlo replication; :meth:`TransferProblem.penalty` is the one way
-to Q_hat.  The problem stacks its pooled panel once and keeps every
-ingredient that does not depend on the pilot bandwidth (the target-only
-fits, the Pearson scale, the derivative plug-in fitted at the median-rule
+to Q_hat.  The problem takes its pooled panel as its caller made it,
+pilot part first, stacks no rows of its own and keeps every ingredient
+that does not depend on the pilot bandwidth (the target-only fits, the
+Pearson scale, the derivative plug-in fitted at the median-rule
 bandwidth), so each bandwidth fits only the pilot, whose kernel window
 the penalty's bias reads: nothing is converted, re-checked or located
 again.
@@ -22,7 +23,7 @@ fit and the pooled pilot, so its covariance combines both ingredients:
 ``theta_TL - theta(u0)`` directly; :meth:`TransferProblem.covariance`
 assembles it on the ``gram`` / ``spd_factor`` primitives of
 :mod:`dvcm.estimators`.  Tail probabilities use ``scipy.special``'s
-ufuncs, loaded on first use as :mod:`dvcm.estimators` describes, so that
+ufuncs, loaded on first use as :mod:`dvcm._scipy` describes, so that
 ``import dvcm`` loads neither them nor ``scipy.stats``.
 """
 
@@ -168,19 +169,18 @@ class _cached_outcome:
 class TransferProblem:
     """Transfer fit of theta(u0) from a split target and the source domains.
 
-    ``pilot_part`` is pooled with ``sources`` for the pilot and feeds the
-    penalty; ``fine`` is fine-tuned on and gives Psi_hat and V_LR.  The
-    pooled panel, ``pilot_part`` followed by ``sources``, is stacked once,
-    at construction, and ``sources`` then views it: the problem keeps no
-    reference to the caller's source arrays.  The cached properties do
+    ``pooled`` holds the target's pilot split as domain 0, followed by the
+    sources; the pilot is fitted on it and the pilot split feeds the
+    penalty.  ``fine``, the target's other split, is fine-tuned on and
+    gives Psi_hat and V_LR.  ``pilot_part`` and ``sources`` view
+    ``pooled``: the problem stacks no rows.  The cached properties do
     not depend on the pilot bandwidth, so fits at several bandwidths
     share them, a raised DvcmError included.  Construction checks every
     response against ``family`` (:meth:`ModelFamily.check_response`).
     """
 
-    pilot_part: DomainSample
+    pooled: Panel
     fine: DomainSample
-    sources: Panel
     u0: float
     family: ModelFamily
     order: int = 1
@@ -188,13 +188,15 @@ class TransferProblem:
     delta: float = 1.0
     gamma: float = 1.0
     e0: float = 1.0
-    pooled: Panel = field(init=False, repr=False, compare=False)
+    pilot_part: DomainSample = field(init=False, repr=False, compare=False)
+    sources: Panel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pooled = Panel.pooled(self.pilot_part, self.sources)
-        self.family.check_response(pooled.y)
+        if len(self.pooled) < 2:
+            raise ValueError("the pooled panel needs the pilot split and a source domain")
+        self.family.check_response(self.pooled.y)
         self.family.check_response(self.fine.y)
-        self.__dict__.update(pooled=pooled, sources=pooled[1:])
+        self.__dict__.update(pilot_part=self.pooled[0], sources=self.pooled[1:])
 
     @_cached_outcome
     def theta_lr(self) -> np.ndarray:
@@ -237,13 +239,13 @@ class TransferProblem:
 
     def full_target(self, h: float) -> tuple[np.ndarray, np.ndarray]:
         """``fit``'s lr and dvcm estimates: the target-only fit of ``pilot_part``
-        and ``fine`` stacked in that order, then the pooled fit at ``h`` of that
-        union with ``sources``, started from it."""
-        train = DomainSample._view(self.u0, np.vstack([self.pilot_part.x, self.fine.x]),
-                                   np.concatenate([self.pilot_part.y, self.fine.y]))
-        theta = fit_target_only(train, self.family)
-        return theta, fit_dvcm(Panel.pooled(train, self.sources), self.u0, h, self.order,
-                               self.family, theta).theta
+        and ``fine`` stacked in that order, then the pooled fit at ``h`` of those
+        two domains with ``sources``, started from it."""
+        panel = Panel.of([self.pilot_part, self.fine, *self.sources])
+        n = panel.offsets[2]  # the rows of both target splits
+        theta = fit_target_only(DomainSample._view(self.u0, panel.x[:n], panel.y[:n]),
+                                self.family)
+        return theta, fit_dvcm(panel, self.u0, h, self.order, self.family, theta).theta
 
     def _newton_start(self) -> np.ndarray | None:
         """``theta_glr`` as the Newton start of the pooled fits, whose nearest

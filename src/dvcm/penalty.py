@@ -101,7 +101,7 @@ def _zetas(win: KernelWindow, h: float, *moments: tuple[int, int]) -> list[np.nd
         acc = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
     else:
         acc = np.zeros((len(moments),) + terms.shape[2:])
-    return list(acc / (win.n_total * h))
+    return list(acc / (win.panel.n * h))
 
 
 def estimate_derivative(domains: Panel, u0: float, h: float, beta: int, family: ModelFamily,
@@ -127,8 +127,7 @@ def estimate_derivative(domains: Panel, u0: float, h: float, beta: int, family: 
         h = us[int(beta)] * (1.0 + 1e-9)
     beta = int(beta)
     fit = fit_dvcm(domains, u0, h, beta, family, start)
-    p = fit.design.p
-    return fit.alpha[beta * p :] / h**beta
+    return fit.alpha[beta * domains.p :] / h**beta
 
 
 def _bias(win: KernelWindow, h: float, beta: int, derivative: Callable[[], np.ndarray]
@@ -167,14 +166,14 @@ def estimate_variance_sandwich(fit: LocalFit, family: ModelFamily) -> np.ndarray
     """
     design = fit.design
     z, y = design.z, design.y
-    nh = design.window.n_total * design.bandwidth
+    panel = design.window.panel
+    nh = panel.n * design.bandwidth
     s1, s2 = family.score_curvature(z @ fit.alpha, y)
     delta = gram(z, (s1 * _KERNEL_HEIGHT) ** 2) / nh**2
     lam = gram(z, s2 * _KERNEL_HEIGHT) / nh
     c = spd_factor(lam, "sandwich bread matrix Lambda")
     inner = spd_solve(c, spd_solve(c, delta).T)
-    p = design.p
-    v = inner[:p, :p]
+    v = inner[: panel.p, : panel.p]
     return 0.5 * (v + v.T)
 
 
@@ -190,7 +189,7 @@ def _penalty(pilot_fit: LocalFit, beta: float, delta: float, family: ModelFamily
     diagnostics: dict = {}
     if not float(beta).is_integer():
         # no plug-in bias form exists for fractional smoothness
-        bias = np.zeros(design.p)
+        bias = np.zeros(design.window.panel.p)
         diagnostics["bias_skipped_noninteger_beta"] = float(beta)
     else:
         bias = _bias(design.window, design.bandwidth, beta, derivative)

@@ -4,9 +4,9 @@ Replications are keyed by a counter-based stream scheme: every
 (root seed, replication index, stream role) triple maps to an
 independent generator, so replications are order-independent,
 parallelisable, and bit-reproducible.  The target domain always
-receives ``2 n0`` observations; the first half feeds the pooled pilot
-and the penalty matrix, the second half the fine-tuning step and the
-target-side covariance plug-ins.
+receives ``2 n0`` observations; the first half is drawn into the pooled
+panel with the sources and feeds the pilot and the penalty matrix, the
+second half the fine-tuning step and the target-side covariance plug-ins.
 
 Experiments make one pass per replication over all of their cells
 (``mc_sweep``): the dataset is generated once and split into one
@@ -33,7 +33,7 @@ import numpy as np
 import numpy.random  # at import: it would otherwise load on the first draw
 
 from .bandwidth import BANDWIDTH_RULES
-from .design import DomainSample, Panel
+from .design import _MAX_ORDER, DomainSample, Panel, _record
 from .errors import DomainError, DvcmError, ExperimentError
 from .families import FAMILIES, get_family
 from .inference import TransferProblem, normal_quantile, wald_test
@@ -129,6 +129,12 @@ class SimConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0 < self.bw_c < math.inf:  # checked under every rule, as bw_epsilon is
             raise ValueError(f"bw_c must be finite and positive, got {self.bw_c!r}")
+        if not (0 < self.e0 < math.inf and 0 < self.beta < math.inf):  # whatever reads them
+            raise ValueError(f"e0 and beta must be finite and positive, "
+                             f"got e0={self.e0!r}, beta={self.beta!r}")
+        if not 0 <= self.order <= _MAX_ORDER:
+            raise ValueError(f"polynomial order must be between 0 and {_MAX_ORDER}, "
+                             f"got {self.order!r}")
         for name in ("gamma", "noise_sd", "bw_epsilon"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, "
@@ -168,75 +174,78 @@ def _covariate_factor(p: int, rho: float) -> np.ndarray:
     return factor
 
 
-def _draw_x(
-    rng: np.random.Generator, n: int, chol_t: np.ndarray, blocks: int = 1
-) -> np.ndarray:
-    """``blocks`` stacked designs of ``n`` rows: an intercept column plus
-    N(0, Sigma) covariates, ``chol_t = _covariate_factor(p, rho)``.
+def _draw_x(rng: np.random.Generator, out: np.ndarray, n: int, chol_t: np.ndarray) -> None:
+    """Fill ``out`` with stacked designs of ``n`` rows: an intercept column
+    plus N(0, Sigma) covariates, ``chol_t = _covariate_factor(p, rho)``.
 
     The normals come from one draw; each block is transformed on its own,
     so every block has the bits of a separate ``n``-row draw (a
     single-row product would otherwise take another BLAS path).
     """
-    q = chol_t.shape[0]
-    x = np.ones((blocks * n, q + 1))
-    if q:
-        normals = rng.standard_normal((blocks * n, q))
-        for k in range(0, blocks * n, n):
-            x[k : k + n, 1:] = normals[k : k + n] @ chol_t
-    return x
+    out[:, 0] = 1.0
+    if chol_t.shape[0]:
+        normals = rng.standard_normal((out.shape[0], chol_t.shape[0]))
+        for k in range(0, out.shape[0], n):
+            out[k : k + n, 1:] = normals[k : k + n] @ chol_t
 
 
-def _draw_y(
-    rng: np.random.Generator, eta: np.ndarray, family_kind: str, noise_sd: float
-) -> np.ndarray:
-    """Responses at linear predictor ``eta``: Gaussian noise of sd ``noise_sd``,
-    or Bernoulli / Poisson draws at the family's mean ``b'(eta)``.  A Poisson
-    mean beyond what numpy can draw raises DomainError."""
+def _draw_y(rng: np.random.Generator, eta: np.ndarray, family_kind: str, noise_sd: float,
+            out: np.ndarray) -> None:
+    """Fill ``out`` with responses at linear predictor ``eta``: Gaussian noise
+    of sd ``noise_sd``, or Bernoulli / Poisson draws at the family's mean
+    ``b'(eta)``.  A Poisson mean beyond what numpy can draw raises DomainError."""
     family = get_family(family_kind)
     if family.kind == "gaussian":
-        return eta + noise_sd * rng.standard_normal(eta.shape[0])
+        np.add(eta, noise_sd * rng.standard_normal(eta.shape[0]), out=out)
+        return
     if family.kind == "logistic":
-        return rng.binomial(1, family.b1(eta)).astype(float)
+        out[:] = rng.binomial(1, family.b1(eta))
+        return
     with np.errstate(over="ignore"):
         mean = family.b1(eta)
     try:
-        return rng.poisson(mean).astype(float)
+        out[:] = rng.poisson(mean)
     except ValueError as exc:
         raise DomainError(f"the Poisson mean exp(eta) reaches {float(mean.max())!r}, "
                           f"which numpy cannot draw from ({exc}); lower --gamma or "
                           f"u0 so that theta(u) stays smaller") from None
 
 
-def generate_dataset(config: SimConfig, rep: int) -> tuple[DomainSample, Panel]:
-    """Draw one replication: target domain of size 2 n0 plus a panel of K sources.
+def generate_dataset(config: SimConfig, rep: int) -> tuple[Panel, DomainSample]:
+    """Draw one replication: the pooled panel and the target's fine-tune half.
 
-    Source identifiers are uniform on (-gamma/2, gamma/2); the target sits
-    at ``u0``.  Streams are derived from (config.seed, rep) per role, so
-    identical inputs reproduce identical data.
+    The target draws ``2 n0`` observations at ``u0``.  Its first ``n0``
+    rows are the panel's domain 0, followed by K sources of ``n_bar`` rows
+    whose identifiers are uniform on (-gamma/2, gamma/2); the other half
+    comes back as a DomainSample.  Streams are derived from
+    (config.seed, rep) per role, so identical inputs reproduce identical
+    data.  The sources are drawn straight into the panel's rows, and only
+    the target's pilot rows are copied there; the package drew every
+    value, so the panel is made without a second scan of them.
     """
-    theta = config.theta
-    u_rng = rng_stream(config.seed, rep, "source_u")
-    us = u_rng.uniform(-config.gamma / 2.0, config.gamma / 2.0, config.K)
-    chol_t = _covariate_factor(config.p, config.cov_rho)
+    theta, n0, n_bar, K, p = config.theta, config.n0, config.n_bar, config.K, config.p
+    us = rng_stream(config.seed, rep, "source_u").uniform(-config.gamma / 2.0,
+                                                           config.gamma / 2.0, K)
+    chol_t = _covariate_factor(p, config.cov_rho)
+    x, y = np.empty((n0 + K * n_bar, p)), np.empty(n0 + K * n_bar)
 
     # one draw per role for all K sources: the streams are consumed in the
     # same order as K per-source draws, so every value is the same; the
     # batched product has the bits of K per-source products
-    x = _draw_x(rng_stream(config.seed, rep, "source_x"), config.n_bar, chol_t, config.K)
+    _draw_x(rng_stream(config.seed, rep, "source_x"), x[n0:], n_bar, chol_t)
     thetas = np.stack([theta(u) for u in us.tolist()])[:, :, None]  # (K, p, 1)
-    eta = np.matmul(x.reshape(config.K, config.n_bar, config.p), thetas).ravel()
-    y = _draw_y(rng_stream(config.seed, rep, "source_y"), eta, config.family,
-                config.noise_sd)
-    sources = Panel(x=x, y=y, u=us, offsets=np.arange(config.K + 1) * config.n_bar)
+    eta = np.matmul(x[n0:].reshape(K, n_bar, p), thetas).ravel()
+    _draw_y(rng_stream(config.seed, rep, "source_y"), eta, config.family,
+            config.noise_sd, y[n0:])
 
-    tx_rng = rng_stream(config.seed, rep, "target_x")
-    ty_rng = rng_stream(config.seed, rep, "target_y")
-    x0 = _draw_x(tx_rng, 2 * config.n0, chol_t)
-    eta0 = x0 @ theta(config.u0)
-    y0 = _draw_y(ty_rng, eta0, config.family, config.noise_sd)
-    target = DomainSample(u=config.u0, x=x0, y=y0)
-    return target, sources
+    x0, y0 = np.empty((2 * n0, p)), np.empty(2 * n0)
+    _draw_x(rng_stream(config.seed, rep, "target_x"), x0, 2 * n0, chol_t)
+    _draw_y(rng_stream(config.seed, rep, "target_y"), x0 @ theta(config.u0), config.family,
+            config.noise_sd, y0)
+    x[:n0], y[:n0] = x0[:n0], y0[:n0]
+    pooled = _record(Panel, x=x, y=y, u=np.concatenate([[config.u0], us]),
+                     offsets=np.r_[0, n0 + n_bar * np.arange(K + 1)])
+    return pooled, DomainSample._view(config.u0, x0[n0:], y0[n0:])
 
 
 def _replicate(
@@ -258,12 +267,10 @@ def _replicate(
     (``q_mode="oracle"`` only); with ``want_sigma`` a tl cell holds
     ``(theta_tl, Sigma_TL)``.
     """
-    target, sources = generate_dataset(config, rep)
-    n0 = target.n // 2
+    pooled, fine = generate_dataset(config, rep)
     problem = TransferProblem(
-        target.rows(0, n0), target.rows(n0), sources, config.u0, get_family(config.family),
-        order=config.order, beta=config.beta, delta=config.delta, gamma=config.gamma,
-        e0=config.e0,
+        pooled, fine, config.u0, get_family(config.family), order=config.order,
+        beta=config.beta, delta=config.delta, gamma=config.gamma, e0=config.e0,
     )
     try:
         theta_lr = problem.theta_lr

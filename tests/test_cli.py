@@ -686,6 +686,22 @@ class TestCliMisuse:
             lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
                           "--threads", "1", "--order", "171", "--out", str(o)],
             "error: cli: polynomial order must be between 0 and 170, got 171"),
+        # checked in SimConfig, whether or not the estimators read them
+        "simulate_beta_negative_without_tl": (
+            lambda d, o: ["simulate", "--p", "2", "--K", "3", "--n-bar", "30", "--n0", "20",
+                          "--reps", "2", "--grid", "0.5", "--threads", "1", "--beta", "-1",
+                          "--estimators", "lr,dvcm", "--out", str(o)],
+            "error: cli: e0 and beta must be finite and positive, got e0=1.0, beta=-1.0"),
+        "simulate_e0_negative_without_tl": (
+            lambda d, o: ["simulate", "--p", "2", "--K", "3", "--n-bar", "30", "--n0", "20",
+                          "--reps", "2", "--grid", "0.5", "--threads", "1", "--e0", "-1",
+                          "--estimators", "lr,dvcm", "--out", str(o)],
+            "error: cli: e0 and beta must be finite and positive, got e0=-1.0, beta=2.0"),
+        "simulate_order_negative_lr_only": (
+            lambda d, o: ["simulate", "--p", "2", "--K", "3", "--n-bar", "30", "--n0", "20",
+                          "--reps", "2", "--grid", "0.5", "--threads", "1", "--order", "-1",
+                          "--estimators", "lr", "--out", str(o)],
+            "error: cli: polynomial order must be between 0 and 170, got -1"),
         "fit_order_too_large": (
             lambda d, o: fit_args(d, o, ["--order", "171"]),
             "error: cli: polynomial order must be between 0 and 170, got 171"),
@@ -875,7 +891,8 @@ def test_import_leaves_scipy_stats_unloaded():
 def test_only_the_runs_that_use_them_load_scipy_and_statistics(tmp_path):
     """A Gaussian simulate and phase load neither scipy's package init, its
     special functions nor statistics; a logistic fit then loads the special
-    functions, and the process still runs one thread."""
+    functions, still without scipy's package init (nor the test utilities
+    and subprocess that it loads), and the process still runs one thread."""
     out = str(tmp_path / "out.csv")
     simulate = ["simulate", "--p", "2", "--K", "3", "--n-bar", "30", "--n0", "20",
                 "--reps", "2", "--grid", "0.5", "--threads", "1", "--out", out]
@@ -885,10 +902,12 @@ def test_only_the_runs_that_use_them_load_scipy_and_statistics(tmp_path):
     fit = fit_args(write_binary_csv(tmp_path / "b.csv"), tmp_path / "report.json",
                    ["--family", "logistic"])
     loaded = "*(m in sys.modules for m in ('scipy', 'scipy.special._ufuncs', 'statistics'))"
+    inits = "*(m in sys.modules for m in ('scipy', 'scipy._lib._testutils', 'subprocess'))"
     code = (f"import os, sys, dvcm.cli; m = dvcm.cli.main; "
             f"print(m({simulate!r}), m({phase!r}), {loaded}); "
-            f"print(m({fit!r}), 'scipy.special._ufuncs' in sys.modules, {_THREADS})")
-    assert _fresh_python(code) == ["0", "0", "False", "False", "False", "0", "True", "1"]
+            f"print(m({fit!r}), 'scipy.special._ufuncs' in sys.modules, {inits}, {_THREADS})")
+    assert _fresh_python(code) == ["0", "0", "False", "False", "False",
+                                   "0", "True", "False", "False", "False", "1"]
 
 
 @pytest.mark.parametrize("first", ["dvcm", "scipy.linalg.lapack"])

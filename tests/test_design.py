@@ -73,7 +73,7 @@ class TestBuildLocalDesign:
         assert np.allclose(d.z, [[1.0, 2.0]])
         assert d.weight == 1.0
         assert d.window.s_h == pytest.approx(0.5)
-        assert d.window.n_total == 1
+        assert d.window.panel.n == 1
 
     def test_out_of_window_domain_dropped(self):
         near = make_domain(0.0, [[1.0]], [1.0])
@@ -81,7 +81,7 @@ class TestBuildLocalDesign:
         d = build_local_design(Panel.of([near, far]), u0=0.0, h=0.25, l=0)
         assert d.z.shape[0] == 1
         assert _row_domain(d).tolist() == [0]
-        assert d.window.n_total == 2  # still counted in the (nh) scalings
+        assert d.window.panel.n == 2  # still counted in the (nh) scalings
 
     def test_two_domains_order_one(self):
         # hand evaluation: t = +-0.5, Phi_1 = (1, +-0.5), scalar X = 1
@@ -249,16 +249,20 @@ class TestPanelEqualsDomainListOracle:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         # every in-window domain has the kernel's one value
         assert want["w"].tobytes() == np.full(win.index.size, _KERNEL_HEIGHT).tobytes()
-        assert (win.s_h, win.n_total) == (want["s_h"], want["n_total"])
+        assert (win.s_h, win.panel.n) == (want["s_h"], want["n_total"])
 
     @given(_panels(), st.integers(0, 3))
     @settings(max_examples=150, deadline=None)
     def test_design_from_panel_bit_identical(self, panel, l):
-        """The panel stacked as ``TransferProblem`` stacks its pooled one:
-        the first domain (its pilot part) followed by a panel of the rest."""
+        """The panel laid out as ``generate_dataset`` lays out its pooled one:
+        one array each, every domain's rows written into it in turn."""
         domains, u0, h = panel
         assume(len(domains) > 1)  # a problem has at least one source
-        stacked = Panel.pooled(domains[0], Panel.of(domains[1:]))
+        offsets = np.cumsum([0] + [d.n for d in domains])
+        x, y = np.empty((offsets[-1], domains[0].p)), np.empty(offsets[-1])
+        for d, a, b in zip(domains, offsets, offsets[1:]):
+            x[a:b], y[a:b] = d.x, d.y
+        stacked = Panel(x=x, y=y, u=[d.u for d in domains], offsets=offsets)
         try:
             want = _kron_design(domains, u0, h, l)
         except ValueError:
@@ -350,15 +354,17 @@ class TestPanel:
             DomainSample(u=0.0, x=np.ones((3, 0)), y=np.zeros(3))
 
     def test_pooled_stacks_a_panel_like_its_domains(self):
+        """A domain in front of a panel's views, as ``fit`` pools its pilot
+        split with the other bins, stacks as the domains themselves do."""
         first, *rest = self._domains()
         want = Panel.of([first, *rest])
         for given_as in (Panel.of(rest), Panel.of([first, *rest])[1:]):
-            got = Panel.pooled(first, given_as)
+            got = Panel.of([first, *given_as])
             for name in ("x", "y", "u", "offsets"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         with pytest.raises(ValueError, match="same covariate dimension"):
-            Panel.pooled(make_domain(0.0, np.ones((2, 2))), Panel.of(rest))
+            Panel.of([make_domain(0.0, np.ones((2, 2))), *Panel.of(rest)])
 
     def test_of_rejects_mixed_dimensions_and_no_domains(self):
         with pytest.raises(ValueError, match="same covariate dimension"):
@@ -427,5 +433,5 @@ def test_only_panel_of_takes_a_sequence_of_domains():
             if second_form.search(str(annotation)):
                 found.append(f"{name}: {where}: {annotation}")
     assert {"kernel_window", "fit_dvcm", "zeta_hat", "select_bandwidth", "TransferProblem",
-            "Panel.of", "Panel.pooled"} <= checked
+            "Panel.of"} <= checked
     assert not found, found

@@ -305,8 +305,8 @@ def _sim_domains(rng, K, n, p, gamma, theta_fun, noise=0.3):
 def _q_hat(sources, pilot, h, fine=None, **kwargs):
     """``penalty(pilot(h))`` of the Gaussian problem at u0 = 0 whose pilot part is
     ``pilot`` and whose fine part is ``fine`` (default: ``pilot``)."""
-    problem = TransferProblem(pilot, pilot if fine is None else fine, sources, 0.0, GAUSSIAN,
-                              **kwargs)
+    problem = TransferProblem(Panel.of([pilot, *sources]), pilot if fine is None else fine,
+                              0.0, GAUSSIAN, **kwargs)
     return problem.penalty(problem.pilot(h))
 
 
@@ -428,7 +428,7 @@ class TestEstimateQReusesThePilotWindow:
         from dvcm.errors import DvcmError
 
         split, sources = _glm_problem(family, seed, K)
-        pooled = Panel.pooled(split, sources)
+        pooled = Panel.of([split, *sources])
         try:
             pilot = fit_dvcm(pooled, 0.0, h, l, family)
         except DvcmError:
@@ -437,7 +437,7 @@ class TestEstimateQReusesThePilotWindow:
         for name in ("index", "n", "t", "phi"):
             a, b = getattr(own, name), getattr(fresh, name)
             assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
-        assert (own.s_h, own.n_total) == (fresh.s_h, fresh.n_total)
+        assert (own.s_h, own.panel.n) == (fresh.s_h, fresh.panel.n)
 
         def bias(window):
             return _bias(window, h, 2, lambda: np.array([0.7, -1.3]))
@@ -452,7 +452,7 @@ class TestEstimateQReusesThePilotWindow:
 
     def test_penalty_adds_only_the_derivative_window(self, count_calls):
         split, sources = _glm_problem(GAUSSIAN, 3, 4)
-        problem = TransferProblem(split, split, sources, 0.0, GAUSSIAN)
+        problem = TransferProblem(Panel.of([split, *sources]), split, 0.0, GAUSSIAN)
         windows = count_calls(kernel_window)
         pilot = problem.pilot(0.7)
         assert windows[0] == 1
@@ -479,20 +479,20 @@ def _per_row_reference(panel, u0, h, l, family):
         except SingularSystemError:
             start = 0.0
         init = np.zeros(z.shape[1])
-        init[: design.p] = start
+        init[: panel.p] = start
         alpha = newton_weighted(z, weights, y, family, init)[0]
-    nh = design.window.n_total * h
+    nh = panel.n * h
     s1, s2 = family.score_curvature(z @ alpha, y)
     c = spd_factor(gram(z, s2 * kernel_values) / nh, "reference")
     inner = spd_solve(c, spd_solve(c, gram(z, (s1 * kernel_values) ** 2) / nh**2).T)
-    v = inner[: design.p, : design.p]
+    v = inner[: panel.p, : panel.p]
     n, t, w = win.n.tolist(), win.t.tolist(), w_domain.tolist()
     zetas = []
     for r, s in ((0, 1), (2, 1), (1, 2)):
         acc = np.zeros((l + 1, l + 1))
         for nk, tk, wk, phi in zip(n, t, w, win.phi):
             acc = acc + nk * (tk**r) * (wk**s) * (phi[:, None] * phi[None, :])
-        zetas.append(acc / (win.n_total * h))
+        zetas.append(acc / (panel.n * h))
     return s_h, alpha, 0.5 * (v + v.T), zetas
 
 

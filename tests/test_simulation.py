@@ -97,37 +97,39 @@ class TestTrueCoefficient:
 class TestGenerateDataset:
     def test_shapes_and_streams(self):
         cfg = SimConfig(p=3, K=4, n_bar=25, n0=10, gamma=1.0, reps=2, seed=1)
-        target, sources = generate_dataset(cfg, 0)
-        assert target.n == 20 and target.p == 3
+        pooled, fine = generate_dataset(cfg, 0)
+        target, sources = pooled[0], pooled[1:]
+        assert target.n + fine.n == 20 and target.p == fine.p == 3
         assert len(sources) == 4 and all(s.n == 25 for s in sources)
-        assert np.all(target.x[:, 0] == 1.0)
+        assert np.all(pooled.x[:, 0] == 1.0) and np.all(fine.x[:, 0] == 1.0)
 
     def test_determinism(self):
         cfg = SimConfig(p=2, K=3, n_bar=10, n0=5, gamma=0.8, reps=2, seed=7)
-        t1, s1 = generate_dataset(cfg, 3)
-        t2, s2 = generate_dataset(cfg, 3)
-        assert np.array_equal(t1.x, t2.x) and np.array_equal(t1.y, t2.y)
-        for a, b in zip(s1, s2):
-            assert a.u == b.u and np.array_equal(a.y, b.y)
+        (p1, f1), (p2, f2) = generate_dataset(cfg, 3), generate_dataset(cfg, 3)
+        assert np.array_equal(f1.x, f2.x) and np.array_equal(f1.y, f2.y)
+        for a, b in zip(p1, p2):  # the target's pilot half, then the sources
+            assert a.u == b.u and np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_replications_differ(self):
         cfg = SimConfig(p=2, K=3, n_bar=10, n0=5, gamma=0.8, reps=2, seed=7)
-        t1, _ = generate_dataset(cfg, 0)
-        t2, _ = generate_dataset(cfg, 1)
-        assert not np.array_equal(t1.y, t2.y)
+        _, f1 = generate_dataset(cfg, 0)
+        _, f2 = generate_dataset(cfg, 1)
+        assert not np.array_equal(f1.y, f2.y)
 
     def test_gamma_zero_degenerate(self):
         cfg = SimConfig(p=2, K=5, n_bar=8, n0=5, gamma=0.0, reps=2, seed=0)
-        _, sources = generate_dataset(cfg, 0)
-        assert all(s.u == 0.0 for s in sources)
+        pooled, _ = generate_dataset(cfg, 0)
+        assert all(s.u == 0.0 for s in pooled[1:])
 
     def test_noiseless_recovery(self):
         cfg = SimConfig(p=3, K=4, n_bar=40, n0=30, gamma=0.4, noise_sd=0.0,
                         reps=2, seed=3)
-        target, sources = generate_dataset(cfg, 0)
+        pooled, fine = generate_dataset(cfg, 0)
         theta0 = cfg.theta(0.0)
-        assert np.allclose(target.y, target.x @ theta0)
-        fit = fit_dvcm(Panel.pooled(target, sources), 0.0, 0.05, 1, GAUSSIAN)
+        for half in (pooled[0], fine):
+            assert np.allclose(half.y, half.x @ theta0)
+        # the whole target, both halves, pooled with the sources
+        fit = fit_dvcm(Panel.of([pooled[0], fine, *pooled[1:]]), 0.0, 0.05, 1, GAUSSIAN)
         assert np.max(np.abs(fit.theta - theta0)) < 1e-6
 
     def test_logistic_and_poisson_responses(self):
@@ -135,9 +137,9 @@ class TestGenerateDataset:
                            ("poisson", lambda y: np.all(y >= 0))]:
             cfg = SimConfig(family=fam, p=2, K=3, n_bar=15, n0=8, gamma=0.5,
                             reps=2, seed=5)
-            target, sources = generate_dataset(cfg, 0)
-            assert check(target.y)
-            assert check(sources[0].y)
+            pooled, fine = generate_dataset(cfg, 0)
+            assert check(fine.y)
+            assert check(pooled.y)  # the target's pilot half and the sources
 
 
 def _per_source_dataset(config, rep):
@@ -179,10 +181,12 @@ def test_dataset_is_bit_identical_to_per_source_draws(family, p, K, n_bar):
     cfg = SimConfig(family=family, p=p, K=K, n_bar=n_bar, n0=6, gamma=0.8, reps=1,
                     seed=11, theta_spec="paper_default" if family == "gaussian"
                     else "tanh_pair")
-    target, sources = generate_dataset(cfg, 2)
+    pooled, fine = generate_dataset(cfg, 2)
+    target, sources = pooled[0], pooled[1:]
     (u0, x0, y0), want = _per_source_dataset(cfg, 2)
-    assert target.u == u0 and target.x.tobytes() == x0.tobytes()
-    assert target.y.tobytes() == y0.tobytes()
+    assert target.u == fine.u == u0
+    assert np.concatenate([target.x, fine.x]).tobytes() == x0.tobytes()
+    assert np.concatenate([target.y, fine.y]).tobytes() == y0.tobytes()
     assert len(sources) == len(want)
     for got, (u, x, y) in zip(sources, want):
         assert got.u == u and got.x.tobytes() == x.tobytes() and got.y.tobytes() == y.tobytes()
@@ -361,10 +365,11 @@ def test_replication_views_no_source_and_locates_one_window_per_h(count_calls,
     cells = _replicate(SimConfig(p=4, K=5, n_bar=120, n0=50, gamma=1.0), grid,
                        ("lr", "dvcm", "tl"), 1)
     assert all(cell is not None for cell in cells)
-    # the two target halves are the only views: the sources panel is stacked,
-    # and the bandwidth rules read it, from its arrays
-    (target, _), = datasets
-    assert len(views) == 2 and all(np.shares_memory(x, target.x) for x in views)
+    # the two target halves are the only views: the fine half, and the pilot
+    # half in the drawn panel, whose sources the bandwidth rules read from its arrays
+    (pooled, fine), = datasets
+    assert (len(views) == 2 and views[0] is fine.x
+            and np.shares_memory(views[1], pooled.x[: pooled.offsets[1]]))
     # one window per fitted h, located by its pilot and reused by its penalty,
     # and one for the derivative fit
     assert windows[0] == len(grid) + 1
@@ -381,8 +386,59 @@ def test_dataset_validates_no_source_on_its_own(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(DomainSample, "__post_init__", counted)
-    target, sources = generate_dataset(SimConfig(p=3, K=7, n_bar=20, n0=10), 0)
-    assert len(sources) == 7 and made[0] == 1  # the target alone
+    pooled, fine = generate_dataset(SimConfig(p=3, K=7, n_bar=20, n0=10), 0)
+    assert len(pooled) == 8 and fine.n == 10 and made[0] == 0  # not even the target
+
+
+def test_replication_fits_the_drawn_panel(monkeypatch):
+    """A replication's problem holds the panel and fine half that
+    generate_dataset drew, and views its pilot half and sources there."""
+    from dvcm import simulation
+    from dvcm.simulation import _replicate
+
+    datasets, problems = [], []
+    generate, make = simulation.generate_dataset, simulation.TransferProblem
+    monkeypatch.setattr(simulation, "generate_dataset",
+                        lambda *args: datasets.append(generate(*args)) or datasets[-1])
+    monkeypatch.setattr(simulation, "TransferProblem",
+                        lambda *args, **kwargs: problems.append(make(*args, **kwargs))
+                        or problems[-1])
+    cells = _replicate(SimConfig(p=2, K=3, n_bar=30, n0=20), (0.5,), ("lr", "dvcm", "tl"), 0)
+    assert all(cell is not None for cell in cells)
+    ((pooled, fine),), (problem,) = datasets, problems
+    assert problem.pooled is pooled and problem.fine is fine
+    for part in (problem.pilot_part, problem.sources):
+        assert np.shares_memory(part.x, pooled.x) and np.shares_memory(part.y, pooled.y)
+
+
+# sha256 of generate_dataset's pooled x, y, u and offsets, in that order, for
+# the configuration below: recorded when the pilot half was stacked onto the sources
+# after the draw, so drawing into the panel's rows keeps every byte
+_POOLED_SHA256 = {
+    ("gaussian", 2): "7374e7a1b13c3f23d3fb09aff1a37b68d6814c076242d3f23420a879e4521e43",
+    ("gaussian", 3): "be13e0c297c84a5b5b70e517e57148b1e71649484a770406a1b1d4724497701e",
+    ("gaussian", 4): "a0e22c3471def15baab95aa1fc0c0b6e3efe2976aba89024b967e1efed3d0c81",
+    ("gaussian", 6): "1da5cccfbb5f6bc0d7bd090ffcf9b72609be4873e090e5856e4fb65d8118c364",
+    ("logistic", 2): "9732e10996de507ad79e3d6c2c1e4d817aac431fff4f8941dec7a6bc8ffbc9b7",
+    ("logistic", 3): "7605e782d1bc56b8d7ad0de94b25ee5c0dfa97f0c72ed6ae6bed1adc5da668e0",
+    ("logistic", 4): "76a5e8796db9cf8f8b5c44ab5a3e932b2ecded1704332f1cb67c3fb64931cf37",
+    ("logistic", 6): "49af536d73659827fc06c6223a609c4263f8785fecb7ecc7f9023e1ef11b3c61",
+    ("poisson", 2): "6de739f8bfee739dff63ea3960b0a578981dd32ac900f6ed10a017c659159ef4",
+    ("poisson", 3): "34c17e0a199c4f9936cf84e33bc60274ebeb618184cf2aebc33349861b41799d",
+    ("poisson", 4): "525b58d8afe0fb7966322d987f14466e307cd4b482f3a71c03ec3a0f9da75e41",
+    ("poisson", 6): "be3716934c1c7cec0978afca4abb6984c333fd6b42b22874514a868d16e0fdcb",
+}
+
+
+@pytest.mark.parametrize("family,p", sorted(_POOLED_SHA256))
+def test_pooled_dataset_bytes_are_pinned(family, p):
+    cfg = SimConfig(family=family, p=p, K=7, n_bar=40, n0=25, gamma=0.8, seed=5,
+                    theta_spec="paper_default" if family == "gaussian" else "tanh_pair")
+    pooled, _ = generate_dataset(cfg, 3)
+    digest = hashlib.sha256()
+    for a in (pooled.x, pooled.y, pooled.u, pooled.offsets):
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == _POOLED_SHA256[family, p]
 
 
 def test_replication_keeps_a_failed_derivative(count_calls):

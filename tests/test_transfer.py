@@ -1,7 +1,5 @@
 """TransferProblem: the one transfer pipeline, and its metamorphic properties."""
 
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -45,13 +43,13 @@ def _draws(offsets, family, seed=0):
 
 def _problem(draws, offsets, family, u0=0.0, y_scale=1.0, order=1, gamma=1.0, e0=100.0):
     (xp, yp), (xf, yf), *sources = draws
-    sources = Panel.of(DomainSample(u=u0 + d, x=x, y=y_scale * y)
-                       for d, (x, y) in zip(offsets, sources))
+    pooled = Panel.of([DomainSample(u=u0, x=xp, y=y_scale * yp)]
+                      + [DomainSample(u=u0 + d, x=x, y=y_scale * y)
+                         for d, (x, y) in zip(offsets, sources)])
     # e0 = 100 puts the derivative bandwidth at the farthest source, so the
     # derivative window holds every domain
-    return TransferProblem(DomainSample(u=u0, x=xp, y=y_scale * yp),
-                           DomainSample(u=u0, x=xf, y=y_scale * yf),
-                           sources, u0, get_family(family), order=order, gamma=gamma, e0=e0)
+    return TransferProblem(pooled, DomainSample(u=u0, x=xf, y=y_scale * yf), u0,
+                           get_family(family), order=order, gamma=gamma, e0=e0)
 
 
 def _fit(problem, h=H):
@@ -93,14 +91,22 @@ def test_bandwidth_rules_without_c_and_epsilon_need_neither(rule, h):
 def test_problem_keeps_one_copy_of_the_sources():
     offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
     (xp, yp), (xf, yf), *draws = _draws(offsets, "gaussian")
-    sources = Panel.of(DomainSample(u=d, x=x, y=y) for d, (x, y) in zip(offsets, draws))
-    refs = [weakref.ref(sources), weakref.ref(sources.x)]  # a view would keep x alive
-    problem = TransferProblem(DomainSample(u=0.0, x=xp, y=yp), DomainSample(u=0.0, x=xf, y=yf),
-                              sources, 0.0, get_family("gaussian"))
-    del sources
-    assert all(ref() is None for ref in refs)
-    assert np.shares_memory(problem.sources.x, problem.pooled.x)
+    pooled = Panel.of([DomainSample(u=0.0, x=xp, y=yp)]
+                      + [DomainSample(u=d, x=x, y=y) for d, (x, y) in zip(offsets, draws)])
+    problem = TransferProblem(pooled, DomainSample(u=0.0, x=xf, y=yf), 0.0,
+                              get_family("gaussian"))
+    assert problem.pooled is pooled  # the caller's panel, not stacked again
+    for part in (problem.pilot_part, problem.sources):
+        assert np.shares_memory(part.x, pooled.x) and np.shares_memory(part.y, pooled.y)
+    assert problem.pilot_part.x.tobytes() == xp.tobytes()
     assert [d.u for d in problem.sources] == offsets
+
+
+def test_problem_needs_a_source():
+    (xp, yp), (xf, yf) = _draws([], "gaussian")
+    part, fine = DomainSample(u=0.0, x=xp, y=yp), DomainSample(u=0.0, x=xf, y=yf)
+    with pytest.raises(ValueError, match="the pilot split and a source domain"):
+        TransferProblem(Panel.of([part]), fine, 0.0, get_family("gaussian"))
 
 
 # five sources on distinct slots of a 0.1 grid over [-1, 1] (the target owns
@@ -130,7 +136,7 @@ def test_chain_equals_the_hand_wired_pipeline(family, order):
     problem = _problem(_draws(offsets, family), offsets, family, order=order)
     fam, part, fine = problem.family, problem.pilot_part, problem.fine
     sources = problem.sources
-    pooled = Panel.pooled(part, sources)
+    pooled = Panel.of([part, *sources])
 
     pilot = fit_dvcm(pooled, 0.0, H, order, fam)
     assert pilot.converged
@@ -157,7 +163,7 @@ def test_full_target_equals_the_hand_wired_fit_estimates(family):
     train = DomainSample(u=0.0, x=np.vstack([part.x, fine.x]),
                          y=np.concatenate([part.y, fine.y]))
     theta_lr = fit_target_only(train, fam)
-    theta_dvcm = fit_dvcm(Panel.pooled(train, problem.sources), 0.0, H, 1, fam,
+    theta_dvcm = fit_dvcm(Panel.of([train, *problem.sources]), 0.0, H, 1, fam,
                           theta_lr).theta
     got_lr, got_dvcm = problem.full_target(H)
     assert got_lr.tobytes() == theta_lr.tobytes()
@@ -175,10 +181,12 @@ def test_every_entry_checks_the_response_against_the_family(family, bad):
     spoiled = DomainSample(u=0.0, x=fine.x, y=y)
     entries = {
         "fit_target_only": lambda: fit_target_only(spoiled, fam),
-        "fit_dvcm": lambda: fit_dvcm(Panel.pooled(spoiled, sources), 0.0, H, 1, fam),
+        "fit_dvcm": lambda: fit_dvcm(Panel.of([spoiled, *sources]), 0.0, H, 1, fam),
         "fit_tl": lambda: fit_tl(spoiled, problem.theta_lr, np.eye(2), fam),
-        "TransferProblem fine": lambda: TransferProblem(part, spoiled, sources, 0.0, fam),
-        "TransferProblem pooled": lambda: TransferProblem(spoiled, fine, sources, 0.0, fam),
+        "TransferProblem fine": lambda: TransferProblem(Panel.of([part, *sources]), spoiled,
+                                                        0.0, fam),
+        "TransferProblem pooled": lambda: TransferProblem(Panel.of([spoiled, *sources]), fine,
+                                                          0.0, fam),
     }
     for call in entries.values():
         with pytest.raises(DomainError, match=rf"the {family} family .*, got {bad!r}$"):
@@ -188,7 +196,7 @@ def test_every_entry_checks_the_response_against_the_family(family, bad):
 def test_penalty_rejects_a_pilot_it_did_not_make():
     offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
     problem = _problem(_draws(offsets, "gaussian"), offsets, "gaussian")
-    fam, pooled = problem.family, Panel.pooled(problem.pilot_part, problem.sources)
+    fam, pooled = problem.family, Panel.of([problem.pilot_part, *problem.sources])
     foreign = {
         "another h and panel": fit_dvcm(pooled, 0.0, 2.0, 1, fam),
         # the same fit as pilot(H), on a panel the problem does not own
@@ -216,7 +224,7 @@ def test_penalty_of_a_foreign_pilot_locates_its_own_window(count_calls):
     problem = _problem(_draws(offsets, "gaussian"), offsets, "gaussian")
     want = problem.penalty(problem.pilot(H))
     windows = count_calls(design.kernel_window)
-    foreign = fit_dvcm(Panel.pooled(problem.pilot_part, problem.sources), 0.0, H, 1,
+    foreign = fit_dvcm(Panel.of([problem.pilot_part, *problem.sources]), 0.0, H, 1,
                        problem.family)
     assert windows[0] == 1
     assert foreign.design.window.panel is not problem.pooled
@@ -233,7 +241,7 @@ def _variant(**kwargs):
     """The gaussian problem of the fixed offsets with other ``kwargs``."""
     offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
     plain = _problem(_draws(offsets, "gaussian"), offsets, "gaussian")
-    return TransferProblem(plain.pilot_part, plain.fine, plain.sources, 0.0, plain.family,
+    return TransferProblem(plain.pooled, plain.fine, 0.0, plain.family,
                            **{"e0": 100.0, **kwargs})
 
 
@@ -351,6 +359,6 @@ def test_pipeline_never_evaluates_the_third_derivative():
     draws = _draws(offsets, "logistic")
     plain = _problem(draws, offsets, "logistic")
     fam = dataclasses.replace(plain.family, b3=b3)
-    problem = TransferProblem(plain.pilot_part, plain.fine, plain.sources, 0.0, fam, e0=100.0)
+    problem = TransferProblem(plain.pooled, plain.fine, 0.0, fam, e0=100.0)
     for got, want in zip(_fit(problem), _fit(plain)):
         assert np.array_equal(got, want)
