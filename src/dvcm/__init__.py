@@ -31,15 +31,12 @@ try:
         BandwidthChoice,
         gamma_moment_estimate,
         select_bandwidth,
-        select_bandwidth_median,
-        select_bandwidth_undersmoothed,
     )
     from .design import (
         DomainSample,
         LocalDesign,
         Panel,
         build_local_design,
-        domain_distances,
         poly_features,
         uniform_kernel,
     )

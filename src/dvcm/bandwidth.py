@@ -1,11 +1,12 @@
-"""Bandwidth rules: rate-optimal median rule and undersmoothed inference rule.
+"""Bandwidth rules: :func:`select_bandwidth`'s median, undersmoothed and fixed.
 
 The median rule ``h = med(e0 (n/gamma)^{-1/(2 beta + 1)}, d_(1), d_(K))``
 truncates the rate-optimal bandwidth to the span of the source-domain
-distances, so the window always contains at least the nearest source and
-never extends uselessly beyond the farthest.  The inference rule
-undersmooths by bumping the rate exponent, making the pilot's bias
-asymptotically negligible against its standard error.
+distances ``|U_k - u0|``, so the window always contains at least the
+nearest source and never extends uselessly beyond the farthest.  The
+undersmoothed rule ``c (gamma/n)^{(1+epsilon)/(2 beta + 1)}``, for
+inference, bumps the rate exponent, making the pilot's bias asymptotically
+negligible against its standard error.  The fixed rule keeps a given h.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import Panel, domain_distances
+from .design import Panel
 
 __all__ = [
     "BandwidthChoice",
     "select_bandwidth",
-    "select_bandwidth_median",
-    "select_bandwidth_undersmoothed",
     "gamma_moment_estimate",
 ]
 
@@ -63,58 +62,59 @@ def gamma_moment_estimate(sources: Panel) -> float:
     return sd * np.sqrt(12.0)
 
 
-def select_bandwidth_median(
-    sources: Panel,
-    u0: float,
-    beta: float,
-    gamma: float,
-    e0: float = 1.0,
-    *,
-    n_extra: int = 0,
+# the data-driven rules, which an experiment's replications choose from
+BANDWIDTH_RULES = ("median", "undersmoothed")
+
+
+def _check_settings(rule: str, beta: float, gamma: float | None, e0: float, c: float,
+                    epsilon: float, h: float | None) -> None:
+    """Raise ValueError unless ``rule`` is known and the settings it reads
+    are in range; ``gamma=None``, a moment estimate still to come, passes."""
+    gamma_ok = gamma is None or 0 < gamma < math.inf
+    if rule == "median":
+        if not (gamma_ok and 0 < e0 < math.inf and 0 < beta < math.inf):
+            raise ValueError(f"gamma, e0 and beta must be finite and positive, "
+                             f"got gamma={gamma}, e0={e0}, beta={beta}")
+    elif rule == "undersmoothed":
+        if not (gamma_ok and 0 < c < math.inf and 0 < beta < math.inf
+                and 0 <= epsilon < math.inf):
+            raise ValueError(f"gamma, c and beta must be finite and positive and epsilon "
+                             f"finite and nonnegative, got gamma={gamma}, c={c}, "
+                             f"beta={beta}, epsilon={epsilon}")
+    elif rule != "fixed":
+        raise ValueError(f"bandwidth rule {rule!r} is none of {(*BANDWIDTH_RULES, 'fixed')}")
+    elif h is None or not 0 < h < math.inf:
+        raise ValueError(f"bandwidth rule 'fixed' needs a finite positive h, got {h}")
+
+
+def select_bandwidth(
+    rule: str, sources: Panel, u0: float, beta: float, gamma: float,
+    *, e0: float = 1.0, c: float = 1.0, epsilon: float = 0.2, n_extra: int = 0,
+    h: float | None = None,
 ) -> BandwidthChoice:
-    """Rate-optimal bandwidth: median of the rate term and d_(1), d_(K).
+    """Bandwidth of ``rule``: ``median`` (constant ``e0``), ``undersmoothed``
+    (``c``, ``epsilon``) or ``fixed`` (the given ``h``).
 
     ``n_extra`` counts target observations pooled into the fit on top of
-    the source samples, so the rate term sees the full sample size.
-    """
-    if not (0 < gamma < math.inf and 0 < e0 < math.inf and 0 < beta < math.inf):
-        raise ValueError(f"gamma, e0 and beta must be finite and positive, "
-                         f"got gamma={gamma}, e0={e0}, beta={beta}")
-    _, d1, dK = domain_distances(sources, u0)
-    n = n_extra + sources.n
-    rate = e0 * (n / gamma) ** (-1.0 / (2.0 * beta + 1.0))
-    h = float(sorted([rate, d1, dK])[1])  # the median: no NaN can reach here
-    return BandwidthChoice(
-        h=h, rule="median_rule", rate_term=rate, d1=d1, dK=dK,
-        e0=e0, beta=beta, gamma=gamma, n=n,
-    )
-
-
-def select_bandwidth_undersmoothed(
-    sources: Panel,
-    u0: float,
-    beta: float,
-    gamma: float,
-    c: float = 1.0,
-    epsilon: float = 0.2,
-    *,
-    n_extra: int = 0,
-) -> BandwidthChoice:
-    """Undersmoothed bandwidth ``c (gamma/n)^{(1+epsilon)/(2 beta + 1)}``.
-
-    The result is clipped just above ``d_(1)(u0)`` so the window is never
+    the source samples, so the rate term sees the full sample size.  An
+    undersmoothed h is clipped just above ``d_(1)`` so the window is never
     empty; diagnostics flag an infeasible clip (beyond the rate-optimal
-    level) and whether the effective-domain condition ``h K / gamma > 1``
-    holds.  ``epsilon = 0`` recovers the rate-optimal exponent and is
-    flagged as a boundary choice.
+    level), ``epsilon = 0`` (the rate-optimal exponent) and whether the
+    effective-domain condition ``h K / gamma > 1`` holds.
     """
-    if not (0 < gamma < math.inf and 0 < c < math.inf and 0 < beta < math.inf
-            and 0 <= epsilon < math.inf):
-        raise ValueError(f"gamma, c and beta must be finite and positive and epsilon finite "
-                         f"and nonnegative, got gamma={gamma}, c={c}, beta={beta}, "
-                         f"epsilon={epsilon}")
-    _, d1, dK = domain_distances(sources, u0)
+    _check_settings(rule, beta, gamma, e0, c, epsilon, h)
+    dist = np.abs(sources.u - u0)
+    d1, dK = float(dist.min()), float(dist.max())
+    if rule == "fixed":
+        return BandwidthChoice(h=h, rule="fixed", rate_term=h, d1=d1, dK=dK)
     n = n_extra + sources.n
+    if rule == "median":
+        rate = e0 * (n / gamma) ** (-1.0 / (2.0 * beta + 1.0))
+        h = float(sorted([rate, d1, dK])[1])  # the median: no NaN can reach here
+        return BandwidthChoice(
+            h=h, rule="median_rule", rate_term=rate, d1=d1, dK=dK,
+            e0=e0, beta=beta, gamma=gamma, n=n,
+        )
     rate_cap = (gamma / n) ** (1.0 / (2.0 * beta + 1.0))
     h = c * (gamma / n) ** ((1.0 + epsilon) / (2.0 * beta + 1.0))
     diagnostics: dict = {}
@@ -135,27 +135,3 @@ def select_bandwidth_undersmoothed(
         beta=beta, gamma=gamma, n=n, c=c, epsilon=epsilon,
         feasible=feasible, clipped=clipped, diagnostics=diagnostics,
     )
-
-
-# the data-driven rules, which an experiment's replications choose from
-BANDWIDTH_RULES = ("median", "undersmoothed")
-
-
-def select_bandwidth(
-    rule: str, sources: Panel, u0: float, beta: float, gamma: float,
-    *, e0: float, c: float, epsilon: float, n_extra: int, h: float | None = None,
-) -> BandwidthChoice:
-    """Bandwidth of ``rule``: ``median`` (constant ``e0``), ``undersmoothed``
-    (``c``, ``epsilon``) or ``fixed`` (the given ``h``)."""
-    if rule == "median":
-        return select_bandwidth_median(sources, u0, beta, gamma, e0, n_extra=n_extra)
-    if rule == "undersmoothed":
-        return select_bandwidth_undersmoothed(
-            sources, u0, beta, gamma, c, epsilon, n_extra=n_extra
-        )
-    if rule != "fixed":
-        raise ValueError(f"bandwidth rule {rule!r} is none of {(*BANDWIDTH_RULES, 'fixed')}")
-    if h is None or not 0 < h < math.inf:
-        raise ValueError(f"bandwidth rule 'fixed' needs a finite positive h, got {h}")
-    _, d1, dK = domain_distances(sources, u0)
-    return BandwidthChoice(h=h, rule="fixed", rate_term=h, d1=d1, dK=dK)

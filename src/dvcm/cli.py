@@ -22,7 +22,8 @@ import numpy as np
 import numpy.random  # at import: it would otherwise load on the first draw
 
 from . import dataio
-from .bandwidth import BandwidthChoice, gamma_moment_estimate
+from .bandwidth import BandwidthChoice, _check_settings, gamma_moment_estimate
+from .design import _MAX_ORDER  # a bound only: every estimate comes from TransferProblem
 from .errors import DvcmError, ParseError
 from .families import FAMILIES, get_family
 from .inference import TransferProblem, confidence_intervals, contrast_test, wald_test
@@ -75,24 +76,27 @@ def _parse_fractions(text: str, option: str) -> list[float]:
 
 def _parse_bandwidth(args) -> tuple[str, float | None]:
     """``--bandwidth auto|undersmooth|<positive number>`` as the rule of
-    :func:`select_bandwidth` and its fixed ``h`` (None for a data-driven rule);
+    :func:`select_bandwidth` and its fixed ``h`` (None for a data-driven rule),
+    checked with the settings of that rule and of the median rule, which the
+    penalty's derivative bandwidth runs; ``--gamma`` is checked only when set.
     ``--bw-c`` and ``--epsilon`` must meet the undersmoothed rule's bounds under any rule."""
     if not 0 < args.bw_c < np.inf:
         raise ValueError(f"--bw-c must be finite and positive, got {args.bw_c}")
     if not 0 <= args.epsilon < np.inf:
         raise ValueError(f"--epsilon must be finite and nonnegative, got {args.epsilon}")
-    text = args.bandwidth
-    rule = {"auto": "median", "undersmooth": "undersmoothed"}.get(text)
-    if rule is not None:
-        return rule, None
-    try:
-        h = float(text)
-    except ValueError:
-        raise ValueError(f"--bandwidth {text!r} is not auto, undersmooth "
-                         f"or a positive number") from None
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"--bandwidth needs a finite positive h, got {h}")
-    return "fixed", h
+    text, h = args.bandwidth, None
+    rule = {"auto": "median", "undersmooth": "undersmoothed"}.get(text, "fixed")
+    if rule == "fixed":
+        try:
+            h = float(text)
+        except ValueError:
+            raise ValueError(f"--bandwidth {text!r} is not auto, undersmooth "
+                             f"or a positive number") from None
+        if not (np.isfinite(h) and h > 0):
+            raise ValueError(f"--bandwidth needs a finite positive h, got {h}")
+    for checked in (rule, "median"):
+        _check_settings(checked, args.beta, args.gamma, args.e0, args.bw_c, args.epsilon, h)
+    return rule, h
 
 
 def _parse_part(tok: str, option: str, fraction: bool = False) -> float:
@@ -156,6 +160,9 @@ def _run_fit_pipeline(args) -> EstimateReport:
         raise ValueError(f"--u0 must be a finite number, got {args.u0}")
     family = get_family(args.family)
     rule, fixed_h = _parse_bandwidth(args)
+    if not 0 <= args.order <= _MAX_ORDER:
+        raise ValueError(f"polynomial order must be between 0 and {_MAX_ORDER}, "
+                         f"got {args.order}")
     fractions = _parse_fractions(args.split, "--split")
     if len(fractions) < 2:
         raise ValueError(

@@ -41,7 +41,6 @@ __all__ = [
     "poly_features",
     "kernel_window",
     "build_local_design",
-    "domain_distances",
 ]
 
 _KERNEL_HEIGHT = 0.5  # the uniform kernel's value on its support |t| <= 1
@@ -317,12 +316,3 @@ def build_local_design(domains: Panel, u0: float, h: float, l: int) -> LocalDesi
         bandwidth=h, center=u0, window=win,
     )
 
-
-def domain_distances(domains: Panel, u0: float) -> tuple[np.ndarray, float, float]:
-    """Sorted distances |u0 - U_k| over source domains, with d_(1) and d_(K).
-
-    The target always sits at distance zero, so callers pass source
-    domains only.
-    """
-    d = np.sort(np.abs(domains.u - u0))
-    return d, float(d[0]), float(d[-1])

@@ -217,7 +217,7 @@ class TransferProblem:
                   h: float | None = None) -> BandwidthChoice:
         """:func:`select_bandwidth`'s ``rule`` on this problem's sources, whose
         rate term also counts the ``pilot_part`` rows pooled with them; ``c``
-        and ``epsilon`` default to :func:`select_bandwidth_undersmoothed`'s."""
+        and ``epsilon`` default to :func:`select_bandwidth`'s."""
         return select_bandwidth(rule, self.sources, self.u0, self.beta, self.gamma,
                                 e0=self.e0, c=c, epsilon=epsilon,
                                 n_extra=self.pilot_part.n, h=h)

@@ -138,8 +138,6 @@ def _bias(win: KernelWindow, h: float, beta: int, derivative: Callable[[], np.nd
     with the zeta moments of ``win``; ``derivative()`` gives theta^(beta)(u0)
     and is not called when the moment factor is zero.
     """
-    if not float(beta).is_integer() or beta < 1:
-        raise ValueError(f"bias estimation needs a positive integer beta, got {beta}")
     beta = int(beta)
     z01, zb1 = _zetas(win, h, (0, 1), (beta, 1))
     rhs = zb1[:, 0]

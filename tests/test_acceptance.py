@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from dvcm.bandwidth import select_bandwidth_median
+from dvcm.bandwidth import select_bandwidth
 from dvcm.cli import main
 from dvcm.design import DomainSample, Panel, build_local_design, poly_features, uniform_kernel
 from dvcm.errors import SingularSystemError
@@ -289,7 +289,7 @@ def test_criterion_9_pipeline_invariants():
                        for u in (0.2, -0.5, 0.8))
     in_bounds = True
     for e0 in (0.05, 0.3, 1.0, 3.0):
-        ch = select_bandwidth_median(sources, 0.0, 2.0, 1.0, e0)
+        ch = select_bandwidth("median", sources, 0.0, 2.0, 1.0, e0=e0)
         cands = [ch.rate_term, ch.d1, ch.dK]
         in_bounds &= min(cands) <= ch.h <= max(cands)
         in_bounds &= ch.h == float(np.median(cands))

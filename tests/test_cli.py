@@ -725,6 +725,22 @@ class TestCliMisuse:
         "fit_delta_checked_before_ingest": (
             lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--delta", "3"]),
             "error: cli: --delta must lie in (1/2, 2), got 3.0"),
+        # so are the bandwidth rules' settings (--gamma when set) and the order
+        "fit_beta_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--beta", "-1"]),
+            "e0=1.0, beta=-1.0"),
+        "fit_e0_checked_before_ingest": (  # the derivative's median rule reads e0
+            lambda d, o: fit_args(d.with_name("missing.csv"), o,
+                                  ["--bandwidth", "0.3", "--e0", "inf"]),
+            "e0=inf, beta=2.0"),
+        "fit_gamma_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o,
+                                  ["--bandwidth", "undersmooth", "--gamma", "-1"]),
+            "error: cli: gamma, c and beta must be finite and positive and epsilon finite "
+            "and nonnegative, got gamma=-1.0"),
+        "fit_order_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--order", "171"]),
+            "error: cli: polynomial order must be between 0 and 170, got 171"),
         "fit_delta_nan": (
             lambda d, o: fit_args(d, o, ["--delta", "nan"]),
             "error: cli: --delta must lie in (1/2, 2), got nan"),

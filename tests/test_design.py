@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dvcm.bandwidth import select_bandwidth
 from dvcm.design import (
     _KERNEL_HEIGHT,
     DomainSample,
     Panel,
     build_local_design,
-    domain_distances,
     kernel_window,
     poly_features,
     uniform_kernel,
@@ -381,26 +381,30 @@ class TestPanel:
             dom.rows(4)
 
 
-class TestDomainDistances:
+class TestDomainDistances:  # d_(1) and d_(K), as select_bandwidth reports them
+    @staticmethod
+    def _ends(doms):
+        choice = select_bandwidth("fixed", doms, 0.0, 2.0, 1.0, h=0.3)
+        return choice.d1, choice.dK
+
     def test_basic(self):
         doms = Panel.of(make_domain(u, [[1.0]]) for u in (0.2, -0.3, 0.7))
-        d, d1, dK = domain_distances(doms, 0.0)
+        d1, dK = self._ends(doms)
         assert d1 == pytest.approx(0.2)
         assert dK == pytest.approx(0.7)
-        assert np.all(np.diff(d) >= 0)
 
     def test_single_source(self):
-        d, d1, dK = domain_distances(Panel.of([make_domain(0.4, [[1.0]])]), 0.0)
+        d1, dK = self._ends(Panel.of([make_domain(0.4, [[1.0]])]))
         assert d1 == dK == pytest.approx(0.4)
 
     def test_degenerate_ties(self):
         doms = Panel.of(make_domain(0.0, [[1.0]]) for _ in range(3))
-        _, d1, dK = domain_distances(doms, 0.0)
+        d1, dK = self._ends(doms)
         assert d1 == dK == 0.0
 
     def test_empty_rejected(self):  # a panel always holds a domain
         with pytest.raises(ValueError, match="at least one domain"):
-            domain_distances(Panel.of([]), 0.0)
+            self._ends(Panel.of([]))
 
 
 def _public_callables():

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from dvcm.bandwidth import select_bandwidth, select_bandwidth_median
+from dvcm.bandwidth import select_bandwidth
 from dvcm.design import DomainSample, Panel
 from dvcm.errors import DomainError
 from dvcm.estimators import fit_dvcm, fit_target_only, fit_tl
@@ -140,7 +140,8 @@ def test_chain_equals_the_hand_wired_pipeline(family, order):
 
     pilot = fit_dvcm(pooled, 0.0, H, order, fam)
     assert pilot.converged
-    h_deriv = select_bandwidth_median(sources, 0.0, 2.0, 1.0, 100.0, n_extra=part.n).h
+    h_deriv = select_bandwidth("median", sources, 0.0, 2.0, 1.0, e0=100.0,
+                               n_extra=part.n).h
     scale = estimate_scale(part, fit_target_only(part, fam), fam)
     pen = _penalty(pilot, 2.0, 1.0, fam, scale, fine.n,
                    lambda: estimate_derivative(pooled, 0.0, h_deriv, 2, fam))
