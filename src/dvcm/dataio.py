@@ -334,17 +334,21 @@ def minmax_scale(values: Sequence[float]) -> np.ndarray:
     return (v - lo) / (hi - lo)
 
 
+_MAX_BINS = 2**52  # bin indices and j + 0.5 are exact in float64, ceil(u * n_bins) in int64
+
+
 def bin_domains(table: RawTable, n_bins: int = 10) -> Panel:
     """Group observations into equal-width identifier bins.
 
     The first bin is closed ``[0, 1/n_bins]``; the rest are left-open
     ``(a, b]``, matching midpoints ``(j - 0.5) / n_bins``.  Occupied bins
-    become the domains of one panel, at their midpoints and in bin order.
+    become the domains of one panel, at their midpoints and in bin order;
+    ``n_bins`` lies in ``[2, 2**52]``.
     The covariates and responses are taken as finite, as :func:`load_csv`
     leaves them.
     """
-    if n_bins < 2:
-        raise ValueError(f"need at least 2 bins, got {n_bins}")
+    if not 2 <= n_bins <= _MAX_BINS:
+        raise ValueError(f"need between 2 and 2**52 bins, got {n_bins}")
     if table.n == 0:
         raise ValueError("cannot bin an empty table")
     u = table.u
@@ -357,10 +361,11 @@ def bin_domains(table: RawTable, n_bins: int = 10) -> Panel:
     # the smallest integer type that holds the bin index runs as a radix sort
     idx = idx.astype(np.min_scalar_type(n_bins))
     order = np.argsort(idx, kind="stable")
-    bounds = np.searchsorted(idx[order], np.arange(n_bins + 1))
-    occupied = np.flatnonzero(np.diff(bounds))
-    return _record(Panel, x=table.x[order], y=table.y[order], u=(occupied + 0.5) / n_bins,
-                   offsets=np.append(bounds[occupied], bounds[-1]))
+    idx = idx[order]
+    # an occupied bin starts where the sorted index changes: no array per possible bin
+    offsets = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1, [idx.size]))
+    return _record(Panel, x=table.x[order], y=table.y[order],
+                   u=(idx[offsets[:-1]] + 0.5) / n_bins, offsets=offsets)
 
 
 def split_target(

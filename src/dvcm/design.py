@@ -216,10 +216,14 @@ def _powers(t: float, l: int) -> list[float]:
     return [t**j / math.factorial(j) for j in range(l + 1)]
 
 
-def poly_features(t: float, l: int) -> np.ndarray:
-    """Polynomial feature map (1, t, t^2/2!, ..., t^l/l!)."""
+def _check_order(l: int) -> None:
     if not 0 <= l <= _MAX_ORDER:
         raise ValueError(f"polynomial order must be between 0 and {_MAX_ORDER}, got {l}")
+
+
+def poly_features(t: float, l: int) -> np.ndarray:
+    """Polynomial feature map (1, t, t^2/2!, ..., t^l/l!)."""
+    _check_order(l)
     return np.array(_powers(t, l))
 
 
@@ -250,8 +254,7 @@ def kernel_window(domains: Panel, u0: float, h: float, l: int) -> KernelWindow:
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"bandwidth must be finite and positive, got {h}")
-    if not 0 <= l <= _MAX_ORDER:
-        raise ValueError(f"polynomial order must be between 0 and {_MAX_ORDER}, got {l}")
+    _check_order(l)
     t_all = (domains.u - u0) / h
     index = (np.abs(t_all) <= 1.0).nonzero()[0]
     t = t_all[index]

@@ -147,13 +147,12 @@ def newton_weighted(
     for iterations in range(1, NEWTON_MAX_ITER + 1):
         s1, s2 = family.score_curvature(eta, y)
         grad = z.T @ (w * s1)
-        hess = gram(z, w * s2)
         if q is not None:
             grad = grad + q @ (alpha - center)
-            hess = hess + q
         if np.max(np.abs(grad)) <= NEWTON_TOL:
             return alpha, True, iterations - 1
-        step = _solve_spd(hess, grad)
+        hess = gram(z, w * s2)  # formed only for a step
+        step = _solve_spd(hess if q is None else hess + q, grad)
         # backtracking: halve until the objective decreases; if no scale
         # helps (round-off floor), keep the current iterate
         accepted = False

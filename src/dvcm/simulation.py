@@ -33,7 +33,7 @@ import numpy as np
 import numpy.random  # at import: it would otherwise load on the first draw
 
 from .bandwidth import BANDWIDTH_RULES
-from .design import _MAX_ORDER, DomainSample, Panel, _record
+from .design import DomainSample, Panel, _check_order, _record
 from .errors import DomainError, DvcmError, ExperimentError
 from .families import FAMILIES, get_family
 from .inference import TransferProblem, normal_quantile, wald_test
@@ -132,9 +132,7 @@ class SimConfig:
         if not (0 < self.e0 < math.inf and 0 < self.beta < math.inf):  # whatever reads them
             raise ValueError(f"e0 and beta must be finite and positive, "
                              f"got e0={self.e0!r}, beta={self.beta!r}")
-        if not 0 <= self.order <= _MAX_ORDER:
-            raise ValueError(f"polynomial order must be between 0 and {_MAX_ORDER}, "
-                             f"got {self.order!r}")
+        _check_order(self.order)
         for name in ("gamma", "noise_sd", "bw_epsilon"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, "

@@ -738,6 +738,25 @@ class TestCliMisuse:
                                   ["--bandwidth", "undersmooth", "--gamma", "-1"]),
             "error: cli: gamma, c and beta must be finite and positive and epsilon finite "
             "and nonnegative, got gamma=-1.0"),
+        "fit_bins_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--bins", "1"]),
+            "error: cli: --bins must be between 2 and 2**52, got 1"),
+        "fit_bins_huge": (
+            lambda d, o: fit_args(d, o, ["--bins", "9223372036854775807"]),
+            "error: cli: --bins must be between 2 and 2**52, got 9223372036854775807"),
+        # the test inputs are checked finite where they enter, as --grid is
+        "infer_null_theta_not_finite": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--null-theta", "nan,0"])[1:]],
+            "error: cli: --null-theta entries must be finite, got [nan, 0.0]"),
+        "infer_contrast_not_finite": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--contrast", "1,-inf"])[1:]],
+            "error: cli: --contrast entries must be finite, got [1.0, -inf]"),
+        "infer_zeta_not_finite": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--contrast", "1,0", "--zeta", "inf"])[1:]],
+            "error: cli: --zeta must be finite, got inf"),
         "fit_order_checked_before_ingest": (
             lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--order", "171"]),
             "error: cli: polynomial order must be between 0 and 170, got 171"),

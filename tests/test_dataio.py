@@ -410,9 +410,9 @@ class TestIngestMemory:
         args = ingest_args(write_wage_csv(tmp_path / "wage.csv", rows), *WAGE_FIT)
         cli._ingest(args)  # lazy imports and caches stay out of the measurement
         with traced_peak() as mem:
-            panel, diag = cli._ingest(args)
+            panel = cli._ingest(args)
         parsed_bytes = rows * 6 * 8
-        assert diag["rows_kept"] == rows
+        assert panel.n == rows
         assert mem.peak <= 3 * parsed_bytes
         assert mem.live <= parsed_bytes
 
@@ -500,14 +500,14 @@ class TestIngestMatchesOldChain:
                 cli._ingest(args)
             return
         with mock.patch.object(dataio, "_records", wraps=dataio._records) as records:
-            got, diag = cli._ingest(args)
+            got = cli._ingest(args)
         assert records.call_count == 0
         x, y, u, offsets, want_diag = want
         assert got.x.shape == x.shape and got.x.tobytes() == x.tobytes()
         assert got.y.tobytes() == y.tobytes() and got.u.tobytes() == u.tobytes()
         assert got.offsets.tolist() == offsets.tolist()
-        assert diag == want_diag
-        assert (diag["rows_kept"] < diag["rows_read"]) == drops
+        assert got.n == want_diag["rows_kept"] and len(got) == want_diag["bins_occupied"]
+        assert (want_diag["rows_kept"] < want_diag["rows_read"]) == drops
 
 
 # columns named by Python keywords, and a zero column for 1/0 and 0/0
@@ -714,6 +714,41 @@ class TestBinDomains:
     def test_min_bins(self):
         with pytest.raises(ValueError):
             bin_domains(table_from_u([0.5]), 1)
+
+    def test_bin_count_costs_nothing_until_occupied(self):
+        panel = bin_domains(table_from_u([1.0, 0.0, 0.5]), 2**52)
+        assert panel.u.tolist() == [0.5 / 2**52, 0.5 - 0.5 / 2**52, 1 - 0.5 / 2**52]
+        assert panel.y.tolist() == [1.0, 2.0, 0.0] and panel.offsets.tolist() == [0, 1, 2, 3]
+
+
+def searchsorted_grouping(table, n_bins):
+    """``bin_domains``' x, y, u and offsets as it grouped rows with one
+    ``searchsorted`` bound per possible bin, kept as an oracle."""
+    idx = np.clip(np.ceil(table.u * n_bins).astype(int) - 1, 0, n_bins - 1)
+    idx = idx.astype(np.min_scalar_type(n_bins))
+    order = np.argsort(idx, kind="stable")
+    bounds = np.searchsorted(idx[order], np.arange(n_bins + 1))
+    occupied = np.flatnonzero(np.diff(bounds))
+    return (table.x[order], table.y[order], (occupied + 0.5) / n_bins,
+            np.append(bounds[occupied], bounds[-1]))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_bin_domains_matches_the_searchsorted_grouping(data):
+    n_bins = data.draw(st.integers(2, 10**5))
+    us = data.draw(st.lists(st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.integers(0, n_bins).map(lambda j: j / n_bins),  # on a bin edge
+        st.floats(0.0, 1.0)), min_size=1, max_size=40))
+    n = len(us)
+    rows = np.column_stack([us, np.ones(n), np.arange(n, dtype=float) * 2, np.arange(n) - 0.5])
+    table = RawTable(headers=("u", "intercept", "x", "y"), rows=rows)
+    got = bin_domains(table, n_bins)
+    wanted = searchsorted_grouping(table, n_bins)
+    for have, want in zip((got.x, got.y, got.u, got.offsets), wanted):
+        assert have.dtype == want.dtype and have.shape == want.shape
+        assert have.tobytes() == want.tobytes()
 
 
 class TestSplitTarget:

@@ -9,8 +9,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from dvcm.design import DomainSample, Panel, build_local_design
 from dvcm.errors import DomainError, DvcmError, SingularSystemError
-from dvcm.estimators import (LocalFit, fit_dvcm, fit_target_only, fit_tl, newton_weighted,
-                             spd_factor, spd_solve)
+from dvcm.estimators import (LocalFit, fit_dvcm, fit_target_only, fit_tl, gram,
+                             newton_weighted, spd_factor, spd_solve)
 from dvcm.families import GAUSSIAN, LOGISTIC, POISSON
 
 
@@ -87,6 +87,28 @@ class TestNewtonWeighted:
             sol, _, _ = newton_weighted(z, w, y, family, init)
             obj = lambda a: float(np.sum(w * family.loss(z @ a, y)))
             assert obj(sol) <= obj(init) + 1e-12
+
+    def test_converged_newton_forms_one_gram_per_step(self, count_calls):
+        # the Hessian is formed for each step taken, not at the iterate where
+        # the gradient test stops; the solutions' bits are the ones recorded
+        # when it was formed there too
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(40, 2))
+        y = (rng.uniform(size=40) < 1 / (1 + np.exp(-z @ np.array([0.5, -1.0])))).astype(float)
+        logistic = (z, np.full(40, 1 / 40), y, LOGISTIC, np.zeros(2))
+        z = rng.normal(size=(30, 2)) * 0.5
+        y = rng.poisson(np.exp(z @ np.array([0.3, -0.2]))).astype(float)
+        poisson = (z, rng.uniform(0.5, 1.5, 30), y, POISSON, np.zeros(2))
+        penalty = (np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.1, 0.2]))
+        calls = count_calls(gram)
+        for args, kwargs, want in (
+                (logistic, {}, ["0x1.d8342685220dcp-2", "-0x1.41fd58e8b68cep+0"]),
+                (poisson, {"penalty": penalty},
+                 ["0x1.8fb907ae65755p-1", "-0x1.af7d151ececfep-2"])):
+            calls[0] = 0
+            sol, converged, iterations = newton_weighted(*args, **kwargs)
+            assert converged and iterations > 0 and calls[0] == iterations
+            assert [v.hex() for v in sol.tolist()] == want
 
 
 class TestFitTargetOnly:
