@@ -27,7 +27,7 @@ from .design import _MAX_ORDER  # a bound only: every estimate comes from Transf
 from .errors import DvcmError, ParseError
 from .families import FAMILIES, get_family
 from .inference import TransferProblem, confidence_intervals, contrast_test, wald_test
-from .simulation import SimConfig, fit_loglog_slopes, mc_mse, mc_sweep
+from .simulation import SimConfig, fit_loglog_slopes, mc_sweep
 
 __all__ = ["EstimateReport", "main"]
 
@@ -236,8 +236,13 @@ def cmd_infer(args) -> int:
             raise ValueError(f"{flag} has {vec.size} entries, expected {dim}")
         if vec is not None and not np.all(np.isfinite(vec)):
             raise ValueError(f"{flag} entries must be finite, got {vec.tolist()}")
-    if not np.isfinite(args.zeta):
-        raise ValueError(f"--zeta must be finite, got {args.zeta}")
+    if v is not None and not v.any():  # v' Sigma v would be 0 after the whole fit
+        raise ValueError(f"--contrast needs a nonzero entry, got {v.tolist()}")
+    if args.zeta is not None and v is None:
+        raise ValueError("--zeta is the null value of a contrast: it needs --contrast")
+    zeta = 0.0 if args.zeta is None else args.zeta
+    if not np.isfinite(zeta):
+        raise ValueError(f"--zeta must be finite, got {zeta}")
     report = _run_fit_pipeline(args)
     theta = np.asarray(report.theta_tl)
     sigma = np.asarray(report.covariance["sigma_tl"])
@@ -247,9 +252,9 @@ def cmd_infer(args) -> int:
             "null": null.tolist(), "statistic": stat, "df": df, "p_value": p,
         }
     if v is not None:
-        z, p = contrast_test(theta, sigma, v, args.zeta)
+        z, p = contrast_test(theta, sigma, v, zeta)
         report.tests["contrast"] = {
-            "v": v.tolist(), "zeta": args.zeta, "z": z, "p_value": p,
+            "v": v.tolist(), "zeta": zeta, "z": z, "p_value": p,
         }
     _write(args.out, json.dumps(report.to_dict(), indent=2))
     return 0
@@ -300,7 +305,7 @@ def cmd_simulate(args) -> int:
     config = _load_config(args)
     grid = _parse_float_list(args.grid, "--grid")
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    results = mc_sweep(config, grid, estimators, threads=args.threads)
+    results = mc_sweep([config], grid, estimators, threads=args.threads)
     cells = itertools.product(grid, estimators)
     rows = [[float(h), est, r.mse, r.se, r.fails] for (h, est), r in zip(cells, results)]
     _write(args.out, _csv([["h", "estimator", "mse", "se", "fails"], *rows]))
@@ -329,13 +334,11 @@ def cmd_phase(args) -> int:
     name, cast = {"K": ("K", round), "gamma": ("gamma", float),
                   "n": ("n_bar", round)}[args.vary]  # n: average source size
     configs = [dataclasses.replace(config, **{name: cast(x)}) for x in grid]
-    rows = []
-    for x, cfg in zip(grid, configs):
-        r = mc_mse(cfg, "tl", None, threads=args.threads)
-        rows.append([float(x), "tl", r.mse, r.se, r.fails])
+    results = mc_sweep(configs, [None], ["tl"], threads=args.threads)
+    rows = [[float(x), "tl", r.mse, r.se, r.fails] for x, r in zip(grid, results)]
     _write(args.out, _csv([[args.vary, "estimator", "mse", "se", "fails"], *rows]))
 
-    segments = fit_loglog_slopes(grid, [r[2] for r in rows], args.segments)
+    segments = fit_loglog_slopes(grid, [r.mse for r in results], args.segments)
     slopes = {
         "vary": args.vary,
         "n_segments": args.segments,
@@ -420,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated null vector for the Wald test")
     p_infer.add_argument("--contrast", default=None,
                          help="comma-separated contrast vector")
-    p_infer.add_argument("--zeta", type=float, default=0.0,
-                         help="null value of the contrast")
+    p_infer.add_argument("--zeta", type=float, default=None,
+                         help="null value of the contrast (default: 0)")
     p_infer.set_defaults(func=cmd_infer)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo MSE over a bandwidth grid")

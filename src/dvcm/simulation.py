@@ -12,9 +12,9 @@ Experiments make one pass per replication over all of their cells
 (``mc_sweep``): the dataset is generated once and split into one
 ``TransferProblem`` (the pipeline ``dvcm fit`` runs), which shares every
 fit that does not depend on the bandwidth; the pooled pilot is fitted
-once per bandwidth.  ``mc_mse`` and ``mc_inference`` are
-single-cell uses of the same runner, and a multi-threaded experiment
-runs in one process pool, chunked by replication.
+once per bandwidth.  A sweep runs a plan of configs (``phase`` has one
+per grid point; ``mc_mse`` and ``mc_inference`` one), and a multi-threaded
+experiment runs on one process pool, one task per replication.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import functools
 import itertools
 import math
 import numbers
+import os
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -251,8 +251,8 @@ def _replicate(
     grid: tuple,
     estimators: tuple,
     rep: int,
-    *,
     q_matrices: Sequence | None = None,
+    *,
     want_sigma: bool = False,
 ) -> list:
     """One replication of every (h, estimator) cell, h outer; a failed cell holds None.
@@ -334,42 +334,48 @@ def _oracle_q_matrices(config: SimConfig, pilots: list) -> list:
         errors = [theta - theta_true for theta in column if theta is not None]
         if not errors:
             raise ExperimentError("oracle pass: pilot failed in every replication")
-        m = np.zeros((config.p, config.p))
-        for err in errors:
-            m += np.outer(err, err)
-        m /= len(errors)
+        m = sum(np.outer(err, err) for err in errors) / len(errors)
         q_matrices.append(config.delta * nu / config.n0 * np.linalg.inv(0.5 * (m + m.T)))
     return q_matrices
 
 
 def _outcomes(
-    config: SimConfig, grid: tuple, estimators: tuple, threads: int, *,
-    want_sigma: bool = False,
+    configs: Sequence[SimConfig], grid: tuple, estimators: tuple, threads: int,
+    summary: Callable, *, want_sigma: bool = False,
 ) -> list:
-    """``_replicate`` of every replication, in order, after the oracle pass if tl
-    needs one; serial at one thread, else chunked over one pool for both passes."""
+    """The lists ``summary(config, outcomes)`` of every config in turn, concatenated;
+    ``outcomes`` holds each replication's ``_replicate``, in order, after the oracle pass if
+    tl needs one.  Serial at one thread, else one task per replication on one pool of at
+    most min(threads, CPUs, tasks) workers; the first config to raise aborts the plan."""
     if threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads}")
-    reps, chunk = range(config.reps), max(1, config.reps // (4 * threads))
+    workers = min(threads, os.cpu_count() or 1, sum(config.reps for config in configs))
     # read from the module, which imports the class on first use (__getattr__)
-    pool_type = sys.modules[__name__].ProcessPoolExecutor if threads > 1 else None
-    with pool_type(max_workers=threads) if pool_type else nullcontext() as pool:
-        def run(ests, **kwargs):
-            replicate = functools.partial(_replicate, config, grid, ests, **kwargs)
-            if pool is None:
-                return [replicate(rep) for rep in reps]
-            return list(pool.map(replicate, reps, chunksize=chunk))
+    pool = sys.modules[__name__].ProcessPoolExecutor(workers) if workers > 1 else None
+    oracle = [config.q_mode == "oracle" and "tl" in estimators for config in configs]
 
-        q_matrices = None
-        if "tl" in estimators and config.q_mode == "oracle":
-            q_matrices = _oracle_q_matrices(config, run(("dvcm",)))
-        return run(estimators, q_matrices=q_matrices, want_sigma=want_sigma)
+    def start(config, ests, q_matrices=None):  # one getter per replication
+        calls = [functools.partial(_replicate, config, grid, ests, rep, q_matrices,
+                                   want_sigma=want_sigma) for rep in range(config.reps)]
+        return calls if pool is None else [pool.submit(call).result for call in calls]
+
+    try:  # every task goes in at once, but an oracle's second pass waits for its turn
+        started = [start(c, ("dvcm",) if o else estimators) for c, o in zip(configs, oracle)]
+        out = []
+        for config, getters, two_pass in zip(configs, started, oracle):
+            if two_pass:
+                q_matrices = _oracle_q_matrices(config, [get() for get in getters])
+                getters = start(config, estimators, q_matrices)
+            out += summary(config, [get() for get in getters])
+        return out
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def __getattr__(name: str):
-    """``ProcessPoolExecutor``, imported on first use: the pool's modules
-    (multiprocessing, socket, logging, queue, ...) load only when an
-    experiment runs on more than one thread."""
+    """``ProcessPoolExecutor``, imported on first use: the pool's modules (multiprocessing,
+    socket, logging, queue, ...) load only when an experiment runs on a pool."""
     if name != "ProcessPoolExecutor":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from concurrent.futures import ProcessPoolExecutor
@@ -390,30 +396,28 @@ def _mse_result(config: SimConfig, estimates: Sequence) -> McMseResult:
 
 
 def mc_sweep(
-    config: SimConfig,
+    configs: Sequence[SimConfig],
     grid: Sequence[float | None],
     estimators: Sequence[str],
     *,
     threads: int = 1,
 ) -> list[McMseResult]:
-    """Monte-Carlo MSE of every (h, estimator) cell, in one pass per replication.
+    """Monte-Carlo MSE of every (config, h, estimator) cell, in one pass per replication.
 
-    Cells come back h outer; ``h=None`` uses the configured bandwidth
-    rule.  Every cell equals the same cell run alone by ``mc_mse``; the
-    first cell in grid order with more than 20% failed replications
-    aborts the sweep, as does an oracle pass (``q_mode="oracle"``) in
-    which some h never fits a pilot.  Results are averaged in replication
-    order, so they are bit-identical for any ``threads``.
+    Cells come back config outer, then h; ``h=None`` uses the configured
+    bandwidth rule.  Every cell equals the same cell run alone by
+    ``mc_mse``; the first cell in plan order with more than 20% failed
+    replications aborts the sweep, as does an oracle pass
+    (``q_mode="oracle"``) in which some h never fits a pilot.  Results are
+    averaged in replication order, so they are bit-identical for any ``threads``.
     """
     grid, estimators = tuple(grid), tuple(estimators)
     if not estimators or not set(estimators) <= set(_ESTIMATORS):
         raise ValueError(f"estimator must be one of {_ESTIMATORS}")
-    if not grid:
-        raise ValueError("mc_sweep needs a nonempty grid")
-    if config.reps < 2:
-        raise ValueError("mc_sweep needs at least 2 replications")
-    outcomes = _outcomes(config, grid, estimators, threads)
-    return [_mse_result(config, cell) for cell in zip(*outcomes)]
+    if not grid or min((config.reps for config in configs), default=0) < 2:
+        raise ValueError("mc_sweep needs a nonempty grid and plan, and 2 or more replications")
+    return _outcomes(configs, grid, estimators, threads, lambda config, outcomes: [
+        _mse_result(config, cell) for cell in zip(*outcomes)])
 
 
 def mc_mse(
@@ -424,7 +428,7 @@ def mc_mse(
     A one-cell ``mc_sweep``: failed replications are skipped and counted;
     more than 20% failures aborts the experiment.
     """
-    return mc_sweep(config, [h], [estimator], threads=threads)[0]
+    return mc_sweep([config], [h], [estimator], threads=threads)[0]
 
 
 @dataclass(frozen=True)
@@ -456,22 +460,20 @@ def mc_inference(
     experiments) unless an explicit ``h`` is supplied, and the configured
     ``q_mode`` (the oracle runs its first pass as in ``mc_sweep``).
     """
-    outcomes = _outcomes(config, (h,), ("tl",), threads, want_sigma=True)
+    outcomes = _outcomes([config], (h,), ("tl",), threads, lambda c, out: out, want_sigma=True)
     theta_true = config.theta(config.u0)
     thetas, ses, walds = [], [], []
-    fails = 0
     for (r,) in outcomes:
         variances = None if r is None else np.diag(r[1])
         # variances at round-off scale (noiseless data) make the
         # standardisation meaningless: the replication counts as failed
         if variances is None or not np.all(np.isfinite(variances) & (variances > 1e-28)):
-            fails += 1
             continue
         theta_tl, sigma = r
         thetas.append(theta_tl)
         ses.append(np.sqrt(variances))
-        stat, df, p = wald_test(theta_tl, sigma, theta_true)
-        walds.append(p)
+        walds.append(wald_test(theta_tl, sigma, theta_true)[2])
+    fails = config.reps - len(thetas)
     _check_tolerance(fails, config.reps)
     return InferenceRecords(
         theta_tl=np.array(thetas),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import sys
 import tracemalloc
@@ -58,3 +59,30 @@ def traced_peak():
                 tracemalloc.stop()
 
     return trace
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """The simulation's process pool replaced by one that starts no process.
+
+    A task runs in this process when it is submitted.  Returns the list of
+    the ``max_workers`` of every pool made, one entry per construction.
+    """
+    sizes = []
+
+    class InlinePool(concurrent.futures.Executor):
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def submit(self, fn, /, *args, **kwargs):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args, **kwargs))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    from dvcm import simulation
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
+    return sizes

@@ -242,6 +242,13 @@ class TestCmdInfer:
         assert tests["wald"]["p_value"] == pytest.approx(1.0)
         assert tests["contrast"]["z"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_contrast_null_defaults_to_zero(self, tmp_path):
+        data = write_constant_theta_csv(tmp_path / "c.csv", noise=0.3)
+        argv = ["infer", *fit_args(data, tmp_path / "infer.json", ["--contrast", "1,0"])[1:]]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "infer.json").read_text())
+        assert report["tests"]["contrast"]["zeta"] == 0.0
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         data = write_constant_theta_csv(tmp_path / "c.csv", n=100, noise=0.2)
         rc = main([
@@ -340,6 +347,35 @@ class TestCmdPhase:
         assert len(lines) == 7
         slopes = json.loads(slopes_out.read_text())
         assert len(slopes["segments"]) == 1
+
+    # sha256 of the CSV and the slopes, recorded with one mc_mse call per grid point
+    SMALL_GOLDEN = {
+        "estimate": ("70157af9b888e7a59e310443c7330d3cf6e2242c4207dbd24950106a31a1dbdd",
+                     "e7c9754ca7dc3eaa996c67fe11a3a283da61d438409c3f6e8c96f11c825ed2ea"),
+        "oracle": ("178690df6d962c038c69049602c9233250e29c2d5925729f8247cf781f006509",
+                   "bb0cbed1e87c2f0c308cb340928e6311ba31ca107a7761e22f3be0d0058f9094"),
+    }
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("q_mode", sorted(SMALL_GOLDEN))
+    def test_small_sweep_golden(self, q_mode, threads, tmp_path):
+        out, slopes_out = tmp_path / "phase.csv", tmp_path / "slopes.json"
+        assert main(["phase", "--vary", "K", "--grid", "2,3,4,6,8,10", "--p", "2",
+                     "--n-bar", "40", "--n0", "16", "--gamma", "0.6", "--reps", "6",
+                     "--seed", "3", "--segments", "1", "--q-mode", q_mode,
+                     "--threads", threads, "--out", str(out),
+                     "--slopes-out", str(slopes_out)]) == 0
+        assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256(slopes_out.read_bytes()).hexdigest()) == self.SMALL_GOLDEN[q_mode]
+
+    def test_grid_runs_on_one_pool(self, inline_pool, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert main(["phase", "--vary", "K", "--grid", "2,3,4,6,8,11,16,32,45,64,91,128,181",
+                     "--p", "2", "--n-bar", "20", "--n0", "16", "--gamma", "0.6",
+                     "--reps", "3", "--seed", "3", "--threads", "2",
+                     "--out", str(tmp_path / "phase.csv"),
+                     "--slopes-out", str(tmp_path / "slopes.json")]) == 0
+        assert inline_pool == [2]
 
 
 class TestEstimateReport:
@@ -757,6 +793,16 @@ class TestCliMisuse:
             lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
                                              ["--contrast", "1,0", "--zeta", "inf"])[1:]],
             "error: cli: --zeta must be finite, got inf"),
+        # --zeta is the null value of a contrast: without one nothing reads it
+        "infer_zeta_without_contrast": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--null-theta", "0,0", "--zeta", "5"])[1:]],
+            "error: cli: --zeta is the null value of a contrast: it needs --contrast"),
+        # an all-zero contrast has variance v' Sigma v = 0: refused before the fit
+        "infer_contrast_all_zero": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--contrast", "0,0"])[1:]],
+            "error: cli: --contrast needs a nonzero entry, got [0.0, 0.0]"),
         "fit_order_checked_before_ingest": (
             lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--order", "171"]),
             "error: cli: polynomial order must be between 0 and 170, got 171"),
@@ -1115,7 +1161,7 @@ CLI_SURFACE = {
     "infer": _DATA_OPTIONS + """
     --null-theta     null_theta     -     -                             None
     --contrast       contrast       -     -                             None
-    --zeta           zeta           float -                             0.0
+    --zeta           zeta           float -                             None
 """,
     "simulate": _SIM_OPTIONS + """
     --grid           grid           -     -                             None          required

@@ -2,12 +2,13 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
 from dvcm.design import Panel
-from dvcm.errors import ExperimentError
+from dvcm.errors import DomainError, ExperimentError
 from dvcm.estimators import fit_dvcm
 from dvcm.families import GAUSSIAN
 from dvcm.simulation import (
@@ -254,8 +255,8 @@ class TestMcMse:
         assert serial == parallel
         grid, ests = [0.2, 0.5, 1.0], ["lr", "dvcm", "tl"]
         cfg = tiny_config()  # 40 reps keep h=0.2 inside the failure tolerance
-        assert (mc_sweep(cfg, grid, ests, threads=2)
-                == mc_sweep(cfg, grid, ests, threads=1))
+        assert (mc_sweep([cfg], grid, ests, threads=2)
+                == mc_sweep([cfg], grid, ests, threads=1))
 
 
 SWEEP_GRID = (0.2, 0.5, 1.0)
@@ -290,18 +291,50 @@ class TestMcSweep:
     ])
     def test_every_cell_equals_the_cell_run_alone(self, family, q_mode):
         cfg = tiny_config(family=family, q_mode=q_mode)
-        sweep = mc_sweep(cfg, SWEEP_GRID, SWEEP_ESTIMATORS)
+        sweep = mc_sweep([cfg], SWEEP_GRID, SWEEP_ESTIMATORS)
         alone = [mc_mse(cfg, est, h) for h in SWEEP_GRID for est in SWEEP_ESTIMATORS]
         assert sweep == alone
         assert sum(r.fails for r in sweep) > 0  # the failure coupling is exercised
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            mc_sweep(tiny_config(), [], ["lr"])
+            mc_sweep([tiny_config()], [], ["lr"])
         with pytest.raises(ValueError):
-            mc_sweep(tiny_config(), [0.5], [])
+            mc_sweep([tiny_config()], [0.5], [])
         with pytest.raises(ValueError):
-            mc_sweep(tiny_config(), [0.5], ["lr", "ridge"])
+            mc_sweep([tiny_config()], [0.5], ["lr", "ridge"])
+        with pytest.raises(ValueError):
+            mc_sweep([], [0.5], ["lr"])
+
+
+class TestPlan:
+    """A sweep runs its plan of configs on one pool that the machine bounds."""
+
+    @pytest.mark.parametrize("cpus, reps, pools", [(4, 3, [3]), (4, 40, [4]), (None, 40, [])])
+    def test_pool_is_bounded_by_the_cpus_and_the_tasks(self, inline_pool, monkeypatch,
+                                                        cpus, reps, pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        serial = mc_sweep([tiny_config(reps=reps)], [0.5], ["lr"], threads=1)
+        assert inline_pool == []
+        # a million threads would fork a million workers at the first task
+        assert mc_sweep([tiny_config(reps=reps)], [0.5], ["lr"], threads=10**6) == serial
+        assert inline_pool == pools
+
+    def test_cells_come_back_config_outer(self):
+        plan = [tiny_config(), tiny_config(K=5, q_mode="oracle")]
+        cells = mc_sweep(plan, SWEEP_GRID, SWEEP_ESTIMATORS, threads=2)
+        assert cells == [r for cfg in plan for r in mc_sweep([cfg], SWEEP_GRID, SWEEP_ESTIMATORS)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_config_over_tolerance_decides_the_error(self, threads):
+        # recorded with one mc_mse per config: gamma=0.5 aborts before gamma=6
+        # draws a Poisson mean numpy cannot draw from
+        plan = [SimConfig(family="poisson", p=3, K=3, n_bar=40, n0=3, gamma=g, reps=10,
+                          seed=11) for g in (0.5, 6.0)]
+        with pytest.raises(DomainError, match="numpy cannot draw from"):
+            mc_sweep(plan[1:], [None], ["tl"], threads=threads)
+        with pytest.raises(ExperimentError, match=r"^simulation: 4/10 replications failed"):
+            mc_sweep(plan, [None], ["tl"], threads=threads)
 
 
 def test_replication_fits_h_independent_pieces_once(count_calls):
