@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import numpy.random  # at import: it would otherwise load on the first draw
 
 from . import dataio
 from .bandwidth import BandwidthChoice, _check_settings, gamma_moment_estimate
@@ -66,14 +65,6 @@ def _bandwidth_dict(choice: BandwidthChoice) -> dict:
     return {k: v for k, v in d.items() if v is not None}
 
 
-def _parse_float_list(text: str, option: str) -> list[float]:
-    return [_parse_part(t, option) for t in text.replace(";", ",").split(",") if t.strip()]
-
-
-def _parse_fractions(text: str, option: str) -> list[float]:
-    return [_parse_part(tok, option, fraction=True) for tok in text.split(",")]
-
-
 def _parse_bandwidth(args) -> tuple[str, float | None]:
     """``--bandwidth auto|undersmooth|<positive number>`` as the rule of
     :func:`select_bandwidth` and its fixed ``h`` (None for a data-driven rule),
@@ -112,6 +103,11 @@ def _parse_part(tok: str, option: str, fraction: bool = False) -> float:
     if b == 0:
         raise ValueError(f"{option} part {tok!r} has a zero denominator")
     return a / b
+
+
+def _parse_list(text: str, option: str, fraction: bool = False) -> list[float]:
+    """The comma-separated ``option``: every part is :func:`_parse_part`."""
+    return [_parse_part(tok, option, fraction) for tok in text.split(",")]
 
 
 # ------------------------------------------------------------------
@@ -157,7 +153,7 @@ def _run_fit_pipeline(args) -> EstimateReport:
     if not 0 <= args.order <= _MAX_ORDER:
         raise ValueError(f"polynomial order must be between 0 and {_MAX_ORDER}, "
                          f"got {args.order}")
-    fractions = _parse_fractions(args.split, "--split")
+    fractions = _parse_list(args.split, "--split", fraction=True)
     if len(fractions) < 2:
         raise ValueError(
             f"--split needs at least 2 parts (pilot, fine-tune), got {args.split!r}"
@@ -227,7 +223,7 @@ def cmd_fit(args) -> int:
 def cmd_infer(args) -> int:
     if args.null_theta is None and args.contrast is None:
         raise ValueError("infer requires --null-theta and/or --contrast")
-    null, v = (None if text is None else np.asarray(_parse_float_list(text, flag))
+    null, v = (None if text is None else np.asarray(_parse_list(text, flag))
                for text, flag in ((args.null_theta, "--null-theta"),
                                   (args.contrast, "--contrast")))
     dim = len(_x_columns(args)) + (not args.no_intercept)  # theta(u0)'s coefficients
@@ -303,7 +299,7 @@ def _csv(rows) -> str:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    grid = _parse_float_list(args.grid, "--grid")
+    grid = _parse_list(args.grid, "--grid")
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     results = mc_sweep([config], grid, estimators, threads=args.threads)
     cells = itertools.product(grid, estimators)
@@ -314,7 +310,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_phase(args) -> int:
     config = _load_config(args)
-    grid = _parse_float_list(args.grid, "--grid")
+    grid = _parse_list(args.grid, "--grid")
     if not np.all(np.isfinite(grid)):
         raise ValueError(f"--grid values must be finite, got {args.grid!r}")
     fractional = [x for x in grid if args.vary != "gamma" and x != round(x)]

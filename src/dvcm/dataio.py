@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import DomainSample, Panel, _record
+from .design import DomainSample, Panel
 from .errors import DegenerateScaleError, ParseError, SchemaError
 
 __all__ = [
@@ -344,8 +344,6 @@ def bin_domains(table: RawTable, n_bins: int = 10) -> Panel:
     ``(a, b]``, matching midpoints ``(j - 0.5) / n_bins``.  Occupied bins
     become the domains of one panel, at their midpoints and in bin order;
     ``n_bins`` lies in ``[2, 2**52]``.
-    The covariates and responses are taken as finite, as :func:`load_csv`
-    leaves them.
     """
     if not 2 <= n_bins <= _MAX_BINS:
         raise ValueError(f"need between 2 and 2**52 bins, got {n_bins}")
@@ -364,8 +362,8 @@ def bin_domains(table: RawTable, n_bins: int = 10) -> Panel:
     idx = idx[order]
     # an occupied bin starts where the sorted index changes: no array per possible bin
     offsets = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1, [idx.size]))
-    return _record(Panel, x=table.x[order], y=table.y[order],
-                   u=(idx[offsets[:-1]] + 0.5) / n_bins, offsets=offsets)
+    return Panel(x=table.x[order], y=table.y[order],
+                 u=(idx[offsets[:-1]] + 0.5) / n_bins, offsets=offsets)
 
 
 def split_target(

@@ -81,13 +81,6 @@ class DomainSample:
         """A domain over arrays that were validated already, not checked again."""
         return _record(cls, u=u, x=x, y=y)
 
-    def rows(self, start: int, stop: int | None = None) -> "DomainSample":
-        """Observations ``start:stop`` as a domain viewing this one's arrays."""
-        x = self.x[start:stop]
-        if x.shape[0] < 1:
-            raise ValueError("a domain needs at least one observation")
-        return DomainSample._view(self.u, x, self.y[start:stop])
-
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -178,9 +171,7 @@ class Panel:
         return DomainSample._view(float(self.u[k]), self.x[a:b], self.y[a:b])
 
     def __iter__(self) -> Iterator[DomainSample]:
-        o = self.offsets.tolist()
-        for k, u in enumerate(self.u.tolist()):
-            yield DomainSample._view(u, self.x[o[k] : o[k + 1]], self.y[o[k] : o[k + 1]])
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)

@@ -119,8 +119,9 @@ def newton_weighted(
     declared on gradient max-norm <= ``NEWTON_TOL``.  For the Gaussian
     family the first step solves the normal equations exactly.
 
-    Returns ``(solution, converged, iterations)``; after ``NEWTON_MAX_ITER``
-    iterations the best iterate is returned with ``converged=False``.
+    Returns ``(solution, converged, iterations)``, ``iterations`` counting
+    the steps tried; after ``NEWTON_MAX_ITER`` steps, or a step that no
+    scale makes decrease the objective, the last iterate is returned.
     """
     z = np.asarray(design_rows, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -143,36 +144,28 @@ def newton_weighted(
         return val, eta
 
     obj, eta = objective(alpha)  # eta is z @ alpha throughout
-    iterations = 0
-    for iterations in range(1, NEWTON_MAX_ITER + 1):
+    for iterations in range(NEWTON_MAX_ITER + 1):  # the steps taken so far
         s1, s2 = family.score_curvature(eta, y)
         grad = z.T @ (w * s1)
         if q is not None:
             grad = grad + q @ (alpha - center)
-        if np.max(np.abs(grad)) <= NEWTON_TOL:
-            return alpha, True, iterations - 1
+        converged = bool(np.max(np.abs(grad)) <= NEWTON_TOL)
+        if converged or iterations == NEWTON_MAX_ITER:
+            return alpha, converged, iterations
         hess = gram(z, w * s2)  # formed only for a step
         step = _solve_spd(hess if q is None else hess + q, grad)
         # backtracking: halve until the objective decreases; if no scale
         # helps (round-off floor), keep the current iterate
-        accepted = False
         scale = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             candidate = alpha - scale * step
             cand_obj, cand_eta = objective(candidate)
             if cand_obj <= obj:
-                accepted = True
                 break
             scale *= 0.5
-        if not accepted:
-            break
+        else:
+            return alpha, False, iterations + 1
         alpha, obj, eta = candidate, cand_obj, cand_eta
-
-    s1, _ = family.score_curvature(eta, y)
-    grad = z.T @ (w * s1)
-    if q is not None:
-        grad = grad + q @ (alpha - center)
-    return alpha, bool(np.max(np.abs(grad)) <= NEWTON_TOL), iterations
 
 
 def fit_target_only(target: DomainSample, family: ModelFamily) -> np.ndarray:

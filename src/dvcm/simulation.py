@@ -74,6 +74,8 @@ _THETA_SPECS = {
     "tanh_pair": lambda u, p: np.full(p, math.tanh(8.0 * (u - 0.2))),
 }
 
+_MAX_DESIGN_VALUES = 2**25  # float64 values in a replication's widest design: 256 MiB
+
 # every SimConfig field's annotation names one of these types, and it holds a value of it
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
                 "str": (str, "a string")}
@@ -148,6 +150,13 @@ class SimConfig:
         except OverflowError:
             raise ValueError(f"theta_spec {self.theta_spec!r} overflows on the source "
                              f"range [{-half!r}, {half!r}] of gamma={self.gamma!r}") from None
+        # the widest design a replication builds: the pooled rows times the
+        # columns of the pilot's order-l fit or of the derivative's order-beta one
+        size = (self.n0 + self.K * self.n_bar) * (max(self.order, self.beta) + 1) * self.p
+        if size > _MAX_DESIGN_VALUES:
+            raise ValueError(f"a replication's widest design, (n0 + K*n_bar) * "
+                             f"(max(order, beta) + 1) * p = {size:.4g} float64 values, "
+                             f"exceeds 2**25 (256 MiB): lower n0, K, n_bar, order, beta or p")
 
     @property
     def theta(self) -> Callable[[float], np.ndarray]:

@@ -5,6 +5,12 @@ import tracemalloc
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
+
+# the same examples on every run: drawn from a fixed seed, with no example
+# database steering the draws; each test's max_examples and deadline stay its own
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

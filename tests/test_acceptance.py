@@ -25,7 +25,7 @@ from dvcm.simulation import (
     fit_loglog_slopes,
     ks_normality,
     mc_inference,
-    mc_mse,
+    mc_sweep,
 )
 
 
@@ -148,10 +148,9 @@ def test_criterion_3_no_negative_transfer():
         cfg = SimConfig(family="gaussian", p=4, K=5, n_bar=120, n0=50,
                         gamma=gamma, reps=100, seed=0,
                         theta_spec="paper_default")
-        lr = mc_mse(cfg, "lr", grid[0])
-        for h in grid:
-            dvcm = mc_mse(cfg, "dvcm", h)
-            tl = mc_mse(cfg, "tl", h)
+        cells = mc_sweep([cfg], grid, ["lr", "dvcm", "tl"])  # h outer, then estimator
+        lr = cells[0]  # lr reads no bandwidth: the first h's cell is every h's
+        for h, dvcm, tl in zip(grid, cells[1::3], cells[2::3]):
             best, best_se = ((lr.mse, lr.se) if lr.mse < dvcm.mse
                              else (dvcm.mse, dvcm.se))
             bound = 1.15 * best + 2.0 * (tl.se + best_se)
@@ -175,12 +174,9 @@ def test_criterion_4_phase_transition_slopes():
                      reps=100, seed=0, theta_spec="paper_default",
                      q_mode="estimate", bandwidth_rule="median", e0=0.1)
     grid = [2, 3, 4, 6, 8, 11, 16, 32, 45, 64, 91, 128, 181]
-    xs, ys = [], []
-    for K in grid:
-        r = mc_mse(dataclasses.replace(base, K=K), "tl", None)
-        xs.append(float(K))
-        ys.append(r.mse)
-    segments = fit_loglog_slopes(xs, ys, 3)
+    configs = [dataclasses.replace(base, K=K) for K in grid]
+    results = mc_sweep(configs, [None], ["tl"], threads=2)
+    segments = fit_loglog_slopes([float(K) for K in grid], [r.mse for r in results], 3)
     middle, final = segments[1][1], segments[2][1]
     elapsed = time.time() - t0
     ok = -5.0 <= middle <= -3.0 and -1.1 <= final <= -0.5 and elapsed < 900.0

@@ -496,6 +496,15 @@ class TestCliMisuse:
             lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
                                              ["--contrast", "1,x"])[1:]],
             "--contrast part 'x' is not a number"),
+        # a list flag is split at commas only, and every part is a number
+        "infer_contrast_empty_part_checked_before_ingest": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--contrast", ",1,0"])[1:]],
+            "error: cli: --contrast part '' is not a number"),
+        "infer_null_theta_semicolon_checked_before_ingest": (
+            lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
+                                             ["--null-theta", "1;0"])[1:]],
+            "error: cli: --null-theta part '1;0' is not a number"),
         # theta(u0) has len(--x-cols) coefficients, plus the intercept's
         "infer_null_theta_length_checked_before_ingest": (
             lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
@@ -522,6 +531,10 @@ class TestCliMisuse:
         "simulate_grid_not_a_number": (
             lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "a,b",
                           "--threads", "1", "--out", str(o)], "--grid part 'a' is not a number"),
+        "simulate_grid_empty_part": (
+            lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5,,0.7",
+                          "--threads", "1", "--out", str(o)],
+            "error: cli: --grid part '' is not a number"),
         "phase_grid_not_a_number": (
             lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,x",
                           "--p", "2", "--reps", "2", "--threads", "1", "--out", str(o)],

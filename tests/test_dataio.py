@@ -720,6 +720,18 @@ class TestBinDomains:
         assert panel.u.tolist() == [0.5 / 2**52, 0.5 - 0.5 / 2**52, 1 - 0.5 / 2**52]
         assert panel.y.tolist() == [1.0, 2.0, 0.0] and panel.offsets.tolist() == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariate_rejected(self, bad):
+        table = table_from_u([0.2, 0.7])
+        table.rows[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite value"):
+            bin_domains(table, 10)
+
+    def test_no_covariate_column_rejected(self):
+        table = RawTable(headers=("u", "y"), rows=np.array([[0.2, 1.0], [0.7, 0.0]]))
+        with pytest.raises(ValueError, match="p >= 1"):
+            bin_domains(table, 10)
+
 
 def searchsorted_grouping(table, n_bins):
     """``bin_domains``' x, y, u and offsets as it grouped rows with one

@@ -372,14 +372,6 @@ class TestPanel:
         with pytest.raises(ValueError, match="at least one domain"):
             Panel.of([])
 
-    def test_domain_rows_are_views(self):
-        dom = make_domain(0.3, np.arange(8.0).reshape(4, 2), np.arange(4.0))
-        head, rest = dom.rows(0, 1), dom.rows(1)
-        assert (head.n, rest.n, head.u) == (1, 3, 0.3)
-        assert np.shares_memory(rest.x, dom.x) and rest.y.tolist() == [1.0, 2.0, 3.0]
-        with pytest.raises(ValueError):
-            dom.rows(4)
-
 
 class TestDomainDistances:  # d_(1) and d_(K), as select_bandwidth reports them
     @staticmethod

@@ -110,6 +110,32 @@ class TestNewtonWeighted:
             assert converged and iterations > 0 and calls[0] == iterations
             assert [v.hex() for v in sol.tolist()] == want
 
+    def test_step_no_halving_descends_returns_the_start(self, monkeypatch):
+        # a full step from (3, 3) overshoots; with no halving left the first
+        # step tried is refused, and the start comes back unconverged
+        from dvcm import estimators
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(40, 2))
+        y = (rng.uniform(size=40) < 1 / (1 + np.exp(-z @ [0.5, -1.0]))).astype(float)
+        monkeypatch.setattr(estimators, "NEWTON_MAX_HALVINGS", 0)
+        init = np.array([3.0, 3.0])
+        sol, converged, iterations = newton_weighted(z, np.full(40, 1 / 40), y, LOGISTIC,
+                                                     init)
+        assert sol.tolist() == [3.0, 3.0] and sol is not init
+        assert (converged, iterations) == (False, 1)
+
+    def test_max_iterations_return_the_last_iterate_unconverged(self, monkeypatch):
+        from dvcm import estimators
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(30, 2))
+        y = rng.poisson(np.exp(z @ [0.3, -0.2])).astype(float)
+        monkeypatch.setattr(estimators, "NEWTON_MAX_ITER", 2)
+        sol, converged, iterations = newton_weighted(z, np.full(30, 1 / 30), y, POISSON,
+                                                     np.zeros(2))
+        assert [v.hex() for v in sol.tolist()] == ["0x1.66aefff634404p-2",
+                                                   "-0x1.a7231630b62b0p-2"]
+        assert (converged, iterations) == (False, 2)
+
 
 class TestFitTargetOnly:
     def test_sample_mean(self):

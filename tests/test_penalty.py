@@ -355,7 +355,7 @@ class TestEstimateQ:
         pilot = DomainSample(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.2 * rng.normal(size=12))
         x1 = rng.normal(size=(40, 1))
         fine = DomainSample(u=0.0, x=x1, y=x1 @ theta_fun(0.0) + 0.2 * rng.normal(size=40))
-        pa = _q_hat(sources, pilot, 1.0, fine=fine.rows(0, 10))
+        pa = _q_hat(sources, pilot, 1.0, fine=DomainSample(fine.u, fine.x[:10], fine.y[:10]))
         pb = _q_hat(sources, pilot, 1.0, fine=fine)
         assert (pa.n0, pb.n0) == (10, 40)
         assert pa.var_mat.tobytes() == pb.var_mat.tobytes()

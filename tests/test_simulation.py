@@ -94,6 +94,17 @@ class TestTrueCoefficient:
             SimConfig(p=2, gamma=284.0)
         SimConfig(p=1, gamma=284.0, u0=0.0)  # tanh and |u|^3 stay finite there
 
+    def test_dataset_too_large_for_a_replication_rejected(self):
+        # construction draws nothing: the bound holds before any array is made
+        for sizes in ({"K": 10**8}, {"K": 3, "n_bar": 10**8}):
+            with pytest.raises(ValueError, match=r"exceeds 2\*\*25 \(256 MiB\): lower n0, "
+                                                 r"K, n_bar, order, beta or p"):
+                SimConfig(p=2, n0=20, **sizes)
+        # checked after every other setting; criterion 4's largest grid point passes
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            SimConfig(K=10**8, beta=math.inf)
+        SimConfig(p=2, K=181, n_bar=1500, n0=30)  # criterion 4's largest grid point
+
 
 class TestGenerateDataset:
     def test_shapes_and_streams(self):
