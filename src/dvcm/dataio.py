@@ -215,6 +215,9 @@ def load_csv(
                           f"domain identifier")
 
     width = len(headers)
+    if u_expr is not None:  # its grammar and names, on no rows: before any row is parsed
+        with np.errstate(all="ignore"):
+            evaluate_column_expr(u_expr, headers, np.empty((0, width)))
     try:
         # numpy reads a file faster by name than from a handle, but opens a name
         # ending .gz, .bz2, .xz or .lzma through a decompressor: it gets the handle
@@ -309,6 +312,29 @@ def _walk(node: ast.AST, values: dict):
     if isinstance(node, ast.Name) and node.id in values:
         return values[node.id]
     raise ValueError(ast.unparse(node))
+
+
+def _parse_list(text: str, option: str, kind: str = "number") -> list:
+    """The comma-separated ``option``, each part stripped: a number, with ``kind="fraction"``
+    also ``a/b``, or with ``kind="name"`` a nonempty name, of which an empty ``text`` is
+    the empty list; a ValueError names ``option`` and the part it refuses."""
+    if kind == "name":
+        names = [tok.strip() for tok in text.split(",")] if text.strip() else []
+        if "" in names:
+            raise ValueError(f"{option} part '' is not a name, in {text!r}")
+        return names
+    values = []
+    for tok in (tok.strip() for tok in text.split(",")):
+        num, slash, den = tok.partition("/") if kind == "fraction" else (tok, "", "")
+        try:
+            a, b = float(num), float(den) if slash else 1.0
+        except ValueError:
+            noun = "a number or a fraction a/b" if kind == "fraction" else "a number"
+            raise ValueError(f"{option} part {tok!r} is not {noun}") from None
+        if b == 0:
+            raise ValueError(f"{option} part {tok!r} has a zero denominator")
+        values.append(a / b)
+    return values
 
 
 def sigma_filter(values: Sequence[float], k: float = 3.0) -> np.ndarray:

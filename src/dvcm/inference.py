@@ -1,4 +1,5 @@
-"""The transfer pipeline, its unified covariance, Wald tests, intervals.
+"""The transfer pipeline, its unified covariance, Wald tests, intervals,
+and :class:`FitConfig`, the settings that ``dvcm fit`` and ``infer`` run it with.
 
 :class:`TransferProblem` is the one estimation chain (pooled pilot,
 penalty Q_hat, fine-tune, covariance), run by ``fit``/``infer``, which
@@ -29,21 +30,24 @@ ufuncs, loaded on first use as :mod:`dvcm._scipy` describes, so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
 from ._scipy import special_ufuncs
-from .bandwidth import BandwidthChoice, select_bandwidth
-from .design import DomainSample, Panel
+from .bandwidth import BandwidthChoice, _check_settings, select_bandwidth
+from .dataio import _MAX_BINS, _parse_list
+from .design import DomainSample, Panel, _check_order
 from .errors import DvcmError, SingularSystemError
 from .estimators import (LocalFit, TLFit, fit_dvcm, fit_target_only, fit_tl, gram,
                          spd_factor, spd_solve)
-from .families import ModelFamily
-from .penalty import (PenaltyEstimate, _penalty, estimate_derivative, estimate_scale,
-                      estimate_variance_sandwich)
+from .families import FAMILIES, ModelFamily
+from .penalty import (PenaltyEstimate, _check_delta, _penalty, estimate_derivative,
+                      estimate_scale, estimate_variance_sandwich)
 
 __all__ = [
+    "FitConfig",
     "CovarianceReport",
     "TransferProblem",
     "psi_hat",
@@ -327,3 +331,95 @@ def confidence_intervals(
     se = np.sqrt(np.diag(np.asarray(sigma, dtype=float)))
     z = normal_quantile(0.5 + level / 2.0)
     return np.column_stack([theta_tl - z * se, theta_tl + z * se])
+
+
+def _flag(default=MISSING, text=None, **metadata):
+    """A field whose flag has the help ``text``; without a default the flag is required."""
+    return field(default=default, metadata={"help": text, **metadata})
+
+
+@dataclass(frozen=True, kw_only=True)
+class FitConfig:
+    """The flags of ``dvcm fit`` and ``infer`` as given (``infer`` alone offers the
+    three with ``metadata["infer"]``), and the values read from them."""
+
+    data: str = _flag(text="input CSV file")
+    u_col: str | None = _flag(None, "domain identifier column")
+    u_expr: str | None = _flag(None, "expression over columns defining U: + - * /, unary + -, "
+                                     "parentheses, numbers and column names (keywords too)")
+    x_cols: str = _flag(text="comma-separated covariate columns")
+    y_col: str = _flag(text="response column")
+    no_intercept: bool = _flag(False, "do not prepend an intercept column")
+    u0: float = _flag(text="target domain identifier")
+    family: str = _flag("gaussian", "response family", choices=tuple(FAMILIES))
+    order: int = _flag(1, "local polynomial order l")
+    beta: float = _flag(2.0, "smoothness parameter")
+    bandwidth: str = _flag("auto", "auto | undersmooth | positive number")
+    gamma: float | None = _flag(None, "domain dispersion scale (default: moment estimate)")
+    e0: float = _flag(1.0, "median-rule constant")
+    bw_c: float = _flag(1.0, "undersmoothing constant")
+    epsilon: float = _flag(0.2, "undersmoothing exponent bump")
+    delta: float = _flag(1.0, "penalty scale in (1/2, 2)")
+    seed: int = _flag(0, "root RNG seed")
+    split: str = _flag("1/3,1/3,1/3", "target split fractions, e.g. 1/3,1/3,1/3")
+    bins: int = _flag(10, "number of identifier bins")
+    sigma_k: float = _flag(3.0, "identifier outlier threshold in standard deviations")
+    level: float = _flag(0.95, "confidence level")
+    out: str | None = _flag(None, "output report path (default: stdout)")
+    null_theta: str | None = _flag(None, "comma-separated null vector for the Wald test",
+                                   infer=True)
+    contrast: str | None = _flag(None, "comma-separated contrast vector", infer=True)
+    zeta: float | None = _flag(None, "null value of the contrast (default: 0)", infer=True)
+    # read from the flags: the covariate names, the split, select_bandwidth's rule
+    # for --bandwidth and its fixed h, the Wald test's null and the contrast v
+    x_columns: list = field(init=False, repr=False)
+    fractions: list = field(init=False, repr=False)
+    rule: str = field(init=False, repr=False)
+    h: float | None = field(init=False, repr=False)
+    null: np.ndarray | None = field(init=False, repr=False, compare=False)
+    v: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not math.isfinite(self.u0):
+            raise ValueError(f"--u0 must be a finite number, got {self.u0}")
+        rule = {"auto": "median", "undersmooth": "undersmoothed"}.get(self.bandwidth, "fixed")
+        try:
+            h = float(self.bandwidth) if rule == "fixed" else None
+        except ValueError:
+            raise ValueError(f"--bandwidth {self.bandwidth!r} is not auto, undersmooth "
+                             f"or a positive number") from None
+        # the rule's, the median rule's (the derivative's h) and --bw-c, --epsilon always
+        for each in (rule, "median", "undersmoothed"):
+            _check_settings(each, self.beta, self.gamma, self.e0, self.bw_c, self.epsilon, h)
+        _check_order(self.order)
+        fractions = _parse_list(self.split, "--split", "fraction")
+        if len(fractions) < 2:
+            raise ValueError(
+                f"--split needs at least 2 parts (pilot, fine-tune), got {self.split!r}")
+        if not 0.0 < self.level < 1.0:
+            raise ValueError(f"--level must lie in (0, 1), got {self.level}")
+        _check_delta(self.delta)
+        if not 2 <= self.bins <= _MAX_BINS:
+            raise ValueError(f"--bins must be between 2 and 2**52, got {self.bins}")
+        if not self.sigma_k >= 0:  # NaN too: either would drop every row
+            raise ValueError(f"--sigma-k must be nonnegative, got {self.sigma_k}")
+        x_columns = _parse_list(self.x_cols, "--x-cols", "name")
+        if not x_columns and self.no_intercept:  # theta(u0) would have no coefficient
+            raise ValueError("no coefficient to fit: --x-cols names no column "
+                             "and --no-intercept drops the intercept")
+        dim = len(x_columns) + (not self.no_intercept)  # theta(u0)'s coefficients
+        for name, text, flag in (("null", self.null_theta, "--null-theta"),
+                                 ("v", self.contrast, "--contrast")):
+            vec = None if text is None else np.asarray(_parse_list(text, flag))
+            if vec is not None and vec.size != dim:
+                raise ValueError(f"{flag} has {vec.size} entries, expected {dim}")
+            if vec is not None and not np.all(np.isfinite(vec)):
+                raise ValueError(f"{flag} entries must be finite, got {vec.tolist()}")
+            self.__dict__[name] = vec
+        if self.v is not None and not self.v.any():  # v' Sigma v would be 0 after the fit
+            raise ValueError(f"--contrast needs a nonzero entry, got {self.v.tolist()}")
+        if self.zeta is not None and self.v is None:
+            raise ValueError("--zeta is the null value of a contrast: it needs --contrast")
+        if self.zeta is not None and not math.isfinite(self.zeta):
+            raise ValueError(f"--zeta must be finite, got {self.zeta}")
+        self.__dict__.update(x_columns=x_columns, fractions=fractions, rule=rule, h=h)

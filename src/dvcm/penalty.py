@@ -175,14 +175,18 @@ def estimate_variance_sandwich(fit: LocalFit, family: ModelFamily) -> np.ndarray
     return 0.5 * (v + v.T)
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.5 < delta < 2.0:
+        raise ValueError(f"delta must lie in (0.5, 2), got {delta}")
+
+
 def _penalty(pilot_fit: LocalFit, beta: float, delta: float, family: ModelFamily,
              scale: float, n0: int, derivative: Callable[[], np.ndarray]
              ) -> PenaltyEstimate:
     """Q_hat of the pooled ``pilot_fit`` given the pilot split's Pearson
     ``scale``, the fine-tune size ``n0`` and the bias's ``derivative`` plug-in;
     the bias's moments come from the window and bandwidth of the fit's design."""
-    if not 0.5 < delta < 2.0:
-        raise ValueError(f"delta must lie in (0.5, 2), got {delta}")
+    _check_delta(delta)
     design = pilot_fit.design
     diagnostics: dict = {}
     if not float(beta).is_integer():

@@ -32,11 +32,12 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.random  # at import: it would otherwise load on the first draw
 
-from .bandwidth import BANDWIDTH_RULES
+from .bandwidth import BANDWIDTH_RULES, _check_settings
 from .design import DomainSample, Panel, _check_order, _record
 from .errors import DomainError, DvcmError, ExperimentError
 from .families import FAMILIES, get_family
 from .inference import TransferProblem, normal_quantile, wald_test
+from .penalty import _check_delta
 
 __all__ = [
     "SimConfig",
@@ -129,20 +130,17 @@ class SimConfig:
             raise ValueError("p, K, n_bar, n0 and reps must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not 0 < self.bw_c < math.inf:  # checked under every rule, as bw_epsilon is
-            raise ValueError(f"bw_c must be finite and positive, got {self.bw_c!r}")
-        if not (0 < self.e0 < math.inf and 0 < self.beta < math.inf):  # whatever reads them
-            raise ValueError(f"e0 and beta must be finite and positive, "
-                             f"got e0={self.e0!r}, beta={self.beta!r}")
-        _check_order(self.order)
-        for name in ("gamma", "noise_sd", "bw_epsilon"):
+        for name in ("gamma", "noise_sd"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, "
                                  f"got {getattr(self, name)!r}")
+        for rule in BANDWIDTH_RULES:  # e0, beta, bw_c and bw_epsilon, whatever reads them
+            _check_settings(rule, self.beta, self.gamma or None, self.e0, self.bw_c,
+                            self.bw_epsilon, None)  # gamma = 0 (every source at u0) passes
+        _check_order(self.order)
         if not -1.0 < self.cov_rho < 1.0:
             raise ValueError("cov_rho must lie in (-1, 1)")
-        if not 0.5 < self.delta < 2.0:  # checked whatever the estimators and q_mode
-            raise ValueError(f"delta must lie in (0.5, 2), got {self.delta!r}")
+        _check_delta(self.delta)  # whatever the estimators and q_mode
         half = self.gamma / 2.0
         try:  # each term of a curve is monotone in u or |u|: check the range's ends and u0
             for u in (-half, half, self.u0):
@@ -421,8 +419,8 @@ def mc_sweep(
     averaged in replication order, so they are bit-identical for any ``threads``.
     """
     grid, estimators = tuple(grid), tuple(estimators)
-    if not estimators or not set(estimators) <= set(_ESTIMATORS):
-        raise ValueError(f"estimator must be one of {_ESTIMATORS}")
+    if not estimators or len(set(estimators) & set(_ESTIMATORS)) < len(estimators):
+        raise ValueError(f"estimators must be distinct, each one of {_ESTIMATORS}")
     if not grid or min((config.reps for config in configs), default=0) < 2:
         raise ValueError("mc_sweep needs a nonempty grid and plan, and 2 or more replications")
     return _outcomes(configs, grid, estimators, threads, lambda config, outcomes: [

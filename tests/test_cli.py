@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 from dvcm.cli import EstimateReport, build_parser, main
+from dvcm.inference import FitConfig
+from dvcm.simulation import SimConfig
 
 
 def write_constant_theta_csv(path, n=600, seed=0, noise=0.0):
@@ -471,7 +474,7 @@ class TestCliMisuse:
             "--bandwidth 'abc' is not auto, undersmooth or a positive number"),
         "bandwidth_negative": (
             lambda d, o: fit_args(d, o, ["--bandwidth", "-0.5"]),
-            "--bandwidth needs a finite positive h, got -0.5"),
+            "bandwidth rule 'fixed' needs a finite positive h, got -0.5"),
         "bandwidth_checked_before_ingest": (  # the data file does not exist
             lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--bandwidth", "abc"]),
             "--bandwidth 'abc' is not auto"),
@@ -626,34 +629,34 @@ class TestCliMisuse:
             "e0=1.0, beta=inf"),
         "fit_undersmooth_epsilon_not_finite": (
             lambda d, o: fit_args(d, o, ["--bandwidth", "undersmooth", "--epsilon", "inf"]),
-            "--epsilon must be finite and nonnegative, got inf"),
+            "got gamma=None, c=1.0, beta=2.0, epsilon=inf"),
         # --bw-c and --epsilon are checked under every rule, not only the one that reads them
         "fit_median_bw_c_nan": (
             lambda d, o: fit_args(d, o, ["--bandwidth", "auto", "--bw-c", "nan"]),
-            "--bw-c must be finite and positive, got nan"),
+            "got gamma=None, c=nan, beta=2.0, epsilon=0.2"),
         "fit_fixed_epsilon_nan": (
             lambda d, o: fit_args(d, o, ["--bandwidth", "0.3", "--epsilon", "nan"]),
-            "--epsilon must be finite and nonnegative, got nan"),
+            "got gamma=None, c=1.0, beta=2.0, epsilon=nan"),
         "fit_undersmooth_bw_c_zero": (
             lambda d, o: fit_args(d, o, ["--bandwidth", "undersmooth", "--bw-c", "0"]),
-            "--bw-c must be finite and positive, got 0.0"),
+            "got gamma=None, c=0.0, beta=2.0, epsilon=0.2"),
         "bw_c_checked_before_ingest": (
             lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--bw-c", "-1"]),
-            "--bw-c must be finite and positive, got -1.0"),
+            "got gamma=None, c=-1.0, beta=2.0, epsilon=0.2"),
         "phase_median_bw_c_nan": (
             lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
                           "--reps", "2", "--threads", "1", "--bw-c", "nan", "--epsilon", "-3",
                           "--out", str(o)],
-            "bw_c must be finite and positive, got nan"),
+            "got gamma=1.0, c=nan, beta=2.0, epsilon=-3.0"),
         "phase_median_epsilon_negative": (
             lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
                           "--reps", "2", "--threads", "1", "--epsilon", "-3", "--out", str(o)],
-            "bw_epsilon must be finite and nonnegative, got -3.0"),
+            "got gamma=1.0, c=0.5, beta=2.0, epsilon=-3.0"),
         "phase_undersmoothed_epsilon_not_finite": (
             lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
                           "--reps", "2", "--threads", "1", "--bandwidth-rule", "undersmoothed",
                           "--epsilon", "inf", "--out", str(o)],
-            "bw_epsilon must be finite and nonnegative, got inf"),
+            "got gamma=1.0, c=0.5, beta=2.0, epsilon=inf"),
         # separated data by construction, and a singular system
         "response_among_covariates": (
             lambda d, o: fit_args(d, o, ["--x-cols", "x1,y"]),
@@ -740,12 +743,14 @@ class TestCliMisuse:
             lambda d, o: ["simulate", "--p", "2", "--K", "3", "--n-bar", "30", "--n0", "20",
                           "--reps", "2", "--grid", "0.5", "--threads", "1", "--beta", "-1",
                           "--estimators", "lr,dvcm", "--out", str(o)],
-            "error: cli: e0 and beta must be finite and positive, got e0=1.0, beta=-1.0"),
+            "error: cli: gamma, e0 and beta must be finite and positive, "
+            "got gamma=1.0, e0=1.0, beta=-1.0"),
         "simulate_e0_negative_without_tl": (
             lambda d, o: ["simulate", "--p", "2", "--K", "3", "--n-bar", "30", "--n0", "20",
                           "--reps", "2", "--grid", "0.5", "--threads", "1", "--e0", "-1",
                           "--estimators", "lr,dvcm", "--out", str(o)],
-            "error: cli: e0 and beta must be finite and positive, got e0=-1.0, beta=2.0"),
+            "error: cli: gamma, e0 and beta must be finite and positive, "
+            "got gamma=1.0, e0=-1.0, beta=2.0"),
         "simulate_order_negative_lr_only": (
             lambda d, o: ["simulate", "--p", "2", "--K", "3", "--n-bar", "30", "--n0", "20",
                           "--reps", "2", "--grid", "0.5", "--threads", "1", "--order", "-1",
@@ -773,7 +778,7 @@ class TestCliMisuse:
         # delta is checked where it enters, whatever reads it later
         "fit_delta_checked_before_ingest": (
             lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--delta", "3"]),
-            "error: cli: --delta must lie in (1/2, 2), got 3.0"),
+            "error: cli: delta must lie in (0.5, 2), got 3.0"),
         # so are the bandwidth rules' settings (--gamma when set) and the order
         "fit_beta_checked_before_ingest": (
             lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--beta", "-1"]),
@@ -821,7 +826,7 @@ class TestCliMisuse:
             "error: cli: polynomial order must be between 0 and 170, got 171"),
         "fit_delta_nan": (
             lambda d, o: fit_args(d, o, ["--delta", "nan"]),
-            "error: cli: --delta must lie in (1/2, 2), got nan"),
+            "error: cli: delta must lie in (0.5, 2), got nan"),
         "simulate_delta_without_tl": (
             lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
                           "--threads", "1", "--delta", "3", "--estimators", "lr,dvcm",
@@ -836,6 +841,42 @@ class TestCliMisuse:
             lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
                           "--reps", "2", "--threads", "1", "--delta", "0.5", "--out", str(o)],
             "error: cli: delta must lie in (0.5, 2), got 0.5"),
+        # a name list is split at commas, and no part is empty
+        "simulate_estimators_empty_part": (
+            lambda d, o: ["simulate", "--p", "2", "--K", "3", "--n-bar", "30", "--n0", "20",
+                          "--reps", "2", "--grid", "0.5", "--threads", "1",
+                          "--estimators", ",lr,,tl,", "--out", str(o)],
+            "error: cli: --estimators part '' is not a name, in ',lr,,tl,'"),
+        "fit_x_cols_empty_part_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--x-cols", ",x1,"]),
+            "error: cli: --x-cols part '' is not a name, in ',x1,'"),
+        # each estimator's rows would be written twice
+        "simulate_estimators_repeated": (
+            lambda d, o: ["simulate", "--p", "2", "--K", "3", "--n-bar", "30", "--n0", "20",
+                          "--reps", "2", "--grid", "0.5", "--threads", "1",
+                          "--estimators", "lr,lr", "--out", str(o)],
+            "error: cli: estimators must be distinct, each one of ('lr', 'dvcm', 'tl')"),
+        # a negative or NaN threshold drops every row
+        "fit_sigma_k_negative_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--sigma-k", "-1"]),
+            "error: cli: --sigma-k must be nonnegative, got -1.0"),
+        "fit_sigma_k_nan_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--sigma-k", "nan"]),
+            "error: cli: --sigma-k must be nonnegative, got nan"),
+        # the expression is checked against the header before any row is parsed,
+        # so a bad cell (x1 of file row 4) does not hide its error
+        "u_expr_unknown_name_checked_before_bad_cell": (
+            lambda d, o: u_expr_args(TestCliMisuse._edited(
+                d, lambda ls: ls[:3] + [",".join(
+                    "abc" if j == 1 else c for j, c in enumerate(ls[3].split(",")))]
+                + ls[4:]), o, "--u-expr", "agee - education - 6"),
+            "error: dataio: unknown column 'agee' in expression 'agee - education - 6'"),
+        "u_expr_power_checked_before_bad_cell": (
+            lambda d, o: u_expr_args(TestCliMisuse._edited(
+                d, lambda ls: ls[:3] + [",".join(
+                    "abc" if j == 1 else c for j, c in enumerate(ls[3].split(",")))]
+                + ls[4:]), o, "--u-expr", "age ** 2"),
+            "error: cli: column expression 'age ** 2': 'age ** 2' is not + - * /"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -885,6 +926,76 @@ class TestCliMisuse:
         argv, _ = self.CASES["u_expr_not_finite"]
         assert main(argv(self._data(tmp_path), tmp_path / "out")) == 1
         assert "(row 4, column 'age/education')" in capsys.readouterr().err
+
+
+# a value just outside the range of each numeric setting of fit and infer, one per
+# end of a two-sided range, with the message that refuses it
+OUTSIDE = {
+    "u0": [("inf", "--u0 must be a finite number, got inf"),
+           ("nan", "--u0 must be a finite number, got nan")],
+    "order": [("-1", "polynomial order must be between 0 and 170, got -1"),
+              ("171", "polynomial order must be between 0 and 170, got 171")],
+    "beta": [("0", "gamma, e0 and beta must be finite and positive, "
+                   "got gamma=None, e0=1.0, beta=0.0")],
+    "gamma": [("0", "gamma, e0 and beta must be finite and positive, got gamma=0.0")],
+    "e0": [("0", "gamma, e0 and beta must be finite and positive, "
+                 "got gamma=None, e0=0.0, beta=2.0")],
+    "bw_c": [("0", "got gamma=None, c=0.0, beta=2.0, epsilon=0.2")],
+    "epsilon": [("-5e-324", "got gamma=None, c=1.0, beta=2.0, epsilon=-5e-324")],
+    "delta": [("0.5", "delta must lie in (0.5, 2), got 0.5"),
+              ("2", "delta must lie in (0.5, 2), got 2.0")],
+    "seed": [("-1", "--seed must be a non-negative integer, got -1")],
+    "bins": [("1", "--bins must be between 2 and 2**52, got 1"),
+             (str(2**52 + 1), f"--bins must be between 2 and 2**52, got {2**52 + 1}")],
+    "sigma_k": [("-5e-324", "--sigma-k must be nonnegative, got -5e-324"),
+                ("nan", "--sigma-k must be nonnegative, got nan")],
+    "level": [("0", "--level must lie in (0, 1), got 0.0"),
+              ("1", "--level must lie in (0, 1), got 1.0")],
+    "zeta": [("inf", "--zeta must be finite, got inf")],
+}
+FIT_FIELDS = {f.name: f for f in dataclasses.fields(FitConfig) if f.init}
+
+
+class TestFitConfig:
+    """Every range check of fit and infer runs where the settings are declared."""
+
+    def test_every_numeric_setting_has_a_range(self):
+        numeric = {name for name, f in FIT_FIELDS.items()
+                   if f.type.removesuffix(" | None") in ("int", "float")}
+        assert set(OUTSIDE) == numeric
+
+    @pytest.mark.parametrize("command, name, value, needle", [
+        pytest.param(command, name, value, needle, id=f"{command}-{name}={value}")
+        for command in ("fit", "infer") for name, cases in OUTSIDE.items()
+        for value, needle in cases
+        if command == "infer" or not FIT_FIELDS[name].metadata.get("infer")])
+    def test_outside_its_range_refused_before_the_csv(self, tmp_path, capsys, command, name,
+                                                      value, needle):
+        tests = ["--contrast", "1,0"] if command == "infer" else []
+        argv = [command, *fit_args(tmp_path / "missing.csv", tmp_path / "out", tests)[1:],
+                f"--{name.replace('_', '-')}={value}"]  # argparse reads -5e-324 as a flag
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert needle in err and "no such file" not in err
+
+    @pytest.mark.parametrize("fit_name, sim_name, value", [
+        ("delta", "delta", 0.5), ("delta", "delta", 2.0), ("order", "order", -1),
+        ("order", "order", 171), ("bw_c", "bw_c", 0.0), ("epsilon", "bw_epsilon", -5e-324),
+        ("e0", "e0", 0.0), ("beta", "beta", 0.0)])
+    def test_sim_config_refuses_with_the_same_check(self, fit_name, sim_name, value):
+        # SimConfig's gamma and bw_c, so that the two messages may be compared whole
+        settings = {"data": "missing.csv", "x_cols": "x1", "y_col": "y", "u0": 0.25,
+                    "gamma": 1.0, "bw_c": 0.5, fit_name: value}
+        with pytest.raises(ValueError) as fit_error:
+            FitConfig(**settings)
+        with pytest.raises(ValueError) as sim_error:
+            SimConfig(**{sim_name: value})
+        assert str(fit_error.value) == str(sim_error.value)
+
+    def test_empty_x_cols_is_the_intercept_only_model(self):
+        config = FitConfig(data="d.csv", x_cols="", y_col="y", u0=0.25)
+        assert config.x_columns == []
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -24,6 +24,7 @@ from dvcm.dataio import (
 )
 from dvcm.design import DomainSample
 from dvcm.errors import DegenerateScaleError, ParseError, SchemaError
+from dvcm.inference import FitConfig
 
 
 @pytest.fixture
@@ -342,8 +343,9 @@ class TestIngestPaths:
 
 
 def ingest_args(path, *extra):
-    """``dvcm fit`` arguments for ``cli._ingest``: the fit options keep their defaults."""
-    return cli.build_parser().parse_args(["fit", "--data", str(path), "--u0", "0.25", *extra])
+    """``dvcm fit`` settings for ``cli._ingest``: the fit options keep their defaults."""
+    args = cli.build_parser().parse_args(["fit", "--data", str(path), "--u0", "0.25", *extra])
+    return FitConfig(**{k: v for k, v in vars(args).items() if k not in ("command", "func")})
 
 
 def write_wage_csv(path, rows, seed=0):

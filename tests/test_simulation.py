@@ -52,13 +52,18 @@ class TestTrueCoefficient:
         ("bw_epsilon", -3.0), ("bw_epsilon", float("inf")), ("bw_epsilon", float("nan")),
     ])
     def test_scale_not_finite_and_nonnegative_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+        # bw_epsilon is the undersmoothed rule's epsilon: that rule's check names it so
+        message = (f"epsilon={value}" if field == "bw_epsilon"
+                   else f"{field} must be finite and nonnegative")
+        with pytest.raises(ValueError, match=message):
             SimConfig(**{field: value})
 
     @pytest.mark.parametrize("rule", ["median", "undersmoothed"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
     def test_bw_c_not_finite_and_positive_rejected_under_every_rule(self, rule, value):
-        with pytest.raises(ValueError, match=f"bw_c must be finite and positive, got {value}"):
+        # the undersmoothed rule's check names bw_c as its constant c
+        with pytest.raises(ValueError, match=f"c and beta must be finite and positive .*"
+                                             f"c={value}, beta=2.0"):
             SimConfig(bw_c=value, bandwidth_rule=rule)
 
     @pytest.mark.parametrize("q_mode", ["estimate", "zero"])
@@ -316,6 +321,11 @@ class TestMcSweep:
             mc_sweep([tiny_config()], [0.5], ["lr", "ridge"])
         with pytest.raises(ValueError):
             mc_sweep([], [0.5], ["lr"])
+
+    def test_repeated_estimator_rejected(self):
+        # its cells would be computed and written twice
+        with pytest.raises(ValueError, match="estimators must be distinct"):
+            mc_sweep([tiny_config()], [0.5], ["lr", "tl", "lr"])
 
 
 class TestPlan:
