@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import Panel
+from .design import Panel, _check_bandwidth
 
 __all__ = [
     "BandwidthChoice",
@@ -83,8 +83,8 @@ def _check_settings(rule: str, beta: float, gamma: float | None, e0: float, c: f
                              f"beta={beta}, epsilon={epsilon}")
     elif rule != "fixed":
         raise ValueError(f"bandwidth rule {rule!r} is none of {(*BANDWIDTH_RULES, 'fixed')}")
-    elif h is None or not 0 < h < math.inf:
-        raise ValueError(f"bandwidth rule 'fixed' needs a finite positive h, got {h}")
+    else:
+        _check_bandwidth(h)
 
 
 def select_bandwidth(

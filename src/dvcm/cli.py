@@ -26,7 +26,7 @@ from .errors import DvcmError, ParseError
 from .families import get_family
 from .inference import (FitConfig, TransferProblem, confidence_intervals, contrast_test,
                         wald_test)
-from .simulation import SimConfig, fit_loglog_slopes, mc_sweep
+from .simulation import SimConfig, _check_slope_grid, fit_loglog_slopes, mc_sweep
 
 __all__ = ["EstimateReport", "main"]
 
@@ -222,15 +222,7 @@ def cmd_phase(args) -> int:
     if fractional:
         raise ValueError(f"--grid part {fractional[0]!r} is not a whole number, "
                          f"as --vary {args.vary} needs")
-    if args.segments < 1:
-        raise ValueError(f"--segments must be at least 1, got {args.segments}")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError(f"--grid must be strictly increasing for the slope fit, "
-                         f"got {args.grid!r}")
-    if len(grid) < 2 * args.segments + 2:
-        raise ValueError(
-            f"grid of {len(grid)} points cannot support {args.segments} segments"
-        )
+    _check_slope_grid(grid, args.segments)
     # every grid point's config is checked before the first one runs
     name, cast = {"K": ("K", round), "gamma": ("gamma", float),
                   "n": ("n_bar", round)}[args.vary]  # n: average source size
@@ -323,8 +315,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except DvcmError as exc:
         print(f"error: {exc}", file=sys.stderr)

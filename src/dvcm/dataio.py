@@ -360,7 +360,10 @@ def minmax_scale(values: Sequence[float]) -> np.ndarray:
     return (v - lo) / (hi - lo)
 
 
-_MAX_BINS = 2**52  # bin indices and j + 0.5 are exact in float64, ceil(u * n_bins) in int64
+def _check_bins(n_bins: int) -> None:
+    # bin indices and j + 0.5 are exact in float64, ceil(u * n_bins) in int64
+    if not 2 <= n_bins <= 2**52:
+        raise ValueError(f"need between 2 and 2**52 bins, got {n_bins}")
 
 
 def bin_domains(table: RawTable, n_bins: int = 10) -> Panel:
@@ -371,8 +374,7 @@ def bin_domains(table: RawTable, n_bins: int = 10) -> Panel:
     become the domains of one panel, at their midpoints and in bin order;
     ``n_bins`` lies in ``[2, 2**52]``.
     """
-    if not 2 <= n_bins <= _MAX_BINS:
-        raise ValueError(f"need between 2 and 2**52 bins, got {n_bins}")
+    _check_bins(n_bins)
     if table.n == 0:
         raise ValueError("cannot bin an empty table")
     u = table.u
@@ -392,6 +394,14 @@ def bin_domains(table: RawTable, n_bins: int = 10) -> Panel:
                  u=(idx[offsets[:-1]] + 0.5) / n_bins, offsets=offsets)
 
 
+def _check_fractions(fractions: Sequence[float]) -> None:
+    f = np.asarray(fractions, dtype=float)
+    if not np.all(f > 0):  # NaN too
+        raise ValueError("fractions must be positive")
+    if not abs(f.sum() - 1.0) <= 1e-9:
+        raise ValueError(f"fractions must sum to 1, got {f.sum()}")
+
+
 def split_target(
     target: DomainSample, fractions: Sequence[float], rng: np.random.Generator
 ) -> list[DomainSample]:
@@ -400,11 +410,8 @@ def split_target(
     Sizes follow the fractions with any remainder distributed one row at
     a time to the earliest parts; identical seeds give identical splits.
     """
+    _check_fractions(fractions)
     f = np.asarray(fractions, dtype=float)
-    if np.any(f <= 0):
-        raise ValueError("fractions must be positive")
-    if abs(f.sum() - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {f.sum()}")
     n = target.n
     if n < f.size:
         raise ValueError(f"cannot split {n} rows into {f.size} nonempty parts")
@@ -416,10 +423,5 @@ def split_target(
     for i in range(rem):
         base[i % f.size] += 1
     perm = rng.permutation(n)
-    parts = []
-    start = 0
-    for size in base:
-        take = np.sort(perm[start : start + size])
-        parts.append(DomainSample(u=target.u, x=target.x[take], y=target.y[take]))
-        start += size
-    return parts
+    return [DomainSample(u=target.u, x=target.x[take], y=target.y[take])
+            for take in map(np.sort, np.split(perm, np.cumsum(base)[:-1]))]

@@ -65,16 +65,10 @@ class DomainSample:
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
         y = np.asarray(self.y, dtype=float).ravel()
-        if x.shape[0] != y.shape[0]:
-            raise ValueError(
-                f"x has {x.shape[0]} rows but y has {y.shape[0]} entries"
-            )
         if not x.size:
             raise ValueError("a domain needs at least one observation and one covariate")
-        if not (np.isfinite(self.u) and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("non-finite value in domain sample")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        Panel(x=x, y=y, u=[self.u], offsets=[0, x.shape[0]])  # its shape and value checks
+        self.__dict__.update(x=x, y=y)
 
     @classmethod
     def _view(cls, u: float, x: np.ndarray, y: np.ndarray) -> "DomainSample":
@@ -212,6 +206,11 @@ def _check_order(l: int) -> None:
         raise ValueError(f"polynomial order must be between 0 and {_MAX_ORDER}, got {l}")
 
 
+def _check_bandwidth(h: float | None) -> None:
+    if h is None or not 0.0 < h < math.inf:
+        raise ValueError(f"bandwidth must be finite and positive, got {h}")
+
+
 def poly_features(t: float, l: int) -> np.ndarray:
     """Polynomial feature map (1, t, t^2/2!, ..., t^l/l!)."""
     _check_order(l)
@@ -243,8 +242,7 @@ def kernel_window(domains: Panel, u0: float, h: float, l: int) -> KernelWindow:
     positive.  ``phi`` is :func:`poly_features` of each Python-float
     ``t``: numpy's vectorised power can differ from it in the last bit.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"bandwidth must be finite and positive, got {h}")
+    _check_bandwidth(h)
     _check_order(l)
     t_all = (domains.u - u0) / h
     index = (np.abs(t_all) <= 1.0).nonzero()[0]

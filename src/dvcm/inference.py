@@ -37,7 +37,7 @@ import numpy as np
 
 from ._scipy import special_ufuncs
 from .bandwidth import BandwidthChoice, _check_settings, select_bandwidth
-from .dataio import _MAX_BINS, _parse_list
+from .dataio import _check_bins, _check_fractions, _parse_list
 from .design import DomainSample, Panel, _check_order
 from .errors import DvcmError, SingularSystemError
 from .estimators import (LocalFit, TLFit, fit_dvcm, fit_target_only, fit_tl, gram,
@@ -318,6 +318,11 @@ def contrast_test(
     return z, 2.0 * normal_sf(abs(z))
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level must be in (0, 1), got {level}")
+
+
 def confidence_intervals(
     theta_tl: np.ndarray, sigma: np.ndarray, level: float
 ) -> np.ndarray:
@@ -325,12 +330,16 @@ def confidence_intervals(
 
     Returns an array of shape (p, 2) of (low, high) pairs.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    _check_level(level)
     theta_tl = np.asarray(theta_tl, dtype=float)
     se = np.sqrt(np.diag(np.asarray(sigma, dtype=float)))
     z = normal_quantile(0.5 + level / 2.0)
     return np.column_stack([theta_tl - z * se, theta_tl + z * se])
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _flag(default=MISSING, text=None, **metadata):
@@ -380,6 +389,7 @@ class FitConfig:
     v: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if not math.isfinite(self.u0):
             raise ValueError(f"--u0 must be a finite number, got {self.u0}")
         rule = {"auto": "median", "undersmooth": "undersmoothed"}.get(self.bandwidth, "fixed")
@@ -396,11 +406,10 @@ class FitConfig:
         if len(fractions) < 2:
             raise ValueError(
                 f"--split needs at least 2 parts (pilot, fine-tune), got {self.split!r}")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"--level must lie in (0, 1), got {self.level}")
+        _check_fractions(fractions)
+        _check_level(self.level)
         _check_delta(self.delta)
-        if not 2 <= self.bins <= _MAX_BINS:
-            raise ValueError(f"--bins must be between 2 and 2**52, got {self.bins}")
+        _check_bins(self.bins)
         if not self.sigma_k >= 0:  # NaN too: either would drop every row
             raise ValueError(f"--sigma-k must be nonnegative, got {self.sigma_k}")
         x_columns = _parse_list(self.x_cols, "--x-cols", "name")

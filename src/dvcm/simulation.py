@@ -33,10 +33,10 @@ import numpy as np
 import numpy.random  # at import: it would otherwise load on the first draw
 
 from .bandwidth import BANDWIDTH_RULES, _check_settings
-from .design import DomainSample, Panel, _check_order, _record
+from .design import DomainSample, Panel, _check_bandwidth, _check_order, _record
 from .errors import DomainError, DvcmError, ExperimentError
 from .families import FAMILIES, get_family
-from .inference import TransferProblem, normal_quantile, wald_test
+from .inference import TransferProblem, _check_level, _check_seed, normal_quantile, wald_test
 from .penalty import _check_delta
 
 __all__ = [
@@ -128,8 +128,7 @@ class SimConfig:
                 raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
         if min(self.p, self.K, self.n_bar, self.n0, self.reps) < 1:
             raise ValueError("p, K, n_bar, n0 and reps must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         for name in ("gamma", "noise_sd"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, "
@@ -423,6 +422,9 @@ def mc_sweep(
         raise ValueError(f"estimators must be distinct, each one of {_ESTIMATORS}")
     if not grid or min((config.reps for config in configs), default=0) < 2:
         raise ValueError("mc_sweep needs a nonempty grid and plan, and 2 or more replications")
+    for h in grid:  # an lr-only sweep reads no h, but is refused one out of range too
+        if h is not None:
+            _check_bandwidth(h)
     return _outcomes(configs, grid, estimators, threads, lambda config, outcomes: [
         _mse_result(config, cell) for cell in zip(*outcomes)])
 
@@ -454,6 +456,7 @@ class InferenceRecords:
 
     def coverage(self, level: float = 0.95) -> np.ndarray:
         """Empirical per-coordinate CI coverage at the given level."""
+        _check_level(level)
         z = normal_quantile(0.5 + level / 2.0)
         return np.mean(np.abs(self.standardized) <= z, axis=0)
 
@@ -491,6 +494,15 @@ def mc_inference(
     )
 
 
+def _check_slope_grid(xs: Sequence[float], n_segments: int) -> None:
+    if n_segments < 1:
+        raise ValueError(f"n_segments must be >= 1, got {n_segments}")
+    if np.any(np.diff(xs) <= 0):
+        raise ValueError("xs must be strictly increasing")
+    if len(xs) < 2 * n_segments + 2:
+        raise ValueError(f"need at least {2 * n_segments + 2} points for {n_segments} segments")
+
+
 def fit_loglog_slopes(
     xs: Sequence[float], ys: Sequence[float], n_segments: int
 ) -> list[tuple[float, float]]:
@@ -502,16 +514,9 @@ def fit_loglog_slopes(
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if n_segments < 1:
-        raise ValueError("n_segments must be >= 1")
     if xs.ndim != 1 or xs.shape != ys.shape:
         raise ValueError("xs and ys must be one-dimensional with equal length")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("xs must be strictly increasing")
-    if xs.size < 2 * n_segments + 2:
-        raise ValueError(
-            f"need at least {2 * n_segments + 2} points for {n_segments} segments"
-        )
+    _check_slope_grid(xs, n_segments)
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("log-log fit requires positive xs and ys")
     lx, ly = np.log(xs), np.log(ys)
@@ -521,19 +526,14 @@ def fit_loglog_slopes(
     for combo in itertools.combinations(range(2, n - 2), n_segments - 1):
         if any(b - a < 2 for a, b in zip(combo, combo[1:])):
             continue  # each segment must cover at least two grid intervals
-        cols = [np.ones(n), lx]
-        for i in combo:
-            cols.append(np.maximum(lx - lx[i], 0.0))
-        a = np.column_stack(cols)
+        a = np.column_stack([np.ones(n), lx, *(np.maximum(lx - lx[i], 0.0) for i in combo)])
         coef, _, _, _ = np.linalg.lstsq(a, ly, rcond=None)
         sse = float(np.sum((a @ coef - ly) ** 2))
         if best is None or sse < best[0] - 1e-15:
             best = (sse, combo, coef)
 
     _, combo, coef = best
-    slopes = np.cumsum(coef[1:])
-    starts = [float(xs[0])] + [float(xs[i]) for i in combo]
-    return list(zip(starts, [float(s) for s in slopes]))
+    return list(zip(xs[[0, *combo]].tolist(), np.cumsum(coef[1:]).tolist()))
 
 
 def ks_normality(samples: Sequence[float]) -> tuple[float, float]:

@@ -150,7 +150,7 @@ class TestSelectBandwidth:
     @pytest.mark.parametrize("h", [None, 0.0, -1.0, float("nan"), float("inf"),
                                    float("-inf")])
     def test_fixed_needs_positive_h(self, h):
-        with pytest.raises(ValueError, match="positive h"):
+        with pytest.raises(ValueError, match="finite and positive"):
             select_bandwidth("fixed", sources_with(), 0.0, 2.0, 1.0, h=h, **self.KW)
 
     def test_unknown_rule_rejected(self):

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -13,8 +15,10 @@ import numpy as np
 import pytest
 
 from dvcm.cli import EstimateReport, build_parser, main
-from dvcm.inference import FitConfig
-from dvcm.simulation import SimConfig
+from dvcm.dataio import RawTable, bin_domains, split_target
+from dvcm.design import DomainSample, Panel, kernel_window
+from dvcm.inference import FitConfig, confidence_intervals
+from dvcm.simulation import InferenceRecords, SimConfig, fit_loglog_slopes, mc_sweep
 
 
 def write_constant_theta_csv(path, n=600, seed=0, noise=0.0):
@@ -468,26 +472,34 @@ class TestCliMisuse:
             lambda d, o: fit_args(d, o, ["--sigma-k", "0"]), "--sigma-k 0.0 drops every row"),
         "bandwidth_not_finite": (
             lambda d, o: fit_args(d, o, ["--bandwidth", "inf"]),
-            "needs a finite positive h, got inf"),
+            "bandwidth must be finite and positive, got inf"),
         "bandwidth_not_a_number": (
             lambda d, o: fit_args(d, o, ["--bandwidth", "abc"]),
             "--bandwidth 'abc' is not auto, undersmooth or a positive number"),
         "bandwidth_negative": (
             lambda d, o: fit_args(d, o, ["--bandwidth", "-0.5"]),
-            "bandwidth rule 'fixed' needs a finite positive h, got -0.5"),
+            "bandwidth must be finite and positive, got -0.5"),
         "bandwidth_checked_before_ingest": (  # the data file does not exist
             lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--bandwidth", "abc"]),
             "--bandwidth 'abc' is not auto"),
         "split_checked_before_ingest": (
             lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--split", "1"]),
             "--split needs at least 2 parts"),
+        "split_negative_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--split", "1,-1"]),
+            "fractions must be positive"),
+        "split_sum_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--split", "0.5,0.6"]),
+            "fractions must sum to 1, got 1.1"),
+        "split_nan": (  # no fraction compares positive or sums to 1 with a NaN
+            lambda d, o: fit_args(d, o, ["--split", "nan,0.5"]), "fractions must be positive"),
         "level_checked_before_ingest": (
             lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--level", "1.5"]),
-            "--level must lie in (0, 1), got 1.5"),
+            "confidence level must be in (0, 1), got 1.5"),
         "infer_level_checked_before_ingest": (
             lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
                                              ["--level", "0", "--contrast", "1,0"])[1:]],
-            "--level must lie in (0, 1), got 0.0"),
+            "confidence level must be in (0, 1), got 0.0"),
         "infer_without_a_test_checked_before_ingest": (
             lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o)[1:]],
             "infer requires --null-theta and/or --contrast"),
@@ -597,23 +609,27 @@ class TestCliMisuse:
         "phase_segments_zero": (
             lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
                           "--reps", "2", "--threads", "1", "--segments", "0", "--out", str(o)],
-            "--segments must be at least 1, got 0"),
+            "n_segments must be >= 1, got 0"),
         "phase_segments_negative": (
             lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
                           "--reps", "2", "--threads", "1", "--segments", "-1", "--out", str(o)],
-            "--segments must be at least 1, got -1"),
+            "n_segments must be >= 1, got -1"),
         "phase_grid_decreasing": (
             lambda d, o: ["phase", "--vary", "K", "--grid", "12,10,8,6,4,3", "--p", "2",
                           "--reps", "2", "--threads", "1", "--segments", "2", "--out", str(o)],
-            "--grid must be strictly increasing for the slope fit, got '12,10,8,6,4,3'"),
+            "xs must be strictly increasing"),
         "phase_grid_repeated": (
             lambda d, o: ["phase", "--vary", "K", "--grid", "3,3,4,6", "--p", "2",
                           "--reps", "2", "--threads", "1", "--segments", "1", "--out", str(o)],
-            "--grid must be strictly increasing for the slope fit, got '3,3,4,6'"),
+            "xs must be strictly increasing"),
         "simulate_bandwidth_not_finite": (
             lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "inf",
                           "--threads", "1", "--out", str(o)],
             "bandwidth must be finite and positive, got inf"),
+        "simulate_lr_only_bandwidth_negative": (  # lr reads no h, but its grid is checked
+            lambda d, o: ["simulate", "--estimators", "lr", "--grid=-1,nan,inf", "--p", "2",
+                          "--reps", "2", "--threads", "1", "--out", str(o)],
+            "bandwidth must be finite and positive, got -1.0"),
         "simulate_noise_sd_negative": (
             lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
                           "--threads", "1", "--noise-sd", "-1", "--out", str(o)],
@@ -672,11 +688,11 @@ class TestCliMisuse:
             "derivative of order 1e+300 needs 1e+300 distinct domain identifiers"),
         "fit_seed_negative": (
             lambda d, o: fit_args(d, o, ["--seed", "-1"]),
-            "--seed must be a non-negative integer, got -1"),
+            "seed must be a non-negative integer, got -1"),
         "simulate_seed_negative": (
             lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
                           "--threads", "1", "--seed", "-1", "--out", str(o)],
-            "--seed must be a non-negative integer, got -1"),
+            "seed must be a non-negative integer, got -1"),
         "config_seed_negative": (
             lambda d, o: TestCliMisuse._config(d, '{"seed": -1}') + ["--out", str(o)],
             "seed must be a non-negative integer, got -1"),
@@ -794,10 +810,10 @@ class TestCliMisuse:
             "and nonnegative, got gamma=-1.0"),
         "fit_bins_checked_before_ingest": (
             lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--bins", "1"]),
-            "error: cli: --bins must be between 2 and 2**52, got 1"),
+            "error: cli: need between 2 and 2**52 bins, got 1"),
         "fit_bins_huge": (
             lambda d, o: fit_args(d, o, ["--bins", "9223372036854775807"]),
-            "error: cli: --bins must be between 2 and 2**52, got 9223372036854775807"),
+            "error: cli: need between 2 and 2**52 bins, got 9223372036854775807"),
         # the test inputs are checked finite where they enter, as --grid is
         "infer_null_theta_not_finite": (
             lambda d, o: ["infer", *fit_args(d.with_name("missing.csv"), o,
@@ -944,16 +960,65 @@ OUTSIDE = {
     "epsilon": [("-5e-324", "got gamma=None, c=1.0, beta=2.0, epsilon=-5e-324")],
     "delta": [("0.5", "delta must lie in (0.5, 2), got 0.5"),
               ("2", "delta must lie in (0.5, 2), got 2.0")],
-    "seed": [("-1", "--seed must be a non-negative integer, got -1")],
-    "bins": [("1", "--bins must be between 2 and 2**52, got 1"),
-             (str(2**52 + 1), f"--bins must be between 2 and 2**52, got {2**52 + 1}")],
+    "seed": [("-1", "seed must be a non-negative integer, got -1")],
+    "bins": [("1", "need between 2 and 2**52 bins, got 1"),
+             (str(2**52 + 1), f"need between 2 and 2**52 bins, got {2**52 + 1}")],
     "sigma_k": [("-5e-324", "--sigma-k must be nonnegative, got -5e-324"),
                 ("nan", "--sigma-k must be nonnegative, got nan")],
-    "level": [("0", "--level must lie in (0, 1), got 0.0"),
-              ("1", "--level must lie in (0, 1), got 1.0")],
+    "level": [("0", "confidence level must be in (0, 1), got 0.0"),
+              ("1", "confidence level must be in (0, 1), got 1.0")],
     "zeta": [("inf", "--zeta must be finite, got inf")],
 }
 FIT_FIELDS = {f.name: f for f in dataclasses.fields(FitConfig) if f.init}
+
+
+def _refusal(call):
+    """The message of the ValueError that ``call()`` raises or, for an argv list,
+    the one ``error: cli:`` line that ``dvcm`` exits 1 with."""
+    if isinstance(call, list):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(call) == 1
+        return err.getvalue().removeprefix("error: cli: ").removesuffix("\n")
+    with pytest.raises(ValueError) as error:
+        call()
+    return str(error.value)
+
+
+def _fit_config(**settings):
+    return FitConfig(data="missing.csv", x_cols="x1", y_col="y", u0=0.25, **settings)
+
+
+def _target(n=4):
+    return DomainSample(0.0, np.ones((n, 1)), np.ones(n))
+
+
+PHASE = ["phase", "--vary", "K", "--p", "2", "--reps", "2", "--threads", "1"]
+# one value out of range, given to fit or phase and to the library function that reads it
+SAME_REFUSAL = {
+    "seed": (lambda: _fit_config(seed=-1), lambda: SimConfig(seed=-1)),
+    "level": (lambda: _fit_config(level=1.0),
+              lambda: confidence_intervals(np.zeros(1), np.eye(1), 1.0)),
+    "level_coverage": (lambda: _fit_config(level=0.0),
+                       lambda: InferenceRecords(np.zeros((2, 1)), np.ones((2, 1)), np.zeros(1),
+                                                np.ones(2), 0).coverage(0.0)),
+    "bins": (lambda: _fit_config(bins=1),
+             lambda: bin_domains(RawTable(("u", "x", "y"), np.full((1, 3), 0.5)), 1)),
+    "split_negative": (lambda: _fit_config(split="1,-1"),
+                       lambda: split_target(_target(), [1.0, -1.0], np.random.default_rng(0))),
+    "split_sum": (lambda: _fit_config(split="0.5,0.6"),
+                  lambda: split_target(_target(), [0.5, 0.6], np.random.default_rng(0))),
+    "h_kernel_window": (lambda: _fit_config(bandwidth="-1"),
+                        lambda: kernel_window(Panel.of([_target()]), 0.0, -1.0, 1)),
+    "h_mc_sweep": (lambda: _fit_config(bandwidth="-1"),
+                   lambda: mc_sweep([SimConfig(p=2, reps=2)], [-1.0], ["lr"])),
+    "segments": (PHASE + ["--grid", "2,3,4,5", "--segments", "0"],
+                 lambda: fit_loglog_slopes([2.0, 3.0, 4.0, 5.0], np.ones(4), 0)),
+    "grid_order": (PHASE + ["--grid", "5,4,3,2", "--segments", "1"],
+                   lambda: fit_loglog_slopes([5.0, 4.0, 3.0, 2.0], np.ones(4), 1)),
+    "grid_points": (PHASE + ["--grid", "2,3,4", "--segments", "1"],
+                    lambda: fit_loglog_slopes([2.0, 3.0, 4.0], np.ones(3), 1)),
+}
 
 
 class TestFitConfig:
@@ -992,6 +1057,11 @@ class TestFitConfig:
         with pytest.raises(ValueError) as sim_error:
             SimConfig(**{sim_name: value})
         assert str(fit_error.value) == str(sim_error.value)
+
+    @pytest.mark.parametrize("case", sorted(SAME_REFUSAL))
+    def test_cli_and_library_refuse_with_the_same_message(self, case):
+        first, second = SAME_REFUSAL[case]
+        assert _refusal(first) == _refusal(second)
 
     def test_empty_x_cols_is_the_intercept_only_model(self):
         config = FitConfig(data="d.csv", x_cols="", y_col="y", u0=0.25)
