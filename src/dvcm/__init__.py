@@ -78,7 +78,6 @@ try:
         generate_dataset,
         ks_normality,
         mc_inference,
-        mc_mse,
         mc_sweep,
         rng_stream,
     )

@@ -216,13 +216,11 @@ def cmd_simulate(args) -> int:
 def cmd_phase(args) -> int:
     config = _load_config(args)
     grid = dataio._parse_list(args.grid, "--grid")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError(f"--grid values must be finite, got {args.grid!r}")
+    _check_slope_grid(grid, args.segments)  # finite first: round(inf) would raise
     fractional = [x for x in grid if args.vary != "gamma" and x != round(x)]
     if fractional:
         raise ValueError(f"--grid part {fractional[0]!r} is not a whole number, "
                          f"as --vary {args.vary} needs")
-    _check_slope_grid(grid, args.segments)
     # every grid point's config is checked before the first one runs
     name, cast = {"K": ("K", round), "gamma": ("gamma", float),
                   "n": ("n_bar", round)}[args.vary]  # n: average source size

@@ -164,6 +164,11 @@ def _read_header(path: Path) -> tuple[list[str], int, str]:
             raise _undecodable(path, exc) from None
 
 
+def _check_u_source(u_column: str | None, u_expr: str | None) -> None:
+    if (u_column is None) == (u_expr is None):
+        raise ValueError("exactly one of u_column / u_expr must be given")
+
+
 def load_csv(
     path,
     u_column: str | None,
@@ -190,14 +195,12 @@ def load_csv(
     the parsed table is released before this returns, so the caller
     holds one copy of the data and may modify it.
     """
+    _check_u_source(u_column, u_expr)
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
     headers, header_lines, encoding = _read_header(path)
     index = {h: i for i, h in enumerate(headers)}
-
-    if (u_column is None) == (u_expr is None):
-        raise ValueError("exactly one of u_column / u_expr must be given")
     wanted = list(x_columns) + [y_column] + ([u_column] if u_column else [])
     for name in wanted:
         if name not in index:
@@ -337,11 +340,17 @@ def _parse_list(text: str, option: str, kind: str = "number") -> list:
     return values
 
 
+def _check_sigma_k(k: float) -> None:
+    if not k >= 0:  # NaN too: either would drop every row
+        raise ValueError(f"--sigma-k must be nonnegative, got {k}")
+
+
 def sigma_filter(values: Sequence[float], k: float = 3.0) -> np.ndarray:
     """Mask of entries within k sample standard deviations of the mean.
 
-    Zero-variance input keeps everything.
+    Zero-variance input keeps everything; ``k`` is nonnegative.
     """
+    _check_sigma_k(k)
     v = np.asarray(values, dtype=float)
     if v.size < 2:
         raise ValueError("sigma filter needs at least 2 values")

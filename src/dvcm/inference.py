@@ -37,7 +37,7 @@ import numpy as np
 
 from ._scipy import special_ufuncs
 from .bandwidth import BandwidthChoice, _check_settings, select_bandwidth
-from .dataio import _check_bins, _check_fractions, _parse_list
+from .dataio import _check_bins, _check_fractions, _check_sigma_k, _check_u_source, _parse_list
 from .design import DomainSample, Panel, _check_order
 from .errors import DvcmError, SingularSystemError
 from .estimators import (LocalFit, TLFit, fit_dvcm, fit_target_only, fit_tl, gram,
@@ -99,21 +99,14 @@ def psi_hat(
     return gram(x, w) / target.n
 
 
-def v_hat_target(
-    target: DomainSample, theta_hat: np.ndarray, family: ModelFamily
-) -> np.ndarray:
+def v_hat_target(target: DomainSample, theta_hat: np.ndarray, psi: np.ndarray,
+                 family: ModelFamily) -> np.ndarray:
     """Robust sandwich variance of the target-only estimator itself.
 
-    ``Psi^{-1} [(1/n0) sum x x' (y - b'(x' theta))^2] Psi^{-1} / n0``; the
-    trailing ``1/n0`` puts the plug-in limit covariance on the
-    estimator-variance scale.
+    ``Psi^{-1} [(1/n0) sum x x' (y - b'(x' theta))^2] Psi^{-1} / n0`` with
+    ``psi = psi_hat(target, theta_hat, family)``; the trailing ``1/n0`` puts
+    the plug-in limit covariance on the estimator-variance scale.
     """
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    return _target_sandwich(target, theta_hat, psi_hat(target, theta_hat, family), family)
-
-
-def _target_sandwich(target, theta_hat, psi, family) -> np.ndarray:
-    """``v_hat_target`` given its ``psi = psi_hat(target, theta_hat, family)``."""
     x = target.x
     resid = target.y - family.b1(x @ theta_hat)
     meat = gram(x, resid**2) / target.n
@@ -281,7 +274,7 @@ class TransferProblem:
         """Sigma_TL of ``fine_tune(pilot, q)``; ``v_dvcm`` is the pilot's
         sandwich when already known (``penalty(pilot).var_mat``)."""
         psi = psi_hat(self.fine, self.theta_lr, self.family)
-        v_lr = _target_sandwich(self.fine, self.theta_lr, psi, self.family)
+        v_lr = v_hat_target(self.fine, self.theta_lr, psi, self.family)
         if v_dvcm is None:
             v_dvcm = estimate_variance_sandwich(pilot, self.family)
         return sigma_tl(psi, q, v_lr, v_dvcm)
@@ -410,8 +403,8 @@ class FitConfig:
         _check_level(self.level)
         _check_delta(self.delta)
         _check_bins(self.bins)
-        if not self.sigma_k >= 0:  # NaN too: either would drop every row
-            raise ValueError(f"--sigma-k must be nonnegative, got {self.sigma_k}")
+        _check_sigma_k(self.sigma_k)
+        _check_u_source(self.u_col, self.u_expr)
         x_columns = _parse_list(self.x_cols, "--x-cols", "name")
         if not x_columns and self.no_intercept:  # theta(u0) would have no coefficient
             raise ValueError("no coefficient to fit: --x-cols names no column "

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .design import _KERNEL_HEIGHT, DomainSample, KernelWindow, Panel, _record, kernel_window
+from .design import _KERNEL_HEIGHT, DomainSample, KernelWindow, Panel, _record
 from .errors import DegenerateVarianceError, SingularSystemError
 from .estimators import LocalFit, fit_dvcm, gram, spd_factor, spd_solve
 from .families import ModelFamily
@@ -77,18 +77,10 @@ def estimate_scale(
     return float(np.mean(r2))
 
 
-def zeta_hat(domains: Panel, u0: float, h: float, l: int, r: int, s: int) -> np.ndarray:
-    """Sample moment matrix (nh)^{-1} sum_k n_k Phi_l(t_k) Phi_l(t_k)' t_k^r W(t_k)^s.
-
-    ``n`` counts every observation in ``domains``; domains outside the
-    kernel window contribute nothing, so the zero matrix is a legal
-    output.
-    """
-    return _zetas(kernel_window(domains, u0, h, l), h, (r, s))[0]
-
-
-def _zetas(win: KernelWindow, h: float, *moments: tuple[int, int]) -> list[np.ndarray]:
-    """``zeta_hat`` for each ``(r, s)`` of ``moments`` over one located window."""
+def zeta_hat(win: KernelWindow, h: float, *moments: tuple[int, int]) -> list[np.ndarray]:
+    """Sample moment matrices (nh)^{-1} sum_k n_k Phi_l(t_k) Phi_l(t_k)' t_k^r W(t_k)^s,
+    one per ``(r, s)`` of ``moments``, over the located window ``win``; ``n`` counts every
+    observation of the window's panel, and a window that holds no domain gives zeros."""
     # coefficients as Python floats and the terms added in domain order,
     # so each result is bit-identical to a per-domain loop
     n, t = win.n.tolist(), win.t.tolist()
@@ -139,7 +131,7 @@ def _bias(win: KernelWindow, h: float, beta: int, derivative: Callable[[], np.nd
     and is not called when the moment factor is zero.
     """
     beta = int(beta)
-    z01, zb1 = _zetas(win, h, (0, 1), (beta, 1))
+    z01, zb1 = zeta_hat(win, h, (0, 1), (beta, 1))
     rhs = zb1[:, 0]
     try:
         factor = float(spd_solve(spd_factor(z01, "zeta_{0,1} moment matrix"), rhs)[0])

@@ -13,7 +13,7 @@ Experiments make one pass per replication over all of their cells
 ``TransferProblem`` (the pipeline ``dvcm fit`` runs), which shares every
 fit that does not depend on the bandwidth; the pooled pilot is fitted
 once per bandwidth.  A sweep runs a plan of configs (``phase`` has one
-per grid point; ``mc_mse`` and ``mc_inference`` one), and a multi-threaded
+per grid point; a one-cell sweep and ``mc_inference`` one), and a multi-threaded
 experiment runs on one process pool, one task per replication.
 """
 
@@ -44,7 +44,6 @@ __all__ = [
     "rng_stream",
     "generate_dataset",
     "mc_sweep",
-    "mc_mse",
     "McMseResult",
     "mc_inference",
     "InferenceRecords",
@@ -411,8 +410,8 @@ def mc_sweep(
     """Monte-Carlo MSE of every (config, h, estimator) cell, in one pass per replication.
 
     Cells come back config outer, then h; ``h=None`` uses the configured
-    bandwidth rule.  Every cell equals the same cell run alone by
-    ``mc_mse``; the first cell in plan order with more than 20% failed
+    bandwidth rule.  Every cell equals the same cell run alone, as a
+    one-cell sweep; the first cell in plan order with more than 20% failed
     replications aborts the sweep, as does an oracle pass
     (``q_mode="oracle"``) in which some h never fits a pilot.  Results are
     averaged in replication order, so they are bit-identical for any ``threads``.
@@ -427,17 +426,6 @@ def mc_sweep(
             _check_bandwidth(h)
     return _outcomes(configs, grid, estimators, threads, lambda config, outcomes: [
         _mse_result(config, cell) for cell in zip(*outcomes)])
-
-
-def mc_mse(
-    config: SimConfig, estimator: str, h: float | None = None, *, threads: int = 1
-) -> McMseResult:
-    """Monte-Carlo mean of ||theta_hat - theta(u0)||^2 with its standard error.
-
-    A one-cell ``mc_sweep``: failed replications are skipped and counted;
-    more than 20% failures aborts the experiment.
-    """
-    return mc_sweep([config], [h], [estimator], threads=threads)[0]
 
 
 @dataclass(frozen=True)
@@ -495,6 +483,8 @@ def mc_inference(
 
 
 def _check_slope_grid(xs: Sequence[float], n_segments: int) -> None:
+    if not np.all(np.isfinite(xs)):
+        raise ValueError(f"--grid values must be finite, got {np.asarray(xs).tolist()}")
     if n_segments < 1:
         raise ValueError(f"n_segments must be >= 1, got {n_segments}")
     if np.any(np.diff(xs) <= 0):
@@ -512,13 +502,12 @@ def fit_loglog_slopes(
     segment must span at least two grid intervals.  Returns one
     ``(segment_start_x, slope)`` pair per segment, in original units.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape:
         raise ValueError("xs and ys must be one-dimensional with equal length")
     _check_slope_grid(xs, n_segments)
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("log-log fit requires positive xs and ys")
+    if np.any(xs <= 0) or not np.all((ys > 0) & np.isfinite(ys)):  # NaN too
+        raise ValueError("log-log fit requires positive xs and finite positive ys")
     lx, ly = np.log(xs), np.log(ys)
     n = xs.size
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dvcm.cli import EstimateReport, build_parser, main
-from dvcm.dataio import RawTable, bin_domains, split_target
+from dvcm.dataio import RawTable, bin_domains, load_csv, sigma_filter, split_target
 from dvcm.design import DomainSample, Panel, kernel_window
 from dvcm.inference import FitConfig, confidence_intervals
 from dvcm.simulation import InferenceRecords, SimConfig, fit_loglog_slopes, mc_sweep
@@ -355,7 +355,7 @@ class TestCmdPhase:
         slopes = json.loads(slopes_out.read_text())
         assert len(slopes["segments"]) == 1
 
-    # sha256 of the CSV and the slopes, recorded with one mc_mse call per grid point
+    # sha256 of the CSV and the slopes, recorded with one single-cell sweep per grid point
     SMALL_GOLDEN = {
         "estimate": ("70157af9b888e7a59e310443c7330d3cf6e2242c4207dbd24950106a31a1dbdd",
                      "e7c9754ca7dc3eaa996c67fe11a3a283da61d438409c3f6e8c96f11c825ed2ea"),
@@ -604,7 +604,14 @@ class TestCliMisuse:
         "phase_grid_not_finite": (
             lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,inf",
                           "--p", "2", "--reps", "2", "--threads", "1", "--out", str(o)],
-            "--grid values must be finite, got '2,3,4,5,6,7,8,inf'"),
+            "error: cli: --grid values must be finite, got [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, "
+            "inf]"),
+        # the slope fit refuses a non-finite grid before LAPACK sees it
+        "phase_grid_nan": (
+            lambda d, o: ["phase", "--vary", "gamma", "--grid", "1,2,3,4,5,6,7,nan",
+                          "--p", "2", "--reps", "2", "--threads", "1", "--out", str(o)],
+            "error: cli: --grid values must be finite, got [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, "
+            "nan]"),
         # the slope fit's inputs are checked before the first replication runs
         "phase_segments_zero": (
             lambda d, o: ["phase", "--vary", "K", "--grid", "2,3,4,5,6,7,8,9", "--p", "2",
@@ -879,6 +886,14 @@ class TestCliMisuse:
         "fit_sigma_k_nan_checked_before_ingest": (
             lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--sigma-k", "nan"]),
             "error: cli: --sigma-k must be nonnegative, got nan"),
+        # the identifier comes from exactly one of --u-col and --u-expr
+        "fit_no_u_source_checked_before_ingest": (
+            lambda d, o: [a for a in fit_args(d.with_name("missing.csv"), o)
+                          if a not in ("--u-col", "u")],
+            "error: cli: exactly one of u_column / u_expr must be given"),
+        "fit_two_u_sources_checked_before_ingest": (
+            lambda d, o: fit_args(d.with_name("missing.csv"), o, ["--u-expr", "age"]),
+            "error: cli: exactly one of u_column / u_expr must be given"),
         # the expression is checked against the header before any row is parsed,
         # so a bad cell (x1 of file row 4) does not hide its error
         "u_expr_unknown_name_checked_before_bad_cell": (
@@ -1018,6 +1033,12 @@ SAME_REFUSAL = {
                    lambda: fit_loglog_slopes([5.0, 4.0, 3.0, 2.0], np.ones(4), 1)),
     "grid_points": (PHASE + ["--grid", "2,3,4", "--segments", "1"],
                     lambda: fit_loglog_slopes([2.0, 3.0, 4.0], np.ones(3), 1)),
+    "grid_finite": (PHASE + ["--grid", "2,3,4,inf", "--segments", "1"],
+                    lambda: fit_loglog_slopes([2.0, 3.0, 4.0, np.inf], np.ones(4), 1)),
+    "sigma_k": (lambda: _fit_config(sigma_k=np.nan),
+                lambda: sigma_filter([1.0, 2.0, 3.0], k=np.nan)),
+    "u_source": (lambda: _fit_config(),  # neither u_col nor u_expr
+                 lambda: load_csv("missing.csv", None, ["x1"], "y")),
 }
 
 
@@ -1064,7 +1085,7 @@ class TestFitConfig:
         assert _refusal(first) == _refusal(second)
 
     def test_empty_x_cols_is_the_intercept_only_model(self):
-        config = FitConfig(data="d.csv", x_cols="", y_col="y", u0=0.25)
+        config = FitConfig(data="d.csv", u_col="u", x_cols="", y_col="y", u0=0.25)
         assert config.x_columns == []
 
 

@@ -384,7 +384,7 @@ class TestFitTl:
 
 def _singular_cases():
     """One singular input per Cholesky factorisation site."""
-    from dvcm.inference import sigma_tl, v_hat_target, wald_test
+    from dvcm.inference import psi_hat, sigma_tl, v_hat_target, wald_test
     from dvcm.design import kernel_window
     from dvcm.penalty import _bias, _penalty, estimate_scale, estimate_variance_sandwich
 
@@ -404,7 +404,8 @@ def _singular_cases():
             pilot_split.n, lambda: np.ones(2)),
         "zeta_moments": lambda: _bias(
             kernel_window(Panel.of([clean]), 0.0, 0.5, 1), 0.5, 2, lambda: np.ones(2)),
-        "psi_hat": lambda: v_hat_target(flat, np.zeros(2), GAUSSIAN),
+        "psi_hat": lambda: v_hat_target(flat, np.zeros(2), psi_hat(flat, np.zeros(2), GAUSSIAN),
+                                        GAUSSIAN),
         "b_q": lambda: sigma_tl(np.ones((2, 2)), np.zeros((2, 2)), np.eye(2), np.eye(2)),
         "sigma_tl": lambda: wald_test(np.zeros(2), np.ones((2, 2)), np.ones(2)),
     }

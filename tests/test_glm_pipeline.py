@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dvcm.cli import main
-from dvcm.simulation import SimConfig, mc_inference, mc_mse
+from dvcm.simulation import SimConfig, mc_inference, mc_sweep
 
 
 @pytest.mark.parametrize("family", ["logistic", "poisson"])
@@ -19,8 +19,7 @@ def test_transfer_pipeline_runs_and_adapts(family):
     # tight domains: pooling should not hurt, and usually helps
     cfg = SimConfig(family=family, p=2, K=8, n_bar=150, n0=60, gamma=0.3,
                     reps=30, seed=4, theta_spec="tanh_pair")
-    lr = mc_mse(cfg, "lr", 0.2)
-    tl = mc_mse(cfg, "tl", 0.2)
+    lr, tl = mc_sweep([cfg], [0.2], ["lr", "tl"])
     assert tl.fails <= 3
     assert np.isfinite(tl.mse)
     assert tl.mse <= 1.3 * lr.mse + 2 * (tl.se + lr.se)

@@ -102,7 +102,7 @@ class TestVHatTarget:
         x = np.array([[1.0, 0.2], [1.0, -0.4], [1.0, 1.1]])
         theta = np.array([0.5, 2.0])
         dom = DomainSample(u=0.0, x=x, y=x @ theta)
-        assert np.allclose(v_hat_target(dom, theta, GAUSSIAN), 0.0)
+        assert np.allclose(v_hat_target(dom, theta, psi_hat(dom, theta, GAUSSIAN), GAUSSIAN), 0.0)
 
     def test_intercept_only_matches_sigma2_over_n(self):
         rng = np.random.default_rng(1)
@@ -113,17 +113,18 @@ class TestVHatTarget:
         theta = np.array([np.mean(y)])
         resid = y - theta[0]
         want = np.mean(resid**2) / n
-        assert v_hat_target(dom, theta, GAUSSIAN)[0, 0] == pytest.approx(want,
-                                                                         rel=1e-12)
+        psi = psi_hat(dom, theta, GAUSSIAN)
+        assert v_hat_target(dom, theta, psi, GAUSSIAN)[0, 0] == pytest.approx(want, rel=1e-12)
 
     def test_residual_scaling(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(30, 2))
         theta = np.array([1.0, -1.0])
         noise = rng.normal(size=30)
-        v1 = v_hat_target(DomainSample(u=0, x=x, y=x @ theta + noise), theta, GAUSSIAN)
-        v3 = v_hat_target(DomainSample(u=0, x=x, y=x @ theta + 3 * noise), theta,
-                          GAUSSIAN)
+        d1 = DomainSample(u=0, x=x, y=x @ theta + noise)
+        d3 = DomainSample(u=0, x=x, y=x @ theta + 3 * noise)
+        v1 = v_hat_target(d1, theta, psi_hat(d1, theta, GAUSSIAN), GAUSSIAN)
+        v3 = v_hat_target(d3, theta, psi_hat(d3, theta, GAUSSIAN), GAUSSIAN)
         assert np.allclose(v3, 9.0 * v1, rtol=1e-10)
 
 

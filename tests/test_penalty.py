@@ -79,7 +79,7 @@ class TestZetaHat:
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_the_domain_loop(self, specs, l, r, s, h):
         doms = [make_domain(u, np.ones((n, 1)), np.zeros(n)) for u, n in specs]
-        got = zeta_hat(Panel.of(doms), 0.1, h, l, r, s)
+        got = zeta_hat(kernel_window(Panel.of(doms), 0.1, h, l), h, (r, s))[0]
         assert got.tobytes() == _zeta_loop(doms, 0.1, h, l, r, s).tobytes()
 
     @pytest.mark.parametrize("r", [1, 3])
@@ -87,26 +87,26 @@ class TestZetaHat:
         # t**3 underflows to -0.0, so terms of the lone domain are signed
         # zeros; the domain loop starts from +0.0, and so must the sum
         doms = Panel.of([make_domain(-1e-200, np.ones((3, 1)), np.zeros(3))])
-        got = zeta_hat(doms, 0.0, 0.25, 1, r, 1)
+        got = zeta_hat(kernel_window(doms, 0.0, 0.25, 1), 0.25, (r, 1))[0]
         assert got.tobytes() == _zeta_loop(doms, 0.0, 0.25, 1, r, 1).tobytes()
 
     def test_single_domain_at_center(self):
         dom = make_domain(0.0, np.ones((7, 1)), np.zeros(7))
         for h in (0.5, 1.0, 2.0):
-            z = zeta_hat(Panel.of([dom]), 0.0, h, 0, 0, 1)
+            z = zeta_hat(kernel_window(Panel.of([dom]), 0.0, h, 0), h, (0, 1))[0]
             assert z.shape == (1, 1)
             assert z[0, 0] == pytest.approx(0.5 / h)
 
     def test_odd_moment_vanishes_by_symmetry(self):
         doms = Panel.of([make_domain(0.3, np.ones((5, 1)), np.zeros(5)),
                          make_domain(-0.3, np.ones((5, 1)), np.zeros(5))])
-        z = zeta_hat(doms, 0.0, 1.0, 0, 1, 1)
+        z = zeta_hat(kernel_window(doms, 0.0, 1.0, 0), 1.0, (1, 1))[0]
         assert abs(z[0, 0]) < 1e-15
 
     def test_squared_kernel_halves(self):
         doms = Panel.of(make_domain(u, np.ones((4, 1)), np.zeros(4)) for u in (0.2, -0.6))
-        z1 = zeta_hat(doms, 0.0, 1.0, 1, 0, 1)
-        z2 = zeta_hat(doms, 0.0, 1.0, 1, 0, 2)
+        z1 = zeta_hat(kernel_window(doms, 0.0, 1.0, 1), 1.0, (0, 1))[0]
+        z2 = zeta_hat(kernel_window(doms, 0.0, 1.0, 1), 1.0, (0, 2))[0]
         assert np.allclose(z2, 0.5 * z1)
 
     def test_matches_independent_assembly(self):
@@ -117,7 +117,7 @@ class TestZetaHat:
             doms.append(make_domain(rng.uniform(-1.5, 1.5), np.ones((n, 1)),
                                     np.zeros(n)))
         for (l, r, s) in [(0, 0, 1), (1, 2, 1), (2, 1, 2), (1, 3, 1)]:
-            got = zeta_hat(Panel.of(doms), 0.1, 0.8, l, r, s)
+            got = zeta_hat(kernel_window(Panel.of(doms), 0.1, 0.8, l), 0.8, (r, s))[0]
             want = _zeta_oracle(doms, 0.1, 0.8, l, r, s)
             assert np.allclose(got, want, atol=1e-14)
 
@@ -125,13 +125,14 @@ class TestZetaHat:
         rng = np.random.default_rng(1)
         doms = [make_domain(rng.uniform(-1, 1), np.ones((3, 1)), np.zeros(3))
                 for _ in range(5)]
-        a = zeta_hat(Panel.of(doms), 0.0, 1.0, 1, 0, 1)
-        b = zeta_hat(Panel.of(doms[::-1]), 0.0, 1.0, 1, 0, 1)
+        a = zeta_hat(kernel_window(Panel.of(doms), 0.0, 1.0, 1), 1.0, (0, 1))[0]
+        b = zeta_hat(kernel_window(Panel.of(doms[::-1]), 0.0, 1.0, 1), 1.0, (0, 1))[0]
         assert np.allclose(a, b)
 
     def test_out_of_window_gives_zero(self):
         dom = make_domain(5.0, np.ones((3, 1)), np.zeros(3))
-        assert np.allclose(zeta_hat(Panel.of([dom]), 0.0, 1.0, 1, 0, 1), 0.0)
+        win = kernel_window(Panel.of([dom]), 0.0, 1.0, 1)
+        assert np.allclose(zeta_hat(win, 1.0, (0, 1))[0], 0.0)
 
 
 def _noiseless_domains(fun, us, n=6, seed=0):
@@ -504,7 +505,6 @@ class TestScalarWeightEqualsPerRowArrays:
     @settings(max_examples=80, deadline=None)
     def test_fit_sandwich_and_zetas(self, family, seed, K, h, l):
         from dvcm.errors import DvcmError
-        from dvcm.penalty import _zetas
 
         split, sources = _glm_problem(family, seed, K)
         panel = Panel.of([split, *sources])
@@ -518,5 +518,5 @@ class TestScalarWeightEqualsPerRowArrays:
         assert fit.design.window.s_h == s_h
         assert fit.alpha.tobytes() == alpha.tobytes()
         assert estimate_variance_sandwich(fit, family).tobytes() == var.tobytes()
-        got = _zetas(fit.design.window, h, (0, 1), (2, 1), (1, 2))
+        got = zeta_hat(fit.design.window, h, (0, 1), (2, 1), (1, 2))
         assert [g.tobytes() for g in got] == [z.tobytes() for z in zetas]

@@ -17,7 +17,6 @@ from dvcm.simulation import (
     generate_dataset,
     ks_normality,
     mc_inference,
-    mc_mse,
     mc_sweep,
     rng_stream,
 )
@@ -76,8 +75,8 @@ class TestTrueCoefficient:
     def test_family_is_stored_as_its_kind(self):
         assert SimConfig(family="Gaussian").family == "gaussian"
         # the oracle's noise variance reads the stored family: nu = noise_sd^2, not 1
-        upper, lower = (mc_mse(tiny_config(family=f, q_mode="oracle", reps=20), "tl", 0.5)
-                        for f in ("Gaussian", "gaussian"))
+        upper, lower = (mc_sweep([tiny_config(family=f, q_mode="oracle", reps=20)], [0.5],
+                                 ["tl"])[0] for f in ("Gaussian", "gaussian"))
         assert upper == lower
 
     def test_unknown_family_rejected_at_construction(self):
@@ -231,43 +230,43 @@ def tiny_config(**kw):
 class TestMcMse:
     def test_noiseless_lr_mse_vanishes(self):
         cfg = tiny_config(noise_sd=0.0, reps=5)
-        res = mc_mse(cfg, "lr", 0.5)
+        res = mc_sweep([cfg], [0.5], ["lr"])[0]
         assert res.mse < 1e-12
         assert res.fails == 0
 
     def test_q_overrides_match_limits(self):
         cfg = tiny_config(reps=20)
-        lr = mc_mse(cfg, "lr", 0.6)
-        dvcm = mc_mse(cfg, "dvcm", 0.6)
-        tl_zero = mc_mse(tiny_config(reps=20, q_mode="zero"), "tl", 0.6)
-        tl_inf = mc_mse(tiny_config(reps=20, q_mode="infinity"), "tl", 0.6)
+        lr = mc_sweep([cfg], [0.6], ["lr"])[0]
+        dvcm = mc_sweep([cfg], [0.6], ["dvcm"])[0]
+        tl_zero = mc_sweep([tiny_config(reps=20, q_mode="zero")], [0.6], ["tl"])[0]
+        tl_inf = mc_sweep([tiny_config(reps=20, q_mode="infinity")], [0.6], ["tl"])[0]
         assert tl_zero.mse == pytest.approx(lr.mse, rel=1e-9)
         assert tl_inf.mse == pytest.approx(dvcm.mse, rel=1e-6)
 
     def test_determinism_bitwise(self):
         cfg = tiny_config(reps=15)
-        r1 = mc_mse(cfg, "tl", 0.5)
-        r2 = mc_mse(cfg, "tl", 0.5)
+        r1 = mc_sweep([cfg], [0.5], ["tl"])[0]
+        r2 = mc_sweep([cfg], [0.5], ["tl"])[0]
         assert (r1.mse, r1.se, r1.fails) == (r2.mse, r2.se, r2.fails)
 
     def test_se_shrinks_with_reps(self):
         ses = {}
         for reps in (50, 200, 800):
-            ses[reps] = mc_mse(tiny_config(reps=reps), "lr", 0.5).se
+            ses[reps] = mc_sweep([tiny_config(reps=reps)], [0.5], ["lr"])[0].se
         assert ses[800] < ses[200] < ses[50]
         # expected ratio 4, allow 3x sampling slack
         assert 4.0 / 3.0 < ses[50] / ses[800] < 12.0
 
     def test_estimator_validation(self):
         with pytest.raises(ValueError):
-            mc_mse(tiny_config(), "ridge", 0.5)
+            mc_sweep([tiny_config()], [0.5], ["ridge"])[0]
         with pytest.raises(ValueError):
-            mc_mse(tiny_config(reps=1), "lr", 0.5)
+            mc_sweep([tiny_config(reps=1)], [0.5], ["lr"])[0]
 
     def test_parallel_matches_serial(self):
         cfg = tiny_config(reps=12)
-        serial = mc_mse(cfg, "tl", 0.5, threads=1)
-        parallel = mc_mse(cfg, "tl", 0.5, threads=2)
+        serial = mc_sweep([cfg], [0.5], ["tl"], threads=1)[0]
+        parallel = mc_sweep([cfg], [0.5], ["tl"], threads=2)[0]
         assert serial == parallel
         grid, ests = [0.2, 0.5, 1.0], ["lr", "dvcm", "tl"]
         cfg = tiny_config()  # 40 reps keep h=0.2 inside the failure tolerance
@@ -308,7 +307,7 @@ class TestMcSweep:
     def test_every_cell_equals_the_cell_run_alone(self, family, q_mode):
         cfg = tiny_config(family=family, q_mode=q_mode)
         sweep = mc_sweep([cfg], SWEEP_GRID, SWEEP_ESTIMATORS)
-        alone = [mc_mse(cfg, est, h) for h in SWEEP_GRID for est in SWEEP_ESTIMATORS]
+        alone = [mc_sweep([cfg], [h], [est])[0] for h in SWEEP_GRID for est in SWEEP_ESTIMATORS]
         assert sweep == alone
         assert sum(r.fails for r in sweep) > 0  # the failure coupling is exercised
 
@@ -348,7 +347,7 @@ class TestPlan:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_first_config_over_tolerance_decides_the_error(self, threads):
-        # recorded with one mc_mse per config: gamma=0.5 aborts before gamma=6
+        # recorded with one single-cell sweep per config: gamma=0.5 aborts before gamma=6
         # draws a Poisson mean numpy cannot draw from
         plan = [SimConfig(family="poisson", p=3, K=3, n_bar=40, n0=3, gamma=g, reps=10,
                           seed=11) for g in (0.5, 6.0)]
@@ -534,7 +533,8 @@ class TestMcInference:
         assert oracle.fails == 0
         assert not np.array_equal(oracle.theta_tl, estimate.theta_tl)
         sq_err = np.sum((oracle.theta_tl - oracle.theta_true) ** 2, axis=1)
-        assert np.mean(sq_err) == pytest.approx(mc_mse(oracle_cfg, "tl").mse, rel=1e-12)
+        tl = mc_sweep([oracle_cfg], [None], ["tl"])[0]
+        assert np.mean(sq_err) == pytest.approx(tl.mse, rel=1e-12)
 
 
 class TestLogLogSlopes:
@@ -590,6 +590,15 @@ class TestLogLogSlopes:
     def test_nonmonotone_xs_rejected(self):
         with pytest.raises(ValueError):
             fit_loglog_slopes([1.0, 3.0, 2.0, 4.0, 5.0, 6.0], np.ones(6), 1)
+
+    @pytest.mark.parametrize("where", ["xs", "ys"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_refused_before_lapack(self, capfd, where, bad):
+        points = {"xs": [1.0, 2.0, 3.0, 4.0], "ys": [1.0, 1.0, 1.0, 1.0]}
+        points[where][-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_loglog_slopes(points["xs"], points["ys"], 1)
+        assert capfd.readouterr().err == ""  # LAPACK writes to fd 2, not to sys.stderr
 
 
 class TestKsNormality:

@@ -147,7 +147,8 @@ def test_chain_equals_the_hand_wired_pipeline(family, order):
                    lambda: estimate_derivative(pooled, 0.0, h_deriv, 2, fam))
     theta_tl = fit_tl(fine, pilot.theta, pen.q, fam).theta_tl
     theta_lr = fit_target_only(fine, fam)
-    cov = sigma_tl(psi_hat(fine, theta_lr, fam), pen.q, v_hat_target(fine, theta_lr, fam),
+    psi = psi_hat(fine, theta_lr, fam)
+    cov = sigma_tl(psi, pen.q, v_hat_target(fine, theta_lr, psi, fam),
                    estimate_variance_sandwich(pilot, fam))
 
     for got, want in zip(_fit(problem), (theta_lr, pilot.theta, theta_tl, cov.sigma_tl)):
