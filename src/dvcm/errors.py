@@ -38,15 +38,31 @@ class EmptyWindowError(DvcmError):
 
 
 class SingularSystemError(DvcmError):
-    """A linear system required by an estimator is (numerically) singular."""
+    """A linear system required by an estimator is (numerically) singular.
+
+    ``cond``, the condition number of the failed ``matrix`` that ``str``
+    also prints, is computed by ``np.linalg.cond`` when first read and then
+    cached, so a caller that catches the error runs no SVD; the matrix (or
+    the cached number) travels with the error through ``pickle``.
+    """
 
     module = "estimators"
 
-    def __init__(self, message: str, cond: float | None = None):
-        if cond is not None:
-            message = f"{message} (condition number ~ {cond:.3e})"
+    def __init__(self, message: str, matrix=None):
         super().__init__(message)
-        self.cond = cond
+        self._matrix, self._cond = matrix, None
+
+    @property
+    def cond(self) -> float | None:
+        if self._cond is None and self._matrix is not None:
+            import numpy as np  # loaded already by whoever built the matrix
+
+            self._cond, self._matrix = float(np.linalg.cond(self._matrix)), None
+        return self._cond
+
+    def __str__(self) -> str:
+        cond = self.cond
+        return super().__str__() + ("" if cond is None else f" (condition number ~ {cond:.3e})")
 
 
 class DegenerateVarianceError(DvcmError):

@@ -11,7 +11,7 @@ call LAPACK ``dpotrf`` / ``dpotrs`` directly: the routines behind
 scipy's Cholesky helpers, so the bits are the same at a fraction of the
 call cost.  A non-finite matrix raises DomainError and a singular one
 SingularSystemError, never a regularised answer (that would mask data
-problems).
+problems); the error's condition number is computed only when read.
 
 The two routines come from scipy's f2py extension
 ``scipy.linalg._flapack``, loaded at import by :mod:`dvcm._scipy`, whose
@@ -64,8 +64,9 @@ class TLFit:
 
 
 def gram(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Weighted Gram matrix ``Z' diag(v) Z``."""
-    return (z * v[:, None]).T @ z
+    """Weighted Gram matrix ``Z' diag(v) Z``; ``z.T * v`` has the layout of
+    ``(z * v[:, None]).T``, so the same BLAS call gives the same bits."""
+    return (z.T * v) @ z
 
 
 def spd_factor(mat: np.ndarray, what: str) -> np.ndarray:
@@ -74,7 +75,8 @@ def spd_factor(mat: np.ndarray, what: str) -> np.ndarray:
     LAPACK ``dpotrf`` on the lower triangle, the upper one left as given;
     the result feeds :func:`spd_solve`.  A non-finite entry raises
     DomainError and a matrix that is not positive definite
-    SingularSystemError, both naming ``what``.
+    SingularSystemError, both naming ``what``; the latter holds a copy of
+    the matrix and computes its condition number only when it is read.
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -83,7 +85,7 @@ def spd_factor(mat: np.ndarray, what: str) -> np.ndarray:
         raise DomainError(f"{what} has a non-finite entry")
     c, info = dpotrf(a, 1, 0)  # lower, clean: positional, as keywords cost more
     if info > 0:
-        raise SingularSystemError(f"{what} is singular", cond=float(np.linalg.cond(a)))
+        raise SingularSystemError(f"{what} is singular", matrix=a.copy())
     return c
 
 

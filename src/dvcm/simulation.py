@@ -181,15 +181,14 @@ def _draw_x(rng: np.random.Generator, out: np.ndarray, n: int, chol_t: np.ndarra
     """Fill ``out`` with stacked designs of ``n`` rows: an intercept column
     plus N(0, Sigma) covariates, ``chol_t = _covariate_factor(p, rho)``.
 
-    The normals come from one draw; each block is transformed on its own,
-    so every block has the bits of a separate ``n``-row draw (a
-    single-row product would otherwise take another BLAS path).
+    The normals come from one draw, transformed by one product batched
+    over the ``n``-row blocks, so every block has the bits of a separate
+    ``n``-row draw (a single-row product would take another BLAS path).
     """
     out[:, 0] = 1.0
     if chol_t.shape[0]:
-        normals = rng.standard_normal((out.shape[0], chol_t.shape[0]))
-        for k in range(0, out.shape[0], n):
-            out[k : k + n, 1:] = normals[k : k + n] @ chol_t
+        normals = rng.standard_normal((out.shape[0] // n, n, chol_t.shape[0]))
+        out[:, 1:] = np.matmul(normals, chol_t).reshape(out.shape[0], -1)
 
 
 def _draw_y(rng: np.random.Generator, eta: np.ndarray, family_kind: str, noise_sd: float,

@@ -92,6 +92,14 @@ class TestCmdFit:
         assert rc != 0
         assert not (tmp_path / "r.json").exists()
 
+    def test_singular_pooled_system_prints_its_condition_number(self, tmp_path, capsys):
+        # a window this narrow holds the target alone, so the order-1 fit's
+        # slope columns are zero; the message computes the condition number
+        data = write_constant_theta_csv(tmp_path / "const.csv", n=120)
+        assert main(fit_args(data, tmp_path / "r.json", ["--bandwidth", "0.01"])) == 1
+        assert capsys.readouterr().err == (
+            "error: estimators: symmetric system is singular (condition number ~ inf)\n")
+
     def test_wage_like_run_populates_report(self, tmp_path):
         data = write_wage_like_csv(tmp_path / "wage.csv")
         out = tmp_path / "wage_report.json"
@@ -1297,20 +1305,37 @@ def test_missing_scipy_is_a_module_not_found_error(monkeypatch):
     assert info.value.name == "scipy"
 
 
+def _readme_commands():
+    """The argv of every ``dvcm ...`` command in the README's fenced blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [shlex.split(line, comments=True)[1:]
+            for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("dvcm ")]
+
+
 def test_readme_commands_parse(capsys):
     """Every ``dvcm ...`` command in the README's fenced blocks parses, so a
     flag the parser no longer has cannot stay documented."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    commands = [shlex.split(line, comments=True)[1:]
-                for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
-                for line in block.replace("\\\n", " ").splitlines()
-                if line.startswith("dvcm ")]
+    commands = _readme_commands()
     assert sorted(argv[0] for argv in commands) == ["fit", "infer", "phase", "simulate"]
     for argv in commands:
         try:
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"dvcm {' '.join(argv)}: {capsys.readouterr().err}")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_readme_simulate_csv_golden(threads, tmp_path):
+    """The README ``simulate`` sweep writes the same bytes at 1 and 2 threads:
+    the bytes it has written since it was first documented."""
+    [argv] = [argv for argv in _readme_commands() if argv[0] == "simulate"]
+    out = tmp_path / "sweep.csv"
+    argv[argv.index("--out") + 1] = str(out)
+    assert main([*argv, "--threads", threads]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ebdf45868c3f800d49b7d7cdcfd64e20a7905ec3c629d37542c067bf7f68b023")
 
 
 def test_readme_library_block_runs(capsys):

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -260,6 +261,30 @@ class TestFitDvcm:
         assert default.alpha.tobytes() == zero.alpha.tobytes()
 
 
+def _design(n, d, seed, layout):
+    """A random design of ``d`` columns in memory ``layout``, with row weights."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(d, n)).T if layout == "F" else rng.normal(size=(n, d))
+    z = z[::2] if layout == "strided" else z
+    return z, rng.uniform(0, 2, size=z.shape[0])
+
+
+class TestGram:
+    """``gram`` scales the transpose, bit for bit the broadcast product's Gram."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_scaled_transpose_has_the_broadcast_layout(self, layout):
+        z, v = _design(650, 8, 0, layout)
+        assert (z.T * v).strides == (z * v[:, None]).T.strides
+
+    @given(st.integers(1, 900), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from(["C", "F", "strided"]))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_broadcast_form(self, n, d, seed, layout):
+        z, v = _design(n, d, seed, layout)
+        assert gram(z, v).tobytes() == ((z * v[:, None]).T @ z).tobytes()
+
+
 class TestSpdCore:
     """spd_factor / spd_solve against scipy's Cholesky helpers, bit for bit."""
 
@@ -283,6 +308,38 @@ class TestSpdCore:
             spd_factor(np.ones((3, 3)), "all-ones matrix")
         assert "all-ones matrix is singular" in str(err.value)
         assert err.value.cond is not None and err.value.cond > 1e15
+
+    def test_condition_number_is_computed_when_read(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(1) or cond(m))
+        mat = np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0], [0.5, 1.0, 3.0]])
+        expected = float(cond(mat))
+        with pytest.raises(SingularSystemError) as err:
+            spd_factor(mat, "rank-2 matrix")
+        assert not calls  # raising and catching cost no SVD
+        mat[:] = 0.0  # the error holds its own copy
+        line = f"estimators: rank-2 matrix is singular (condition number ~ {expected:.3e})"
+        assert str(err.value) == line and str(err.value) == line
+        assert err.value.cond == expected
+        assert len(calls) == 1  # computed once, then cached
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_singular_error_survives_pickle(self, read_first):
+        mat = np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0], [0.5, 1.0, 3.0]])
+        with pytest.raises(SingularSystemError) as err:
+            spd_factor(mat, "rank-2 matrix")
+        if read_first:
+            str(err.value)
+        back = pickle.loads(pickle.dumps(err.value))
+        assert type(back) is SingularSystemError
+        assert back.cond == err.value.cond == float(np.linalg.cond(mat))
+        assert str(back) == str(err.value)
+        assert str(back).endswith(f"(condition number ~ {np.linalg.cond(mat):.3e})")
+
+    def test_singular_error_without_matrix_has_no_condition(self):
+        err = pickle.loads(pickle.dumps(SingularSystemError("system is singular")))
+        assert err.cond is None and str(err) == "estimators: system is singular"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_is_a_typed_error(self, bad):

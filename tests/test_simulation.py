@@ -326,6 +326,16 @@ class TestMcSweep:
         with pytest.raises(ValueError, match="estimators must be distinct"):
             mc_sweep([tiny_config()], [0.5], ["lr", "tl", "lr"])
 
+    def test_failed_pilots_compute_no_condition_number(self, monkeypatch):
+        # at h=0.2 some windows hold no source: their pilots are singular and
+        # the replication is counted failed without an SVD for a message
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: calls.append(1) or cond(*a, **k))
+        results = mc_sweep([tiny_config()], [0.2], SWEEP_ESTIMATORS)
+        assert [r.fails for r in results] == [0, 8, 8]
+        assert calls == []
+
 
 class TestPlan:
     """A sweep runs its plan of configs on one pool that the machine bounds."""
