@@ -109,10 +109,9 @@ def _run_fit_pipeline(config: FitConfig) -> EstimateReport:
     h = choice.h
 
     theta_lr, theta_dvcm = problem.full_target(h)
-    pilot = problem.pilot(h)
-    pen = problem.penalty(pilot)
-    tl = problem.fine_tune(pilot, pen.q)
-    cov = problem.covariance(pilot, pen.q, pen.var_mat)
+    pen = problem.penalty(h)
+    tl = problem.fine_tune(h, pen.q)
+    cov = problem.covariance(h, pen.q)
     se = np.sqrt(np.diag(cov.sigma_tl))
     ci = confidence_intervals(tl.theta_tl, cov.sigma_tl, config.level)
 

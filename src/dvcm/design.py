@@ -170,7 +170,7 @@ class Panel:
 
 @dataclass(frozen=True)
 class LocalDesign:
-    """Stacked kernel-weighted design around ``center``.
+    """Stacked kernel-weighted design of ``window``, at ``bandwidth`` around u0.
 
     Rows with zero kernel weight are dropped before solving; the panel
     of the ``window`` they were taken from still counts every observation
@@ -182,9 +182,7 @@ class LocalDesign:
     z: np.ndarray  # (N_eff, (l+1) p)
     y: np.ndarray  # (N_eff,)
     weight: float  # W / S_h, the weight of every row
-    order: int
     bandwidth: float
-    center: float
     window: KernelWindow
 
 
@@ -303,8 +301,6 @@ def build_local_design(domains: Panel, u0: float, h: float, l: int) -> LocalDesi
         rows = inside.repeat(panel.sizes)
         x, y = panel.x.compress(rows, axis=0), panel.y.compress(rows)
     z = x[:, cols] * win.phi[:, blocks].repeat(win.n, axis=0)
-    return _record(
-        LocalDesign, z=z, y=y, weight=_KERNEL_HEIGHT / win.s_h, order=l,
-        bandwidth=h, center=u0, window=win,
-    )
+    return _record(LocalDesign, z=z, y=y, weight=_KERNEL_HEIGHT / win.s_h, bandwidth=h,
+                   window=win)
 

@@ -11,7 +11,8 @@ that does not depend on the pilot bandwidth (the target-only fits, the
 Pearson scale, the derivative plug-in fitted at the median-rule
 bandwidth), so each bandwidth fits only the pilot, whose kernel window
 the penalty's bias reads: nothing is converted, re-checked or located
-again.
+again.  Every later stage takes h, and the problem keeps the pilot and
+its sandwich for the latest h: no caller passes a fit or matrix back in.
 
 The transfer estimator is a matrix-weighted combination of the target-only
 fit and the pooled pilot, so its covariance combines both ingredients:
@@ -30,6 +31,7 @@ ufuncs, loaded on first use as :mod:`dvcm._scipy` describes, so that
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, field
 
@@ -136,30 +138,27 @@ def sigma_tl(
     return CovarianceReport(sigma_tl=sig, psi_hat=psi, v_lr=v_lr, v_dvcm=v_dvcm, b_q=b_q)
 
 
-class _cached_outcome:
-    """Like ``cached_property``, but a raised DvcmError is kept as well:
-    the first read computes, every later read returns the same value or
-    raises the same error."""
+def _latest(compute):
+    """``compute(self, *args)`` keeping its latest outcome on ``self``, a raised DvcmError
+    without its traceback too: the same arguments return or raise it again, others
+    replace it.  A method of ``self`` alone becomes a property."""
+    key = f"_{compute.__name__}_latest"
 
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.key = f"_{name}_outcome"
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        if self.key not in obj.__dict__:
+    @functools.wraps(compute)
+    def method(self, *args):
+        kept = self.__dict__.get(key)
+        if kept is None or kept[0] != args:
             try:
-                obj.__dict__[self.key] = (self.compute(obj), None)
+                kept = (args, compute(self, *args), None)
             except DvcmError as exc:
-                obj.__dict__[self.key] = (None, exc)
-        value, exc = obj.__dict__[self.key]
-        if exc is not None:
-            raise exc
-        return value
+                kept = (args, None, exc.with_traceback(None))
+            self.__dict__[key] = kept
+        if kept[2] is None:
+            return kept[1]
+        del kept  # the error's traceback holds this frame: a replaced error is freed at once
+        raise self.__dict__[key][2]
+
+    return property(method) if compute.__code__.co_argcount == 1 else method
 
 
 @dataclass(frozen=True)
@@ -170,10 +169,10 @@ class TransferProblem:
     sources; the pilot is fitted on it and the pilot split feeds the
     penalty.  ``fine``, the target's other split, is fine-tuned on and
     gives Psi_hat and V_LR.  ``pilot_part`` and ``sources`` view
-    ``pooled``: the problem stacks no rows.  The cached properties do
-    not depend on the pilot bandwidth, so fits at several bandwidths
-    share them, a raised DvcmError included.  Construction checks every
-    response against ``family`` (:meth:`ModelFamily.check_response`).
+    ``pooled``: the problem stacks no rows.  It keeps its results, a raised
+    DvcmError too: the properties, which fits at every pilot bandwidth share,
+    and ``pilot(h)`` and its sandwich for the latest ``h``.  Construction checks
+    every response against ``family`` (:meth:`ModelFamily.check_response`).
     """
 
     pooled: Panel
@@ -195,17 +194,17 @@ class TransferProblem:
         self.family.check_response(self.fine.y)
         self.__dict__.update(pilot_part=self.pooled[0], sources=self.pooled[1:])
 
-    @_cached_outcome
+    @_latest
     def theta_lr(self) -> np.ndarray:
         """Target-only fit on ``fine``."""
         return fit_target_only(self.fine, self.family)
 
-    @_cached_outcome
+    @_latest
     def theta_glr(self) -> np.ndarray:
         """Target-only fit on ``pilot_part``, for the penalty's scale."""
         return fit_target_only(self.pilot_part, self.family)
 
-    @_cached_outcome
+    @_latest
     def scale(self) -> float:
         """Pearson scale of ``theta_glr`` on ``pilot_part``, for the penalty."""
         return estimate_scale(self.pilot_part, self.theta_glr, self.family)
@@ -219,20 +218,27 @@ class TransferProblem:
                                 e0=self.e0, c=c, epsilon=epsilon,
                                 n_extra=self.pilot_part.n, h=h)
 
-    @_cached_outcome
+    @_latest
     def h_deriv(self) -> float:
         """Derivative-fit bandwidth: the median rule, whatever the pilot's h."""
         return self.bandwidth("median").h
 
-    @_cached_outcome
+    @_latest
     def derivative(self) -> np.ndarray:
         """theta^(beta)(u0), for the penalty's bias."""
         return estimate_derivative(self.pooled, self.u0, self.h_deriv, self.beta,
                                    self.family, self._newton_start())
 
+    @_latest
     def pilot(self, h: float) -> LocalFit:
+        """The pooled local-polynomial fit at ``h``, kept for the latest ``h``."""
         return fit_dvcm(self.pooled, self.u0, h, self.order, self.family,
                         self._newton_start())
+
+    @_latest
+    def _sandwich(self, h: float) -> np.ndarray:
+        """V_DVCM, the sandwich of ``pilot(h)``, kept for the latest ``h``."""
+        return estimate_variance_sandwich(self.pilot(h), self.family)
 
     def full_target(self, h: float) -> tuple[np.ndarray, np.ndarray]:
         """``fit``'s lr and dvcm estimates: the target-only fit of ``pilot_part``
@@ -254,30 +260,23 @@ class TransferProblem:
         except SingularSystemError:
             return np.zeros(self.pilot_part.p)
 
-    def penalty(self, pilot: LocalFit) -> PenaltyEstimate:
-        """Data-driven shrinkage matrix Q_hat at the bandwidth of ``pilot``,
-        which must come from this problem's ``pilot(h)``: the bias's moments
-        read its kernel window."""
-        design = pilot.design
-        if not (design.window.panel is self.pooled and design.center == self.u0
-                and design.order == self.order):
-            raise ValueError("penalty() takes a pilot made by this problem's pilot(h)")
+    def penalty(self, h: float) -> PenaltyEstimate:
+        """Data-driven shrinkage matrix Q_hat at the pilot bandwidth ``h``: the
+        bias reads the kernel window of ``pilot(h)``, V_hat is its sandwich."""
+        pilot = self.pilot(h)
         self.h_deriv  # its argument checks run even when the bias needs no derivative
-        return _penalty(pilot, self.beta, self.delta, self.family, self.scale, self.fine.n,
-                        lambda: self.derivative)  # read only when the bias needs it
+        return _penalty(pilot, self.beta, self.delta, self.scale, self.fine.n,
+                        lambda: self.derivative,  # read only when the bias needs it
+                        lambda: self._sandwich(h))
 
-    def fine_tune(self, pilot: LocalFit, q: np.ndarray) -> TLFit:
-        return fit_tl(self.fine, pilot.theta, q, self.family)
+    def fine_tune(self, h: float, q: np.ndarray) -> TLFit:
+        return fit_tl(self.fine, self.pilot(h).theta, q, self.family)
 
-    def covariance(self, pilot: LocalFit, q: np.ndarray,
-                   v_dvcm: np.ndarray | None = None) -> CovarianceReport:
-        """Sigma_TL of ``fine_tune(pilot, q)``; ``v_dvcm`` is the pilot's
-        sandwich when already known (``penalty(pilot).var_mat``)."""
+    def covariance(self, h: float, q: np.ndarray) -> CovarianceReport:
+        """Sigma_TL of ``fine_tune(h, q)``, on the pilot's kept sandwich."""
         psi = psi_hat(self.fine, self.theta_lr, self.family)
         v_lr = v_hat_target(self.fine, self.theta_lr, psi, self.family)
-        if v_dvcm is None:
-            v_dvcm = estimate_variance_sandwich(pilot, self.family)
-        return sigma_tl(psi, q, v_lr, v_dvcm)
+        return sigma_tl(psi, q, v_lr, self._sandwich(h))
 
 
 def wald_test(

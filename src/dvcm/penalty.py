@@ -13,7 +13,8 @@ pooled domains, each in-window domain weighted by the uniform kernel's
 one value ``W``.  ``_penalty`` assembles ``Q_hat`` from a pooled pilot
 fit, reading the bias's window and bandwidth off the fit's design, so the
 bias locates no window of its own; :meth:`dvcm.inference.TransferProblem.penalty`
-is its one caller and supplies the scale and the derivative plug-in.
+is its one caller and supplies the scale, the derivative plug-in and the
+pilot's sandwich, which the problem keeps for the covariance too.
 The public functions here are the formulas it is built from.
 Every factorisation and solve runs on the LAPACK core of
 :mod:`dvcm.estimators` (``spd_factor`` / ``spd_solve``).
@@ -110,7 +111,7 @@ def estimate_derivative(domains: Panel, u0: float, h: float, beta: int, family: 
         raise ValueError(f"derivative order must be a positive integer, got {beta}")
     dist = np.abs(domains.u - u0)
     if len(set(domains.u[dist <= h].tolist())) < beta + 1:
-        us = sorted(set(dist.tolist()))
+        us = sorted(abs(u - u0) for u in set(domains.u.tolist()))  # one per identifier
         if len(us) < beta + 1:  # before int(beta): a huge order prints as given
             raise SingularSystemError(
                 f"derivative of order {beta} needs {beta + 1} distinct domain "
@@ -172,11 +173,12 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in (0.5, 2), got {delta}")
 
 
-def _penalty(pilot_fit: LocalFit, beta: float, delta: float, family: ModelFamily,
-             scale: float, n0: int, derivative: Callable[[], np.ndarray]
+def _penalty(pilot_fit: LocalFit, beta: float, delta: float, scale: float, n0: int,
+             derivative: Callable[[], np.ndarray], sandwich: Callable[[], np.ndarray]
              ) -> PenaltyEstimate:
     """Q_hat of the pooled ``pilot_fit`` given the pilot split's Pearson
-    ``scale``, the fine-tune size ``n0`` and the bias's ``derivative`` plug-in;
+    ``scale``, the fine-tune size ``n0``, the bias's ``derivative`` plug-in
+    (called only when the bias needs it) and the fit's ``sandwich`` variance;
     the bias's moments come from the window and bandwidth of the fit's design."""
     _check_delta(delta)
     design = pilot_fit.design
@@ -187,7 +189,7 @@ def _penalty(pilot_fit: LocalFit, beta: float, delta: float, family: ModelFamily
         diagnostics["bias_skipped_noninteger_beta"] = float(beta)
     else:
         bias = _bias(design.window, design.bandwidth, beta, derivative)
-    var = estimate_variance_sandwich(pilot_fit, family)
+    var = sandwich()
 
     m_hat = bias[:, None] * bias + var  # np.outer's product, without its wrapper
     m_hat = 0.5 * (m_hat + m_hat.T)

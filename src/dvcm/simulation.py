@@ -289,18 +289,14 @@ def _replicate(
                 if h is None:
                     h = problem.bandwidth(config.bandwidth_rule, c=config.bw_c,
                                           epsilon=config.bw_epsilon).h
-                pilot = problem.pilot(h)
-                estimates["dvcm"] = pilot.theta
+                estimates["dvcm"] = problem.pilot(h).theta
             if "tl" in estimators:
                 q = q_matrices[i] if config.q_mode == "oracle" else fixed_q
-                v_dvcm = None
-                if q is None:  # data-driven; its penalty holds the pilot's sandwich
-                    pen = problem.penalty(pilot)
-                    q, v_dvcm = pen.q, pen.var_mat
-                theta_tl = problem.fine_tune(pilot, q).theta_tl
+                if q is None:  # data-driven
+                    q = problem.penalty(h).q
+                theta_tl = problem.fine_tune(h, q).theta_tl
                 estimates["tl"] = (
-                    (theta_tl, problem.covariance(pilot, q, v_dvcm).sigma_tl)
-                    if want_sigma else theta_tl
+                    (theta_tl, problem.covariance(h, q).sigma_tl) if want_sigma else theta_tl
                 )
         except DvcmError:
             pass

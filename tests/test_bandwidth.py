@@ -117,6 +117,15 @@ def test_gamma_moment_estimate_matches_uniform_length():
     assert est == pytest.approx(np.std(us, ddof=1) * np.sqrt(12.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("us, want", [
+    ([0.3], 0.3), ([-0.4], 0.4), ([0.0], 1e-12),  # one source: its distance from 0
+    ([0.2, 0.2, 0.2], 1e-12),  # every source at one identifier: no spread
+])
+def test_gamma_moment_estimate_without_a_spread(us, want):
+    sources = Panel.of(DomainSample(u=u, x=np.ones((1, 1)), y=np.zeros(1)) for u in us)
+    assert gamma_moment_estimate(sources) == want
+
+
 class TestSelectBandwidth:
     KW = dict(e0=0.4, c=0.8, epsilon=0.3, n_extra=10)
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -141,12 +142,11 @@ class TestCmdFit:
         assert report["bandwidth"] == {
             "h": 0.3, "rule": "fixed", "rate_term": 0.3, "d1": fixed.d1, "dK": fixed.dK,
             "feasible": True, "clipped": False, "diagnostics": {}}
-        pilot = problem.pilot(0.3)
-        pen = problem.penalty(pilot)
+        pen = problem.penalty(0.3)
         theta_lr, theta_dvcm = problem.full_target(0.3)
         assert (report["theta_lr"], report["theta_dvcm"]) == (theta_lr.tolist(),
                                                             theta_dvcm.tolist())
-        assert report["theta_tl"] == problem.fine_tune(pilot, pen.q).theta_tl.tolist()
+        assert report["theta_tl"] == problem.fine_tune(0.3, pen.q).theta_tl.tolist()
         assert report["q_hat"] == pen.q.tolist()
 
     def test_missing_column_error_prefixed(self, tmp_path, capsys):
@@ -235,6 +235,32 @@ def test_cli_binds_nothing_from_design_or_estimators():
     bound = [name for name, value in vars(dvcm.cli).items()
              if getattr(value, "__module__", getattr(value, "__name__", None)) in below]
     assert not bound
+
+
+def test_every_imported_name_is_read_or_exported():
+    """Each name a module-level import of ``src/dvcm`` binds is read in its
+    module (annotations included) or listed in its ``__all__``; the one
+    exception is ``simulation``'s ``import numpy.random``, run for its effect."""
+    allowed = {("simulation.py", "numpy")}
+    stale = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "dvcm").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read | exported and (path.name, name) not in allowed:
+                        stale.append(f"{path.name}: {name}")
+    assert not stale
 
 
 class TestCmdInfer:
@@ -649,6 +675,17 @@ class TestCliMisuse:
             lambda d, o: ["simulate", "--p", "2", "--reps", "2", "--grid", "0.5",
                           "--threads", "1", "--noise-sd", "-1", "--out", str(o)],
             "noise_sd must be finite and nonnegative, got -1.0"),
+        "simulate_reps_zero": (
+            lambda d, o: ["simulate", "--p", "2", "--reps", "0", "--grid", "0.5",
+                          "--threads", "1", "--out", str(o)],
+            "p, K, n_bar, n0 and reps must be positive"),
+        "simulate_k_negative": (
+            lambda d, o: ["simulate", "--p", "2", "--K", "-1", "--reps", "2", "--grid", "0.5",
+                          "--threads", "1", "--out", str(o)],
+            "p, K, n_bar, n0 and reps must be positive"),
+        "config_cov_rho_one": (
+            lambda d, o: TestCliMisuse._config(d, '{"cov_rho": 1.0}') + ["--out", str(o)],
+            "cov_rho must lie in (-1, 1)"),
         "fit_gamma_not_finite": (  # n / gamma = 0 has no negative power
             lambda d, o: fit_args(d, o, ["--gamma", "inf"]),
             "gamma, e0 and beta must be finite and positive, got gamma=inf"),

@@ -245,6 +245,10 @@ class TestIngestPaths:
             "dataio: data.csv: non-numeric cell '\u0663' (row 2, column 'y')", 2, "y"),
         "underscore_literal_after_blank_line": ("u,x1,y\n0.1,2,3\n\n0.5,1_000,2\n",
             "dataio: data.csv: non-numeric cell '1_000' (row 4, column 'x1')", 4, "x1"),
+        # the csv module's own refusal, located at the header
+        "header_cell_past_the_field_limit": ("u," + "x" * 140_000 + ",y\n0.1,2,3\n",
+            "dataio: data.csv: field larger than field limit (131072) (row 1, column None)",
+            1, None),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -255,6 +259,13 @@ class TestIngestPaths:
         with pytest.raises(ParseError) as err:
             load_csv(path, "u", ["x1"], "y")
         assert (str(err.value), err.value.row, err.value.column) == (message, row, column)
+
+    def test_empty_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("")
+        with pytest.raises(ParseError, match=r"data\.csv: empty file$") as err:
+            load_csv(path, "u", ["x1"], "y")
+        assert (err.value.row, err.value.column) == (None, None)
 
     def test_u_expr_error_row_counts_blank_lines(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -712,6 +723,10 @@ class TestBinDomains:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             bin_domains(table_from_u([1.2]), 10)
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="cannot bin an empty table"):
+            bin_domains(table_from_u([]), 10)
 
     def test_min_bins(self):
         with pytest.raises(ValueError):

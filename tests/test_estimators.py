@@ -451,14 +451,16 @@ def _singular_cases():
     flat = make_domain(0.0, np.ones((3, 2)), [1.0, 2.0, 3.0])  # rank-1 design
     lone = build_local_design(Panel.of([clean]), 0.0, 1.0, 1)  # z = [x, 0.3 x]: rank 2 of 4
     pilot_split = make_domain(0.0, x[:10], x[:10] @ np.array([1.0, 2.0]))
+    pooled_fit = fit_dvcm(Panel.of([pilot_split, clean]), 0.0, 0.5, 0, GAUSSIAN)
     return {
         "normal_equations": lambda: fit_target_only(flat, GAUSSIAN),
         "sandwich_bread": lambda: estimate_variance_sandwich(
             LocalFit(np.zeros(4), np.zeros(2), lone, True, 0), GAUSSIAN),
         "pilot_mse": lambda: _penalty(
-            fit_dvcm(Panel.of([pilot_split, clean]), 0.0, 0.5, 0, GAUSSIAN), 2, 1.0, GAUSSIAN,
+            pooled_fit, 2, 1.0,
             estimate_scale(pilot_split, fit_target_only(pilot_split, GAUSSIAN), GAUSSIAN),
-            pilot_split.n, lambda: np.ones(2)),
+            pilot_split.n, lambda: np.ones(2),
+            lambda: estimate_variance_sandwich(pooled_fit, GAUSSIAN)),
         "zeta_moments": lambda: _bias(
             kernel_window(Panel.of([clean]), 0.0, 0.5, 1), 0.5, 2, lambda: np.ones(2)),
         "psi_hat": lambda: v_hat_target(flat, np.zeros(2), psi_hat(flat, np.zeros(2), GAUSSIAN),

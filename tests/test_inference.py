@@ -69,6 +69,10 @@ class TestTailProbabilities:
                 assert chi2_sf(x, df) == pytest.approx(chi2_sf_oracle(x, df),
                                                        rel=1e-10)
 
+    def test_chi2_below_zero_is_one(self):
+        for df in (1, 3):
+            assert chi2_sf(-0.5, df) == 1.0
+
     def test_chi2_one_df_at_four(self):
         assert chi2_sf(4.0, 1) == pytest.approx(0.0455002638963584, rel=1e-10)
 

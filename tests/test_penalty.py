@@ -161,6 +161,15 @@ class TestEstimateDerivative:
         d = estimate_derivative(doms, 0.0, 1.0, 2, GAUSSIAN)
         assert d[0] == pytest.approx(2.0, abs=1e-4)
 
+    def test_widens_to_the_third_identifier_when_two_share_a_distance(self):
+        # u = -0.1 and 0.1 lie at one distance from u0 = 0: three identifiers,
+        # two distances; the order-2 fit widens h to just past that distance
+        doms = _noiseless_domains(lambda u: 1.0 + u + u**2, (0.0, -0.1, 0.1), n=30)
+        got = estimate_derivative(doms, 0.0, 0.05, 2, GAUSSIAN)
+        want = estimate_derivative(doms, 0.0, 0.1 * (1.0 + 1e-9), 2, GAUSSIAN)
+        assert got.tobytes() == want.tobytes()
+        assert got[0] == pytest.approx(2.0, rel=1e-6)
+
     def test_rejects_fractional_order(self):
         doms = _noiseless_domains(lambda u: u, (-0.5, 0.5))
         for order in (1.5, math.inf, math.nan):
@@ -304,11 +313,11 @@ def _sim_domains(rng, K, n, p, gamma, theta_fun, noise=0.3):
 
 
 def _q_hat(sources, pilot, h, fine=None, **kwargs):
-    """``penalty(pilot(h))`` of the Gaussian problem at u0 = 0 whose pilot part is
+    """``penalty(h)`` of the Gaussian problem at u0 = 0 whose pilot part is
     ``pilot`` and whose fine part is ``fine`` (default: ``pilot``)."""
     problem = TransferProblem(Panel.of([pilot, *sources]), pilot if fine is None else fine,
                               0.0, GAUSSIAN, **kwargs)
-    return problem.penalty(problem.pilot(h))
+    return problem.penalty(h)
 
 
 class TestEstimateQ:
@@ -455,9 +464,9 @@ class TestEstimateQReusesThePilotWindow:
         split, sources = _glm_problem(GAUSSIAN, 3, 4)
         problem = TransferProblem(Panel.of([split, *sources]), split, 0.0, GAUSSIAN)
         windows = count_calls(kernel_window)
-        pilot = problem.pilot(0.7)
+        problem.pilot(0.7)
         assert windows[0] == 1
-        pen = problem.penalty(pilot)
+        pen = problem.penalty(0.7)
         assert np.any(pen.bias_vec != 0.0)  # the derivative was fitted
         assert windows[0] == 2  # the derivative's; the bias reads the pilot's
 

@@ -394,6 +394,27 @@ def test_logistic_replication_fits_each_target_half_once(count_calls):
     assert target_only[0] == 2
 
 
+@pytest.mark.parametrize("q_mode", ["estimate", "zero"])
+def test_replication_forms_one_pilot_sandwich_per_bandwidth(count_calls, q_mode):
+    from dvcm import penalty
+    from dvcm.simulation import _replicate
+
+    sandwiches = count_calls(penalty.estimate_variance_sandwich)
+    cfg = SimConfig(p=2, K=3, n_bar=30, n0=20, q_mode=q_mode)
+    ((theta_tl, sigma),) = _replicate(cfg, (0.5,), ("tl",), 0, want_sigma=True)
+    assert theta_tl.shape == (2,) and sigma.shape == (2, 2)
+    # the covariance reads the sandwich that the penalty, if any, formed
+    assert sandwiches[0] == 1
+
+
+def test_oracle_pass_in_which_every_pilot_fails_is_refused():
+    # at h = 1e-6 each pilot window holds the target alone: one identifier
+    # for an order-1 fit, singular in every replication
+    config = SimConfig(reps=4, q_mode="oracle", K=3, n_bar=30, n0=20, p=2)
+    with pytest.raises(ExperimentError, match="oracle pass: pilot failed in every replication"):
+        mc_sweep([config], [1e-6], ["tl"])
+
+
 def test_replication_locates_one_window_per_bandwidth(count_calls):
     from dvcm import design, penalty
     from dvcm.simulation import _replicate
@@ -596,6 +617,11 @@ class TestLogLogSlopes:
             fit_loglog_slopes([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 1)
         with pytest.raises(ValueError):
             fit_loglog_slopes([1, 2, 3, 4, 5, 6, 7], np.ones(7), 3)
+
+    def test_mismatched_shapes_rejected(self):
+        for xs, ys in (([1.0, 2.0, 3.0, 4.0], np.ones(5)), (np.ones((2, 2)), np.ones((2, 2)))):
+            with pytest.raises(ValueError, match="one-dimensional with equal length"):
+                fit_loglog_slopes(xs, ys, 1)
 
     def test_nonmonotone_xs_rejected(self):
         with pytest.raises(ValueError):

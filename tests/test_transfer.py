@@ -1,5 +1,7 @@
 """TransferProblem: the one transfer pipeline, and its metamorphic properties."""
 
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +10,7 @@ from scipy.special import expit
 
 from dvcm.bandwidth import select_bandwidth
 from dvcm.design import DomainSample, Panel
-from dvcm.errors import DomainError
+from dvcm.errors import DomainError, SingularSystemError
 from dvcm.estimators import fit_dvcm, fit_target_only, fit_tl
 from dvcm.families import get_family
 from dvcm.inference import TransferProblem, psi_hat, sigma_tl, v_hat_target
@@ -54,10 +56,9 @@ def _problem(draws, offsets, family, u0=0.0, y_scale=1.0, order=1, gamma=1.0, e0
 
 def _fit(problem, h=H):
     """theta_LR, theta_DVCM, theta_TL and Sigma_TL at the pilot bandwidth ``h``."""
-    pilot = problem.pilot(h)
-    q = problem.penalty(pilot).q
-    return (problem.theta_lr, pilot.theta, problem.fine_tune(pilot, q).theta_tl,
-            problem.covariance(pilot, q).sigma_tl)
+    q = problem.penalty(h).q
+    return (problem.theta_lr, problem.pilot(h).theta, problem.fine_tune(h, q).theta_tl,
+            problem.covariance(h, q).sigma_tl)
 
 
 def _close(got, want, rel):
@@ -143,8 +144,9 @@ def test_chain_equals_the_hand_wired_pipeline(family, order):
     h_deriv = select_bandwidth("median", sources, 0.0, 2.0, 1.0, e0=100.0,
                                n_extra=part.n).h
     scale = estimate_scale(part, fit_target_only(part, fam), fam)
-    pen = _penalty(pilot, 2.0, 1.0, fam, scale, fine.n,
-                   lambda: estimate_derivative(pooled, 0.0, h_deriv, 2, fam))
+    pen = _penalty(pilot, 2.0, 1.0, scale, fine.n,
+                   lambda: estimate_derivative(pooled, 0.0, h_deriv, 2, fam),
+                   lambda: estimate_variance_sandwich(pilot, fam))
     theta_tl = fit_tl(fine, pilot.theta, pen.q, fam).theta_tl
     theta_lr = fit_target_only(fine, fam)
     psi = psi_hat(fine, theta_lr, fam)
@@ -195,48 +197,49 @@ def test_every_entry_checks_the_response_against_the_family(family, bad):
             call()
 
 
-def test_penalty_rejects_a_pilot_it_did_not_make():
-    offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
-    problem = _problem(_draws(offsets, "gaussian"), offsets, "gaussian")
-    fam, pooled = problem.family, Panel.of([problem.pilot_part, *problem.sources])
-    foreign = {
-        "another h and panel": fit_dvcm(pooled, 0.0, 2.0, 1, fam),
-        # the same fit as pilot(H), on a panel the problem does not own
-        "another panel": fit_dvcm(pooled, 0.0, H, 1, fam),
-        "another order": fit_dvcm(problem.pooled, 0.0, H, 0, fam),
-        "another center": fit_dvcm(problem.pooled, 0.2, H, 1, fam),
-        # pilot(H) of another problem: on the same data, and of another order
-        "another problem": _problem(_draws(offsets, "gaussian"), offsets, "gaussian").pilot(H),
-        "another problem's order": _variant(order=0).pilot(H),
-    }
-    for pilot in foreign.values():
-        with pytest.raises(ValueError, match=r"this problem's pilot\(h\)"):
-            problem.penalty(pilot)
-    for h in (H, 2.0):  # its own pilot, at any bandwidth
-        problem.penalty(problem.pilot(h))
+def test_singular_pilot_split_starts_the_pooled_fit_from_zeros():
+    """A logistic pilot split of 2 rows cannot fit 3 coefficients: the pooled
+    pilot then starts Newton from zeros instead of from theta_glr."""
+    rng = np.random.default_rng(5)
+    fam = get_family("logistic")
+
+    def domain(u, n):
+        x = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        return DomainSample(u=u, x=x, y=rng.binomial(1, expit(x @ [0.3, -0.5, 0.8])) * 1.0)
+
+    sources = [domain(u, 60) for u in (-0.3, 0.2, 0.4)]
+    part = DomainSample(u=0.0, x=np.array([[1.0, 0.2, -0.1], [1.0, -0.7, 0.5]]),
+                        y=np.array([0.0, 1.0]))
+    problem = TransferProblem(Panel.of([part, *sources]), domain(0.0, 40), 0.0, fam)
+    with pytest.raises(SingularSystemError):
+        problem.theta_glr
+    want = fit_dvcm(problem.pooled, 0.0, H, 1, fam, np.zeros(3))
+    assert want.converged
+    assert problem.pilot(H).theta.tobytes() == want.theta.tobytes()
+    # Newton stops near the optimum, where it stops depends on the start
+    other = fit_dvcm(problem.pooled, 0.0, H, 1, fam, np.full(3, 0.1))
+    assert other.theta.tobytes() != want.theta.tobytes()
 
 
 def test_penalty_of_a_foreign_pilot_locates_its_own_window(count_calls):
     """The same fit as pilot(H), on a panel the problem does not own, locates
-    its own window; the penalty reads that one and gives the problem's bytes,
-    while TransferProblem.penalty, which takes its own pilots only, refuses it."""
+    its own window; the penalty reads that one and gives the problem's bytes."""
     from dvcm import design
 
     offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
     problem = _problem(_draws(offsets, "gaussian"), offsets, "gaussian")
-    want = problem.penalty(problem.pilot(H))
+    want = problem.penalty(H)
     windows = count_calls(design.kernel_window)
     foreign = fit_dvcm(Panel.of([problem.pilot_part, *problem.sources]), 0.0, H, 1,
                        problem.family)
     assert windows[0] == 1
     assert foreign.design.window.panel is not problem.pooled
-    got = _penalty(foreign, problem.beta, problem.delta, problem.family, problem.scale,
-                   problem.fine.n, lambda: problem.derivative)
+    got = _penalty(foreign, problem.beta, problem.delta, problem.scale, problem.fine.n,
+                   lambda: problem.derivative,
+                   lambda: estimate_variance_sandwich(foreign, problem.family))
     assert windows[0] == 1  # no second window: the penalty reads the pilot's own
     for name in ("q", "bias_vec", "var_mat"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    with pytest.raises(ValueError, match=r"this problem's pilot\(h\)"):
-        problem.penalty(foreign)
 
 
 def _variant(**kwargs):
@@ -247,18 +250,37 @@ def _variant(**kwargs):
                            **{"e0": 100.0, **kwargs})
 
 
+def test_pilot_keeps_its_latest_outcome_an_error_without_its_frames(count_calls):
+    """pilot(h) at the h it was last asked about returns or raises again without
+    refitting; another h replaces the kept outcome.  A kept error holds no frame
+    of the failed fit, whose design would otherwise stay alive with it."""
+    problem = _variant()
+    fits = count_calls(fit_dvcm)
+    errors = []
+    for _ in range(2):  # at h = 1e-6 the window holds the pilot split alone
+        with pytest.raises(SingularSystemError) as err:
+            problem.pilot(1e-6)
+        errors.append(err.value)
+        frames = [frame.name for frame in traceback.extract_tb(err.value.__traceback__)]
+        assert "fit_dvcm" not in frames
+    assert errors[0] is errors[1] and fits[0] == 1
+    assert problem.pilot(H) is problem.pilot(H) and fits[0] == 2
+    with pytest.raises(SingularSystemError):
+        problem.pilot(1e-6)
+    assert fits[0] == 3
+
+
 @pytest.mark.parametrize("delta", [0.5, 2.0, 3.0])
 def test_penalty_checks_delta_on_every_call(delta):
     problem = _variant(delta=delta)
-    pilot = problem.pilot(H)
     for _ in range(2):
         with pytest.raises(ValueError, match="delta must lie in"):
-            problem.penalty(pilot)
+            problem.penalty(H)
 
 
 def test_penalty_of_a_fractional_beta_has_no_bias():
     problem = _variant(beta=1.5)
-    pen = problem.penalty(problem.pilot(H))
+    pen = problem.penalty(H)
     assert not pen.bias_vec.any()
     assert pen.diagnostics == {"bias_skipped_noninteger_beta": 1.5}
 
