@@ -33,7 +33,6 @@ try:
         select_bandwidth,
     )
     from .design import (
-        DomainSample,
         LocalDesign,
         Panel,
         build_local_design,

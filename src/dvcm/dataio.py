@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import DomainSample, Panel
+from .design import Panel, _record
 from .errors import DegenerateScaleError, ParseError, SchemaError
 
 __all__ = [
@@ -157,7 +157,7 @@ def _read_header(path: Path) -> tuple[list[str], int, str]:
         try:
             return [h.strip() for h in next(reader)], reader.line_num, fh.encoding
         except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+            raise ParseError(f"{path.name}: empty file") from None
         except csv.Error as exc:
             raise ParseError(f"{path.name}: {exc}", row=1) from None
         except UnicodeDecodeError as exc:
@@ -399,7 +399,7 @@ def bin_domains(table: RawTable, n_bins: int = 10) -> Panel:
     idx = idx[order]
     # an occupied bin starts where the sorted index changes: no array per possible bin
     offsets = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1, [idx.size]))
-    return Panel(x=table.x[order], y=table.y[order],
+    return Panel(x=np.take(table.x, order, axis=0), y=np.take(table.y, order),
                  u=(idx[offsets[:-1]] + 0.5) / n_bins, offsets=offsets)
 
 
@@ -412,13 +412,16 @@ def _check_fractions(fractions: Sequence[float]) -> None:
 
 
 def split_target(
-    target: DomainSample, fractions: Sequence[float], rng: np.random.Generator
-) -> list[DomainSample]:
-    """Partition a domain by a seeded shuffle into the given proportions.
+    target: Panel, fractions: Sequence[float], rng: np.random.Generator
+) -> list[Panel]:
+    """Partition a one-domain panel by a seeded shuffle into the given proportions.
 
     Sizes follow the fractions with any remainder distributed one row at
     a time to the earliest parts; identical seeds give identical splits.
+    Each part is a one-domain panel at the target's identifier.
     """
+    if len(target) != 1:
+        raise ValueError(f"split_target takes one domain, got a panel of {len(target)} domains")
     _check_fractions(fractions)
     f = np.asarray(fractions, dtype=float)
     n = target.n
@@ -432,5 +435,7 @@ def split_target(
     for i in range(rem):
         base[i % f.size] += 1
     perm = rng.permutation(n)
-    return [DomainSample(u=target.u, x=target.x[take], y=target.y[take])
+    # rows of a checked panel: the parts need no check of their own
+    return [_record(Panel, x=target.x[take], y=target.y[take], u=target.u,
+                    offsets=np.array([0, take.size]))
             for take in map(np.sort, np.split(perm, np.cumsum(base)[:-1]))]

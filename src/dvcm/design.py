@@ -1,14 +1,14 @@
 """Domains, kernel weights, polynomial features, and the stacked local design.
 
-A :class:`Panel` holds every domain of a fit in one array each: covariates
-``x (N, p)``, responses ``y (N,)``, one identifier per domain ``u (D,)``
-and row ``offsets (D+1,)``, so domain ``k`` owns rows
-``offsets[k]:offsets[k+1]``.  Its shape and finiteness checks run once, at
-construction.  A :class:`DomainSample` is one validated domain, and
-indexing a panel gives one as a view.  Every function of the package that
-takes several domains takes a panel; :meth:`Panel.of` is the one place
-that stacks DomainSamples into one.  Records whose arrays the package
-built and checked itself are made without ``__init__`` (:func:`_record`).
+A :class:`Panel` is the package's one type for data, whatever its domain
+count: covariates ``x (N, p)``, responses ``y (N,)``, one identifier per
+domain ``u (D,)`` and row ``offsets (D+1,)``, so domain ``k`` owns rows
+``offsets[k]:offsets[k+1]``.  One domain, such as a target split, is a
+one-domain panel, and :meth:`Panel.domain` makes one from arrays.  The
+shape and finiteness checks run once, at construction; ``panel[k]`` and
+``panel[a:b]`` are views, and :meth:`Panel.of` is the one place that
+stacks panels into a new one.  Records whose arrays the package built and
+checked itself are made without ``__init__`` (:func:`_record`).
 
 The local-polynomial estimators regress on rows ``Phi_l(t_k) (x) X_ki``
 where ``t_k = (U_k - u0) / h`` and ``(x)`` is the Kronecker product.
@@ -33,7 +33,6 @@ import numpy as np
 from .errors import EmptyWindowError
 
 __all__ = [
-    "DomainSample",
     "Panel",
     "LocalDesign",
     "KernelWindow",
@@ -54,46 +53,16 @@ def _record(cls, **fields):
     return record
 
 
-@dataclass(frozen=True)
-class DomainSample:
-    """One domain: identifier ``u``, covariates ``x`` (n, p), responses ``y`` (n,)."""
-
-    u: float
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        y = np.asarray(self.y, dtype=float).ravel()
-        if not x.size:
-            raise ValueError("a domain needs at least one observation and one covariate")
-        Panel(x=x, y=y, u=[self.u], offsets=[0, x.shape[0]])  # its shape and value checks
-        self.__dict__.update(x=x, y=y)
-
-    @classmethod
-    def _view(cls, u: float, x: np.ndarray, y: np.ndarray) -> "DomainSample":
-        """A domain over arrays that were validated already, not checked again."""
-        return _record(cls, u=u, x=x, y=y)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.x.shape[1]
-
-
 @dataclass(frozen=True, eq=False)
 class Panel:
     """Domains stacked in one array each: domain ``k`` owns rows
     ``offsets[k]:offsets[k+1]``.
 
-    A sequence of domains: ``panel[k]`` is domain ``k`` as a DomainSample
-    view, ``panel[a:b]`` a panel viewing domains ``a`` to ``b - 1``, and
-    iteration yields the views in order.  Construction checks the shapes
-    (one covariate at least), the finiteness of every value and that each
-    domain has a row.
+    A sequence of domains: ``panel[k]`` is the one-domain view
+    ``panel[k:k+1]``, ``panel[a:b]`` a panel viewing domains ``a`` to
+    ``b - 1``, and iteration yields the one-domain views in order.
+    Construction checks the shapes (one covariate at least), the
+    finiteness of every value and that each domain has a row.
     """
 
     x: np.ndarray        # (N, p)
@@ -122,19 +91,27 @@ class Panel:
         self.__dict__.update(x=x, y=y, u=u, offsets=offsets)
 
     @classmethod
-    def of(cls, domains: Iterable[DomainSample]) -> "Panel":
-        """The DomainSamples ``domains`` stacked in order in one new panel."""
-        domains = list(domains)
-        if not domains:
+    def domain(cls, u: float, x, y) -> "Panel":
+        """One domain at identifier ``u``, checked: a 1-D ``x`` is one row."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if not x.size:
+            raise ValueError("a domain needs at least one observation and one covariate")
+        return cls(x=x, y=np.asarray(y, dtype=float).ravel(), u=[u], offsets=[0, x.shape[0]])
+
+    @classmethod
+    def of(cls, panels: Iterable[Panel]) -> "Panel":
+        """The domains of ``panels`` stacked in order in one new panel."""
+        panels = list(panels)
+        if not panels:
             raise ValueError("at least one domain is required")
-        p = domains[0].p
-        if any(d.p != p for d in domains):
+        p = panels[0].p
+        if any(d.p != p for d in panels):
             raise ValueError("all domains must share the same covariate dimension")
-        # every DomainSample validated its arrays when it was made
-        return _record(cls, x=np.concatenate([d.x for d in domains]),
-                       y=np.concatenate([d.y for d in domains]),
-                       u=np.array([d.u for d in domains], dtype=float),
-                       offsets=np.cumsum([0] + [d.n for d in domains]))
+        # every panel validated its arrays when it was made
+        return _record(cls, x=np.concatenate([d.x for d in panels]),
+                       y=np.concatenate([d.y for d in panels]),
+                       u=np.concatenate([d.u for d in panels]),
+                       offsets=np.concatenate([[0], *(d.sizes for d in panels)]).cumsum())
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -152,19 +129,18 @@ class Panel:
     def __len__(self) -> int:
         return self.u.shape[0]
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):  # a view of domains start:stop
-            start, stop, step = k.indices(len(self))
-            if step != 1 or start >= stop:
-                raise ValueError("a panel view takes a nonempty run of domains")
-            o = self.offsets[start : stop + 1]
-            return _record(Panel, x=self.x[o[0] : o[-1]], y=self.y[o[0] : o[-1]],
-                           u=self.u[start:stop], offsets=o - o[0])
-        k = range(len(self))[k]
-        a, b = self.offsets[k], self.offsets[k + 1]
-        return DomainSample._view(float(self.u[k]), self.x[a:b], self.y[a:b])
+    def __getitem__(self, k) -> "Panel":
+        if not isinstance(k, slice):  # domain k alone
+            k = range(len(self))[k]
+            k = slice(k, k + 1)
+        start, stop, step = k.indices(len(self))
+        if step != 1 or start >= stop:
+            raise ValueError("a panel view takes a nonempty run of domains")
+        o = self.offsets[start : stop + 1]
+        return _record(Panel, x=self.x[o[0] : o[-1]], y=self.y[o[0] : o[-1]],
+                       u=self.u[start:stop], offsets=o - o[0])
 
-    def __iter__(self) -> Iterator[DomainSample]:
+    def __iter__(self) -> Iterator[Panel]:
         return map(self.__getitem__, range(len(self)))
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy import extension
-from .design import DomainSample, LocalDesign, Panel, _record, build_local_design
+from .design import LocalDesign, Panel, _record, build_local_design
 from .errors import DomainError, SingularSystemError
 from .families import ModelFamily, _finite
 
@@ -170,7 +170,7 @@ def newton_weighted(
         alpha, obj, eta = candidate, cand_obj, cand_eta
 
 
-def fit_target_only(target: DomainSample, family: ModelFamily) -> np.ndarray:
+def fit_target_only(target: Panel, family: ModelFamily) -> np.ndarray:
     """Unpenalised target-domain estimate: OLS (Gaussian) or GLM MLE."""
     x, y = target.x, target.y
     family.check_response(y)
@@ -213,7 +213,7 @@ def fit_dvcm(domains: Panel, u0: float, h: float, l: int, family: ModelFamily,
 
 
 def fit_tl(
-    target_finetune: DomainSample,
+    target_finetune: Panel,
     theta_pilot: np.ndarray,
     q: np.ndarray,
     family: ModelFamily,

@@ -40,7 +40,7 @@ import numpy as np
 from ._scipy import special_ufuncs
 from .bandwidth import BandwidthChoice, _check_settings, select_bandwidth
 from .dataio import _check_bins, _check_fractions, _check_sigma_k, _check_u_source, _parse_list
-from .design import DomainSample, Panel, _check_order
+from .design import Panel, _check_order
 from .errors import DvcmError, SingularSystemError
 from .estimators import (LocalFit, TLFit, fit_dvcm, fit_target_only, fit_tl, gram,
                          spd_factor, spd_solve)
@@ -93,7 +93,7 @@ def normal_quantile(q: float) -> float:
 
 
 def psi_hat(
-    target: DomainSample, theta_hat: np.ndarray, family: ModelFamily
+    target: Panel, theta_hat: np.ndarray, family: ModelFamily
 ) -> np.ndarray:
     """Second-moment matrix (1/n0) sum b''(x' theta) x x' (Gaussian: b'' = 1)."""
     x = target.x
@@ -101,7 +101,7 @@ def psi_hat(
     return gram(x, w) / target.n
 
 
-def v_hat_target(target: DomainSample, theta_hat: np.ndarray, psi: np.ndarray,
+def v_hat_target(target: Panel, theta_hat: np.ndarray, psi: np.ndarray,
                  family: ModelFamily) -> np.ndarray:
     """Robust sandwich variance of the target-only estimator itself.
 
@@ -176,7 +176,7 @@ class TransferProblem:
     """
 
     pooled: Panel
-    fine: DomainSample
+    fine: Panel
     u0: float
     family: ModelFamily
     order: int = 1
@@ -184,7 +184,7 @@ class TransferProblem:
     delta: float = 1.0
     gamma: float = 1.0
     e0: float = 1.0
-    pilot_part: DomainSample = field(init=False, repr=False, compare=False)
+    pilot_part: Panel = field(init=False, repr=False, compare=False)
     sources: Panel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -244,10 +244,8 @@ class TransferProblem:
         """``fit``'s lr and dvcm estimates: the target-only fit of ``pilot_part``
         and ``fine`` stacked in that order, then the pooled fit at ``h`` of those
         two domains with ``sources``, started from it."""
-        panel = Panel.of([self.pilot_part, self.fine, *self.sources])
-        n = panel.offsets[2]  # the rows of both target splits
-        theta = fit_target_only(DomainSample._view(self.u0, panel.x[:n], panel.y[:n]),
-                                self.family)
+        panel = Panel.of([self.pilot_part, self.fine, self.sources])
+        theta = fit_target_only(panel[:2], self.family)
         return theta, fit_dvcm(panel, self.u0, h, self.order, self.family, theta).theta
 
     def _newton_start(self) -> np.ndarray | None:

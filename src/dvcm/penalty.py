@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .design import _KERNEL_HEIGHT, DomainSample, KernelWindow, Panel, _record
+from .design import _KERNEL_HEIGHT, KernelWindow, Panel, _record
 from .errors import DegenerateVarianceError, SingularSystemError
 from .estimators import LocalFit, fit_dvcm, gram, spd_factor, spd_solve
 from .families import ModelFamily
@@ -60,7 +60,7 @@ class PenaltyEstimate:
 
 
 def estimate_scale(
-    target: DomainSample, theta_hat: np.ndarray, family: ModelFamily
+    target: Panel, theta_hat: np.ndarray, family: ModelFamily
 ) -> float:
     """Mean squared Pearson residual of the target-only fit.
 

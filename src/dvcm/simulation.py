@@ -33,7 +33,7 @@ import numpy as np
 import numpy.random  # at import: it would otherwise load on the first draw
 
 from .bandwidth import BANDWIDTH_RULES, _check_settings
-from .design import DomainSample, Panel, _check_bandwidth, _check_order, _record
+from .design import Panel, _check_bandwidth, _check_order, _record
 from .errors import DomainError, DvcmError, ExperimentError
 from .families import FAMILIES, get_family
 from .inference import TransferProblem, _check_level, _check_seed, normal_quantile, wald_test
@@ -213,13 +213,13 @@ def _draw_y(rng: np.random.Generator, eta: np.ndarray, family_kind: str, noise_s
                           f"u0 so that theta(u) stays smaller") from None
 
 
-def generate_dataset(config: SimConfig, rep: int) -> tuple[Panel, DomainSample]:
+def generate_dataset(config: SimConfig, rep: int) -> tuple[Panel, Panel]:
     """Draw one replication: the pooled panel and the target's fine-tune half.
 
     The target draws ``2 n0`` observations at ``u0``.  Its first ``n0``
     rows are the panel's domain 0, followed by K sources of ``n_bar`` rows
     whose identifiers are uniform on (-gamma/2, gamma/2); the other half
-    comes back as a DomainSample.  Streams are derived from
+    comes back as a one-domain panel.  Streams are derived from
     (config.seed, rep) per role, so identical inputs reproduce identical
     data.  The sources are drawn straight into the panel's rows, and only
     the target's pilot rows are copied there; the package drew every
@@ -247,7 +247,9 @@ def generate_dataset(config: SimConfig, rep: int) -> tuple[Panel, DomainSample]:
     x[:n0], y[:n0] = x0[:n0], y0[:n0]
     pooled = _record(Panel, x=x, y=y, u=np.concatenate([[config.u0], us]),
                      offsets=np.r_[0, n0 + n_bar * np.arange(K + 1)])
-    return pooled, DomainSample._view(config.u0, x0[n0:], y0[n0:])
+    # the fine half: n0 rows at u0, as the panel's domain 0
+    return pooled, _record(Panel, x=x0[n0:], y=y0[n0:], u=pooled.u[:1],
+                           offsets=pooled.offsets[:2])
 
 
 def _replicate(

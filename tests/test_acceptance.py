@@ -14,7 +14,7 @@ import pytest
 
 from dvcm.bandwidth import select_bandwidth
 from dvcm.cli import main
-from dvcm.design import DomainSample, Panel, build_local_design, poly_features, uniform_kernel
+from dvcm.design import Panel, build_local_design, poly_features, uniform_kernel
 from dvcm.errors import SingularSystemError
 from dvcm.estimators import fit_dvcm, fit_tl, newton_weighted
 from dvcm.families import GAUSSIAN, LOGISTIC, POISSON
@@ -46,7 +46,7 @@ def report(number: int, description: str, ok: bool, detail: str = "") -> None:
 def _brute_force_weighted_normal_equations(domains, u0, h, l):
     rows, ys, ws = [], [], []
     for dom in domains:
-        t = (dom.u - u0) / h
+        t = (dom.u[0] - u0) / h
         w = 0.5 if abs(t) <= 1.0 else 0.0
         phi = np.array([t**j / math.factorial(j) for j in range(l + 1)])
         for i in range(dom.n):
@@ -77,7 +77,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
         doms = []
         for u in us:
             n_k = int(rng.integers(max(4, (l + 1) * p), 21))
-            doms.append(DomainSample(u=float(u), x=rng.normal(size=(n_k, p)),
+            doms.append(Panel.domain(u=float(u), x=rng.normal(size=(n_k, p)),
                                      y=rng.normal(size=n_k)))
         try:
             oracle = _brute_force_weighted_normal_equations(doms, 0.0, 1.0, l)
@@ -267,21 +267,21 @@ def test_criterion_9_pipeline_invariants():
         np.all(uniform_kernel(ts) == np.where(np.abs(ts) <= 1, 0.5, 0.0)))
 
     # Kronecker block structure of the stacked design
-    doms = [DomainSample(u=u, x=rng.normal(size=(5, 2)), y=rng.normal(size=5))
+    doms = [Panel.domain(u=u, x=rng.normal(size=(5, 2)), y=rng.normal(size=5))
             for u in (-0.4, 0.0, 0.7)]
     design = build_local_design(Panel.of(doms), 0.0, 1.0, 2)
     block_ok = True
     row_domain = np.repeat(design.window.index, design.window.n)
     for i in range(design.z.shape[0]):
         row = design.z[i].reshape(3, 2)
-        t = (doms[row_domain[i]].u) / 1.0
+        t = (doms[row_domain[i]].u[0]) / 1.0
         phi = poly_features(t, 2)
         for j in range(3):
             block_ok &= bool(np.allclose(row[j], phi[j] * row[0]))
     checks["kronecker_blocks"] = block_ok
 
     # median-rule bounds
-    sources = Panel.of(DomainSample(u=u, x=np.ones((8, 1)), y=np.zeros(8))
+    sources = Panel.of(Panel.domain(u=u, x=np.ones((8, 1)), y=np.zeros(8))
                        for u in (0.2, -0.5, 0.8))
     in_bounds = True
     for e0 in (0.05, 0.3, 1.0, 3.0):

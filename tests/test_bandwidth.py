@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvcm.bandwidth import gamma_moment_estimate, select_bandwidth
-from dvcm.design import DomainSample, Panel
+from dvcm.design import Panel
 
 
 def sources_with(d1=0.2, dK=0.7, n_total=32):
     half = n_total // 2
-    mk = lambda u, n: DomainSample(u=u, x=np.ones((n, 1)), y=np.zeros(n))
+    mk = lambda u, n: Panel.domain(u=u, x=np.ones((n, 1)), y=np.zeros(n))
     return Panel.of([mk(d1, half), mk(dK, n_total - half)])
 
 
@@ -58,7 +58,7 @@ class TestMedianRule:
 class TestUndersmoothed:
     def test_formula_value(self):
         # gamma=1, n=10000, beta=2, eps=0.2, c=1 -> 10000^{-1.2/5}
-        src = Panel.of([DomainSample(u=0.05, x=np.ones((10000, 1)), y=np.zeros(10000))])
+        src = Panel.of([Panel.domain(u=0.05, x=np.ones((10000, 1)), y=np.zeros(10000))])
         choice = select_bandwidth("undersmoothed", src, 0.0, beta=2.0, gamma=1.0,
                                   c=1.0, epsilon=0.2)
         assert choice.h == pytest.approx(10000.0 ** (-1.2 / 5.0), rel=1e-12)
@@ -66,13 +66,13 @@ class TestUndersmoothed:
         assert not choice.clipped
 
     def test_epsilon_zero_is_flagged_boundary(self):
-        src = Panel.of([DomainSample(u=0.01, x=np.ones((100, 1)), y=np.zeros(100))])
+        src = Panel.of([Panel.domain(u=0.01, x=np.ones((100, 1)), y=np.zeros(100))])
         choice = select_bandwidth("undersmoothed", src, 0.0, 2.0, 1.0, c=1.0, epsilon=0.0)
         assert choice.h == pytest.approx(choice.rate_term, rel=1e-12)
         assert choice.diagnostics.get("epsilon_boundary") is True
 
     def test_clipped_just_above_d1(self):
-        src = Panel.of([DomainSample(u=0.3, x=np.ones((10000, 1)), y=np.zeros(10000))])
+        src = Panel.of([Panel.domain(u=0.3, x=np.ones((10000, 1)), y=np.zeros(10000))])
         choice = select_bandwidth("undersmoothed", src, 0.0, 2.0, 1.0, c=1.0, epsilon=0.2)
         assert choice.clipped
         assert choice.h > 0.3
@@ -81,7 +81,7 @@ class TestUndersmoothed:
 
     def test_infeasible_clip_flagged_not_fatal(self):
         # d1 beyond the rate-optimal level: clip succeeds with a diagnostic
-        src = Panel.of([DomainSample(u=0.9, x=np.ones((10000, 1)), y=np.zeros(10000))])
+        src = Panel.of([Panel.domain(u=0.9, x=np.ones((10000, 1)), y=np.zeros(10000))])
         choice = select_bandwidth("undersmoothed", src, 0.0, 2.0, 1.0, c=1.0, epsilon=0.2)
         assert choice.clipped and not choice.feasible
         assert "infeasible_undersmoothing" in choice.diagnostics
@@ -99,7 +99,7 @@ class TestUndersmoothed:
 
     def test_monotone_in_n_and_gamma(self):
         def h_for(n, gamma):
-            src = Panel.of([DomainSample(u=1e-6, x=np.ones((n, 1)), y=np.zeros(n))])
+            src = Panel.of([Panel.domain(u=1e-6, x=np.ones((n, 1)), y=np.zeros(n))])
             return select_bandwidth("undersmoothed", src, 0.0, 2.0, gamma, c=1.0,
                                     epsilon=0.2).h
 
@@ -111,7 +111,7 @@ def test_gamma_moment_estimate_matches_uniform_length():
     rng = np.random.default_rng(0)
     gamma = 1.8
     us = rng.uniform(-gamma / 2, gamma / 2, 4000)
-    sources = Panel.of(DomainSample(u=u, x=np.ones((1, 1)), y=np.zeros(1)) for u in us)
+    sources = Panel.of(Panel.domain(u=u, x=np.ones((1, 1)), y=np.zeros(1)) for u in us)
     est = gamma_moment_estimate(sources)
     assert est == pytest.approx(gamma, rel=0.05)
     assert est == pytest.approx(np.std(us, ddof=1) * np.sqrt(12.0), rel=1e-12)
@@ -122,7 +122,7 @@ def test_gamma_moment_estimate_matches_uniform_length():
     ([0.2, 0.2, 0.2], 1e-12),  # every source at one identifier: no spread
 ])
 def test_gamma_moment_estimate_without_a_spread(us, want):
-    sources = Panel.of(DomainSample(u=u, x=np.ones((1, 1)), y=np.zeros(1)) for u in us)
+    sources = Panel.of(Panel.domain(u=u, x=np.ones((1, 1)), y=np.zeros(1)) for u in us)
     assert gamma_moment_estimate(sources) == want
 
 
@@ -151,9 +151,9 @@ class TestSelectBandwidth:
         want = select_bandwidth(rule, panel, 0.0, 2.0, 1.0, h=0.3, **self.KW)
 
         def no_view(*args):
-            raise AssertionError("a DomainSample view of the panel was built")
+            raise AssertionError("a view of the panel was built")
 
-        monkeypatch.setattr(DomainSample, "_view", no_view)
+        monkeypatch.setattr(Panel, "__getitem__", no_view)
         assert select_bandwidth(rule, panel, 0.0, 2.0, 1.0, h=0.3, **self.KW) == want
 
     @pytest.mark.parametrize("h", [None, 0.0, -1.0, float("nan"), float("inf"),
@@ -192,7 +192,7 @@ _domain_draws = st.lists(st.tuples(st.floats(-2.0, 2.0), st.integers(1, 4)),
 @given(domains=_domain_draws, u0=st.floats(-2.0, 2.0), data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_choice_ignores_the_order_of_the_domains(domains, u0, data):
-    mk = lambda u, n: DomainSample(u=u, x=np.ones((n, 1)), y=np.zeros(n))
+    mk = lambda u, n: Panel.domain(u=u, x=np.ones((n, 1)), y=np.zeros(n))
     shuffled = data.draw(st.permutations(domains))
     panel, other = (Panel.of(mk(u, n) for u, n in doms) for doms in (domains, shuffled))
     dist = [abs(u - u0) for u, _ in domains]

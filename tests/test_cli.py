@@ -17,7 +17,7 @@ import pytest
 
 from dvcm.cli import EstimateReport, build_parser, main
 from dvcm.dataio import RawTable, bin_domains, load_csv, sigma_filter, split_target
-from dvcm.design import DomainSample, Panel, kernel_window
+from dvcm.design import Panel, kernel_window
 from dvcm.inference import FitConfig, confidence_intervals
 from dvcm.simulation import InferenceRecords, SimConfig, fit_loglog_slopes, mc_sweep
 
@@ -1050,7 +1050,7 @@ def _fit_config(**settings):
 
 
 def _target(n=4):
-    return DomainSample(0.0, np.ones((n, 1)), np.ones(n))
+    return Panel.domain(0.0, np.ones((n, 1)), np.ones(n))
 
 
 PHASE = ["phase", "--vary", "K", "--p", "2", "--reps", "2", "--threads", "1"]

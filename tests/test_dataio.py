@@ -22,7 +22,7 @@ from dvcm.dataio import (
     sigma_filter,
     split_target,
 )
-from dvcm.design import DomainSample
+from dvcm.design import Panel
 from dvcm.errors import DegenerateScaleError, ParseError, SchemaError
 from dvcm.inference import FitConfig
 
@@ -261,10 +261,11 @@ class TestIngestPaths:
         assert (str(err.value), err.value.row, err.value.column) == (message, row, column)
 
     def test_empty_file_is_a_parse_error(self, tmp_path):
-        path = tmp_path / "data.csv"
+        path = tmp_path.resolve() / "data.csv"  # named by its file name, as every ParseError
         path.write_text("")
-        with pytest.raises(ParseError, match=r"data\.csv: empty file$") as err:
-            load_csv(path, "u", ["x1"], "y")
+        with pytest.raises(ParseError) as err:
+            load_csv(str(path), "u", ["x1"], "y")
+        assert str(err.value) == "dataio: data.csv: empty file"
         assert (err.value.row, err.value.column) == (None, None)
 
     def test_u_expr_error_row_counts_blank_lines(self, tmp_path):
@@ -712,11 +713,11 @@ class TestBinDomains:
         panel = bin_domains(table_from_u(us), 10)
         assert sum(d.n for d in panel) == 200
         mids = {round(0.05 + 0.1 * j, 2) for j in range(10)}
-        assert {round(d.u, 2) for d in panel} <= mids
+        assert {round(d.u[0], 2) for d in panel} <= mids
 
     def test_rows_follow_their_bin(self):
         panel = bin_domains(table_from_u([0.95, 0.05, 0.5]), 10)
-        by_mid = {round(d.u, 2): d for d in panel}
+        by_mid = {round(d.u[0], 2): d for d in panel}
         assert by_mid[0.05].y.tolist() == [1.0]
         assert by_mid[0.95].y.tolist() == [0.0]
 
@@ -783,7 +784,7 @@ def test_bin_domains_matches_the_searchsorted_grouping(data):
 class TestSplitTarget:
     def make_target(self, n):
         rng = np.random.default_rng(1)
-        return DomainSample(u=0.5, x=rng.normal(size=(n, 2)),
+        return Panel.domain(u=0.5, x=rng.normal(size=(n, 2)),
                             y=np.arange(n, dtype=float))
 
     def test_thirds_of_nine(self):
@@ -820,3 +821,20 @@ class TestSplitTarget:
             split_target(target, [0.5, 0.6], np.random.default_rng(0))
         with pytest.raises(ValueError):
             split_target(target, [1.2, -0.2], np.random.default_rng(0))
+
+    # each misuse with the whole message that refuses it
+    MISUSE = {
+        "too_few_rows": (lambda t: t, [0.4, 0.3, 0.3],
+                         "cannot split 2 rows into 3 nonempty parts"),
+        "sum": (lambda t: t, [0.5, 0.6], "fractions must sum to 1, got 1.1"),
+        "negative": (lambda t: t, [1.2, -0.2], "fractions must be positive"),
+        "two_domains": (lambda t: Panel.of([t, t]), [0.5, 0.5],
+                        "split_target takes one domain, got a panel of 2 domains"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISUSE))
+    def test_misuse_refused(self, case):
+        given, fractions, message = self.MISUSE[case]
+        with pytest.raises(ValueError) as err:
+            split_target(given(self.make_target(2)), fractions, np.random.default_rng(0))
+        assert str(err.value) == message

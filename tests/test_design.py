@@ -11,21 +11,22 @@ from hypothesis import strategies as st
 from dvcm.bandwidth import select_bandwidth
 from dvcm.design import (
     _KERNEL_HEIGHT,
-    DomainSample,
     Panel,
     build_local_design,
     kernel_window,
     poly_features,
     uniform_kernel,
 )
-from dvcm.errors import EmptyWindowError
+from dvcm.errors import EmptyWindowError, SingularSystemError
+from dvcm.estimators import fit_target_only
+from dvcm.families import GAUSSIAN
 
 
 def make_domain(u, x, y=None):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if y is None:
         y = np.zeros(x.shape[0])
-    return DomainSample(u=u, x=x, y=np.asarray(y, dtype=float))
+    return Panel.domain(u=u, x=x, y=np.asarray(y, dtype=float))
 
 
 class TestUniformKernel:
@@ -107,7 +108,7 @@ class TestBuildLocalDesign:
         ]
         h = 1.0
         d = build_local_design(Panel.of(doms), u0=0.0, h=h, l=1)
-        in_window = sum(dom.n for dom in doms if abs(dom.u) <= h)
+        in_window = sum(dom.n for dom in doms if abs(dom.u[0]) <= h)
         assert d.z.shape[0] == in_window
         assert np.full(d.z.shape[0], d.weight).sum() == pytest.approx(1.0)
 
@@ -123,7 +124,7 @@ class TestBuildLocalDesign:
         row_domain = _row_domain(d)
         for i in range(d.z.shape[0]):
             row = d.z[i].reshape(l + 1, p)
-            t = (doms[row_domain[i]].u - 0.0) / h
+            t = (doms[row_domain[i]].u[0] - 0.0) / h
             phi = poly_features(t, l)
             for j in range(l + 1):
                 assert np.allclose(row[j], phi[j] * row[0] / phi[0])
@@ -144,7 +145,7 @@ def _kron_design(domains, u0, h, l):
     """The per-domain construction: one ``np.kron`` block per in-window domain."""
     z, y, kv, idx, s_h = [], [], [], [], 0.0
     for k, dom in enumerate(domains):
-        t = (dom.u - u0) / h
+        t = (dom.u[0] - u0) / h
         w = float(uniform_kernel(t))
         if w == 0.0:
             continue
@@ -192,7 +193,7 @@ def _panels(draw):
     domains = []
     for off in offsets:
         n = int(rng.integers(1, 6))
-        domains.append(DomainSample(u=u0 + off * h, x=rng.normal(size=(n, p)),
+        domains.append(Panel.domain(u=u0 + off * h, x=rng.normal(size=(n, p)),
                                     y=rng.normal(size=n)))
     return domains, u0, h
 
@@ -226,7 +227,7 @@ class TestDesignEqualsKroneckerOracle:
 def _list_window(domains, u0, h, l):
     """The list-of-domains window: per-domain Python reads of ``u`` and ``n``."""
     sizes = np.array([d.n for d in domains], dtype=int)
-    t_all = (np.array([d.u for d in domains], dtype=float) - u0) / h
+    t_all = (np.array([d.u[0] for d in domains], dtype=float) - u0) / h
     w_all = uniform_kernel(t_all)
     index = np.flatnonzero(w_all)
     phi = np.array([poly_features(tk, l) for tk in t_all[index].tolist()])
@@ -262,7 +263,7 @@ class TestPanelEqualsDomainListOracle:
         x, y = np.empty((offsets[-1], domains[0].p)), np.empty(offsets[-1])
         for d, a, b in zip(domains, offsets, offsets[1:]):
             x[a:b], y[a:b] = d.x, d.y
-        stacked = Panel(x=x, y=y, u=[d.u for d in domains], offsets=offsets)
+        stacked = Panel(x=x, y=y, u=[d.u[0] for d in domains], offsets=offsets)
         try:
             want = _kron_design(domains, u0, h, l)
         except ValueError:
@@ -316,7 +317,7 @@ class TestPanel:
         assert (again.x.tobytes(), again.u.tobytes()) == (panel.x.tobytes(), panel.u.tobytes())
         for k, (view, dom) in enumerate(zip(panel, domains)):
             for got in (view, panel[k]):
-                assert type(got.u) is float and got.u == dom.u
+                assert got.u.tolist() == dom.u.tolist() and got.offsets.tolist() == [0, dom.n]
                 assert got.x.tobytes() == dom.x.tobytes() and got.y.tobytes() == dom.y.tobytes()
                 assert np.shares_memory(got.x, panel.x)
         assert panel[-1].n == 4
@@ -351,7 +352,7 @@ class TestPanel:
 
     def test_domain_without_a_covariate_rejected(self):
         with pytest.raises(ValueError, match="at least one observation and one covariate"):
-            DomainSample(u=0.0, x=np.ones((3, 0)), y=np.zeros(3))
+            Panel.domain(u=0.0, x=np.ones((3, 0)), y=np.zeros(3))
 
     def test_pooled_stacks_a_panel_like_its_domains(self):
         """A domain in front of a panel's views, as ``fit`` pools its pilot
@@ -371,6 +372,52 @@ class TestPanel:
             Panel.of([make_domain(0.0, np.ones((2, 2))), make_domain(0.1, np.ones((2, 3)))])
         with pytest.raises(ValueError, match="at least one domain"):
             Panel.of([])
+
+
+@st.composite
+def _any_panel(draw):
+    """A panel of 1-6 domains of 1-20 rows each, with 1-4 covariates."""
+    sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=6))
+    p = draw(st.integers(1, 4))
+    u = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(sizes), max_size=len(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    return Panel(x=rng.normal(size=(n, p)), y=rng.normal(size=n), u=u,
+                 offsets=np.cumsum([0] + sizes))
+
+
+def _assert_same_panel(got, want):
+    for name in ("x", "y", "u", "offsets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestPanelAlgebra:
+    """Views and stacking compose: a panel is the stack of its own views."""
+
+    @given(_any_panel(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_views_stack_back_to_the_panel(self, panel, data):
+        _assert_same_panel(Panel.of(list(panel)), panel)
+        k = data.draw(st.integers(1, len(panel)), label="k")
+        if k < len(panel):
+            _assert_same_panel(Panel.of([panel[:k], panel[k:]]), panel)
+        for view in panel:
+            assert len(view) == 1
+            assert np.shares_memory(view.x, panel.x) and np.shares_memory(view.y, panel.y)
+
+    @given(_any_panel(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_target_only_fit_reads_a_view_as_its_stack(self, panel, data):
+        a = data.draw(st.integers(0, len(panel) - 1), label="a")
+        b = data.draw(st.integers(a + 1, len(panel)), label="b")
+        fits = []
+        for given_as in (panel[a:b], Panel.of(list(panel[a:b]))):
+            try:
+                fits.append(fit_target_only(given_as, GAUSSIAN).tobytes())
+            except SingularSystemError:  # fewer rows than covariates, say
+                fits.append(None)
+        assert fits[0] == fits[1]
 
 
 class TestDomainDistances:  # d_(1) and d_(K), as select_bandwidth reports them
@@ -416,8 +463,8 @@ def _public_callables():
 
 
 def test_only_panel_of_takes_a_sequence_of_domains():
-    """Several domains are a Panel everywhere: Panel.of alone converts DomainSamples."""
-    second_form = re.compile(r"\b(Sequence|Iterable)\[DomainSample\]")
+    """Several domains are a Panel everywhere: Panel.of alone takes a sequence of panels."""
+    second_form = re.compile(r"\b(Sequence|Iterable)\[Panel\]")
     found, checked = [], set()
     for name, fn in _public_callables():
         checked.add(name)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from scipy.linalg import cho_factor, cho_solve
 
-from dvcm.design import DomainSample, Panel, build_local_design
+from dvcm.design import Panel, build_local_design
 from dvcm.errors import DomainError, DvcmError, SingularSystemError
 from dvcm.estimators import (LocalFit, fit_dvcm, fit_target_only, fit_tl, gram,
                              newton_weighted, spd_factor, spd_solve)
@@ -16,7 +16,7 @@ from dvcm.families import GAUSSIAN, LOGISTIC, POISSON
 
 
 def make_domain(u, x, y):
-    return DomainSample(u=u, x=np.atleast_2d(np.asarray(x, float)),
+    return Panel.domain(u=u, x=np.atleast_2d(np.asarray(x, float)),
                         y=np.asarray(y, float))
 
 
@@ -164,7 +164,7 @@ def _brute_force_weighted_ls(domains, u0, h, l):
 
     rows, ys, ws = [], [], []
     for dom in domains:
-        t = (dom.u - u0) / h
+        t = (dom.u[0] - u0) / h
         w = 0.5 if abs(t) <= 1.0 else 0.0
         phi = np.array([t**j / math.factorial(j) for j in range(l + 1)])
         for i in range(dom.n):
@@ -184,7 +184,7 @@ class TestFitDvcm:
         rng = np.random.default_rng(2)
         theta = np.array([1.5, -0.7])
         doms = Panel.of(
-            DomainSample(u=u, x=(x := rng.normal(size=(6, 2))), y=x @ theta)
+            Panel.domain(u=u, x=(x := rng.normal(size=(6, 2))), y=x @ theta)
             for u in (-0.4, 0.0, 0.3, 0.9)
         )
         for h in (0.5, 1.0, 2.0):
@@ -194,14 +194,14 @@ class TestFitDvcm:
     def test_single_domain_reduces_to_target_only(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(12, 2))
-        dom = DomainSample(u=0.2, x=x, y=rng.normal(size=12))
+        dom = Panel.domain(u=0.2, x=x, y=rng.normal(size=12))
         fit = fit_dvcm(Panel.of([dom]), 0.2, 0.5, 0, GAUSSIAN)
         assert np.allclose(fit.theta, fit_target_only(dom, GAUSSIAN), atol=1e-12)
 
     def test_matches_brute_force_small_case(self):
         rng = np.random.default_rng(4)
         doms = Panel.of(
-            DomainSample(u=u, x=rng.normal(size=(5, 1)), y=rng.normal(size=5))
+            Panel.domain(u=u, x=rng.normal(size=(5, 1)), y=rng.normal(size=5))
             for u in (-0.5, 0.5)
         )
         fit = fit_dvcm(doms, 0.0, 1.0, 1, GAUSSIAN)
@@ -211,7 +211,7 @@ class TestFitDvcm:
     def test_theta_is_leading_block(self):
         rng = np.random.default_rng(6)
         doms = Panel.of(
-            DomainSample(u=u, x=rng.normal(size=(8, 2)), y=rng.normal(size=8))
+            Panel.domain(u=u, x=rng.normal(size=(8, 2)), y=rng.normal(size=8))
             for u in (-0.4, 0.1, 0.5)
         )
         fit = fit_dvcm(doms, 0.0, 1.0, 1, GAUSSIAN)
@@ -225,7 +225,7 @@ class TestFitDvcm:
             doms = []
             for _ in range(3):
                 n = int(rng.integers(4, 9))
-                doms.append(DomainSample(u=rng.uniform(-0.8, 0.8),
+                doms.append(Panel.domain(u=rng.uniform(-0.8, 0.8),
                                          x=rng.normal(size=(n, p)),
                                          y=rng.normal(size=n)))
             fit = fit_dvcm(Panel.of(doms), 0.0, 1.0, int(l), GAUSSIAN)
@@ -238,7 +238,7 @@ class TestFitDvcm:
 
     def test_given_start_is_the_default_start(self, count_calls):
         rng = np.random.default_rng(8)
-        doms = Panel.of(DomainSample(u=u, x=rng.normal(size=(30, 2)),
+        doms = Panel.of(Panel.domain(u=u, x=rng.normal(size=(30, 2)),
                                      y=rng.integers(0, 2, 30).astype(float))
                         for u in (0.0, -0.3, 0.4))
         start = fit_target_only(doms[0], LOGISTIC)
@@ -251,8 +251,8 @@ class TestFitDvcm:
 
     def test_singular_nearest_domain_starts_at_zero(self):
         rng = np.random.default_rng(9)
-        flat = DomainSample(u=0.0, x=np.ones((4, 2)), y=np.array([0.0, 1.0, 1.0, 1.0]))
-        other = DomainSample(u=0.5, x=rng.normal(size=(40, 2)),
+        flat = Panel.domain(u=0.0, x=np.ones((4, 2)), y=np.array([0.0, 1.0, 1.0, 1.0]))
+        other = Panel.domain(u=0.5, x=rng.normal(size=(40, 2)),
                              y=rng.integers(0, 2, 40).astype(float))
         with pytest.raises(SingularSystemError):
             fit_target_only(flat, LOGISTIC)
@@ -383,13 +383,13 @@ class TestFitTl:
 
     def test_zero_penalty_reduces_to_target_only(self):
         rng = np.random.default_rng(8)
-        dom = DomainSample(u=0.0, x=rng.normal(size=(20, 3)), y=rng.normal(size=20))
+        dom = Panel.domain(u=0.0, x=rng.normal(size=(20, 3)), y=rng.normal(size=20))
         fit = fit_tl(dom, rng.normal(size=3), np.zeros((3, 3)), GAUSSIAN)
         assert np.allclose(fit.theta_tl, fit_target_only(dom, GAUSSIAN), atol=1e-10)
 
     def test_infinite_shrinkage_returns_pilot(self):
         rng = np.random.default_rng(9)
-        dom = DomainSample(u=0.0, x=rng.normal(size=(15, 2)), y=rng.normal(size=15))
+        dom = Panel.domain(u=0.0, x=rng.normal(size=(15, 2)), y=rng.normal(size=15))
         pilot = np.array([0.4, -1.2])
         fit = fit_tl(dom, pilot, 1e8 * np.eye(2), GAUSSIAN)
         assert np.linalg.norm(fit.theta_tl - pilot) < 1e-6
@@ -399,7 +399,7 @@ class TestFitTl:
         rng = np.random.default_rng(10)
         for _ in range(10):
             p = int(rng.integers(1, 4))
-            dom = DomainSample(u=0.0, x=rng.normal(size=(25, p)),
+            dom = Panel.domain(u=0.0, x=rng.normal(size=(25, p)),
                                y=rng.normal(size=25))
             a = rng.normal(size=(p, p))
             q = a @ a.T + 0.1 * np.eye(p)
@@ -415,7 +415,7 @@ class TestFitTl:
     def test_scalar_monotone_shrinkage(self, q, pilot):
         x = np.array([[1.0], [2.0], [-1.0]])
         y = np.array([1.0, 3.0, 0.5])
-        dom = DomainSample(u=0.0, x=x, y=y)
+        dom = Panel.domain(u=0.0, x=x, y=y)
         sigma0 = float(x[:, 0] @ x[:, 0]) / 3.0
         theta_lr = fit_target_only(dom, GAUSSIAN)[0]
         fit = fit_tl(dom, np.array([pilot]), np.array([[q]]), GAUSSIAN)
@@ -428,7 +428,7 @@ class TestFitTl:
         x = rng.normal(size=(40, 2))
         theta = np.array([0.5, -0.4])
         y = rng.binomial(1, 1.0 / (1.0 + np.exp(-(x @ theta)))).astype(float)
-        dom = DomainSample(u=0.0, x=x, y=y)
+        dom = Panel.domain(u=0.0, x=x, y=y)
         pilot = np.array([0.2, 0.1])
         q = 0.5 * np.eye(2)
         fit = fit_tl(dom, pilot, q, LOGISTIC)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dvcm.design import DomainSample
+from dvcm.design import Panel
 from dvcm.errors import SingularSystemError
 from dvcm.families import GAUSSIAN, LOGISTIC
 from dvcm.inference import (
@@ -82,20 +82,20 @@ class TestTailProbabilities:
 
 class TestPsiHat:
     def test_gaussian_half_identity(self):
-        dom = DomainSample(u=0.0, x=np.array([[1.0, 0.0], [0.0, 1.0]]),
+        dom = Panel.domain(u=0.0, x=np.array([[1.0, 0.0], [0.0, 1.0]]),
                            y=np.zeros(2))
         assert np.allclose(psi_hat(dom, np.zeros(2), GAUSSIAN), 0.5 * np.eye(2))
 
     def test_logistic_quarter_weighting(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(9, 2))
-        dom = DomainSample(u=0.0, x=x, y=np.zeros(9))
+        dom = Panel.domain(u=0.0, x=x, y=np.zeros(9))
         got = psi_hat(dom, np.zeros(2), LOGISTIC)
         assert np.allclose(got, 0.25 * x.T @ x / 9)
 
     def test_single_row_outer_product(self):
         x = np.array([[2.0, -1.0]])
-        dom = DomainSample(u=0.0, x=x, y=np.zeros(1))
+        dom = Panel.domain(u=0.0, x=x, y=np.zeros(1))
         theta = np.array([0.3, 0.7])
         b2 = LOGISTIC.b2(float(x[0] @ theta))
         assert np.allclose(psi_hat(dom, theta, LOGISTIC), b2 * np.outer(x[0], x[0]))
@@ -105,7 +105,7 @@ class TestVHatTarget:
     def test_perfect_fit_zero(self):
         x = np.array([[1.0, 0.2], [1.0, -0.4], [1.0, 1.1]])
         theta = np.array([0.5, 2.0])
-        dom = DomainSample(u=0.0, x=x, y=x @ theta)
+        dom = Panel.domain(u=0.0, x=x, y=x @ theta)
         assert np.allclose(v_hat_target(dom, theta, psi_hat(dom, theta, GAUSSIAN), GAUSSIAN), 0.0)
 
     def test_intercept_only_matches_sigma2_over_n(self):
@@ -113,7 +113,7 @@ class TestVHatTarget:
         n = 50
         x = np.ones((n, 1))
         y = rng.normal(size=n)
-        dom = DomainSample(u=0.0, x=x, y=y)
+        dom = Panel.domain(u=0.0, x=x, y=y)
         theta = np.array([np.mean(y)])
         resid = y - theta[0]
         want = np.mean(resid**2) / n
@@ -125,8 +125,8 @@ class TestVHatTarget:
         x = rng.normal(size=(30, 2))
         theta = np.array([1.0, -1.0])
         noise = rng.normal(size=30)
-        d1 = DomainSample(u=0, x=x, y=x @ theta + noise)
-        d3 = DomainSample(u=0, x=x, y=x @ theta + 3 * noise)
+        d1 = Panel.domain(u=0, x=x, y=x @ theta + noise)
+        d3 = Panel.domain(u=0, x=x, y=x @ theta + 3 * noise)
         v1 = v_hat_target(d1, theta, psi_hat(d1, theta, GAUSSIAN), GAUSSIAN)
         v3 = v_hat_target(d3, theta, psi_hat(d3, theta, GAUSSIAN), GAUSSIAN)
         assert np.allclose(v3, 9.0 * v1, rtol=1e-10)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvcm.design import (DomainSample, Panel, build_local_design, kernel_window, poly_features,
+from dvcm.design import (Panel, build_local_design, kernel_window, poly_features,
                          uniform_kernel)
 from dvcm.errors import DegenerateVarianceError, SingularSystemError
 from dvcm.estimators import (fit_dvcm, fit_target_only, gram, newton_weighted, spd_factor,
@@ -17,7 +17,7 @@ from dvcm.penalty import (_bias, estimate_derivative, estimate_scale, estimate_v
 
 
 def make_domain(u, x, y):
-    return DomainSample(u=u, x=np.atleast_2d(np.asarray(x, float)),
+    return Panel.domain(u=u, x=np.atleast_2d(np.asarray(x, float)),
                         y=np.asarray(y, float))
 
 
@@ -29,7 +29,7 @@ class TestEstimateScale:
     def test_perfect_fit(self):
         x = np.array([[1.0, 0.5], [1.0, -0.2], [1.0, 1.4]])
         theta = np.array([0.3, -1.1])
-        dom = DomainSample(u=0.0, x=x, y=x @ theta)
+        dom = Panel.domain(u=0.0, x=x, y=x @ theta)
         assert estimate_scale(dom, theta, GAUSSIAN) == pytest.approx(0.0, abs=1e-30)
 
     def test_logistic_pearson(self):
@@ -48,7 +48,7 @@ def _zeta_oracle(domains, u0, h, l, r, s):
     n = sum(d.n for d in domains)
     out = np.zeros((l + 1, l + 1))
     for d in domains:
-        t = (d.u - u0) / h
+        t = (d.u[0] - u0) / h
         w = 0.5 if abs(t) <= 1.0 else 0.0
         phi = np.array([t**j / math.factorial(j) for j in range(l + 1)])
         for a in range(l + 1):
@@ -62,7 +62,7 @@ def _zeta_loop(domains, u0, h, l, r, s):
     n = sum(d.n for d in domains)
     out = np.zeros((l + 1, l + 1))
     for dom in domains:
-        t = (dom.u - u0) / h
+        t = (dom.u[0] - u0) / h
         w = float(uniform_kernel(t))
         if w == 0.0:
             continue
@@ -140,7 +140,7 @@ def _noiseless_domains(fun, us, n=6, seed=0):
     doms = []
     for u in us:
         x = rng.normal(size=(n, 1))
-        doms.append(DomainSample(u=u, x=x, y=x[:, 0] * fun(u)))
+        doms.append(Panel.domain(u=u, x=x, y=x[:, 0] * fun(u)))
     return Panel.of(doms)
 
 
@@ -201,7 +201,7 @@ class TestEstimateBias:
         # for theta(u) = u^2 with identical per-domain designs, the plug-in
         # equals the actual estimation error: theta_hat_dvcm(0) =
         # h^2 [zeta01^{-1} zeta21]_{11} and the order-2 fit returns exactly 2
-        doms = Panel.of(DomainSample(u=u, x=np.ones((6, 1)), y=np.full(6, u**2))
+        doms = Panel.of(Panel.domain(u=u, x=np.ones((6, 1)), y=np.full(6, u**2))
                         for u in (-0.9, -0.35, 0.15, 0.55, 0.95))
         for h in (0.6, 1.0):
             fit = fit_dvcm(doms, 0.0, h, 1, GAUSSIAN)
@@ -265,7 +265,7 @@ class TestSandwich:
         doms = []
         for u in (-0.3, 0.2, 0.6):
             x = rng.normal(size=(6, 2))
-            doms.append(DomainSample(u=u, x=x, y=x @ theta))
+            doms.append(Panel.domain(u=u, x=x, y=x @ theta))
         fit = fit_dvcm(Panel.of(doms), 0.0, 1.0, 0, GAUSSIAN)
         v = estimate_variance_sandwich(fit, GAUSSIAN)
         assert np.max(np.abs(v)) < 1e-20
@@ -274,7 +274,7 @@ class TestSandwich:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(30, 3))
         y = x @ np.array([0.5, -1.0, 0.2]) + rng.normal(size=30)
-        dom = DomainSample(u=0.0, x=x, y=y)
+        dom = Panel.domain(u=0.0, x=x, y=y)
         fit = fit_dvcm(Panel.of([dom]), 0.0, 1.0, 0, GAUSSIAN)
         v = estimate_variance_sandwich(fit, GAUSSIAN)
         assert np.allclose(v, _textbook_hc0(x, y), rtol=1e-10)
@@ -286,16 +286,16 @@ class TestSandwich:
         noise = rng.normal(size=20)
         c = 3.0
         v1 = estimate_variance_sandwich(
-            fit_dvcm(Panel.of([DomainSample(u=0.0, x=x, y=x @ theta + noise)]),
+            fit_dvcm(Panel.of([Panel.domain(u=0.0, x=x, y=x @ theta + noise)]),
                      0.0, 1.0, 0, GAUSSIAN), GAUSSIAN)
         v2 = estimate_variance_sandwich(
-            fit_dvcm(Panel.of([DomainSample(u=0.0, x=x, y=x @ theta + c * noise)]),
+            fit_dvcm(Panel.of([Panel.domain(u=0.0, x=x, y=x @ theta + c * noise)]),
                      0.0, 1.0, 0, GAUSSIAN), GAUSSIAN)
         assert np.allclose(v2, c**2 * v1, rtol=1e-10)
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(8)
-        doms = Panel.of(DomainSample(u=u, x=rng.normal(size=(10, 2)), y=rng.normal(size=10))
+        doms = Panel.of(Panel.domain(u=u, x=rng.normal(size=(10, 2)), y=rng.normal(size=10))
                         for u in (-0.5, 0.0, 0.4))
         fit = fit_dvcm(doms, 0.0, 1.0, 1, GAUSSIAN)
         v = estimate_variance_sandwich(fit, GAUSSIAN)
@@ -308,7 +308,7 @@ def _sim_domains(rng, K, n, p, gamma, theta_fun, noise=0.3):
     for _ in range(K):
         u = rng.uniform(-gamma / 2, gamma / 2)
         x = rng.normal(size=(n, p))
-        doms.append(DomainSample(u=u, x=x, y=x @ theta_fun(u) + noise * rng.normal(size=n)))
+        doms.append(Panel.domain(u=u, x=x, y=x @ theta_fun(u) + noise * rng.normal(size=n)))
     return Panel.of(doms)
 
 
@@ -326,7 +326,7 @@ class TestEstimateQ:
         rng = np.random.default_rng(9)
         theta_fun = lambda u: np.array([1.0])
         sources = _sim_domains(rng, 4, 20, 1, 1.0, theta_fun)
-        pilot = DomainSample(u=0.0, x=np.ones((10, 1)),
+        pilot = Panel.domain(u=0.0, x=np.ones((10, 1)),
                              y=1.0 + rng.normal(size=10))
         pen = _q_hat(sources, pilot, 1.0)
         m = np.outer(pen.bias_vec, pen.bias_vec) + pen.var_mat
@@ -338,7 +338,7 @@ class TestEstimateQ:
         theta_fun = lambda u: np.array([1.0 + u, -0.5 * u])
         sources = _sim_domains(rng, 5, 25, 2, 1.2, theta_fun)
         x0 = rng.normal(size=(16, 2))
-        pilot = DomainSample(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.3 * rng.normal(size=16))
+        pilot = Panel.domain(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.3 * rng.normal(size=16))
         pen = _q_hat(sources, pilot, 0.8)
         m = np.outer(pen.bias_vec, pen.bias_vec) + pen.var_mat
         ident = pen.q @ m
@@ -351,7 +351,7 @@ class TestEstimateQ:
         theta_fun = lambda u: np.array([0.4])
         sources = _sim_domains(rng, 4, 15, 1, 1.0, theta_fun)
         x0 = rng.normal(size=(12, 1))
-        pilot = DomainSample(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.2 * rng.normal(size=12))
+        pilot = Panel.domain(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.2 * rng.normal(size=12))
         q1 = _q_hat(sources, pilot, 1.0, delta=1.0).q
         q2 = _q_hat(sources, pilot, 1.0, delta=1.9).q
         assert np.allclose(q2, 1.9 * q1, rtol=1e-12)
@@ -362,10 +362,10 @@ class TestEstimateQ:
         theta_fun = lambda u: np.array([0.4])
         sources = _sim_domains(rng, 4, 15, 1, 1.0, theta_fun)
         x0 = rng.normal(size=(12, 1))
-        pilot = DomainSample(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.2 * rng.normal(size=12))
+        pilot = Panel.domain(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.2 * rng.normal(size=12))
         x1 = rng.normal(size=(40, 1))
-        fine = DomainSample(u=0.0, x=x1, y=x1 @ theta_fun(0.0) + 0.2 * rng.normal(size=40))
-        pa = _q_hat(sources, pilot, 1.0, fine=DomainSample(fine.u, fine.x[:10], fine.y[:10]))
+        fine = Panel.domain(u=0.0, x=x1, y=x1 @ theta_fun(0.0) + 0.2 * rng.normal(size=40))
+        pa = _q_hat(sources, pilot, 1.0, fine=Panel.domain(fine.u[0], fine.x[:10], fine.y[:10]))
         pb = _q_hat(sources, pilot, 1.0, fine=fine)
         assert (pa.n0, pb.n0) == (10, 40)
         assert pa.var_mat.tobytes() == pb.var_mat.tobytes()
@@ -378,14 +378,14 @@ class TestEstimateQ:
         theta_fun = lambda u: np.array([1.0])
         sources = _sim_domains(rng, 3, 5, 1, 1.8, theta_fun, noise=20.0)
         x0 = rng.normal(size=(40, 1))
-        pilot = DomainSample(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.1 * rng.normal(size=40))
+        pilot = Panel.domain(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.1 * rng.normal(size=40))
         pen = _q_hat(sources, pilot, 1.0)
         assert pen.q[0, 0] < 0.05
 
     def test_delta_outside_open_interval_rejected(self):
         rng = np.random.default_rng(14)
         sources = _sim_domains(rng, 3, 10, 1, 1.0, lambda u: np.array([1.0]))
-        pilot = DomainSample(u=0.0, x=np.ones((8, 1)), y=np.ones(8))
+        pilot = Panel.domain(u=0.0, x=np.ones((8, 1)), y=np.ones(8))
         for bad in (0.5, 2.0, 0.0, 2.5):
             with pytest.raises(ValueError, match=f"delta must lie in \\(0.5, 2\\), got {bad}"):
                 _q_hat(sources, pilot, 1.0, delta=bad)
@@ -395,7 +395,7 @@ class TestEstimateQ:
         # the derivative's bandwidth rule refuses beta first
         rng = np.random.default_rng(14)
         sources = _sim_domains(rng, 3, 10, 1, 1.0, lambda u: np.array([1.0]))
-        pilot = DomainSample(u=0.0, x=np.ones((8, 1)), y=np.ones(8))
+        pilot = Panel.domain(u=0.0, x=np.ones((8, 1)), y=np.ones(8))
         with pytest.raises(ValueError, match=f"must be finite and positive, got gamma=1.0, "
                                              f"e0=1.0, beta={beta}"):
             _q_hat(sources, pilot, 1.0, beta=beta)
@@ -405,7 +405,7 @@ class TestEstimateQ:
         theta_fun = lambda u: np.array([0.4])
         sources = _sim_domains(rng, 4, 15, 1, 1.0, theta_fun)
         x0 = rng.normal(size=(12, 1))
-        pilot = DomainSample(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.2 * rng.normal(size=12))
+        pilot = Panel.domain(u=0.0, x=x0, y=x0 @ theta_fun(0.0) + 0.2 * rng.normal(size=12))
         pen = _q_hat(sources, pilot, 1.0, beta=1.5)
         assert np.allclose(pen.bias_vec, 0.0)
         assert "bias_skipped_noninteger_beta" in pen.diagnostics
@@ -421,7 +421,7 @@ def _glm_problem(family, seed, K, p=2, n=30):
         y = {"gaussian": lambda: eta + 0.5 * rng.normal(size=size),
              "logistic": lambda: rng.binomial(1, 1.0 / (1.0 + np.exp(-eta))).astype(float),
              "poisson": lambda: rng.poisson(np.exp(eta)).astype(float)}[family.kind]()
-        return DomainSample(u=u, x=x, y=y)
+        return Panel.domain(u=u, x=x, y=y)
 
     sources = Panel.of(domain(float(u), n) for u in rng.uniform(-0.6, 0.6, K))
     return domain(0.0, n), sources

@@ -124,7 +124,7 @@ class TestGenerateDataset:
         (p1, f1), (p2, f2) = generate_dataset(cfg, 3), generate_dataset(cfg, 3)
         assert np.array_equal(f1.x, f2.x) and np.array_equal(f1.y, f2.y)
         for a, b in zip(p1, p2):  # the target's pilot half, then the sources
-            assert a.u == b.u and np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+            assert a.u[0] == b.u[0] and np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_replications_differ(self):
         cfg = SimConfig(p=2, K=3, n_bar=10, n0=5, gamma=0.8, reps=2, seed=7)
@@ -135,7 +135,7 @@ class TestGenerateDataset:
     def test_gamma_zero_degenerate(self):
         cfg = SimConfig(p=2, K=5, n_bar=8, n0=5, gamma=0.0, reps=2, seed=0)
         pooled, _ = generate_dataset(cfg, 0)
-        assert all(s.u == 0.0 for s in pooled[1:])
+        assert all(s.u[0] == 0.0 for s in pooled[1:])
 
     def test_noiseless_recovery(self):
         cfg = SimConfig(p=3, K=4, n_bar=40, n0=30, gamma=0.4, noise_sd=0.0,
@@ -200,12 +200,12 @@ def test_dataset_is_bit_identical_to_per_source_draws(family, p, K, n_bar):
     pooled, fine = generate_dataset(cfg, 2)
     target, sources = pooled[0], pooled[1:]
     (u0, x0, y0), want = _per_source_dataset(cfg, 2)
-    assert target.u == fine.u == u0
+    assert target.u[0] == fine.u[0] == u0
     assert np.concatenate([target.x, fine.x]).tobytes() == x0.tobytes()
     assert np.concatenate([target.y, fine.y]).tobytes() == y0.tobytes()
     assert len(sources) == len(want)
     for got, (u, x, y) in zip(sources, want):
-        assert got.u == u and got.x.tobytes() == x.tobytes() and got.y.tobytes() == y.tobytes()
+        assert got.u[0] == u and got.x.tobytes() == x.tobytes() and got.y.tobytes() == y.tobytes()
 
 
 class TestRngStreams:
@@ -431,16 +431,17 @@ def test_replication_locates_one_window_per_bandwidth(count_calls):
 def test_replication_views_no_source_and_locates_one_window_per_h(count_calls,
                                                                   monkeypatch):
     from dvcm import design, simulation
-    from dvcm.design import DomainSample
     from dvcm.simulation import _replicate
 
-    views, make_view = [], DomainSample._view
+    views, make_view = [], Panel.__getitem__
 
-    def counted(u, x, y):
-        views.append(x)
-        return make_view(u, x, y)
+    def counted(panel, k):
+        view = make_view(panel, k)
+        if len(view) == 1:
+            views.append(view.x)
+        return view
 
-    monkeypatch.setattr(DomainSample, "_view", counted)
+    monkeypatch.setattr(Panel, "__getitem__", counted)
     datasets, generate = [], simulation.generate_dataset
     monkeypatch.setattr(simulation, "generate_dataset",
                         lambda *args: datasets.append(generate(*args)) or datasets[-1])
@@ -449,27 +450,24 @@ def test_replication_views_no_source_and_locates_one_window_per_h(count_calls,
     cells = _replicate(SimConfig(p=4, K=5, n_bar=120, n0=50, gamma=1.0), grid,
                        ("lr", "dvcm", "tl"), 1)
     assert all(cell is not None for cell in cells)
-    # the two target halves are the only views: the fine half, and the pilot
-    # half in the drawn panel, whose sources the bandwidth rules read from its arrays
-    (pooled, fine), = datasets
-    assert (len(views) == 2 and views[0] is fine.x
-            and np.shares_memory(views[1], pooled.x[: pooled.offsets[1]]))
+    # the pilot half in the drawn panel is the only one-domain view, whose
+    # sources the bandwidth rules read from its arrays
+    (pooled, _), = datasets
+    assert len(views) == 1 and np.shares_memory(views[0], pooled.x[: pooled.offsets[1]])
     # one window per fitted h, located by its pilot and reused by its penalty,
     # and one for the derivative fit
     assert windows[0] == len(grid) + 1
 
 
 def test_dataset_validates_no_source_on_its_own(monkeypatch):
-    from dvcm.design import DomainSample
-
     made = [0]
-    post_init = DomainSample.__post_init__
+    post_init = Panel.__post_init__
 
     def counted(self):
         made[0] += 1
         post_init(self)
 
-    monkeypatch.setattr(DomainSample, "__post_init__", counted)
+    monkeypatch.setattr(Panel, "__post_init__", counted)
     pooled, fine = generate_dataset(SimConfig(p=3, K=7, n_bar=20, n0=10), 0)
     assert len(pooled) == 8 and fine.n == 10 and made[0] == 0  # not even the target
 

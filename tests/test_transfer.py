@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from dvcm.bandwidth import select_bandwidth
-from dvcm.design import DomainSample, Panel
+from dvcm.design import Panel
 from dvcm.errors import DomainError, SingularSystemError
 from dvcm.estimators import fit_dvcm, fit_target_only, fit_tl
 from dvcm.families import get_family
@@ -45,12 +45,12 @@ def _draws(offsets, family, seed=0):
 
 def _problem(draws, offsets, family, u0=0.0, y_scale=1.0, order=1, gamma=1.0, e0=100.0):
     (xp, yp), (xf, yf), *sources = draws
-    pooled = Panel.of([DomainSample(u=u0, x=xp, y=y_scale * yp)]
-                      + [DomainSample(u=u0 + d, x=x, y=y_scale * y)
+    pooled = Panel.of([Panel.domain(u=u0, x=xp, y=y_scale * yp)]
+                      + [Panel.domain(u=u0 + d, x=x, y=y_scale * y)
                          for d, (x, y) in zip(offsets, sources)])
     # e0 = 100 puts the derivative bandwidth at the farthest source, so the
     # derivative window holds every domain
-    return TransferProblem(pooled, DomainSample(u=u0, x=xf, y=y_scale * yf), u0,
+    return TransferProblem(pooled, Panel.domain(u=u0, x=xf, y=y_scale * yf), u0,
                            get_family(family), order=order, gamma=gamma, e0=e0)
 
 
@@ -71,7 +71,7 @@ def _close(got, want, rel):
 def test_bandwidth_is_select_bandwidth_on_the_problem(rule, h):
     offsets = (0.1, -0.3, 0.6)
     draws = _draws(offsets, "gaussian")
-    sources = Panel.of(DomainSample(u=0.2 + d, x=x, y=y)
+    sources = Panel.of(Panel.domain(u=0.2 + d, x=x, y=y)
                        for d, (x, y) in zip(offsets, draws[2:]))
     problem = _problem(draws, offsets, "gaussian", u0=0.2, gamma=0.7, e0=0.4)
     # the rate term counts the pilot part pooled with the sources
@@ -92,20 +92,20 @@ def test_bandwidth_rules_without_c_and_epsilon_need_neither(rule, h):
 def test_problem_keeps_one_copy_of_the_sources():
     offsets = [-0.8, -0.35, 0.2, 0.45, 0.9]
     (xp, yp), (xf, yf), *draws = _draws(offsets, "gaussian")
-    pooled = Panel.of([DomainSample(u=0.0, x=xp, y=yp)]
-                      + [DomainSample(u=d, x=x, y=y) for d, (x, y) in zip(offsets, draws)])
-    problem = TransferProblem(pooled, DomainSample(u=0.0, x=xf, y=yf), 0.0,
+    pooled = Panel.of([Panel.domain(u=0.0, x=xp, y=yp)]
+                      + [Panel.domain(u=d, x=x, y=y) for d, (x, y) in zip(offsets, draws)])
+    problem = TransferProblem(pooled, Panel.domain(u=0.0, x=xf, y=yf), 0.0,
                               get_family("gaussian"))
     assert problem.pooled is pooled  # the caller's panel, not stacked again
     for part in (problem.pilot_part, problem.sources):
         assert np.shares_memory(part.x, pooled.x) and np.shares_memory(part.y, pooled.y)
     assert problem.pilot_part.x.tobytes() == xp.tobytes()
-    assert [d.u for d in problem.sources] == offsets
+    assert [d.u[0] for d in problem.sources] == offsets
 
 
 def test_problem_needs_a_source():
     (xp, yp), (xf, yf) = _draws([], "gaussian")
-    part, fine = DomainSample(u=0.0, x=xp, y=yp), DomainSample(u=0.0, x=xf, y=yf)
+    part, fine = Panel.domain(u=0.0, x=xp, y=yp), Panel.domain(u=0.0, x=xf, y=yf)
     with pytest.raises(ValueError, match="the pilot split and a source domain"):
         TransferProblem(Panel.of([part]), fine, 0.0, get_family("gaussian"))
 
@@ -164,7 +164,7 @@ def test_full_target_equals_the_hand_wired_fit_estimates(family):
     problem = _problem(_draws(offsets, family), offsets, family)
     part, fine, fam = problem.pilot_part, problem.fine, problem.family
     # the sequence `dvcm fit` ran itself before the problem gave these estimates
-    train = DomainSample(u=0.0, x=np.vstack([part.x, fine.x]),
+    train = Panel.domain(u=0.0, x=np.vstack([part.x, fine.x]),
                          y=np.concatenate([part.y, fine.y]))
     theta_lr = fit_target_only(train, fam)
     theta_dvcm = fit_dvcm(Panel.of([train, *problem.sources]), 0.0, H, 1, fam,
@@ -182,7 +182,7 @@ def test_every_entry_checks_the_response_against_the_family(family, bad):
     fam, part, fine, sources = problem.family, problem.pilot_part, problem.fine, problem.sources
     y = fine.y.copy()
     y[3] = bad
-    spoiled = DomainSample(u=0.0, x=fine.x, y=y)
+    spoiled = Panel.domain(u=0.0, x=fine.x, y=y)
     entries = {
         "fit_target_only": lambda: fit_target_only(spoiled, fam),
         "fit_dvcm": lambda: fit_dvcm(Panel.of([spoiled, *sources]), 0.0, H, 1, fam),
@@ -205,10 +205,10 @@ def test_singular_pilot_split_starts_the_pooled_fit_from_zeros():
 
     def domain(u, n):
         x = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
-        return DomainSample(u=u, x=x, y=rng.binomial(1, expit(x @ [0.3, -0.5, 0.8])) * 1.0)
+        return Panel.domain(u=u, x=x, y=rng.binomial(1, expit(x @ [0.3, -0.5, 0.8])) * 1.0)
 
     sources = [domain(u, 60) for u in (-0.3, 0.2, 0.4)]
-    part = DomainSample(u=0.0, x=np.array([[1.0, 0.2, -0.1], [1.0, -0.7, 0.5]]),
+    part = Panel.domain(u=0.0, x=np.array([[1.0, 0.2, -0.1], [1.0, -0.7, 0.5]]),
                         y=np.array([0.0, 1.0]))
     problem = TransferProblem(Panel.of([part, *sources]), domain(0.0, 40), 0.0, fam)
     with pytest.raises(SingularSystemError):
